@@ -5,7 +5,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix perf-gate bench bench-diff verify
+.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix perf-gate bench bench-diff e2e-selftest verify
 
 test:
 	$(PY) -m pytest -x -q
@@ -100,4 +100,10 @@ endif
 bench-diff:
 	$(PY) -m repro.bench diff --latest
 
-verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest perf-gate bench-diff
+# Self-tests of the end-to-end benchmark in e2ebench/ (outside the tier-1
+# testpaths; ~13 s): metric names and units, work-digest stability, the
+# per-layer fold, and a sabotaged check failing the exit code.
+e2e-selftest:
+	python3 -m pytest e2ebench -q
+
+verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest perf-gate bench-diff e2e-selftest

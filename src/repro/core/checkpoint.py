@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CheckpointError
-from repro.nt.memory import _estimate_size
+from repro.nt.memory import estimate_size
 
 
 #: Interning pool for canonical image bytes, keyed by content.  Replay
@@ -48,7 +48,7 @@ def canonical_image_bytes(image: Dict[str, Dict[str, Any]]) -> bytes:
     return raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Checkpoint:
     """One captured application state image."""
 
@@ -68,7 +68,7 @@ class Checkpoint:
         """Estimated payload size (drives transfer-cost modelling)."""
         total = 64
         for region in self.image.values():
-            total += 16 + _estimate_size(region)
+            total += 16 + estimate_size(region)
         total += 32 * len(self.thread_contexts)
         return total
 

@@ -268,14 +268,8 @@ class ClientFtim(ServerFtim):
         # lists regions in name order, so serialized checkpoint bytes do
         # not depend on the order OFTTSelSave designations were made.
         for region_name, variables in sorted(self._selected.items()):
-            if not space.has_region(region_name):
-                continue
-            region = space.region(region_name)
-            snapshot = region.snapshot()
-            if variables is None:
-                image[region_name] = snapshot
-            else:
-                image[region_name] = {var: snapshot[var] for var in sorted(variables) if var in snapshot}
+            if space.has_region(region_name):
+                image[region_name] = space.region(region_name).snapshot(variables)
         return image
 
     def _capture_contexts(self) -> Dict[str, Dict]:

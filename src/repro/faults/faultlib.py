@@ -265,10 +265,15 @@ class NodeReboot(Fault):
             node = self.node
 
             def rejoin(booted_system) -> None:
-                # One-shot: boot callbacks persist across reboots, and a
-                # second reinstall on the same boot would collide.
+                # One-shot: boot callbacks persist across reboots.  A
+                # power-off mid-boot leaves this hook armed while the next
+                # reboot arms another, so the later hook finds the engine
+                # already rebuilt and stands down, as ReinstallMiddleware
+                # does; a second reinstall would collide.
                 booted_system.on_boot.remove(rejoin)
-                env.pair.reinstall_node(node)
+                engine = env.pair.engines.get(node)
+                if engine is None or not engine.alive:
+                    env.pair.reinstall_node(node)
 
             system.on_boot.append(rejoin)
 

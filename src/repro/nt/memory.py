@@ -10,7 +10,7 @@ walks these regions to capture a checkpoint.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import AccessViolation
 
@@ -27,32 +27,53 @@ _KINDS = (GLOBAL, HEAP, STACK)
 _IMMUTABLE_SCALARS = frozenset((str, int, float, bool, bytes, type(None)))
 
 
-def copy_variables(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Copy a flat variable dict, cheaply when provably safe.
+def copy_variables(data: Dict[str, Any], names: Optional[Iterable[str]] = None) -> Dict[str, Any]:
+    """Copy a variable dict (or just its *names*), equal to ``deepcopy``.
 
-    Checkpoint images are overwhelmingly flat dicts of immutable scalars
-    (counters, flags, payload strings).  When every value is one, a
-    shallow ``dict()`` copy is semantically identical to ``deepcopy`` —
-    nothing shared is mutable.  Any container (or scalar subclass) value
-    sends the whole dict down the general ``deepcopy`` path, so in-place
-    mutation of a held list/dict (e.g. the SCADA alarm log) can never
-    leak between a region and its snapshots.
+    Each variable is copied on its own, as cheaply as is safe:
+
+    * an immutable scalar (exact type) is shared;
+    * an exact ``dict``/``list`` whose keys and items are all immutable
+      scalars (a histogram, a seen-list) gets a shallow ``dict()``/``list()``;
+    * anything else goes through ``copy.deepcopy``.
+
+    One deepcopy memo spans the call and the shallow copies are entered
+    in it, so two variables aliasing one container still alias one copy,
+    and no mutable object is shared between *data* and the result.  With
+    *names*, the ones present in *data* are copied in sorted order;
+    without, all of *data* in its own order.
     """
     scalars = _IMMUTABLE_SCALARS
-    for value in data.values():
-        if type(value) not in scalars:
-            # Reviewed-benign HOT004: this *is* the slow path — a dict
-            # holding mutable values has no immutable carrier to cache
-            # on, and correctness requires the full deep copy.
-            return copy.deepcopy(data)  # oftt-lint: ok[hot-unmemoized-heavy]
-    return dict(data)
+    memo: Dict[int, Any] = {}
+    copied: Dict[str, Any] = {}
+    for name in data if names is None else sorted(name for name in names if name in data):
+        value = data[name]
+        kind = type(value)
+        if kind in scalars:
+            copied[name] = value
+        elif (kind is list and scalars.issuperset(map(type, value))) or (
+            kind is dict
+            and scalars.issuperset(map(type, value))
+            and scalars.issuperset(map(type, value.values()))
+        ):
+            twin = memo.get(id(value))
+            if twin is None:
+                twin = memo[id(value)] = kind(value)
+            copied[name] = twin
+        else:
+            # Reviewed-benign HOT004: this *is* the slow path — a nested
+            # or subclassed value has no immutable carrier to cache on,
+            # and correctness requires the deep copy.
+            copied[name] = copy.deepcopy(value, memo)  # oftt-lint: ok[hot-unmemoized-heavy]
+    return copied
 
 
 class MemoryRegion:
     """A named region of a process address space.
 
     Variables are stored by name; values must be plain picklable Python
-    data (the checkpoint layer deep-copies them).
+    data.  Snapshots and restores copy them with :func:`copy_variables`,
+    so a checkpoint never shares a mutable value with live memory.
     """
 
     def __init__(self, name: str, kind: str = GLOBAL) -> None:
@@ -85,9 +106,10 @@ class MemoryRegion:
         """Names stored in this region, sorted for determinism."""
         return sorted(self._data)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Copy of the region's contents (scalar fast path, else deep)."""
-        return copy_variables(self._data)
+    def snapshot(self, names: Optional[Iterable[str]] = None) -> Dict[str, Any]:
+        """Copy of the region's contents, or of just the *names* it holds
+        (sorted); see :func:`copy_variables`."""
+        return copy_variables(self._data, names)
 
     def restore(self, data: Dict[str, Any]) -> None:
         """Replace the region's contents with a copy of *data*."""
@@ -95,7 +117,7 @@ class MemoryRegion:
 
     def size_bytes(self) -> int:
         """Rough size estimate used for checkpoint cost modelling."""
-        return sum(_estimate_size(value) for value in self._data.values()) + 16 * len(self._data)
+        return _sum_sizes(self._data.values()) + 16 * len(self._data)
 
     def __contains__(self, var: str) -> bool:
         return var in self._data
@@ -195,16 +217,53 @@ class AddressSpace:
         return f"AddressSpace({self.owner_name}, regions={sorted(self._regions)})"
 
 
-def _estimate_size(value: Any) -> int:
-    """Crude recursive size estimate for cost modelling (not accounting)."""
+#: Exact types :func:`estimate_size` prices at a flat 8 bytes.
+_FIXED_SIZE = frozenset((int, float, bool, type(None)))
+
+
+def estimate_size(value: Any) -> int:
+    """Crude recursive size estimate for cost modelling (not accounting).
+
+    Numbers and None cost 8, strings and bytes their length, containers
+    16 plus their items (dict keys included), anything else 64.  Exact
+    types are dispatched without ``isinstance``; subclasses take the
+    general chain in :func:`_estimate_size_general` and price the same.
+    """
+    kind = type(value)
+    if kind in _FIXED_SIZE:
+        return 8
+    if kind is str or kind is bytes:
+        return len(value)
+    if kind is dict:
+        return 16 + _sum_sizes(value) + _sum_sizes(value.values())
+    if kind is list or kind is tuple or kind is set:
+        return 16 + _sum_sizes(value)
+    return _estimate_size_general(value)
+
+
+def _sum_sizes(items: Iterable[Any]) -> int:
+    """:func:`estimate_size` summed over *items*, scalars priced inline."""
+    fixed = _FIXED_SIZE
+    total = 0
+    for item in items:
+        kind = type(item)
+        if kind in fixed:
+            total += 8
+        elif kind is str or kind is bytes:
+            total += len(item)
+        else:
+            total += estimate_size(item)
+    return total
+
+
+def _estimate_size_general(value: Any) -> int:
+    """The ``isinstance`` chain behind :func:`estimate_size` (subclasses, others)."""
     if isinstance(value, (int, float, bool)) or value is None:
         return 8
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, bytes):
+    if isinstance(value, (str, bytes)):
         return len(value)
     if isinstance(value, dict):
-        return 16 + sum(_estimate_size(k) + _estimate_size(v) for k, v in value.items())
+        return 16 + sum(estimate_size(k) + estimate_size(v) for k, v in value.items())
     if isinstance(value, (list, tuple, set)):
-        return 16 + sum(_estimate_size(item) for item in value)
+        return 16 + sum(estimate_size(item) for item in value)
     return 64

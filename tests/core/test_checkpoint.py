@@ -1,9 +1,15 @@
 """Unit tests for checkpoint capture, serialization, and the store."""
 
+import hashlib
+
 import pytest
 
-from repro.core.checkpoint import Checkpoint, CheckpointStore
+from repro.apps.synthetic import SyntheticStateApp
+from repro.core.checkpoint import Checkpoint, CheckpointStore, canonical_image_bytes
 from repro.errors import CheckpointError
+from repro.harness.scenario import build_demo, build_pair_env, build_remote_monitoring
+
+from tests.nt.test_memory import random_variables, reference_estimate_size
 
 
 def checkpoint(sequence, image=None, incremental=False, app="app"):
@@ -110,3 +116,43 @@ def test_incremental_chain_resolves_transitively():
     store.store(checkpoint(2, image={"globals": {"b": 2}}, incremental=True))
     store.store(checkpoint(3, image={"globals": {"c": 3}}, incremental=True))
     assert store.latest("app").image == {"globals": {"a": 1, "b": 2, "c": 3}}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_size_bytes_matches_isinstance_estimate(seed):
+    image = {"globals": random_variables(seed), "heap": random_variables(seed + 100)}
+    expected = 64 + sum(16 + reference_estimate_size(region) for region in image.values()) + 32
+    assert checkpoint(1, image=image).size_bytes() == expected
+
+
+#: Warm captures of the paper's applications: sha256 and length of their
+#: canonical image bytes, and their estimated size.  Pinned from captures
+#: taken before the per-variable copy path, so a capture that reorders,
+#: drops or re-types a variable, or prices it differently, fails here.
+GOLDEN_CAPTURES = {
+    "calltrack": ("b189650df8399279b1394e9684f03960992ae75de1076da1eb0c4afa4813ed4b", 270, 470),
+    "scada": ("98516ee086105166ebf64e024045b79dfb0c856b0ced11d3fe0655849850069a", 5996, 7838),
+    "synthetic-full": ("09455af2a4845c608a8934594a1fc99b14b30cda1811e8303611411b6cdde0db", 4335, 4481),
+    "synthetic-selective": ("31d617c484913f6801bca6aae07379e4762158a1c55dc9ac55768f11074c76ed", 129, 285),
+}
+
+_SUBJECTS = {
+    "calltrack": lambda: build_demo(seed=2),
+    "scada": lambda: build_remote_monitoring(seed=2),
+    "synthetic-full": lambda: build_pair_env(
+        seed=2, app_factory=lambda: SyntheticStateApp(cold_kb=4, mode="full")
+    ),
+    "synthetic-selective": lambda: build_pair_env(
+        seed=2, app_factory=lambda: SyntheticStateApp(cold_kb=4, mode="selective")
+    ),
+}
+
+
+@pytest.mark.parametrize("subject", sorted(GOLDEN_CAPTURES))
+def test_capture_bytes_match_golden(subject):
+    scenario = _SUBJECTS[subject]()
+    scenario.start()
+    scenario.run_for(15_000.0)
+    captured = scenario.primary_app().api.ftim.capture()
+    raw = canonical_image_bytes(captured.image)
+    assert (hashlib.sha256(raw).hexdigest(), len(raw), captured.size_bytes()) == GOLDEN_CAPTURES[subject]

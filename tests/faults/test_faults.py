@@ -121,6 +121,31 @@ def test_node_reboot_reinstalls_pair_member():
     assert world.pair.engines[victim].role.value == "backup"
 
 
+def test_node_reboot_interrupted_mid_boot_rejoins_once():
+    # Regression: a power-off while a reboot is still booting leaves that
+    # reboot's rejoin hook armed, and a second reboot arms another.  At
+    # the next boot the second hook used to reinstall over the first and
+    # raise NTError('process oftt-engine already running').
+    world = started_world()
+    world.run_for(2_000.0)
+    victim = world.primary
+    system = world.systems[victim]
+    injector = FaultInjector(world.kernel, world)
+    injector.inject_now(NodeFailure(victim))
+    world.run_for(2_000.0)
+    injector.inject_now(NodeReboot(victim, reinstall=True))
+    world.run_for(100.0)
+    assert system.state is SystemState.BOOTING
+    injector.inject_now(NodeFailure(victim))
+    injector.inject_now(NodeReboot(victim, reinstall=True))
+    world.run_for(5_000.0)
+    assert system.is_up
+    engine = world.pair.engines[victim]
+    assert engine.alive
+    assert system.find_process("oftt-engine") is engine.process
+    assert not [hook for hook in system.on_boot if hook.__name__ == "rejoin"]  # both disarmed
+
+
 def test_campaign_measures_recovery():
     world = started_world()
     world.run_for(2_000.0)
