@@ -1,11 +1,12 @@
 # Developer entry points.  `make verify` is the CI gate: tier-1 tests,
 # the static-analysis toolkit (see ANALYSIS.md), the dynamic
 # replay-divergence gate (see REPLAY.md), the chaos smoke campaign
-# (see CHAOS.md), and the parallel-equivalence gate (see PERF.md).
+# (see CHAOS.md), the parallel-equivalence gate (see PERF.md), and the
+# paper-claim checks of every experiment (see EXPERIMENTS.md).
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix perf-gate bench bench-diff e2e-selftest verify
+.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix perf-gate bench bench-diff e2e-selftest experiments verify
 
 test:
 	$(PY) -m pytest -x -q
@@ -106,4 +107,10 @@ bench-diff:
 e2e-selftest:
 	python3 -m pytest e2ebench -q
 
-verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest perf-gate bench-diff e2e-selftest
+# Every registered experiment run once and checked against its paper
+# claim, plus the availability and parallel-campaign benches (~13 s).
+# The tables land in .bench_build/experiment_tables.txt.
+experiments:
+	$(PY) -m pytest benchmarks -q --benchmark-disable
+
+verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest perf-gate bench-diff e2e-selftest experiments

@@ -1,43 +1,36 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table/figure/demonstration from the paper
-(see the experiment index in DESIGN.md) and prints the rows it produced,
-so ``pytest benchmarks/ --benchmark-only -s`` output doubles as the data
-recorded in EXPERIMENTS.md.  ``pytest-benchmark`` additionally reports the
-wall-clock cost of running each simulated experiment.
+Every benchmark prints the result it regenerated, so ``pytest
+benchmarks/ -s`` output doubles as the data recorded in EXPERIMENTS.md.
+``pytest-benchmark`` additionally reports the wall-clock cost of running
+each simulated experiment.
 
-Because pytest captures stdout by default, every table is *also* appended
-to ``benchmarks/latest_results.txt``, so the regenerated data survives a
-capture-enabled run.  The file is truncated at the start of each session.
+Because pytest captures stdout by default, every result is *also*
+appended to ``.bench_build/experiment_tables.txt``, so the regenerated
+data survives a capture-enabled run.  The file is truncated at the start
+of each session and is not tracked: the parallel-campaign block records
+host wall times, which differ on every run.
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import Any, Dict, List
+from typing import Any
 
-from repro.harness.reporting import format_dict, format_table
+from repro.harness.reporting import format_result
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "latest_results.txt"
+RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / ".bench_build" / "experiment_tables.txt"
 
 
 def pytest_sessionstart(session) -> None:
+    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text("Regenerated experiment tables (see EXPERIMENTS.md)\n")
 
 
-def _emit(text: str) -> None:
+def print_result(title: str, result: Any) -> None:
+    """Print (and persist) one result under its experiment title."""
+    text = format_result(title, result)
+    print()
     print(text)
     with RESULTS_PATH.open("a") as handle:
-        handle.write(text + "\n")
-
-
-def print_rows(title: str, rows: List[Dict[str, Any]]) -> None:
-    """Print (and persist) a result table under its experiment title."""
-    _emit("")
-    _emit(format_table(list(rows[0].keys()), [list(row.values()) for row in rows], title=title))
-
-
-def print_block(title: str, data: Dict[str, Any]) -> None:
-    """Print (and persist) a key/value result block."""
-    _emit("")
-    _emit(format_dict(title, data))
+        handle.write("\n" + text + "\n")

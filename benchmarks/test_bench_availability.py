@@ -8,13 +8,11 @@ repairs) while sampling service state, and reports availability, total
 downtime and per-fault recovery latencies.
 """
 
-from repro.faults import AppCrash, BlueScreen, MiddlewareCrash, NodeFailure, NodeReboot
 from repro.faults.campaign import Campaign
-from repro.faults.injector import FaultInjector
-from repro.harness.scenario import build_demo
+from repro.harness.scenario import DEMO_FAULTS, build_demo
 from repro.metrics import AvailabilitySampler, summarize
 
-from benchmarks.conftest import print_block
+from benchmarks.conftest import print_result
 
 
 def run_campaign(seed: int = 71, rounds: int = 3):
@@ -22,7 +20,6 @@ def run_campaign(seed: int = 71, rounds: int = 3):
     demo.start()
     demo.run_for(10_000.0)
     campaign = Campaign(demo.kernel, demo, settle_timeout=30_000.0)
-    injector = FaultInjector(demo.kernel, demo)
     sampler = AvailabilitySampler()
 
     def sampled_run(duration):
@@ -30,20 +27,11 @@ def run_campaign(seed: int = 71, rounds: int = 3):
             demo.run_for(100.0)
             sampler.sample(demo.kernel.now, demo.pair.is_stable())
 
-    fault_makers = [
-        lambda n: NodeFailure(n),
-        lambda n: BlueScreen(n),
-        lambda n: AppCrash(n, "calltrack"),
-        lambda n: MiddlewareCrash(n),
-    ]
     for _round in range(rounds):
-        for make_fault in fault_makers:
+        for make_fault in DEMO_FAULTS:
             target = demo.pair.primary_node()
             campaign.run_fault(make_fault(target))
-            if not demo.systems[target].is_up:
-                injector.inject_now(NodeReboot(target, reinstall=True))
-            elif not demo.pair.engines[target].alive:
-                demo.pair.reinstall_node(target)
+            campaign.repair(target)
             sampled_run(10_000.0)
 
     latencies = [latency for _fault, latency in campaign.latencies()]
@@ -67,7 +55,7 @@ def run_campaign(seed: int = 71, rounds: int = 3):
 
 def test_bench_availability_campaign(benchmark):
     result = benchmark.pedantic(lambda: run_campaign(seed=71, rounds=3), rounds=1, iterations=1)
-    print_block("Availability: 12 mixed §4 faults with repairs (Figure 3 testbed)", result)
+    print_result("Availability: 12 mixed §4 faults with repairs (Figure 3 testbed)", result)
     assert result["all_recovered"]
     assert result["availability"] > 0.95
     assert result["events_generated"] - result["events_tracked"] <= 3 * 3  # demo-d windows only

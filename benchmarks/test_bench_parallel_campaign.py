@@ -18,7 +18,7 @@ from repro.chaos.cli import campaign
 from repro.chaos.report import render_json
 from repro.perf.executor import shutdown_pool, warm_pool
 
-from benchmarks.conftest import print_block
+from benchmarks.conftest import print_result
 
 _SEEDS, _SCHEDULES = 3, 4
 _JOBS = 4
@@ -60,7 +60,7 @@ def run_attributed_campaign():
 
 def test_bench_parallel_campaign(benchmark):
     result = benchmark.pedantic(run_attributed_campaign, rounds=1, iterations=1)
-    print_block("Persistent pool: chaos campaign serial vs jobs=4 (spawn attributed)", result)
+    print_result("Persistent pool: chaos campaign serial vs jobs=4 (spawn attributed)", result)
     assert result["byte_identical"]
     assert result["workers"] == _JOBS
     # Warmed pool must be within noise of serial even on a one-core

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import OfttError
-from repro.faults.faultlib import Fault
+from repro.faults.faultlib import Fault, NodeReboot
 from repro.faults.injector import FaultInjector
+from repro.nt.system import SystemState
 from repro.simnet.kernel import SimKernel
 from repro.simnet.trace import quantize
 
@@ -104,6 +105,18 @@ class Campaign:
         )
         self.records.append(record)
         return record
+
+    def repair(self, node: str) -> None:
+        """Bring a failed *node* back so it rejoins the pair as backup.
+
+        A machine that is off or bluescreened is rebooted with a fresh
+        OFTT stack; a machine that stayed up with a dead engine (demo (d))
+        has its stack reinstalled in place.  A healthy node is left alone.
+        """
+        if self.env.systems[node].state in (SystemState.OFF, SystemState.BLUESCREEN):
+            self.injector.inject_now(NodeReboot(node, reinstall=True))
+        elif not self.env.pair.engines[node].alive:
+            self.env.pair.reinstall_node(node)
 
     def run_schedule(self, faults: List[Fault]) -> List[InjectionRecord]:
         """Run faults sequentially with a stabilisation gap between them."""

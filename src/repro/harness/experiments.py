@@ -26,25 +26,16 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.apps.synthetic import SyntheticStateApp
-from repro.core.cluster import OfttPair
 from repro.core.config import GiveUpPolicy, OfttConfig, RecoveryRule, replace_config
-from repro.core.engine import ENGINE_PORT
 from repro.core.roles import Role
-from repro.errors import OfttError
 from repro.faults.campaign import Campaign
-from repro.faults.faultlib import (
-    AppCrash,
-    AppHang,
-    BlueScreen,
-    MiddlewareCrash,
-    NodeFailure,
-    NodeReboot,
-    TransientAppCrash,
-)
+from repro.faults.faultlib import AppHang, TransientAppCrash
 from repro.faults.injector import FaultInjector
 from repro.harness.scenario import (
+    DEMO_FAULTS,
     DEMO_NODES,
     DemoScenario,
+    Scenario,
     build_demo,
     build_integrated,
     build_pair_env,
@@ -52,10 +43,6 @@ from repro.harness.scenario import (
 )
 from repro.metrics import failover_timing, summarize
 from repro.nt.system import NTSystem
-from repro.simnet.kernel import SimKernel
-from repro.simnet.network import Network
-from repro.simnet.random import RngStreams
-from repro.simnet.trace import TraceLog
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +179,8 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
     demo.run_for(warmup)
     campaign = Campaign(demo.kernel, demo, settle_timeout=30_000.0)
     rows: List[Dict[str, Any]] = []
-
-    demo_faults = [
-        ("a", lambda node: NodeFailure(node)),
-        ("b", lambda node: BlueScreen(node)),
-        ("c", lambda node: AppCrash(node, "calltrack")),
-        ("d", lambda node: MiddlewareCrash(node)),
-    ]
-    for demo_id, make_fault in demo_faults:
+    for make_fault in DEMO_FAULTS:
         primary = demo.pair.primary_node()
-        generated_before = demo.history.event_count
         app_before = demo.primary_app()
         processed_before = app_before.events_processed() if app_before else 0
         fault_time = demo.kernel.now
@@ -212,7 +191,7 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
         app_after = demo.primary_app()
         rows.append(
             {
-                "demo": demo_id,
+                "demo": record.demo_id,
                 "fault": record.fault,
                 "continued_operation": record.recovered,
                 "switched_over": record.switched_over,
@@ -224,14 +203,7 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
                 "events_lost": (demo.history.event_count - app_after.events_processed()) if app_after else None,
             }
         )
-        # Repair: bring the failed machine back and rejoin the pair —
-        # except for demo (c)/(d) process-level faults, where the machine
-        # never went down.
-        failed_system = demo.systems[primary]
-        if failed_system.state.value in ("off", "bluescreen"):
-            FaultInjector(demo.kernel, demo).inject_now(NodeReboot(primary, reinstall=True))
-        elif not demo.pair.engines[primary].alive:
-            demo.pair.reinstall_node(primary)
+        campaign.repair(primary)
         demo.run_for(gap)
     return rows
 
@@ -239,26 +211,6 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
 # ---------------------------------------------------------------------------
 # X1 — checkpoint cost
 # ---------------------------------------------------------------------------
-
-def _pair_env(seed: int, config: OfttConfig, app_factory):
-    """A minimal two-node environment hosting an arbitrary app pair."""
-    return build_pair_env(seed=seed, config=config, app_factory=app_factory)
-
-
-def _BaseInit(scenario: DemoScenario, seed: int) -> None:
-    scenario.seed = seed
-    scenario.kernel = SimKernel()
-    scenario.rngs = RngStreams(seed)
-    scenario.trace = TraceLog(clock=lambda: scenario.kernel.now)
-    scenario.network = Network(scenario.kernel, scenario.rngs, scenario.trace)
-    from repro.simnet.partitions import PartitionController
-
-    scenario.partitions = PartitionController(scenario.network)
-    scenario.systems = {}
-    scenario.fieldbuses = {}
-    scenario.lans = ["lan0"]
-    scenario.network.add_link("lan0", latency=0.5, jitter=0.1)
-
 
 def exp_checkpoint_cost(
     seed: int = 0,
@@ -270,13 +222,12 @@ def exp_checkpoint_cost(
     rows: List[Dict[str, Any]] = []
     for cold_kb in cold_sizes_kb:
         for mode in ("full", "selective", "incremental"):
-            scenario = _pair_env(
+            scenario = build_pair_env(
                 seed,
                 OfttConfig(),
                 lambda m=mode, c=cold_kb: SyntheticStateApp(cold_kb=c, mode=m),
             )
-            scenario.pair.start()
-            scenario.pair.settle()
+            scenario.start()
             scenario.run_for(run_time)
             primary = scenario.pair.primary_node()
             engine = scenario.pair.engines[primary]
@@ -323,9 +274,8 @@ def exp_detection_latency(
             heartbeat_period=setting["period"],
             heartbeat_timeout=setting["timeout"],
         )
-        scenario = _pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=4, mode="selective"))
-        scenario.pair.start()
-        scenario.pair.settle()
+        scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=4, mode="selective"))
+        scenario.start()
         scenario.run_for(warmup)
         primary = scenario.pair.primary_node()
         fault_time = scenario.kernel.now
@@ -399,31 +349,16 @@ def exp_startup(
 
 
 def _run_startup_once(seed: int, config: OfttConfig, boot_jitter: float) -> str:
-    kernel = SimKernel()
-    rngs = RngStreams(seed)
-    trace = TraceLog(clock=lambda: kernel.now)
-    network = Network(kernel, rngs, trace)
-    network.add_link("lan0", latency=0.5, jitter=0.1)
-    systems: Dict[str, NTSystem] = {}
+    world = Scenario(seed, dual_lan=False)
     for name in ("alpha", "beta"):
-        network.add_node(name)
-        network.attach(name, "lan0")
-        systems[name] = NTSystem(
-            kernel, network.nodes[name], rngs, trace, boot_time=100.0, boot_jitter=boot_jitter
-        )
+        system = world._add_machine(name)
+        system.boot_time = 100.0
+        system.boot_jitter = boot_jitter
 
     # Engines start as soon as each machine finishes its (skewed) boot —
     # the §3.2 situation: the early node negotiates against silence.
-    pair_holder: Dict[str, Any] = {}
-
-    def on_boot(system: NTSystem) -> None:
-        if "pair" not in pair_holder:
-            if all(s.is_up for s in systems.values()):
-                pass  # both up simultaneously is handled below anyway
-        # Engines are installed per-node as that node comes up.
-
-    # Build the pair lazily: install each node's engine at its boot time.
-    # OfttPair wants both systems up, so replicate its wiring manually.
+    # OfttPair wants both systems up, so each engine is installed by a
+    # boot hook instead.
     from repro.com.runtime import ComRuntime
     from repro.core.appdriver import NodeContext
     from repro.core.engine import OfttEngine
@@ -436,10 +371,10 @@ def _run_startup_once(seed: int, config: OfttConfig, boot_jitter: float) -> str:
         peer = "beta" if name == "alpha" else "alpha"
         context = NodeContext(
             system=system,
-            runtime=ComRuntime(system, network),
-            qmgr=QueueManager(kernel, network, system.node),
+            runtime=ComRuntime(system, world.network),
+            qmgr=QueueManager(world.kernel, world.network, system.node),
             config=config,
-            trace=trace,
+            trace=world.trace,
         )
         engine = OfttEngine(
             context=context,
@@ -450,11 +385,11 @@ def _run_startup_once(seed: int, config: OfttConfig, boot_jitter: float) -> str:
         engines[name] = engine
         engine.start()
 
-    for system in systems.values():
+    for system in world.systems.values():
         system.on_boot.append(install)
         system.boot()
 
-    kernel.run(until=60_000.0)
+    world.run(60_000.0)
     roles = {name: engine.role for name, engine in engines.items()}
     if any(role is Role.SHUTDOWN for role in roles.values()):
         return "shutdown"
@@ -562,9 +497,8 @@ def exp_recovery_rules(seed: int = 0, warmup: float = 15_000.0) -> List[Dict[str
         ("always-failover", RecoveryRule.always_failover()),
     ):
         config = OfttConfig().with_rule("synthetic", rule)
-        scenario = _pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=8, mode="selective"))
-        scenario.pair.start()
-        scenario.pair.settle()
+        scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=8, mode="selective"))
+        scenario.start()
         scenario.run_for(warmup)
         primary_before = scenario.pair.primary_node()
         fault_time = scenario.kernel.now
@@ -608,9 +542,8 @@ def exp_dcom(seed: int = 0) -> Dict[str, Any]:
             return "pong"
 
     config = OfttConfig()
-    scenario = _pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
-    scenario.pair.start()
-    scenario.pair.settle()
+    scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
+    scenario.start()
     scenario.run_for(5_000.0)
     primary = scenario.pair.primary_node()
     backup = scenario.pair.backup_node()
@@ -728,28 +661,6 @@ def _force_full_checkpoints(demo: DemoScenario) -> None:
 # Ablations — design choices DESIGN.md calls out
 # ---------------------------------------------------------------------------
 
-def _pair_env_dual_lan(seed: int, config: OfttConfig, app_factory, lans: int) -> DemoScenario:
-    """Two-node pair attached to *lans* redundant Ethernet segments."""
-    scenario = object.__new__(DemoScenario)
-    _BaseInit(scenario, seed)
-    if lans > 1:
-        for index in range(1, lans):
-            scenario.network.add_link(f"lan{index}", latency=0.5, jitter=0.1)
-            scenario.lans.append(f"lan{index}")
-    for name in ("alpha", "beta"):
-        scenario._add_machine(name).boot_immediately()
-    scenario.config = config
-    scenario.pair = OfttPair(
-        network=scenario.network,
-        systems={name: scenario.systems[name] for name in ("alpha", "beta")},
-        config=config,
-        app_factory=app_factory,
-        unit="bench",
-        trace=scenario.trace,
-    )
-    return scenario
-
-
 def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float = 10_000.0) -> List[Dict[str, Any]]:
     """Dual vs single Ethernet (§2.1): NIC failure on the pair's link.
 
@@ -760,11 +671,10 @@ def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float
     """
     rows: List[Dict[str, Any]] = []
     for lans in (1, 2):
-        scenario = _pair_env_dual_lan(
-            seed, OfttConfig(), lambda: SyntheticStateApp(cold_kb=2, mode="selective"), lans
+        scenario = build_pair_env(
+            seed, OfttConfig(), lambda: SyntheticStateApp(cold_kb=2, mode="selective"), dual_lan=lans > 1
         )
-        scenario.pair.start()
-        scenario.pair.settle()
+        scenario.start()
         scenario.run_for(warmup)
         primary = scenario.pair.primary_node()
         # Cut the primary's NIC on lan0 only.
@@ -824,9 +734,8 @@ def exp_ablation_heartbeat_loss(
                 peer_heartbeat_timeout=timeout,
                 peer_heartbeat_period=100.0,
             )
-            scenario = _pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
-            scenario.pair.start()
-            scenario.pair.settle()
+            scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
+            scenario.start()
             scenario.network.links["lan0"].loss = loss
             scenario.run_for(observe)
             false_takeovers = scenario.trace.count(category="engine", event="takeover")
@@ -856,13 +765,12 @@ def exp_ablation_checkpoint_period(
     periods = periods if periods is not None else [250.0, 1_000.0, 4_000.0]
     rows: List[Dict[str, Any]] = []
     for period in periods:
-        scenario = _pair_env(
+        scenario = build_pair_env(
             seed,
             OfttConfig(),
             lambda p=period: SyntheticStateApp(cold_kb=4, mode="selective", tick_period=50.0, checkpoint_period=p),
         )
-        scenario.pair.start()
-        scenario.pair.settle()
+        scenario.start()
         scenario.run_for(run_time)
         primary = scenario.pair.primary_node()
         app = scenario.pair.apps[primary]
@@ -873,8 +781,6 @@ def exp_ablation_checkpoint_period(
         scenario.systems[primary].power_off()
         scenario.run_for(5_000.0)
         survivor = scenario.pair.primary_node()
-        restored = scenario.pair.apps[survivor].process.address_space.read("ticks") if survivor else 0
-        # Subtract progress made after the failover (ticks advance ~1/50ms).
         rows.append(
             {
                 "checkpoint_period_ms": period,

@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results.
 
-Benchmarks print through these helpers so the console output of
-``pytest benchmarks/ --benchmark-only`` doubles as the regenerated
-"tables" recorded in EXPERIMENTS.md.
+``run_experiments`` and the benchmarks both print through
+:func:`format_result`, so either one regenerates the tables recorded in
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -39,6 +39,13 @@ def format_dict(title: str, data: Dict[str, Any]) -> str:
     for key in data:
         lines.append(f"{key.ljust(width)} : {_fmt(data[key])}")
     return "\n".join(lines)
+
+
+def format_result(title: str, result: Any) -> str:
+    """Render an experiment result: a dict as a key/value block, rows as a table."""
+    if isinstance(result, dict):
+        return format_dict(title, result)
+    return format_table(list(result[0].keys()), [list(row.values()) for row in result], title=title)
 
 
 def _fmt(value: Any) -> str:

@@ -27,11 +27,12 @@ import sys
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.harness import experiments as E
-from repro.harness.reporting import format_dict, format_table
+from repro.harness.reporting import format_result
 from repro.perf.executor import parallel_map
 from repro.simnet.trace import canonical_value
 
-# id -> (title, runner)
+#: The one definition of every experiment: id -> (title, runner).  The
+#: benchmarks and the golden test parametrize over these ids.
 EXPERIMENTS: Dict[str, Tuple[str, Callable[[], Any]]] = {
     "F1": ("F1a/F1b: reference configurations under node failure", lambda: E.exp_reference_configs(seed=3)),
     "F2": ("F2: Figure 2 architecture — live component counters", lambda: E.exp_architecture(seed=7)),
@@ -72,10 +73,7 @@ def run(ids: List[str], jobs: int = 1) -> None:
     for experiment_id, result in zip(ids, results):
         title, _ = EXPERIMENTS[experiment_id]
         print()
-        if isinstance(result, dict):
-            print(format_dict(title, result))
-        else:
-            print(format_table(list(result[0].keys()), [list(row.values()) for row in result], title=title))
+        print(format_result(title, result))
 
 
 def replay_check_experiment(experiment_id: str) -> Tuple[bool, Any, Any]:

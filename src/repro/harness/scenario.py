@@ -12,8 +12,8 @@
   OPC server app (device interface, server FTIM) and the monitoring
   client app (client FTIM).
 
-Every scenario owns its kernel/network/trace, is deterministic for a
-given seed, and exposes the attribute set
+Every scenario is a :class:`Scenario`: it owns its kernel/network/trace,
+is deterministic for a given seed, and exposes the attribute set
 :mod:`repro.faults` expects (``systems``, ``network``, ``partitions``,
 ``pair``, ``fieldbuses``).
 """
@@ -36,6 +36,7 @@ from repro.devices.fieldbus import Fieldbus
 from repro.devices.plc import PLC, PlcOpcBridge
 from repro.devices.signals import RandomWalk, Sine
 from repro.devices.telephone import TelephoneSystem
+from repro.faults.faultlib import AppCrash, BlueScreen, MiddlewareCrash, NodeFailure
 from repro.msq.manager import QueueManager
 from repro.nt.system import NTSystem
 from repro.opc.server import OpcServer
@@ -49,10 +50,22 @@ from repro.simnet.trace import TraceLog
 #: Node names used by the Figure 3 demo configuration.
 DEMO_NODES = ("node1", "node2")
 TEST_PC = "test-pc"
+#: The §4 demonstration faults (a)-(d) in demo order, each made from the
+#: node it strikes.
+DEMO_FAULTS = (
+    NodeFailure,
+    BlueScreen,
+    lambda node: AppCrash(node, "calltrack"),
+    MiddlewareCrash,
+)
 
 
-class _BaseScenario:
-    """Common plumbing: kernel, RNG, trace, network, NT machines."""
+class Scenario:
+    """The simulated world: kernel, RNG, trace, network, LANs, NT machines.
+
+    Subclasses wire their own machines, pair and workload on top; a bare
+    instance is a world with LANs and no machines yet.
+    """
 
     def __init__(self, seed: int, dual_lan: bool) -> None:
         self.seed = seed
@@ -76,6 +89,17 @@ class _BaseScenario:
         self.systems[name] = system
         return system
 
+    def start(self, settle: bool = True) -> None:
+        """Start the pair and, with *settle*, run until its roles are decided."""
+        self.pair.start()
+        if settle:
+            self.pair.settle()
+
+    def primary_app(self):
+        """The app copy currently executing (None during failover)."""
+        primary = self.pair.primary_node()
+        return self.pair.apps[primary] if primary is not None else None
+
     def run(self, until: float) -> float:
         """Advance simulated time to *until*."""
         return self.kernel.run(until=until)
@@ -85,7 +109,7 @@ class _BaseScenario:
         return self.kernel.run(until=self.kernel.now + duration)
 
 
-class DemoScenario(_BaseScenario):
+class DemoScenario(Scenario):
     """Figure 3 / Table 1: the Call Track demonstration testbed."""
 
     def __init__(
@@ -147,18 +171,11 @@ class DemoScenario(_BaseScenario):
 
     def start(self, settle: bool = True) -> None:
         """Start the pair and the workload."""
-        self.pair.start()
-        if settle:
-            self.pair.settle()
+        super().start(settle)
         self.telephone.start()
 
-    def primary_app(self) -> Optional[CallTrackApp]:
-        """The Call Track copy currently executing (None during failover)."""
-        primary = self.pair.primary_node()
-        return self.pair.apps[primary] if primary is not None else None
 
-
-class RemoteMonitoringScenario(_BaseScenario):
+class RemoteMonitoringScenario(Scenario):
     """Figure 1(a): control with remote monitoring."""
 
     INDUSTRIAL_PC = "industrial-pc"
@@ -218,17 +235,10 @@ class RemoteMonitoringScenario(_BaseScenario):
         """Start plant, server and the protected pair."""
         self.plc.start()
         self.bridge.start()
-        self.pair.start()
-        if settle:
-            self.pair.settle()
-
-    def primary_app(self) -> Optional[ScadaMonitorApp]:
-        """The SCADA copy currently executing."""
-        primary = self.pair.primary_node()
-        return self.pair.apps[primary] if primary is not None else None
+        super().start(settle)
 
 
-class IntegratedScenario(_BaseScenario):
+class IntegratedScenario(Scenario):
     """Figure 1(b): integrated monitoring and control.
 
     The pair nodes host *both* the OPC server app (device interface,
@@ -288,12 +298,10 @@ class IntegratedScenario(_BaseScenario):
     def start(self, settle: bool = True) -> None:
         """Start plant and pair."""
         self.plc.start()
-        self.pair.start()
-        if settle:
-            self.pair.settle()
+        super().start(settle)
 
 
-class PairEnvScenario(_BaseScenario):
+class PairEnvScenario(Scenario):
     """A minimal two-node environment hosting an arbitrary app pair.
 
     The lightest thing that still satisfies the :mod:`repro.faults`
@@ -324,19 +332,8 @@ class PairEnvScenario(_BaseScenario):
             trace=self.trace,
         )
 
-    def start(self, settle: bool = True) -> None:
-        """Start the pair."""
-        self.pair.start()
-        if settle:
-            self.pair.settle()
 
-    def primary_app(self):
-        """The app copy currently executing (None during failover)."""
-        primary = self.pair.primary_node()
-        return self.pair.apps[primary] if primary is not None else None
-
-
-class ChaosScenario(_BaseScenario):
+class ChaosScenario(Scenario):
     """The randomized-campaign testbed used by :mod:`repro.chaos`.
 
     A pair (``alpha``/``beta``) runs the synthetic stateful application
@@ -444,9 +441,7 @@ class ChaosScenario(_BaseScenario):
 
     def start(self, settle: bool = True) -> None:
         """Start the pair and the client workload."""
-        self.pair.start()
-        if settle:
-            self.pair.settle()
+        super().start(settle)
         self._workload_on = True
         self._workload_tick()
 

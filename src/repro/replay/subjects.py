@@ -22,9 +22,8 @@ from repro.apps.synthetic import SyntheticStateApp
 from repro.chaos.runner import ChaosRun
 from repro.chaos.schedule import ScheduleGenerator
 from repro.faults.campaign import Campaign
-from repro.faults.faultlib import AppCrash, BlueScreen, MiddlewareCrash, NodeFailure, NodeReboot
-from repro.faults.injector import FaultInjector
 from repro.harness.scenario import (
+    DEMO_FAULTS,
     ChaosScenario,
     build_demo,
     build_integrated,
@@ -91,22 +90,11 @@ def _demo_campaign_trace(seed: int):
     scenario.start()
     scenario.run_for(DEFAULT_WARMUP)
     campaign = Campaign(scenario.kernel, scenario, settle_timeout=30_000.0, inter_fault_gap=5_000.0)
-    for make_fault in (
-        lambda node: NodeFailure(node),
-        lambda node: BlueScreen(node),
-        lambda node: AppCrash(node, "calltrack"),
-        lambda node: MiddlewareCrash(node),
-    ):
+    for make_fault in DEMO_FAULTS:
         primary = scenario.pair.primary_node()
         campaign.run_fault(make_fault(primary))
-        # Repair between demos, as exp_failover_demos does: reboot a
-        # downed machine (or reinstall a crashed middleware) so the next
-        # demo starts from a healthy pair.
-        failed_system = scenario.systems[primary]
-        if failed_system.state.value in ("off", "bluescreen"):
-            FaultInjector(scenario.kernel, scenario).inject_now(NodeReboot(primary, reinstall=True))
-        elif not scenario.pair.engines[primary].alive:
-            scenario.pair.reinstall_node(primary)
+        # Repair between demos so the next one starts from a healthy pair.
+        campaign.repair(primary)
         scenario.run_for(5_000.0)
     return scenario.trace, campaign.replay_signature()
 

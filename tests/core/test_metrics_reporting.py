@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.harness.reporting import format_dict, format_series, format_table
+from repro.harness.reporting import format_dict, format_result, format_series, format_table
 from repro.metrics import (
     AvailabilitySampler,
     FailoverTiming,
@@ -116,6 +116,12 @@ def test_format_series_and_dict():
     assert format_series("lat", [1.0, 2.5], unit="ms") == "lat: [1.00, 2.50] ms"
     block = format_dict("B", {"key": 1, "longer_key": "v"})
     assert "== B ==" in block and "longer_key" in block
+
+
+def test_format_result_renders_dicts_as_blocks_and_rows_as_tables():
+    assert format_result("B", {"key": 1}) == format_dict("B", {"key": 1})
+    rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
+    assert format_result("T", rows) == format_table(["a", "b"], [[1, "x"], [2, "y"]], title="T")
 
 
 def test_format_handles_nan_and_large_floats():

@@ -1,10 +1,47 @@
-"""Integration smoke tests for every X-series experiment runner.
+"""Integration tests for the experiment runners.
 
-These assert the *shape* of each result — who wins, in which direction —
-with small parameters; the benchmarks run the full versions.
+The smoke tests assert the *shape* of each X-series result — who wins,
+in which direction — with small parameters; the benchmarks run the full
+versions.  The golden test pins every registered experiment's exact
+result at its registry seed and parameters.
 """
 
+import hashlib
+import json
+
+import pytest
+
 from repro.harness import experiments as E
+from repro.harness.run_experiments import EXPERIMENTS
+from repro.simnet.trace import canonical_value
+
+#: sha256 of each experiment's canonical result.  A mismatch means a
+#: table in EXPERIMENTS.md changed: re-record the digest only together
+#: with the table it pins.
+GOLDEN = {
+    "F1": "928ff293fd30a3d2e70c32db48ba8fba17220fffc7dfc50516a5a82729f381a9",
+    "F2": "312b65baf7483d6e46e28b59ef4c2ff153a7fdfee91d788a4def0f1198da15c5",
+    "F3": "6d38bf0742ed7d4a67adae0d67041c972fb08463b700b3cfbb343d4a93163368",
+    "D": "6a492641b479d1ccd8efe0edaff5f3e7b702cc7c8a4971d6ac10df6ae11013ee",
+    "X1": "297070b6f099864a292dc825edb739465d8589a85ffa3c1ababdf58acc7f4cdd",
+    "X2": "db964e3bed2ee723a1948c621a9c0f02e2854d3c690e6f2ccb69ecdeecf897a2",
+    "X3": "b5253a4d5a6d8506af016c1357796d4399bd1b30bfacbbb0caa9aa00795f07c5",
+    "X4": "ce99a7bce6d8211908825fa8c39861e480ed2506c84e364618f7946e62919299",
+    "X5": "11cd886aca15627c73c1a1755a6a111738980468ddfa1f1fae8541716acfa784",
+    "X6": "9eaca92f533c5a107ad41c4618ed1ddf4b795c456007ab1ebf70daf90b1a0dea",
+    "X7": "78c98097d9283d065973ada7fb55e857198bf279a3a8d74c5f10ddeec73a57b9",
+    "A1": "a7d5c5397e5c85583ba2e04a32df86d31d3aad08e0487e89bb4085662666192e",
+    "A2": "44f0562bbfded6dc60b3d2d0233833ab84f3191910e96e958bc8c5f5f067ba28",
+    "A3": "17d73c4a1937438063058978fc7b45bcd5c7bf72253bd21180596ce5d7ced69a",
+    "BL": "4714bb5a0c4a043c94bbf949ede24f5a887a010cd75e80ccc135363cdc5cc086",
+}
+
+
+@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+def test_experiment_result_matches_golden(experiment_id):
+    _title, runner = EXPERIMENTS[experiment_id]
+    payload = json.dumps(canonical_value(runner()), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN[experiment_id]
 
 
 def test_x1_checkpoint_cost_shape():
