@@ -35,7 +35,7 @@ from repro.com.interfaces import IUNKNOWN, InterfaceDecl, declare_interface
 from repro.com.object import ComObject
 from repro.com.factory import ClassFactory
 from repro.com.runtime import ComRuntime
-from repro.com.marshal import ObjRef, marshal_value, unmarshal_value
+from repro.com.marshal import ObjRef, unmarshal_value
 from repro.com.dcom import DcomExporter, Proxy, RpcResult
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "failed",
     "guid_from_name",
     "hresult_name",
-    "marshal_value",
     "succeeded",
     "unmarshal_value",
 ]

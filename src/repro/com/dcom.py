@@ -34,7 +34,7 @@ from repro.com.hresult import (
     S_OK,
     hresult_name,
 )
-from repro.com.marshal import ObjRef, estimate_wire_size, marshal_value, unmarshal_value
+from repro.com.marshal import ObjRef, estimate_wire_size, marshal, unmarshal_value
 from repro.com.object import ComObject
 from repro.errors import RpcError
 from repro.nt.process import NTProcess
@@ -45,7 +45,7 @@ from repro.simnet.network import Message, NetNode, Network
 ORPC_PORT = "dcom.orpc"
 
 
-@dataclass
+@dataclass(slots=True)
 class RpcResult:
     """Outcome of a remote call."""
 
@@ -141,20 +141,20 @@ class DcomExporter:
         """Start a remote call; returns an :class:`Event` firing RpcResult."""
         call_id = next(self._call_counter)
         done = Event(name=f"rpc:{objref.label}.{method}:{call_id}")
+        wire_args, size = marshal(list(args))
         request = {
             "kind": "request",
             "call_id": call_id,
             "reply_to": self.node.name,
             "oid": objref.oid,
             "method": method,
-            "args": marshal_value(list(args)),
+            "args": wire_args,
         }
         timer = self.kernel.schedule(
             timeout if timeout is not None else self.rpc_timeout, self._on_timeout, call_id
         )
         self._pending[call_id] = (done, timer)
-        size = 64 + estimate_wire_size(request["args"])
-        sent = self.network.send(self.node.name, objref.node, ORPC_PORT, request, size=size)
+        sent = self.network.send(self.node.name, objref.node, ORPC_PORT, request, size=64 + size)
         if not sent:
             # No route at all: DCOM still burns the timeout figuring it out;
             # we keep the timer armed rather than failing fast on purpose.
@@ -163,16 +163,16 @@ class DcomExporter:
 
     def invoke_oneway(self, objref: ObjRef, method: str, args: Tuple[Any, ...]) -> bool:
         """Fire-and-forget call (used for data-change callbacks)."""
+        wire_args, size = marshal(list(args))
         request = {
             "kind": "request",
             "call_id": 0,
             "reply_to": "",
             "oid": objref.oid,
             "method": method,
-            "args": marshal_value(list(args)),
+            "args": wire_args,
         }
-        size = 64 + estimate_wire_size(request["args"])
-        return self.network.send(self.node.name, objref.node, ORPC_PORT, request, size=size)
+        return self.network.send(self.node.name, objref.node, ORPC_PORT, request, size=64 + size)
 
     def check_liveness(self, objref: ObjRef, timeout: float = 500.0) -> Event:
         """DCOM-style ping: is the exported object still served?
@@ -253,13 +253,15 @@ class DcomExporter:
                 RpcResult(False, hresult=E_NOINTERFACE, detail=f"{export.label} has no method {method}"),
             )
             return
+        size = None
         try:
             value = getattr(export.obj, method)(*args)
             self.calls_served += 1
-            result = RpcResult(True, value=marshal_value(value))
+            value, size = marshal(value)
+            result = RpcResult(True, value=value)
         except Exception as exc:  # noqa: BLE001 - marshaled back to caller
             result = RpcResult(False, hresult=getattr(exc, "hresult", E_FAIL), detail=str(exc))
-        self._reply(message, result)
+        self._reply(message, result, size)
 
     def _serve_ping(self, message: Message) -> None:
         export = self.exports.get(message.payload["oid"])
@@ -277,7 +279,9 @@ class DcomExporter:
         except Exception as exc:  # noqa: BLE001 - marshaled back to caller
             self._reply(message, RpcResult(False, hresult=getattr(exc, "hresult", E_FAIL), detail=str(exc)))
 
-    def _reply(self, request_message: Message, result: RpcResult) -> None:
+    def _reply(self, request_message: Message, result: RpcResult, value_size: Optional[int] = None) -> None:
+        """Send *result* back; *value_size* is its value's wire size when
+        :func:`marshal` already measured it."""
         call_id = request_message.payload["call_id"]
         reply_to = request_message.payload["reply_to"]
         if not reply_to or call_id == 0:
@@ -290,8 +294,9 @@ class DcomExporter:
             "hresult": result.hresult,
             "detail": result.detail,
         }
-        size = 48 + estimate_wire_size(result.value)
-        self.network.send(self.node.name, reply_to, ORPC_PORT, reply, size=size)
+        if value_size is None:
+            value_size = estimate_wire_size(result.value)
+        self.network.send(self.node.name, reply_to, ORPC_PORT, reply, size=48 + value_size)
 
     def _handle_reply(self, payload: Dict[str, Any]) -> None:
         call_id = payload["call_id"]

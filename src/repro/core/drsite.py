@@ -29,13 +29,13 @@ serving primary is the chaos suite's ``dr-standdown`` check.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import Checkpoint, CheckpointStore
 from repro.core.config import OfttConfig
 from repro.msq.manager import QueueManager
 from repro.msq.queue import QueueMessage
+from repro.nt.memory import copy_value
 from repro.nt.system import NTSystem
 from repro.simnet.kernel import SimKernel
 from repro.simnet.trace import TraceLog
@@ -77,6 +77,10 @@ class DRSite:
         self.activated_at: Optional[float] = None
         self.recovered_image: Optional[Dict[str, Dict[str, Any]]] = None
         self.replayed_count = 0
+        # Armed on standdown: the pair came back, possibly rebooted with
+        # fresh checkpoint sequences, so its next full checkpoint starts a
+        # new chain instead of being rejected as stale.
+        self._rebase_pending = False
         self.queue = qmgr.create_queue(DR_QUEUE, journal=True)
         self.queue.subscribe(self._on_record)
         system.node.bind(DR_PORT, self._on_pair_heartbeat)
@@ -101,13 +105,18 @@ class DRSite:
     # Same-tick with _watch/_on_pair_heartbeat is benign: journal intake,
     # heartbeats and the watch poll each leave the site in a state that is
     # a pure function of the kernel's deterministic same-tick (seq) order,
-    # and reconstruct() runs over whatever the log holds at that instant.
-    def _on_record(self, message: QueueMessage) -> None:  # oftt-lint: ok[ip-race-container,race-write-write]
+    # and reconstruct() runs over whatever the log and store hold at that
+    # instant (a re-base swaps the store's chain within this one handler).
+    def _on_record(self, message: QueueMessage) -> None:  # oftt-lint: ok[ip-race-container,ip-race-write-read,race-write-write]
         body = message.body
         kind = body.get("kind") if isinstance(body, dict) else None
         if kind == "ckpt":
             self.checkpoints_rx += 1
-            self.store.store(Checkpoint.from_wire(body["data"]))
+            checkpoint = Checkpoint.from_wire(body["data"])
+            if self._rebase_pending and not checkpoint.incremental:
+                self._rebase_pending = False
+                self.store.clear(checkpoint.app_name)
+            self.store.store(checkpoint)
             # Checkpoints come from the pair's primary: proof of life.
             self.last_pair_signal = self.kernel.now
         elif kind == "msg":
@@ -153,6 +162,7 @@ class DRSite:
     def _stand_down(self) -> None:
         self.active = False
         self.activated_at = None
+        self._rebase_pending = True
         self.trace.emit("drsite", self.node_name, "dr-standdown")
 
     def reconstruct(self) -> Tuple[Dict[str, Dict[str, Any]], int]:
@@ -165,7 +175,7 @@ class DRSite:
         checkpoint already reflects.
         """
         latest = self.store.latest(self.app_name)
-        image: Dict[str, Dict[str, Any]] = copy.deepcopy(latest.image) if latest is not None else {}
+        image: Dict[str, Dict[str, Any]] = copy_value(latest.image, {}) if latest is not None else {}
         replayed = 0
         if self.apply_message is not None:
             region = image.setdefault("globals", {})

@@ -26,19 +26,70 @@ _KINDS = (GLOBAL, HEAP, STACK)
 #: the check cheap and conservative: a subclass falls back to deepcopy.
 _IMMUTABLE_SCALARS = frozenset((str, int, float, bool, bytes, type(None)))
 
+_MISSING = object()
+
+
+def copy_value(value: Any, memo: Dict[int, Any]) -> Any:
+    """Return what ``copy.deepcopy(value, memo)`` returns, plain data inline.
+
+    * An immutable scalar (exact type) is shared.
+    * An exact ``list`` or ``dict`` goes into *memo* before its items, as
+      in ``deepcopy``, so aliases and cycles copy the same way; a flat one
+      (immutable scalars only) is copied by a C-level slice or ``dict()``.
+    * An exact ``tuple`` is rebuilt (and memoized) only when one of its
+      items copied to a new object; otherwise it is shared, as in
+      ``deepcopy``.
+    * Any other type goes to ``copy.deepcopy`` with the same *memo*.
+    """
+    scalars = _IMMUTABLE_SCALARS
+    kind = type(value)
+    if kind in scalars:
+        return value
+    twin = memo.get(id(value), _MISSING)
+    if twin is not _MISSING:
+        return twin
+    if kind is list:
+        if scalars.issuperset(map(type, value)):
+            twin = memo[id(value)] = value[:]
+            return twin
+        twin = memo[id(value)] = []
+        append = twin.append
+        for item in value:
+            append(item if type(item) in scalars else copy_value(item, memo))
+        return twin
+    if kind is dict:
+        if scalars.issuperset(map(type, value.values())) and scalars.issuperset(map(type, value)):
+            twin = memo[id(value)] = dict(value)
+            return twin
+        twin = memo[id(value)] = {}
+        for key, item in value.items():
+            # The item is copied before its key, as in deepcopy.
+            twin[key if type(key) in scalars else copy_value(key, memo)] = (
+                item if type(item) in scalars else copy_value(item, memo)
+            )
+        return twin
+    if kind is tuple:
+        items = [item if type(item) in scalars else copy_value(item, memo) for item in value]
+        # A cycle back through this tuple may have copied it already.
+        twin = memo.get(id(value), _MISSING)
+        if twin is not _MISSING:
+            return twin
+        for item, copied in zip(value, items):
+            if item is not copied:
+                twin = memo[id(value)] = tuple(items)
+                return twin
+        return value
+    # Reviewed-benign HOT004: this *is* the slow path — a subclass or
+    # another type has no plain-data copy, and correctness requires the
+    # deep copy (with the shared memo, so aliasing is kept).
+    return copy.deepcopy(value, memo)  # oftt-lint: ok[hot-unmemoized-heavy]
+
 
 def copy_variables(data: Dict[str, Any], names: Optional[Iterable[str]] = None) -> Dict[str, Any]:
     """Copy a variable dict (or just its *names*), equal to ``deepcopy``.
 
-    Each variable is copied on its own, as cheaply as is safe:
-
-    * an immutable scalar (exact type) is shared;
-    * an exact ``dict``/``list`` whose keys and items are all immutable
-      scalars (a histogram, a seen-list) gets a shallow ``dict()``/``list()``;
-    * anything else goes through ``copy.deepcopy``.
-
-    One deepcopy memo spans the call and the shallow copies are entered
-    in it, so two variables aliasing one container still alias one copy,
+    Each variable is copied by :func:`copy_value`, with one memo for the
+    call, so two variables aliasing one container still alias one copy
     and no mutable object is shared between *data* and the result.  With
     *names*, the ones present in *data* are copied in sorted order;
     without, all of *data* in its own order.
@@ -48,23 +99,7 @@ def copy_variables(data: Dict[str, Any], names: Optional[Iterable[str]] = None) 
     copied: Dict[str, Any] = {}
     for name in data if names is None else sorted(name for name in names if name in data):
         value = data[name]
-        kind = type(value)
-        if kind in scalars:
-            copied[name] = value
-        elif (kind is list and scalars.issuperset(map(type, value))) or (
-            kind is dict
-            and scalars.issuperset(map(type, value))
-            and scalars.issuperset(map(type, value.values()))
-        ):
-            twin = memo.get(id(value))
-            if twin is None:
-                twin = memo[id(value)] = kind(value)
-            copied[name] = twin
-        else:
-            # Reviewed-benign HOT004: this *is* the slow path — a nested
-            # or subclassed value has no immutable carrier to cache on,
-            # and correctness requires the deep copy.
-            copied[name] = copy.deepcopy(value, memo)  # oftt-lint: ok[hot-unmemoized-heavy]
+        copied[name] = value if type(value) in scalars else copy_value(value, memo)
     return copied
 
 

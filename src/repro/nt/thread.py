@@ -9,13 +9,12 @@ for the checkpoint walkthrough.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import ThreadDead
-from repro.nt.memory import STACK, MemoryRegion
+from repro.nt.memory import STACK, MemoryRegion, copy_value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.nt.process import NTProcess
@@ -45,7 +44,7 @@ class ThreadContext:
         return ThreadContext(
             program_counter=self.program_counter,
             stack_pointer=self.stack_pointer,
-            registers=copy.deepcopy(self.registers),
+            registers=copy_value(self.registers, {}),
         )
 
     def as_dict(self) -> Dict[str, Any]:

@@ -30,6 +30,23 @@ class Calc(ComObject):
         self.notifications.append(payload)
 
 
+ICOLLECT = declare_interface("ICollectT", ("Collect",))
+
+
+class Collector(ComObject):
+    """Records each call's argument, then mutates it in place."""
+
+    IMPLEMENTS = (ICOLLECT,)
+
+    def __init__(self):
+        super().__init__()
+        self.received = []
+
+    def Collect(self, items):
+        self.received.append(list(items))
+        items.append("mutated")
+
+
 def make_pair():
     world = make_world()
     server_sys = world.add_machine("server")
@@ -39,24 +56,27 @@ def make_pair():
     return world, server_sys, client_sys, server_rt, client_rt
 
 
-def call(world, proxy, method, *args, **kwargs):
-    """Drive one remote call to completion; returns the RpcResult.
+def timed_call(world, proxy, method, *args, **kwargs):
+    """Drive one remote call to completion; returns ``(RpcResult, elapsed)``.
 
-    The call's duration in simulated ms is recorded on the result as
-    ``elapsed`` (the kernel keeps running afterwards, so callers cannot
-    use the post-run clock).
+    *elapsed* is the call's duration in simulated ms (the kernel keeps
+    running afterwards, so callers cannot use the post-run clock).
     """
     outcome = {}
     started = world.kernel.now
 
     def caller():
-        result = yield proxy.call(method, *args, **kwargs)
-        result.elapsed = world.kernel.now - started
-        outcome["result"] = result
+        outcome["result"] = yield proxy.call(method, *args, **kwargs)
+        outcome["elapsed"] = world.kernel.now - started
 
     world.kernel.spawn(caller())
     world.run_for(10_000.0)
-    return outcome["result"]
+    return outcome["result"], outcome["elapsed"]
+
+
+def call(world, proxy, method, *args, **kwargs):
+    """Drive one remote call to completion; returns the RpcResult."""
+    return timed_call(world, proxy, method, *args, **kwargs)[0]
 
 
 def test_remote_call_returns_value():
@@ -89,9 +109,9 @@ def test_dead_node_call_burns_full_rpc_timeout():
     world, server_sys, _cs, server_rt, client_rt = make_pair()
     proxy = client_rt.proxy_for(server_rt.export(Calc()))
     server_sys.power_off()
-    result = call(world, proxy, "Add", 1, 1)
+    result, elapsed = timed_call(world, proxy, "Add", 1, 1)
     assert result.hresult == RPC_E_TIMEOUT
-    assert result.elapsed >= client_rt.exporter.rpc_timeout
+    assert elapsed >= client_rt.exporter.rpc_timeout
 
 
 def test_dead_process_answers_disconnected_quickly():
@@ -101,9 +121,9 @@ def test_dead_process_answers_disconnected_quickly():
     host.start()
     proxy = client_rt.proxy_for(server_rt.export(Calc(), process=host))
     host.kill()
-    result = call(world, proxy, "Add", 1, 1)
+    result, elapsed = timed_call(world, proxy, "Add", 1, 1)
     assert result.hresult == RPC_E_DISCONNECTED
-    assert result.elapsed < 100.0  # answered, not timed out
+    assert elapsed < 100.0  # answered, not timed out
 
 
 def test_revoked_export_is_disconnected():
@@ -119,9 +139,9 @@ def test_custom_short_timeout():
     world, server_sys, _cs, server_rt, client_rt = make_pair()
     proxy = client_rt.proxy_for(server_rt.export(Calc()))
     server_sys.power_off()
-    result = call(world, proxy, "Add", 1, 1, timeout=250.0)
+    result, elapsed = timed_call(world, proxy, "Add", 1, 1, timeout=250.0)
     assert result.hresult == RPC_E_TIMEOUT
-    assert result.elapsed < 1_000.0
+    assert elapsed < 1_000.0
 
 
 def test_oneway_call_delivers_without_reply():
@@ -131,6 +151,20 @@ def test_oneway_call_delivers_without_reply():
     assert proxy.call_oneway("Notify", {"event": 1})
     world.run_for(100.0)
     assert calc.notifications == [{"event": 1}]
+
+
+def test_duplicated_oneway_call_gets_a_fresh_copy_of_its_args_each_time():
+    # A duplicated frame shares its payload with the original, so only
+    # the receive-side copy keeps the first delivery's mutation out of
+    # the second.
+    world, _ss, _cs, server_rt, client_rt = make_pair()
+    collector = Collector()
+    proxy = client_rt.proxy_for(server_rt.export(collector))
+    world.network.set_duplication("lan0", 1.0)
+    assert proxy.call_oneway("Collect", [1, "two", [3.0]])
+    world.run_for(100.0)
+    assert world.network.duplicated_count == 1
+    assert collector.received == [[1, "two", [3.0]], [1, "two", [3.0]]]
 
 
 def test_proxy_attribute_sugar():

@@ -26,6 +26,7 @@ from repro.core.strategy import (
 )
 from repro.chaos.schedule import FaultEntry
 from repro.errors import OfttError
+from repro.faults.faultlib import NodeFailure, NodeReboot
 from repro.faults.injector import FaultInjector
 from repro.harness.scenario import ChaosScenario
 
@@ -201,6 +202,31 @@ def test_dr_site_stands_down_when_pair_returns():
     assert site.active
     scenario.run_for(2_000.0)
     assert not site.active
+
+
+def test_dr_mirror_rebases_after_full_pair_reboot():
+    scenario = _message_driven_scenario("log-replay-dr")
+    injector = FaultInjector(scenario.kernel, scenario, trace=scenario.trace)
+    for at, fault in (
+        (12_000.0, NodeFailure("alpha")),
+        (12_050.0, NodeFailure("beta")),
+        (20_000.0, NodeReboot("alpha", reinstall=True)),
+        (20_050.0, NodeReboot("beta", reinstall=True)),
+    ):
+        injector.inject_at(at, fault)
+    scenario.start()
+    scenario.run(until=27_000.0)
+
+    site = scenario.dr_site
+    assert site.activations == 1 and not site.active  # activated, then stood down
+    # The rebooted pair numbers its checkpoints afresh; the site's mirror
+    # follows that new chain instead of rejecting it as stale.
+    primary = scenario.pair.primary_node()
+    latest = scenario.pair.engines[primary].local_store.latest("synthetic")
+    mirrored = site.store.latest("synthetic")
+    assert mirrored is not None and latest is not None
+    assert mirrored.image == latest.image
+    assert site.store.rejected_count == 0
 
 
 # -- bugfix regressions ------------------------------------------------------------

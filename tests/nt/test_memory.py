@@ -13,6 +13,7 @@ from repro.nt.memory import (
     STACK,
     AddressSpace,
     MemoryRegion,
+    copy_value,
     copy_variables,
     estimate_size,
 )
@@ -185,32 +186,53 @@ def random_variables(seed):
     return dict(entries)
 
 
-def _typed(value):
-    """Structure with exact types and scalar reprs (tells NaN and -0.0 apart)."""
+def _on_path(value, path):
+    return any(value is seen for seen in path)
+
+
+def typed(value, _path=()):
+    """Structure with exact types and scalar reprs (tells NaN and -0.0 apart).
+
+    A container met again inside itself renders as a back-reference to
+    its depth on the path, so cyclic values compare too.
+    """
+    if isinstance(value, (dict, list, tuple)):
+        if _on_path(value, _path):
+            return ("cycle", [index for index, seen in enumerate(_path) if seen is value])
+        _path += (value,)
     if isinstance(value, dict):
-        return (type(value), [(key, _typed(item)) for key, item in value.items()])
+        return (type(value), [(typed(key, _path), typed(item, _path)) for key, item in value.items()])
     if isinstance(value, (list, tuple)):
-        return (type(value), [_typed(item) for item in value])
+        return (type(value), [typed(item, _path) for item in value])
     return (type(value), repr(value))
 
 
-def _mutables(value, out):
-    """Every mutable container under *value*, in traversal order."""
+def mutables(value, out, _path=()):
+    """Every mutable container under *value*, in traversal order (a
+    container met again inside itself is listed but not re-entered)."""
     if isinstance(value, (dict, list)):
         out.append(value)
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            _mutables(item, out)
+    if _on_path(value, _path):
+        return out
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else ()
+    for item in items:
+        mutables(item, out, _path + (value,))
     return out
 
 
-def _alias_pattern(value):
+def alias_pattern(value):
     """Which traversal positions hold the same container object."""
-    seen = _mutables(value, [])
+    seen = mutables(value, [])
     ids = [id(item) for item in seen]
     return [ids.index(ident) for ident in ids]
+
+
+def assert_copy_matches_deepcopy(data, copied, oracle):
+    """Typed equal, nothing mutable shared with *data*, same aliasing."""
+    assert typed(copied) == typed(oracle)
+    source_ids = {id(item) for item in mutables(data, [])}
+    assert not any(id(item) in source_ids for item in mutables(copied, []))
+    assert alias_pattern(copied) == alias_pattern(oracle) == alias_pattern(data)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -219,11 +241,8 @@ def test_copy_variables_matches_deepcopy(seed):
     oracle = copy.deepcopy(data)
     copied = copy_variables(data)
     assert copied == oracle
-    assert _typed(copied) == _typed(oracle)
     assert list(copied) == list(data)
-    source_ids = {id(item) for item in _mutables(data, [])}
-    assert not any(id(item) in source_ids for item in _mutables(copied, []))
-    assert _alias_pattern(copied) == _alias_pattern(oracle) == _alias_pattern(data)
+    assert_copy_matches_deepcopy(data, copied, oracle)
     assert copied["alias_a"] is copied["alias_b"] is copied["alias_nested"]["inner"]
 
 
@@ -235,9 +254,57 @@ def test_copy_variables_of_named_subset_matches_deepcopy(seed):
     oracle = copy.deepcopy(data)
     copied = copy_variables(data, names)
     assert list(copied) == sorted(name for name in set(names) if name in data)
-    assert _typed(copied) == _typed({name: oracle[name] for name in copied})
+    assert typed(copied) == typed({name: oracle[name] for name in copied})
     assert copied["alias_a"] is copied["alias_nested"]["inner"]
     assert copied["alias_a"] is not data["alias_a"]
+
+
+def nested_variables(seed):
+    """Seeded variables shaped like SCADA and Call Track state: lists of
+    flat lists, dicts of lists of lists, tuples holding lists, and one
+    container aliased from two variables and from inside a third."""
+    rng = random.Random(seed)
+    shared = [rng.randint(0, 9), "shared", [rng.random()]]
+    entries = [
+        ("alarm_log", [[rng.random(), f"tag{i}", rng.randint(0, 99)] for i in range(rng.randint(0, 6))]),
+        (
+            "trend",
+            {f"tag{i}": [[rng.random(), rng.random()] for _ in range(rng.randint(0, 4))] for i in range(3)},
+        ),
+        ("pairs", tuple([rng.randint(0, 9), _scalar(rng)] for _ in range(rng.randint(1, 3)))),
+        ("frozen", (1, "x", (2.5, None, b"raw"))),
+        ("alias_a", shared),
+        ("alias_b", shared),
+        ("holder", {"inner": [shared, (shared,)], "n": _scalar(rng)}),
+    ]
+    rng.shuffle(entries)
+    return dict(entries)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_copy_variables_of_nested_values_matches_deepcopy(seed):
+    data = nested_variables(seed)
+    oracle = copy.deepcopy(data)
+    copied = copy_variables(data)
+    assert copied == oracle
+    assert list(copied) == list(data)
+    assert_copy_matches_deepcopy(data, copied, oracle)
+    assert copied["alias_a"] is copied["alias_b"] is copied["holder"]["inner"][0]
+    assert copied["holder"]["inner"][1][0] is copied["alias_a"]
+    # An all-immutable tuple is shared, one holding a list is rebuilt.
+    assert copied["frozen"] is data["frozen"] and oracle["frozen"] is data["frozen"]
+    assert copied["pairs"] is not data["pairs"]
+
+
+def test_copy_value_of_self_referencing_list_matches_deepcopy():
+    loop = [1, "x"]
+    loop.append(loop)
+    data = {"loop": loop, "holder": {"again": loop}}
+    oracle = copy.deepcopy(data)
+    copied = copy_value(data, {})
+    assert_copy_matches_deepcopy(data, copied, oracle)
+    assert copied["loop"][2] is copied["loop"] is copied["holder"]["again"]
+    assert copied["loop"] is not loop
 
 
 def test_snapshot_of_names_copies_only_present_names_sorted():
