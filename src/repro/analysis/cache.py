@@ -8,11 +8,12 @@ never mask a new finding:
   their findings are cached per ``(path, content sha)``.  Any edit —
   including adding or removing a suppression comment — changes the sha
   and forces a re-run of exactly that file.
-* **Whole-program passes** (``com``, ``race``, ``effects``, ``hot``) read
-  cross-file context, so their findings are only reused when the *entire*
-  project key matches: the sorted ``(path, sha)`` list of every analysed
-  file plus the configuration (pass list, ``--max-k``, hot-manifest
-  digest).  One changed byte anywhere re-runs them all.
+* **Whole-program passes** (``com``, ``race``, ``effects``, ``hot``,
+  ``life``) read cross-file context, so their findings are only reused
+  when the *entire* project key matches: the sorted ``(path, sha)`` list
+  of every analysed file plus the configuration (pass list, ``--max-k``,
+  hot-manifest and lifecycle-manifest digests).  One changed byte
+  anywhere re-runs them all.
 
 Both halves are additionally keyed by a **rule-set version** — a digest
 of every registered rule's id/slug/severity/pass — so upgrading the

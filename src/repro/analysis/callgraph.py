@@ -23,6 +23,10 @@ under-approximate and ANALYSIS.md documents the blind spots.  Every edge
 records whether the call went through the instance receiver
 (``self.``/``cls.``) and how bare-name/``self.attr`` arguments map onto
 the callee's positional parameters; the summary propagation needs both.
+
+:meth:`CallGraph.reach` is the one k-bounded propagation every
+whole-program pass shares: effect summaries, hotness and the lifecycle
+release searches all see exactly ``max_k`` call hops, no further.
 """
 
 from __future__ import annotations
@@ -37,6 +41,13 @@ from repro.analysis.walker import SourceFile, dotted_name, import_aliases
 #: argument is a bare parameter name, ("self", attr) when it is exactly
 #: ``self.attr``.  Anything else is not tracked.
 Slot = Tuple[str, str]
+
+#: A propagation route: function keys from a root to the reached key.
+Route = Tuple[str, ...]
+
+#: Default propagation depth: effects, hotness and release searches
+#: travel at most this many call hops (``--max-k``).
+DEFAULT_MAX_K = 2
 
 
 @dataclass(frozen=True)
@@ -94,11 +105,38 @@ class CallGraph:
 
     # -- resolution --------------------------------------------------------
 
+    def reach(self, roots: Sequence[str], max_k: int) -> Dict[str, Route]:
+        """Breadth-first reach: key -> route of keys from a root.
+
+        Edges are followed in their deterministic order for at most
+        *max_k* hops, so a function buried deeper is — by design — not
+        reached.  Cycles are handled by the visited set: a function keeps
+        the first shortest route that reached it.
+        """
+        reached: Dict[str, Route] = {key: (key,) for key in roots}
+        frontier = list(roots)
+        for _ in range(max_k):
+            if not frontier:
+                break
+            next_frontier: List[str] = []
+            for key in frontier:
+                route = reached[key]
+                for edge in self.callees(key):
+                    if edge.callee not in reached:
+                        reached[edge.callee] = route + (edge.callee,)
+                        next_frontier.append(edge.callee)
+            frontier = next_frontier
+        return reached
+
     def resolve_method(self, module: str, class_name: str, method: str) -> Optional[str]:
         """``class_name.method`` in *module*, walking one level of bases."""
         key = self.methods.get((module, class_name, method))
         if key is not None:
             return key
+        return self.resolve_in_bases(module, class_name, method)
+
+    def resolve_in_bases(self, module: str, class_name: str, method: str) -> Optional[str]:
+        """*method* in one level of *class_name*'s bases, skipping an own override."""
         for base in self.bases.get((module, class_name), []):
             scopes = self.classes.get(base, [])
             # Prefer a base defined in the same module, else first match

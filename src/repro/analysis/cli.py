@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import cache, comcheck, determinism, effects, hotpath, lifecycle, races
+from repro.analysis.callgraph import DEFAULT_MAX_K
 from repro.analysis.findings import AnalysisError, Finding, Severity, all_rules, lookup
 from repro.analysis.report import render_json, render_text
 from repro.analysis.walker import Pass, load_sources, run_passes, suppression_errors
@@ -40,7 +42,8 @@ from repro.analysis.walker import Pass, load_sources, run_passes, suppression_er
 #: Registered passes, in execution order.  ``effects``, ``hot`` and
 #: ``life`` are opt-in via ``--effects``/``--hotpath``/``--lifecycle``
 #: (or explicit ``--passes`` entries) because they are whole-program
-#: passes; ``make lint`` turns all three on.
+#: passes; ``make lint`` turns all three on, and ``main`` binds
+#: ``--max-k`` and the manifest options onto their entries.
 PASSES: Dict[str, Pass] = {
     "det": determinism.run,
     "com": comcheck.run,
@@ -95,10 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict to the named rule families, e.g. --only LIFE,HOT: "
                              "runs exactly the passes those families need and reports "
                              "only their findings (plus GEN hygiene)")
-    parser.add_argument("--max-k", type=int, default=effects.DEFAULT_MAX_K, metavar="N",
-                        help="inlining depth for the effects/hotpath passes: effects and "
-                             "hotness propagate through at most N call hops "
-                             f"(default: {effects.DEFAULT_MAX_K})")
+    parser.add_argument("--max-k", type=int, default=DEFAULT_MAX_K, metavar="N",
+                        help="propagation depth for the effects/hot/life passes: effects, "
+                             "hotness and teardown release searches follow at most N call "
+                             f"hops (default: {DEFAULT_MAX_K})")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache (always re-analyse)")
     parser.add_argument("--cache-path", default=cache.DEFAULT_PATH, metavar="PATH",
@@ -216,18 +219,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             only_families = parse_only(options.only)
             needed = {name for family in only_families for name in FAMILIES[family]}
             pass_names = [name for name in PASSES if name in needed]
+        bound: Dict[str, Dict[str, object]] = {
+            "effects": {"max_k": options.max_k},
+            "hot": {"max_k": options.max_k, "manifest_path": options.hot_manifest},
+            "life": {"max_k": options.max_k, "manifest_path": options.life_manifest},
+        }
         named: List[Tuple[str, Pass]] = []
         for name in pass_names:
             if name not in PASSES:
                 raise AnalysisError(f"unknown pass {name!r} (choose from {', '.join(PASSES)})")
-            if name == "effects":
-                named.append((name, effects.make_pass(options.max_k)))
-            elif name == "hot":
-                named.append((name, hotpath.make_pass(options.max_k, options.hot_manifest)))
-            elif name == "life":
-                named.append((name, lifecycle.make_pass(options.max_k, options.life_manifest)))
-            else:
-                named.append((name, PASSES[name]))
+            named.append((name, functools.partial(PASSES[name], **bound.get(name, {}))))
         relaxations = parse_relaxations(options.relax)
         manifest_digest = ""
         if "hot" in pass_names:

@@ -48,7 +48,7 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import races
-from repro.analysis.callgraph import CallGraph, build_call_graph, positional_params
+from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, build_call_graph, positional_params
 from repro.analysis.findings import Finding, Severity, rule
 from repro.analysis.summaries import Chain, EffectSummary, compute_summaries
 from repro.analysis.walker import SourceFile, import_aliases, resolve_call_name
@@ -81,9 +81,6 @@ MUTATING_TASK = rule(
     "PURE004", "task-mutates-argument", Severity.ERROR, "effects",
     "parallel_map task mutates its argument in place; workers mutate pickled copies.",
 )
-
-#: Default inlining depth: effects travel at most this many call hops.
-DEFAULT_MAX_K = 2
 
 
 def _chain_str(handler: str, chain: Chain, graph: CallGraph) -> str:
@@ -355,8 +352,8 @@ def _check_parallel_map_sites(
 # -- pass entry points -----------------------------------------------------
 
 
-def run_with_k(files: Sequence[SourceFile], max_k: int = DEFAULT_MAX_K) -> List[Finding]:
-    """Run the effects pass with an explicit inlining depth."""
+def run(files: Sequence[SourceFile], max_k: int = DEFAULT_MAX_K) -> List[Finding]:
+    """Pass entry point: RACE101-103 and PURE001-004 with inlining depth *max_k*."""
     graph = build_call_graph(files)
     summaries = compute_summaries(files, graph, max_k=max_k)
     module_of_path = {f.path: f.module_name for f in files}
@@ -371,15 +368,3 @@ def run_with_k(files: Sequence[SourceFile], max_k: int = DEFAULT_MAX_K) -> List[
     for source_file in files:
         findings.extend(_check_parallel_map_sites(source_file, graph, summaries))
     return findings
-
-
-def run(files: Sequence[SourceFile]) -> List[Finding]:
-    """Pass entry point (default k)."""
-    return run_with_k(files, DEFAULT_MAX_K)
-
-
-def make_pass(max_k: int):
-    """A Pass closure with a configured inlining depth (``--max-k``)."""
-    def effects_pass(files: Sequence[SourceFile]) -> List[Finding]:
-        return run_with_k(files, max_k)
-    return effects_pass

@@ -11,14 +11,15 @@ makes hotness a checked property instead of tribal knowledge:
   (``repro/analysis/hotpath.manifest``; override with ``--hot-manifest``).
   Each line is ``MODULE:QUALNAME`` — the module may be a dotted suffix so
   the same manifest works regardless of the invocation directory.
-* Hotness propagates through the :mod:`repro.analysis.callgraph` edges,
-  bounded by the same ``--max-k`` budget as the effects pass: any
-  function reachable from a root within ``max_k`` call hops is hot.
+* Hotness propagates through :meth:`CallGraph.reach
+  <repro.analysis.callgraph.CallGraph.reach>`, bounded by the same
+  ``--max-k`` budget as the effects pass: any function reachable from a
+  root within ``max_k`` call hops is hot.
   Roots that match nothing in the analysed file set are inert (the
   manifest describes the whole project; a partial lint sees a subset).
 * Over hot functions only, six rules flag per-event waste (HOT001-006
   below).  Findings carry the propagation route ("hot via
-  ``SimKernel.run -> _maybe_compact``") so a reviewer can judge whether
+  ``Network.send -> Network.usable_path``") so a reviewer can judge whether
   the path is genuinely hot before fixing or annotating.
 
 Like every pass, findings respect ``# oftt-lint: ok[slug]`` suppressions
@@ -33,10 +34,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, build_call_graph
-from repro.analysis.effects import DEFAULT_MAX_K
+from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, FunctionInfo, Route, build_call_graph
 from repro.analysis.findings import AnalysisError, Finding, Severity, rule
-from repro.analysis.walker import SourceFile
+from repro.analysis.walker import GROWTH_CALLS, SourceFile, manifest_lines, parent_map, self_attr
 
 HOT_FRESH_CONTAINER = rule(
     "HOT001",
@@ -84,11 +84,6 @@ HOT_AMBIENT_RELOOKUP = rule(
 #: Default manifest shipped next to the pass.
 DEFAULT_MANIFEST = os.path.join(os.path.dirname(__file__), "hotpath.manifest")
 
-#: Mutating container methods that mark a ``self.attr`` as *growing with
-#: event count* for HOT003 (set/dict ``add``/``setdefault`` deliberately
-#: excluded: their membership checks are O(1)).
-_GROWTH_CALLS = {"append", "extend", "insert", "appendleft"}
-
 #: Fully-resolved callables HOT004 treats as heavy per-event work.
 _HEAVY_CALLS = {
     "copy.deepcopy",
@@ -115,15 +110,7 @@ class RootSpec:
 def load_manifest(path: str) -> List[RootSpec]:
     """Parse a hot-root manifest; ``#`` comments and blank lines ignored."""
     specs: List[RootSpec] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:  # oftt-lint: ok[ambient-io]
-            lines = handle.readlines()
-    except OSError as exc:
-        raise AnalysisError(f"cannot read hot-root manifest {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in manifest_lines(path, "hot-root"):
         module, sep, qualname = text.partition(":")
         module = module.strip()
         qualname = qualname.strip()
@@ -154,49 +141,14 @@ def resolve_roots(graph: CallGraph, specs: Sequence[RootSpec]) -> List[str]:
     return roots
 
 
-def hot_functions(
-    graph: CallGraph, roots: Sequence[str], max_k: int
-) -> Dict[str, Tuple[str, ...]]:
-    """Breadth-first hotness: key -> route of keys from a declaring root.
-
-    Reuses the call graph's deterministic edge order, bounded by
-    *max_k* hops (the same budget the effects pass uses), so a helper
-    buried deeper than the budget is — by design — not hot.  Cycles are
-    handled by the visited set: a function keeps the shortest route that
-    first reached it.
-    """
-    hot: Dict[str, Tuple[str, ...]] = {key: (key,) for key in roots}
-    frontier = list(roots)
-    for _ in range(max_k):
-        if not frontier:
-            break
-        next_frontier: List[str] = []
-        for key in frontier:
-            route = hot[key]
-            for edge in graph.callees(key):
-                if edge.callee not in hot:
-                    hot[edge.callee] = route + (edge.callee,)
-                    next_frontier.append(edge.callee)
-        frontier = next_frontier
-    return hot
-
-
-def _route_str(route: Tuple[str, ...], graph: CallGraph) -> str:
+def _route_str(route: Route, graph: CallGraph) -> str:
     if len(route) == 1:
         return "declared hot root"
     names = " -> ".join(graph.functions[key].qualname for key in route)
     return f"hot via {names}"
 
 
-# -- shared AST helpers ----------------------------------------------------
-
-
-def _parent_map(func: ast.FunctionDef) -> Dict[int, ast.AST]:
-    parents: Dict[int, ast.AST] = {}
-    for parent in ast.walk(func):
-        for child in ast.iter_child_nodes(parent):
-            parents[id(child)] = parent
-    return parents
+# -- AST helpers -----------------------------------------------------------
 
 
 def _ancestors(node: ast.AST, parents: Dict[int, ast.AST]) -> Iterator[ast.AST]:
@@ -207,16 +159,6 @@ def _ancestors(node: ast.AST, parents: Dict[int, ast.AST]) -> Iterator[ast.AST]:
 
 def _under_raise(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
     return any(isinstance(a, ast.Raise) for a in _ancestors(node, parents))
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _body_walk(func: ast.FunctionDef) -> Iterator[ast.AST]:
@@ -372,7 +314,7 @@ def _check_linear_scans(ctx: "_FunctionContext", findings: List[Finding]) -> Non
             isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
         ):
             for comparator in node.comparators:
-                attr = _self_attr(comparator)
+                attr = self_attr(comparator)
                 if attr in growing:
                     findings.append(
                         ctx.finding(
@@ -390,9 +332,9 @@ def _check_linear_scans(ctx: "_FunctionContext", findings: List[Finding]) -> Non
             and node.args
         ):
             target = node.args[0]
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is None and isinstance(target, ast.Call):
-                attr = _self_attr(
+                attr = self_attr(
                     target.func.value if isinstance(target.func, ast.Attribute) else target.func
                 )
             if attr in growing:
@@ -405,7 +347,7 @@ def _check_linear_scans(ctx: "_FunctionContext", findings: List[Finding]) -> Non
                     )
                 )
         if isinstance(node, ast.For):
-            attr = _self_attr(node.iter)
+            attr = self_attr(node.iter)
             if attr in growing:
                 findings.append(
                     ctx.finding(
@@ -636,7 +578,7 @@ def _check_ambient_relookups(ctx: "_FunctionContext", findings: List[Finding]) -
         for node in nodes:
             if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
                 continue
-            attr = _self_attr(node)
+            attr = self_attr(node)
             if attr is None or attr in ctx.mutated_attrs or attr in ctx.method_names:
                 continue
             parent = parents.get(id(node))
@@ -667,7 +609,7 @@ class _FunctionContext:
     def __init__(
         self,
         info: FunctionInfo,
-        route: Tuple[str, ...],
+        route: Route,
         graph: CallGraph,
         class_table: Dict[Tuple[str, str], ast.ClassDef],
         plain_modules: Set[str],
@@ -679,7 +621,7 @@ class _FunctionContext:
         self.class_table = class_table
         self.plain_modules = plain_modules
         self.aliases = graph.aliases.get(info.module, {})
-        self.parents = _parent_map(info.node)
+        self.parents = parent_map(info.node)
         self.route_suffix = _route_str(route, graph)
         self.growing_attrs = self._class_growing_attrs()
         self.mutated_attrs = self._class_mutated_attrs()
@@ -708,9 +650,9 @@ class _FunctionContext:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _GROWTH_CALLS
+                and node.func.attr in GROWTH_CALLS
             ):
-                attr = _self_attr(node.func.value)
+                attr = self_attr(node.func.value)
                 if attr is not None:
                     grown.add(attr)
         return grown
@@ -733,7 +675,7 @@ class _FunctionContext:
                 if isinstance(node, ast.Attribute) and isinstance(
                     node.ctx, (ast.Store, ast.Del)
                 ):
-                    attr = _self_attr(node)
+                    attr = self_attr(node)
                     if attr is not None:
                         mutated.add(attr)
         return mutated
@@ -809,14 +751,13 @@ def _plain_module_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def run_with_manifest(
+def run(
     files: Sequence[SourceFile],
     manifest_path: Optional[str] = None,
     max_k: int = DEFAULT_MAX_K,
 ) -> List[Finding]:
-    """Run HOT001-006 over functions hot under the given manifest."""
-    specs = load_manifest(manifest_path or DEFAULT_MANIFEST)
-    return run_with_roots(files, specs, max_k)
+    """Pass entry point: HOT001-006 under *manifest_path* (default: the shipped one)."""
+    return run_with_roots(files, load_manifest(manifest_path or DEFAULT_MANIFEST), max_k)
 
 
 def run_with_roots(
@@ -829,7 +770,7 @@ def run_with_roots(
     roots = resolve_roots(graph, specs)
     if not roots:
         return []
-    hot = hot_functions(graph, roots, max_k)
+    hot = graph.reach(roots, max_k)
     class_table = _collect_classes(files)
     plain_by_path: Dict[str, Set[str]] = {}
     for source_file in files:
@@ -844,17 +785,3 @@ def run_with_roots(
         for check in _CHECKS:
             check(ctx, findings)
     return findings
-
-
-def run(files: Sequence[SourceFile]) -> List[Finding]:
-    """Pass entry point with the shipped manifest and default budget."""
-    return run_with_manifest(files, None, DEFAULT_MAX_K)
-
-
-def make_pass(max_k: int, manifest_path: Optional[str] = None):
-    """A Pass closure with a configured budget and manifest (``--hot-manifest``)."""
-
-    def hotpath_pass(files: Sequence[SourceFile]) -> List[Finding]:
-        return run_with_manifest(files, manifest_path, max_k)
-
-    return hotpath_pass

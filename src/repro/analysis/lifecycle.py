@@ -14,11 +14,12 @@ every *acquire* has a matching *release* on a teardown path:
   ``watch``, ``process``, ``subscription``), the acquiring call and the
   release call(s) that balance it.
 * Matching is per **owning class**: an acquisition made by a method of
-  class ``C`` must have a release reachable — through the PR-5 call
-  graph (:mod:`repro.analysis.callgraph`), bounded by the same
-  ``--max-k`` hop budget as the effects pass — from one of ``C``'s
-  declared *teardown methods* (``stop``/``shutdown``/``close``/
-  ``delete`` by default; the manifest can extend the set).
+  class ``C`` must have a release reachable — through
+  :meth:`CallGraph.reach <repro.analysis.callgraph.CallGraph.reach>`,
+  bounded by the same ``--max-k`` hop budget as the effects and hot
+  passes — from one of ``C``'s declared *teardown methods*
+  (``stop``/``shutdown``/``close``/``delete`` by default; the manifest
+  can extend the set).
 * Handle-style kinds (timer, process) track where the handle is stored:
   an acquisition stored on ``self`` needs a release that both calls the
   release method and references the same attribute.  Registration-style
@@ -54,10 +55,16 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, build_call_graph
-from repro.analysis.effects import DEFAULT_MAX_K
+from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, Route, build_call_graph
 from repro.analysis.findings import AnalysisError, Finding, Severity, rule
-from repro.analysis.walker import SourceFile
+from repro.analysis.walker import (
+    GROWTH_CALLS,
+    SourceFile,
+    dotted_name,
+    manifest_lines,
+    parent_map,
+    self_attr,
+)
 
 LIFE_LEAKED_TIMER = rule(
     "LIFE001",
@@ -121,10 +128,6 @@ DEFAULT_TEARDOWNS = ("close", "delete", "shutdown", "stop")
 #: Handler-method name prefixes recognised without a manifest directive.
 DEFAULT_HANDLER_PREFIXES = ("on_", "_on_")
 
-#: Container-mutating calls that count as growth for LIFE006 (same set
-#: as the hotpath pass's growth model).
-_GROWTH_CALLS = {"append", "extend", "insert", "appendleft"}
-
 #: Container-mutating calls that count as a prune for LIFE006.
 _PRUNE_CALLS = {"pop", "popleft", "clear", "remove", "discard"}
 
@@ -162,15 +165,7 @@ def load_manifest(path: str) -> LifecycleSpec:
     pairs: List[PairSpec] = []
     teardowns: Set[str] = set(DEFAULT_TEARDOWNS)
     prefixes: List[str] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:  # oftt-lint: ok[ambient-io]
-            lines = handle.readlines()
-    except OSError as exc:
-        raise AnalysisError(f"cannot read lifecycle manifest {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in manifest_lines(path, "lifecycle"):
         directive, _, rest = text.partition(" ")
         rest = rest.strip()
         if directive == "pair":
@@ -230,41 +225,11 @@ def _parse_pair(path: str, lineno: int, rest: str) -> PairSpec:
 # -- AST helpers -----------------------------------------------------------
 
 
-def _parent_map(func: ast.FunctionDef) -> Dict[int, ast.AST]:
-    parents: Dict[int, ast.AST] = {}
-    for parent in ast.walk(func):
-        for child in ast.iter_child_nodes(parent):
-            parents[id(child)] = parent
-    return parents
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _chain_text(node: ast.AST) -> Optional[str]:
-    """Dotted receiver text (``self.monitor``), None for computed chains."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _call_terminal(call: ast.Call) -> Optional[Tuple[str, Optional[str]]]:
     """(terminal name, receiver chain text) of a call, None if unnamed."""
     func = call.func
     if isinstance(func, ast.Attribute):
-        return func.attr, _chain_text(func.value)
+        return func.attr, dotted_name(func.value)
     if isinstance(func, ast.Name):
         return func.id, None
     return None
@@ -298,7 +263,7 @@ def _callback_args(call: ast.Call) -> List[str]:
     """Names of ``self.<method>`` arguments (callback registrations)."""
     names: List[str] = []
     for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        attr = _self_attr(arg)
+        attr = self_attr(arg)
         if attr is not None:
             names.append(attr)
     return names
@@ -322,7 +287,7 @@ def _fn_facts(node: ast.FunctionDef) -> _FnFacts:
     attrs: Set[str] = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute):
-            attr = _self_attr(sub)
+            attr = self_attr(sub)
             if attr is not None:
                 attrs.add(attr)
         if isinstance(sub, ast.Call):
@@ -348,28 +313,6 @@ class _FactsCache:
         return cached
 
 
-def _reachable(graph: CallGraph, roots: Sequence[str], max_k: int) -> Dict[str, Tuple[str, ...]]:
-    """BFS over call edges: key -> shortest route of keys from a root.
-
-    Same budget and traversal discipline as the hotpath pass: the
-    release search sees exactly as far as effect propagation does.
-    """
-    seen: Dict[str, Tuple[str, ...]] = {key: (key,) for key in roots}
-    frontier = list(roots)
-    for _ in range(max_k):
-        if not frontier:
-            break
-        next_frontier: List[str] = []
-        for key in frontier:
-            route = seen[key]
-            for edge in graph.callees(key):
-                if edge.callee not in seen:
-                    seen[edge.callee] = route + (edge.callee,)
-                    next_frontier.append(edge.callee)
-        frontier = next_frontier
-    return seen
-
-
 def _super_call_names(node: ast.FunctionDef) -> List[str]:
     """Method names invoked as ``super().name(...)`` in *node*."""
     names: List[str] = []
@@ -383,18 +326,6 @@ def _super_call_names(node: ast.FunctionDef) -> List[str]:
         ):
             names.append(sub.func.attr)
     return names
-
-
-def _resolve_base_method(
-    graph: CallGraph, module: str, class_name: str, method: str
-) -> Optional[str]:
-    """Resolve *method* in the bases only (skipping an own override)."""
-    for base in graph.bases.get((module, class_name), []):
-        scopes = graph.classes.get(base, [])
-        for _scope_module, scope_methods in sorted(scopes, key=lambda s: (s[0] != module, s[0])):
-            if method in scope_methods:
-                return scope_methods[method]
-    return None
 
 
 # -- per-class analysis ----------------------------------------------------
@@ -431,17 +362,17 @@ class _ClassContext:
             if key is not None:
                 self.teardowns[name] = key
                 for super_name in _super_call_names(graph.functions[key].node):
-                    base_key = _resolve_base_method(graph, module, class_name, super_name)
+                    base_key = graph.resolve_in_bases(module, class_name, super_name)
                     if base_key is not None:
                         self._super_roots.append(base_key)
-        self._teardown_reach: Optional[Dict[str, Tuple[str, ...]]] = None
+        self._teardown_reach: Optional[Dict[str, Route]] = None
 
     @property
-    def teardown_reach(self) -> Dict[str, Tuple[str, ...]]:
+    def teardown_reach(self) -> Dict[str, Route]:
         if self._teardown_reach is None:
             roots = [self.teardowns[name] for name in sorted(self.teardowns)]
             roots.extend(key for key in sorted(self._super_roots) if key not in roots)
-            self._teardown_reach = _reachable(self.graph, roots, self.max_k)
+            self._teardown_reach = self.graph.reach(roots, self.max_k)
         return self._teardown_reach
 
     def scan_summary(self) -> str:
@@ -454,13 +385,13 @@ class _ClassContext:
         names = ", ".join(sorted(self.teardowns))
         return f"searched teardown {names} and callees within k={self.max_k}"
 
-    def _release_route(self, matches) -> Optional[Tuple[str, ...]]:
+    def _release_route(self, matches) -> Optional[Route]:
         for key in sorted(self.teardown_reach):
             if matches(self.facts.facts(key)):
                 return self.teardown_reach[key]
         return None
 
-    def stored_release_route(self, pair: PairSpec, attr: str) -> Optional[Tuple[str, ...]]:
+    def stored_release_route(self, pair: PairSpec, attr: str) -> Optional[Route]:
         """Route to a reachable function releasing a stored handle.
 
         A function releases ``self.attr`` when it both calls one of the
@@ -476,7 +407,7 @@ class _ClassContext:
 
     def registration_release_route(
         self, pair: PairSpec, chain: Optional[str]
-    ) -> Optional[Tuple[str, ...]]:
+    ) -> Optional[Route]:
         """Route to a reachable de-registration call.
 
         When the acquire went through a ``self.``-rooted chain, a
@@ -501,7 +432,7 @@ class _ClassContext:
 
         return self._release_route(matches)
 
-    def route_str(self, route: Tuple[str, ...]) -> str:
+    def route_str(self, route: Route) -> str:
         return " -> ".join(self.graph.functions[key].short_name for key in route)
 
 
@@ -520,7 +451,7 @@ def _handler_keys(ctx: _ClassContext) -> Dict[str, str]:
         info = ctx.graph.functions[key]
         if key not in roots and info.short_name in registered:
             roots[key] = f"callback {info.short_name}() registered in {ctx.class_name}"
-    reach = _reachable(ctx.graph, sorted(roots), ctx.max_k)
+    reach = ctx.graph.reach(sorted(roots), ctx.max_k)
     out: Dict[str, str] = {}
     for key, route in reach.items():
         if key in roots:
@@ -545,7 +476,7 @@ def _pruned_attrs(ctx: _ClassContext) -> Set[str]:
         for node in ast.walk(info.node):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if node.func.attr in _PRUNE_CALLS:
-                    attr = _self_attr(node.func.value)
+                    attr = self_attr(node.func.value)
                     if attr is not None:
                         pruned.add(attr)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -553,23 +484,23 @@ def _pruned_attrs(ctx: _ClassContext) -> Set[str]:
                 if node.value is not None and _is_bounded_deque(node.value):
                     # A maxlen-bounded deque prunes itself on append.
                     for target in targets:
-                        attr = _self_attr(target)
+                        attr = self_attr(target)
                         if attr is not None:
                             pruned.add(attr)
                 if in_init:
                     continue
                 for target in targets:
-                    attr = _self_attr(target)
+                    attr = self_attr(target)
                     if attr is not None:
                         pruned.add(attr)  # rebinding resets the container
                     elif isinstance(target, ast.Subscript):
-                        attr = _self_attr(target.value)
+                        attr = self_attr(target.value)
                         if attr is not None:
                             pruned.add(attr)  # includes self.x[:] = ... trims
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript):
-                        attr = _self_attr(target.value)
+                        attr = self_attr(target.value)
                         if attr is not None:
                             pruned.add(attr)
     return pruned
@@ -603,11 +534,11 @@ def _stored_attr(
     if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1 or stmt.value is not call:
         return None
     target = stmt.targets[0]
-    attr = _self_attr(target)
+    attr = self_attr(target)
     if attr is not None:
         return attr, True
     if isinstance(target, ast.Subscript):
-        attr = _self_attr(target.value)
+        attr = self_attr(target.value)
         if attr is not None:
             return attr, False
     if isinstance(target, ast.Name):
@@ -620,18 +551,18 @@ def _stored_attr(
                 ):
                     continue
                 for tgt in node.targets:
-                    attr = _self_attr(tgt)
+                    attr = self_attr(tgt)
                     if attr is None and isinstance(tgt, ast.Subscript):
-                        attr = _self_attr(tgt.value)
+                        attr = self_attr(tgt.value)
                     if attr is not None:
                         return attr, False
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _GROWTH_CALLS
+                and node.func.attr in GROWTH_CALLS
                 and any(isinstance(a, ast.Name) and a.id == local for a in node.args)
             ):
-                attr = _self_attr(node.func.value)
+                attr = self_attr(node.func.value)
                 if attr is not None:
                     return attr, False
     return None
@@ -651,7 +582,7 @@ def _check_acquires(ctx: _ClassContext, findings: List[Finding]) -> None:
         method_name = info.short_name
         if method_name in ctx.spec.teardowns:
             continue  # a teardown re-acquiring is the restart path, not a leak
-        parents = _parent_map(info.node)
+        parents = parent_map(info.node)
         for node in ast.walk(info.node):
             if not isinstance(node, ast.Call):
                 continue
@@ -716,7 +647,7 @@ def _check_rearm(ctx, findings, info, method_name, call, pair, attr) -> None:
         return  # first arming; nothing to cancel yet
     if method_name in _callback_args(call):
         return  # re-arm from inside the expired handle's own callback
-    reach = _reachable(ctx.graph, [info.key], ctx.max_k)
+    reach = ctx.graph.reach([info.key], ctx.max_k)
     for key in sorted(reach):
         facts = ctx.facts.facts(key)
         if attr in facts.attrs and any(name in facts.call_names for name in pair.releases):
@@ -765,10 +696,10 @@ def _check_growth(ctx: _ClassContext, findings: List[Finding]) -> None:
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _GROWTH_CALLS
+                and node.func.attr in GROWTH_CALLS
             ):
                 continue
-            attr = _self_attr(node.func.value)
+            attr = self_attr(node.func.value)
             if attr is None or attr in pruned:
                 continue
             findings.append(
@@ -799,6 +730,15 @@ def _class_method_keys(graph: CallGraph) -> Dict[Tuple[str, str, str], List[str]
     return grouped
 
 
+def run(
+    files: Sequence[SourceFile],
+    manifest_path: Optional[str] = None,
+    max_k: int = DEFAULT_MAX_K,
+) -> List[Finding]:
+    """Pass entry point: LIFE001-006 under *manifest_path* (default: the shipped one)."""
+    return run_with_spec(files, load_manifest(manifest_path or DEFAULT_MANIFEST), max_k)
+
+
 def run_with_spec(
     files: Sequence[SourceFile],
     spec: LifecycleSpec,
@@ -815,27 +755,3 @@ def run_with_spec(
         )
         _check_class(ctx, findings)
     return findings
-
-
-def run_with_manifest(
-    files: Sequence[SourceFile],
-    manifest_path: Optional[str] = None,
-    max_k: int = DEFAULT_MAX_K,
-) -> List[Finding]:
-    """Run LIFE001-006 under the given manifest (default: the shipped one)."""
-    spec = load_manifest(manifest_path or DEFAULT_MANIFEST)
-    return run_with_spec(files, spec, max_k)
-
-
-def run(files: Sequence[SourceFile]) -> List[Finding]:
-    """Pass entry point with the shipped manifest and default budget."""
-    return run_with_manifest(files, None, DEFAULT_MAX_K)
-
-
-def make_pass(max_k: int, manifest_path: Optional[str] = None):
-    """A Pass closure with a configured budget and manifest (``--life-manifest``)."""
-
-    def lifecycle_pass(files: Sequence[SourceFile]) -> List[Finding]:
-        return run_with_manifest(files, manifest_path, max_k)
-
-    return lifecycle_pass

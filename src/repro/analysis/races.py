@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity, rule
-from repro.analysis.walker import SourceFile, dotted_name
+from repro.analysis.walker import SourceFile, dotted_name, self_attr
 
 WRITE_WRITE = rule(
     "RACE001", "race-write-write", Severity.WARNING, "race",
@@ -74,52 +74,41 @@ class _Effects:
     line: int = 0
 
 
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``attr`` when *node* is exactly ``self.attr``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 def _method_effects(func: ast.FunctionDef) -> _Effects:
     effects = _Effects(line=func.lineno)
     for node in ast.walk(func):
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             if isinstance(node.ctx, (ast.Store, ast.Del)):  # type: ignore[attr-defined]
                 effects.writes.add(attr)
             else:
                 effects.reads.add(attr)
         if isinstance(node, ast.AugAssign):
-            target = _self_attr(node.target)
+            target = self_attr(node.target)
             if target is not None:
                 effects.writes.add(target)
                 effects.reads.add(target)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owner = _self_attr(node.func.value)
+            owner = self_attr(node.func.value)
             if owner is not None and node.func.attr in _MUTATORS:
                 effects.mutates.add(owner)
                 effects.writes.add(owner)
         if isinstance(node, (ast.Subscript,)):
-            owner = _self_attr(node.value)
+            owner = self_attr(node.value)
             if owner is not None and isinstance(node.ctx, (ast.Store, ast.Del)):
                 effects.mutates.add(owner)
                 effects.writes.add(owner)
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            owner = _self_attr(node.iter)
+            owner = self_attr(node.iter)
             if owner is None and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Attribute):
                 # for x in self.attr.items()/keys()/values()
                 if node.iter.func.attr in ("items", "keys", "values"):
-                    owner = _self_attr(node.iter.func.value)
+                    owner = self_attr(node.iter.func.value)
             if owner is not None:
                 effects.iterates.add(owner)
                 effects.reads.add(owner)
         if isinstance(node, ast.comprehension):
-            owner = _self_attr(node.iter)
+            owner = self_attr(node.iter)
             if owner is not None:
                 effects.iterates.add(owner)
                 effects.reads.add(owner)
@@ -142,11 +131,11 @@ class ClassModel:
 
 def _callback_method_name(node: ast.AST) -> Optional[str]:
     """``name`` for a ``self.name`` callback reference (or ``self.name()``)."""
-    attr = _self_attr(node)
+    attr = self_attr(node)
     if attr is not None:
         return attr
     if isinstance(node, ast.Call):  # spawn(self._run()) — generator call
-        return _self_attr(node.func)
+        return self_attr(node.func)
     return None
 
 

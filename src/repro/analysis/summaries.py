@@ -41,7 +41,7 @@ from repro.analysis.determinism import (
     _RANDOM_DRAWS,
     _WALL_CLOCK_CALLS,
 )
-from repro.analysis.walker import SourceFile, resolve_call_name
+from repro.analysis.walker import SourceFile, resolve_call_name, self_attr
 
 #: A propagation path: keys of the callees traversed, outermost first.
 #: Empty for effects the function performs in its own body.
@@ -64,17 +64,6 @@ AMBIENT_CALLS = (
 
 #: Ambient attribute reads (no call involved).
 AMBIENT_ATTRS = {"os.environ", "sys.argv"}
-
-
-def self_attr(node: ast.AST) -> Optional[str]:
-    """``attr`` when *node* is exactly ``self.attr``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared AST infrastructure: source loading and pass orchestration.
+"""Shared AST infrastructure: source loading, pass orchestration, manifest
+reading and the small AST helpers the passes share.
 
 A :class:`SourceFile` bundles one parsed module with its suppression
 state; :func:`load_sources` walks the argument paths in sorted order so
@@ -122,7 +123,53 @@ def run_passes(files: Sequence[SourceFile], passes: Sequence[Pass]) -> List[Find
     return kept
 
 
+def manifest_lines(path: str, what: str) -> List[Tuple[int, str]]:
+    """``(lineno, text)`` of a manifest's directives; comments and blanks dropped.
+
+    *what* names the manifest in the error an unreadable file raises
+    (``cannot read hot-root manifest ...``); each pass parses its own
+    grammar from the lines.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise AnalysisError(f"cannot read {what} manifest {path}: {exc}") from exc
+    out: List[Tuple[int, str]] = []
+    for lineno, raw in enumerate(lines, 1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            out.append((lineno, text))
+    return out
+
+
 # -- small AST helpers shared by the passes -------------------------------
+
+#: Container-appending calls that mark a ``self`` attribute as growing
+#: with event count (HOT003) or on a handler path (LIFE006).  Set/dict
+#: ``add``/``setdefault`` are deliberately excluded: their membership
+#: checks are O(1).
+GROWTH_CALLS = {"append", "extend", "insert", "appendleft"}
+
+
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``attr`` when *node* is exactly ``self.attr``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def parent_map(func: ast.AST) -> Dict[int, ast.AST]:
+    """``id(child) -> parent`` for every node under *func*."""
+    parents: Dict[int, ast.AST] = {}
+    for parent in ast.walk(func):
+        for child in ast.iter_child_nodes(parent):
+            parents[id(child)] = parent
+    return parents
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

@@ -55,8 +55,8 @@ def _rate(count: int, seconds: float) -> float:
 def bench_kernel_events(n: int) -> Dict[str, Any]:
     """Schedule *n* no-op callbacks (cancelling every third) and drain.
 
-    The cancel mix exercises both the lazy-cancel skip in ``run()`` and
-    the heap compaction path; ``pending`` must hit zero either way.
+    The cancel mix exercises the lazy-cancel skip in ``run()``, which
+    frees cancelled slots as it reaches them; ``pending`` must hit zero.
     """
     kernel = SimKernel()
     fired = [0]
@@ -95,8 +95,9 @@ def bench_kernel_events(n: int) -> Dict[str, Any]:
 def bench_trace_emits(n: int) -> Dict[str, Any]:
     """Emit *n* records (no subscribers), then fingerprint cold and warm.
 
-    Times the ``emit`` fast path plus the per-record fingerprint cache:
-    the second full fingerprint should be near-free.
+    Times the ``emit`` fast path plus the incremental log fingerprint:
+    the second full fingerprint folds no new records, so it should be
+    near-free.
     """
     trace = TraceLog()
 

@@ -17,35 +17,15 @@ from repro.errors import CheckpointError
 from repro.nt.memory import estimate_size
 
 
-#: Interning pool for canonical image bytes, keyed by content.  Replay
-#: verification and checkpoint mirroring serialize the *same* logical
-#: image many times (capture → restore → capture cycles on stable
-#: state); interning makes every repeat share one canonical ``bytes``
-#: object, so equality checks short-circuit on identity and N identical
-#: images cost one buffer instead of N.  Bounded: the pool is cleared
-#: when it exceeds ``_INTERN_POOL_MAX`` distinct images (simple and
-#: O(1) amortized; an LRU would buy nothing for the steady-state case
-#: of a handful of live images).
-_INTERN_POOL_MAX = 512
-_intern_pool: Dict[bytes, bytes] = {}
-
-
 def canonical_image_bytes(image: Dict[str, Dict[str, Any]]) -> bytes:
-    """Serialize a checkpoint image to interned bytes, *preserving* dict order.
+    """Serialize a checkpoint image to bytes, *preserving* dict order.
 
     Deliberately NOT ``sort_keys=True``: capture paths promise to emit
     regions and variables in a stable (name-sorted) order, and the
     replay round-trip check compares these bytes to prove it.  Sorting
     here would mask exactly the reorder bugs the check exists to catch.
     """
-    raw = json.dumps(image, default=repr, separators=(",", ":")).encode("utf-8")
-    interned = _intern_pool.get(raw)
-    if interned is not None:
-        return interned
-    if len(_intern_pool) >= _INTERN_POOL_MAX:
-        _intern_pool.clear()
-    _intern_pool[raw] = raw
-    return raw
+    return json.dumps(image, default=repr, separators=(",", ":")).encode("utf-8")
 
 
 @dataclass(frozen=True, slots=True)

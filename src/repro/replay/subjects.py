@@ -15,6 +15,7 @@ registry is ordered (cheapest first) so ``--gate`` fails fast.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple, Union
 
@@ -59,25 +60,16 @@ class Subject:
 # -- trace subjects ---------------------------------------------------------
 
 
-def _demo_trace(seed: int):
-    scenario = build_demo(seed=seed)
-    scenario.start()
-    scenario.run_for(DEFAULT_DURATION)
-    return scenario.trace
+def _fault_free_trace(build):
+    """Trace factory: the scenario *build* returns, run fault-free."""
 
+    def factory(seed: int):
+        scenario = build(seed=seed)
+        scenario.start()
+        scenario.run_for(DEFAULT_DURATION)
+        return scenario.trace
 
-def _remote_monitoring_trace(seed: int):
-    scenario = build_remote_monitoring(seed=seed)
-    scenario.start()
-    scenario.run_for(DEFAULT_DURATION)
-    return scenario.trace
-
-
-def _integrated_trace(seed: int):
-    scenario = build_integrated(seed=seed)
-    scenario.start()
-    scenario.run_for(DEFAULT_DURATION)
-    return scenario.trace
+    return factory
 
 
 def _demo_campaign_trace(seed: int):
@@ -136,34 +128,7 @@ def _chaos_policy_trace(seed: int):
     return run.scenario.trace, result.as_wire()
 
 
-# -- checkpoint round-trip subjects ----------------------------------------
-
-
-def _roundtrip_scada(seed: int) -> RoundTripResult:
-    scenario = build_remote_monitoring(seed=seed)
-    scenario.start()
-    scenario.run_for(DEFAULT_WARMUP)
-    return checkpoint_roundtrip(scenario, scenario.primary_app(), subject="roundtrip-scada", seed=seed)
-
-
-def _roundtrip_calltrack(seed: int) -> RoundTripResult:
-    scenario = build_demo(seed=seed)
-    scenario.start()
-    scenario.run_for(DEFAULT_WARMUP)
-    return checkpoint_roundtrip(scenario, scenario.primary_app(), subject="roundtrip-calltrack", seed=seed)
-
-
-def _roundtrip_synthetic(mode: str, subject: str):
-    def check(seed: int) -> RoundTripResult:
-        scenario = build_pair_env(
-            seed=seed,
-            app_factory=lambda: SyntheticStateApp(cold_kb=8, mode=mode),
-        )
-        scenario.start()
-        scenario.run_for(DEFAULT_WARMUP)
-        return checkpoint_roundtrip(scenario, scenario.primary_app(), subject=subject, seed=seed)
-
-    return check
+# -- subject factories -----------------------------------------------------
 
 
 def _trace_subject(name: str, description: str, factory) -> Subject:
@@ -173,38 +138,49 @@ def _trace_subject(name: str, description: str, factory) -> Subject:
     return Subject(name=name, kind="trace", description=description, check=check)
 
 
+def _roundtrip_subject(name: str, description: str, build) -> Subject:
+    """Warm the scenario *build* returns, then round-trip its primary app."""
+
+    def check(seed: int) -> RoundTripResult:
+        scenario = build(seed=seed)
+        scenario.start()
+        scenario.run_for(DEFAULT_WARMUP)
+        return checkpoint_roundtrip(scenario, scenario.primary_app(), subject=name, seed=seed)
+
+    return Subject(name=name, kind="roundtrip", description=description, check=check)
+
+
+def _synthetic_pair(mode: str):
+    """Pair-environment builder running the synthetic app in *mode*."""
+    return functools.partial(
+        build_pair_env, app_factory=functools.partial(SyntheticStateApp, cold_kb=8, mode=mode)
+    )
+
+
 SUBJECTS: Dict[str, Subject] = {
     subject.name: subject
     for subject in [
-        _trace_subject("demo", "Figure 3 Call Track testbed, fault-free run", _demo_trace),
-        _trace_subject("remote-monitoring", "Figure 1(a) SCADA pair over an OPC server", _remote_monitoring_trace),
-        _trace_subject("integrated", "Figure 1(b) integrated server+client pair", _integrated_trace),
+        _trace_subject("demo", "Figure 3 Call Track testbed, fault-free run", _fault_free_trace(build_demo)),
+        _trace_subject(
+            "remote-monitoring", "Figure 1(a) SCADA pair over an OPC server", _fault_free_trace(build_remote_monitoring)
+        ),
+        _trace_subject("integrated", "Figure 1(b) integrated server+client pair", _fault_free_trace(build_integrated)),
         _trace_subject("demo-campaign", "§4 failure demos (a)-(d) with outcome signature", _demo_campaign_trace),
         _trace_subject("chaos", "one generated chaos schedule with monitors and report payload", _chaos_trace),
         _trace_subject("chaos-policy", "the mixed drift schedule under the adaptive recovery policy", _chaos_policy_trace),
-        Subject(
-            name="roundtrip-scada",
-            kind="roundtrip",
-            description="SCADA checkpoint capture->restore->capture byte stability",
-            check=_roundtrip_scada,
+        _roundtrip_subject(
+            "roundtrip-scada", "SCADA checkpoint capture->restore->capture byte stability", build_remote_monitoring
         ),
-        Subject(
-            name="roundtrip-calltrack",
-            kind="roundtrip",
-            description="Call Track checkpoint capture->restore->capture byte stability",
-            check=_roundtrip_calltrack,
+        _roundtrip_subject(
+            "roundtrip-calltrack", "Call Track checkpoint capture->restore->capture byte stability", build_demo
         ),
-        Subject(
-            name="roundtrip-synthetic-full",
-            kind="roundtrip",
-            description="Synthetic app (full walkthrough) image byte stability",
-            check=_roundtrip_synthetic("full", "roundtrip-synthetic-full"),
+        _roundtrip_subject(
+            "roundtrip-synthetic-full", "Synthetic app (full walkthrough) image byte stability", _synthetic_pair("full")
         ),
-        Subject(
-            name="roundtrip-synthetic-selective",
-            kind="roundtrip",
-            description="Synthetic app (OFTTSelSave) image byte stability",
-            check=_roundtrip_synthetic("selective", "roundtrip-synthetic-selective"),
+        _roundtrip_subject(
+            "roundtrip-synthetic-selective",
+            "Synthetic app (OFTTSelSave) image byte stability",
+            _synthetic_pair("selective"),
         ),
     ]
 }

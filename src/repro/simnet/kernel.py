@@ -59,7 +59,7 @@ _heappop = heapq.heappop
 #: A schedule handle is an opaque int: the low bits address the slot, the
 #: high bits carry the call's unique sequence number.  ``cancel`` checks
 #: the sequence column before acting, so a handle kept past its call's
-#: execution (or past compaction) can never cancel an unrelated call that
+#: execution or cancellation can never cancel an unrelated call that
 #: reused the slot — the stale-handle no-op the old per-call objects gave
 #: for free.
 ScheduleHandle = int
@@ -204,10 +204,6 @@ class SimKernel:
         crashes are the point).
     """
 
-    #: Compaction only kicks in past this queue size (small queues are
-    #: cheap to scan; rebuilding them would cost more than it saves).
-    COMPACT_MIN_SIZE = 512
-
     def __init__(self, on_error: str = "raise") -> None:
         if on_error not in ("raise", "record"):
             raise SimError(f"unknown error policy {on_error!r}")
@@ -283,67 +279,29 @@ class SimKernel:
     def cancel(self, handle: ScheduleHandle) -> None:
         """Prevent a scheduled call from running (idempotent, stale-safe).
 
-        Cancellation is lazy — the slot stays in its bucket and is
-        skipped on drain — but the kernel counts cancelled entries so it
-        can compact the calendar when they dominate (see
-        :meth:`_maybe_compact`).
+        Cancellation is lazy: the slot stays in its bucket and is freed
+        when the drain reaches it.  The kernel counts cancelled entries
+        so :attr:`pending` stays O(1).
         """
         slot = handle & _SLOT_MASK
         seq = handle >> _SLOT_BITS
         seqs = self._slot_seqs
         if slot >= len(seqs) or seqs[slot] != seq:
-            return  # already ran, cancelled, compacted, or never ours
+            return  # already ran, cancelled, or never ours
         seqs[slot] = -seq
-        cancelled = self._cancelled_count + 1
-        self._cancelled_count = cancelled
-        if cancelled * 2 >= self._queued >= self.COMPACT_MIN_SIZE:
-            self._maybe_compact()
+        self._cancelled_count += 1
 
     def scheduled_time(self, handle: ScheduleHandle) -> Optional[float]:
         """The absolute time a live handle is armed for (None if spent).
 
         Debug/introspection helper: a handle is *spent* once its call has
-        run, been cancelled, or been compacted away.
+        run or been cancelled.
         """
         slot = handle & _SLOT_MASK
         seqs = self._slot_seqs
         if slot >= len(seqs) or seqs[slot] != handle >> _SLOT_BITS:
             return None
         return self._slot_times[slot]
-
-    def _maybe_compact(self) -> None:
-        """Drop lazily-cancelled slots once they are half the queue.
-
-        Rebuilding is O(queue) and resets the cancelled fraction to
-        (nearly) zero, so the amortized cost per cancellation is O(1).
-        Execution order is unaffected: filtering a bucket preserves the
-        insertion order of its survivors, and bucket times never move.
-        The bucket currently being drained lives outside ``_buckets``
-        (popped by the drain loop) and is deliberately left alone — its
-        cancelled slots are skipped on drain like any others.  Buckets
-        emptied by compaction stay in the calendar (their heap entry is
-        still live) and are discarded when their time is reached.
-        """
-        if self._queued < self.COMPACT_MIN_SIZE or self._cancelled_count * 2 < self._queued:
-            return
-        seqs = self._slot_seqs
-        callbacks = self._slot_callbacks
-        args_list = self._slot_args
-        free_append = self._free_slots.append
-        freed = 0
-        for bucket in self._buckets.values():
-            survivors = [slot for slot in bucket if seqs[slot] > 0]
-            if len(survivors) != len(bucket):
-                for slot in bucket:
-                    if seqs[slot] < 0:
-                        seqs[slot] = 0
-                        callbacks[slot] = None
-                        args_list[slot] = None
-                        free_append(slot)
-                        freed += 1
-                bucket[:] = survivors
-        self._queued -= freed
-        self._cancelled_count -= freed
 
     def spawn(self, generator: Generator[Waitable, Any, Any], name: str = "") -> Process:
         """Create and start a :class:`Process` around *generator*."""
@@ -399,9 +357,7 @@ class SimKernel:
                 if until is not None and time > until:
                     return
                 _heappop(times_heap)
-                bucket = buckets.pop(time, None)
-                if not bucket:
-                    continue  # emptied by compaction; calendar entry expired
+                bucket = buckets.pop(time)
                 if time < self.now:
                     raise SimError("time went backwards")
                 self._active_bucket = bucket
@@ -457,9 +413,7 @@ class SimKernel:
                 if not times_heap:
                     return False
                 time = _heappop(times_heap)
-                bucket = buckets.pop(time, None)
-                if not bucket:
-                    continue
+                bucket = buckets.pop(time)
                 if time < self.now:
                     raise SimError("time went backwards")
                 self._active_bucket = bucket

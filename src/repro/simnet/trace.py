@@ -108,12 +108,11 @@ def _json_number(value: float) -> str:
 class TraceRecord:
     """A single trace entry.
 
-    Records are immutable once emitted (treat every field as read-only);
-    ``as_wire()`` and ``fingerprint()`` are therefore memoized on the
-    instance (replay diffing and log fingerprinting call them once per
-    comparison, which used to recompute JSON + sha256 every time).
-    Treat the returned wire dict as read-only — it is shared between
-    callers.
+    Records are immutable once emitted (treat every field as read-only).
+    ``as_wire()`` and ``fingerprint()`` compute their canonical forms on
+    each call: replay diffing and log fingerprinting visit each record
+    about once, so a per-record memo would cost two slots on every
+    record and rarely be read.
 
     A hand-written ``__slots__`` class rather than a dataclass: the
     generated frozen-dataclass ``__init__`` routes every field through
@@ -121,8 +120,7 @@ class TraceRecord:
     ~200k records per bench run (HOT005 dogfood).
     """
 
-    __slots__ = ("time", "category", "component", "event", "detail",
-                 "_wire_cache", "_fingerprint_cache")
+    __slots__ = ("time", "category", "component", "event", "detail")
 
     def __init__(
         self,
@@ -137,9 +135,6 @@ class TraceRecord:
         self.component = component
         self.event = event
         self.detail = {} if detail is None else detail
-        # Memoized canonical forms (not part of identity/equality).
-        self._wire_cache: Optional[Dict[str, Any]] = None
-        self._fingerprint_cache: Optional[str] = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not TraceRecord:
@@ -172,19 +167,15 @@ class TraceRecord:
 
         This is the comparison unit used by ``repro.replay``: two records
         from different runs are "the same event" iff their wire forms are
-        equal.  The dict is computed once and cached; do not mutate it.
+        equal.
         """
-        wire = self._wire_cache
-        if wire is None:
-            wire = {
-                "time": quantize(self.time),
-                "category": self.category,
-                "component": self.component,
-                "event": self.event,
-                "detail": canonical_detail(self.detail),
-            }
-            self._wire_cache = wire
-        return wire
+        return {
+            "time": quantize(self.time),
+            "category": self.category,
+            "component": self.component,
+            "event": self.event,
+            "detail": canonical_detail(self.detail),
+        }
 
     def fingerprint(self) -> str:
         """Short stable hash of the wire form (for compact diffs).
@@ -197,19 +188,15 @@ class TraceRecord:
         (pinned by ``tests/simnet/test_trace_fastpath.py`` golden
         fingerprints).
         """
-        cached = self._fingerprint_cache
-        if cached is None:
-            detail = self.detail
-            payload = '{"category":%s,"component":%s,"detail":%s,"event":%s,"time":%s}' % (
-                _escape_json_string(self.category),
-                _escape_json_string(self.component),
-                _dumps(canonical_detail(detail), sort_keys=True, separators=_COMPACT) if detail else "{}",
-                _escape_json_string(self.event),
-                _json_number(quantize(self.time)),
-            )
-            cached = _sha256(payload.encode("utf-8")).hexdigest()[:16]
-            self._fingerprint_cache = cached
-        return cached
+        detail = self.detail
+        payload = '{"category":%s,"component":%s,"detail":%s,"event":%s,"time":%s}' % (
+            _escape_json_string(self.category),
+            _escape_json_string(self.component),
+            _dumps(canonical_detail(detail), sort_keys=True, separators=_COMPACT) if detail else "{}",
+            _escape_json_string(self.event),
+            _json_number(quantize(self.time)),
+        )
+        return _sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 class TraceLog:

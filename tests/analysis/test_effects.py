@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis import effects
 from repro.analysis.findings import Severity
 
@@ -9,7 +11,7 @@ from tests.analysis.util import analyze, rule_ids
 
 
 def run(source: str, max_k: int = effects.DEFAULT_MAX_K, path: str = "pkg/mod.py"):
-    return analyze(source, effects.make_pass(max_k), path=path)
+    return analyze(source, functools.partial(effects.run, max_k=max_k), path=path)
 
 
 # -- RACE101 interprocedural write/write ----------------------------------

@@ -1,8 +1,9 @@
-"""Regression for the fingerprint/as_wire memoization (the diff hot spot).
+"""Repeated fingerprint/as_wire calls must never change what a diff computes.
 
-The caches exist to make replay diffing cheap; they must never change
-what a diff computes.  Each test builds a genuinely divergent pair of
-traces twice — once diffed cold, once with every per-record cache warmed
+Records compute their wire form and fingerprint on every call, and the
+log keeps an incremental digest of the records it has already folded.
+Each test builds a genuinely divergent pair of traces twice — once
+diffed cold, once after every record and the log were fingerprinted
 first — and requires the identical divergence either way.
 """
 

@@ -1,9 +1,9 @@
 """The hot-path optimizations must be invisible: same results, same order.
 
 Covers the trace select() indexes, the emit() no-subscriber fast path,
-the per-record as_wire()/fingerprint() caches, and the kernel's lazy-
-cancel heap compaction — each checked against a brute-force or
-compaction-free equivalent.
+the record wire form and fingerprints, the incremental log fingerprint,
+and the kernel's lazy cancellation — each checked against a brute-force
+equivalent or a repeated call.
 """
 
 from __future__ import annotations
@@ -84,14 +84,13 @@ def test_emit_without_subscribers_then_subscribe():
     assert [r.event for r in log.records] == ["before", "after"]
 
 
-# -- record caches ---------------------------------------------------------
+# -- record wire form and fingerprints -------------------------------------
 
 
 def test_as_wire_is_cached_and_stable():
     log = build_log(5)
     record = log.records[0]
     first = record.as_wire()
-    assert record.as_wire() is first  # memoized on the frozen record
     assert record.as_wire() == first
 
 
@@ -105,26 +104,7 @@ def test_fingerprint_cached_per_record_and_log():
     assert log.fingerprint() != cold  # new records must still change it
 
 
-# -- kernel lazy-cancel compaction -----------------------------------------
-
-
-def drive(kernel, n, cancel_every):
-    fired = []
-    calls = [
-        kernel.schedule(float((i * 7) % 101), fired.append, i)
-        for i in range(n)
-    ]
-    for call in calls[::cancel_every]:
-        kernel.cancel(call)
-    kernel.run()
-    return fired
-
-
-def test_compaction_does_not_change_firing_order():
-    eager, lazy = SimKernel(), SimKernel()
-    eager.COMPACT_MIN_SIZE = 16  # force frequent compaction
-    lazy.COMPACT_MIN_SIZE = 10 ** 9  # never compact
-    assert drive(eager, 600, 2) == drive(lazy, 600, 2)
+# -- kernel lazy cancellation ----------------------------------------------
 
 
 def test_pending_is_exact_through_cancellations():
