@@ -28,6 +28,25 @@ Chaos extensions (used by :mod:`repro.faults` / :mod:`repro.chaos`):
 All of these draw randomness lazily from the network RNG stream only
 while enabled, so runs that never inject them keep their exact
 pre-existing draw sequence.
+
+Route table: the segment a frame travels between two nodes changes only
+when the topology does, a few dozen times per run, while frames number
+in the thousands.  :class:`Network` therefore keeps one
+``{(source, dest): Link | None}`` table that :meth:`Network.send`,
+:meth:`Network.usable_path` and :meth:`Network.path_ok` read; a miss
+runs the search (shared NICs in link-name order, the first segment that
+is up and not partitioned) and stores its answer, ``None`` included.
+Every write that can change a route goes through a writer that clears
+the table: the ``NetNode.powered`` and ``Link.up`` setters,
+:meth:`NetNode.nic_up`, :meth:`NetNode.nic_down`, :meth:`Network.attach`
+and :meth:`Network.set_partition`.  Topology state is never written
+around them.  Directional blocks are not part of a route (``send``,
+``path_ok`` and delivery check them separately), and a new node or
+segment joins no route until :meth:`Network.attach`.
+
+In-flight faults: a frame is dropped on delivery if, while it was in
+flight, its receiver lost power, the receiver's NIC or the segment
+itself went down, or a partition or directional block cut the pair.
 """
 
 from __future__ import annotations
@@ -41,6 +60,8 @@ from repro.simnet.random import RngStreams
 from repro.simnet.trace import TraceLog
 
 Handler = Callable[["Message"], None]
+
+_MISS = object()  # route-table default: a stored None means "no route"
 
 
 @dataclass(slots=True)
@@ -90,14 +111,30 @@ class Link:
         self.jitter = jitter
         self.loss = loss
         self.bandwidth = bandwidth
-        self.up = True
+        self.network: Optional["Network"] = None  # set by Network.add_link
+        self._up = True
         self.members: List[str] = []
 
+    @property
+    def up(self) -> bool:
+        """Whether the segment carries frames."""
+        return self._up
+
+    @up.setter
+    def up(self, value: bool) -> None:
+        self._up = value
+        if self.network is not None:
+            self.network._routes.clear()
+
     def delay_for(self, size: int, rng) -> float:
-        """Sample the one-way delay for a frame of *size* bytes."""
+        """Sample the one-way delay for a frame of *size* bytes.
+
+        ``jitter * rng.random()`` is bit for bit what
+        ``rng.uniform(0.0, jitter)`` returns, one call cheaper.
+        """
         delay = self.latency
         if self.jitter > 0:
-            delay += rng.uniform(0.0, self.jitter)
+            delay += self.jitter * rng.random()
         if self.bandwidth > 0:
             delay += size / self.bandwidth
         return delay
@@ -117,9 +154,19 @@ class NetNode:
     def __init__(self, network: "Network", name: str) -> None:
         self.network = network
         self.name = name
-        self.powered = True
+        self._powered = True
         self.nics: Dict[str, bool] = {}  # link name -> nic up?
         self._handlers: Dict[str, Handler] = {}
+
+    @property
+    def powered(self) -> bool:
+        """Whether the host is on (a powered-off host neither sends nor receives)."""
+        return self._powered
+
+    @powered.setter
+    def powered(self, value: bool) -> None:
+        self._powered = value
+        self.network._routes.clear()
 
     # -- service registration ---------------------------------------------
 
@@ -142,12 +189,14 @@ class NetNode:
         if link_name not in self.nics:
             raise SimError(f"{self.name} has no NIC on {link_name}")
         self.nics[link_name] = True
+        self.network._routes.clear()
 
     def nic_down(self, link_name: str) -> None:
         """Disable the NIC attached to *link_name*."""
         if link_name not in self.nics:
             raise SimError(f"{self.name} has no NIC on {link_name}")
         self.nics[link_name] = False
+        self.network._routes.clear()
 
     def reachable_links(self) -> List[str]:
         """Names of links this node can currently use."""
@@ -193,6 +242,9 @@ class Network:
         # (source, dest, port) never overtake each other, even under
         # jitter.  Loss still re-orders *content* at higher layers.
         self._channel_clock: Dict[Any, float] = {}
+        # (source, dest) -> first usable segment or None; cleared by every
+        # topology writer (see module docstring).
+        self._routes: Dict[Tuple[str, str], Optional[Link]] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -209,6 +261,7 @@ class Network:
         if name in self.links:
             raise SimError(f"duplicate link {name}")
         link = Link(name, **kwargs)
+        link.network = self
         self.links[name] = link
         return link
 
@@ -220,6 +273,7 @@ class Network:
             raise SimError(f"{node_name} already attached to {link_name}")
         node.nics[link_name] = True
         link.members.append(node_name)
+        self._routes.clear()
 
     # -- partitions (used by PartitionController) ----------------------------
 
@@ -227,11 +281,16 @@ class Network:
         """Assign nodes on *link_name* to partition groups.
 
         Nodes in different groups cannot exchange frames on that segment.
-        An empty mapping heals the partition.
+        An empty mapping heals the partition and drops the segment's
+        entry, so a healed network skips the partition checks again.
         """
         if link_name not in self.links:
             raise SimError(f"no such link {link_name}")
-        self.partition_of[link_name] = dict(groups)
+        if groups:
+            self.partition_of[link_name] = dict(groups)
+        else:
+            self.partition_of.pop(link_name, None)
+        self._routes.clear()
 
     def _partitioned(self, link_name: str, a: str, b: str) -> bool:
         groups = self.partition_of.get(link_name)
@@ -297,14 +356,24 @@ class Network:
         the check invariant monitors use to decide whether connectivity
         between two nodes is nominally healthy.
         """
-        if (source, dest) in self.blocked_pairs:
+        if self.blocked_pairs and (source, dest) in self.blocked_pairs:
             return False
-        return self.usable_path(source, dest) is not None
+        link = self._routes.get((source, dest), _MISS)
+        if link is _MISS:
+            link = self.usable_path(source, dest)
+        return link is not None
 
     # -- delivery -------------------------------------------------------------
 
     def usable_path(self, source: str, dest: str) -> Optional[Link]:
         """First healthy segment shared by *source* and *dest*, else None."""
+        key = (source, dest)
+        link = self._routes.get(key, _MISS)
+        if link is _MISS:
+            link = self._routes[key] = self._search_route(source, dest)
+        return link
+
+    def _search_route(self, source: str, dest: str) -> Optional[Link]:
         src = self.nodes.get(source)
         dst = self.nodes.get(dest)
         if src is None or dst is None or not src.powered or not dst.powered:
@@ -325,85 +394,81 @@ class Network:
         best-effort datagram semantics; reliability is built above (MSMQ,
         DCOM RPC retries).
         """
-        link = self.usable_path(source, dest)
+        link = self._routes.get((source, dest), _MISS)
+        if link is _MISS:
+            link = self.usable_path(source, dest)
         if link is None:
             self.dropped_count += 1
             self.trace.emit("net", source, "send-failed", dest=dest, port=port)
             return False
-        if (source, dest) in self.blocked_pairs:
+        if self.blocked_pairs and (source, dest) in self.blocked_pairs:
             # Asymmetric partition: the frame leaves the NIC but never
             # arrives; the sender cannot tell (datagram semantics).
             self.dropped_count += 1
             self.trace.emit("net", source, "frame-blocked", dest=dest, port=port, link=link.name)
             return True
-        if link.loss > 0 and self.rng.random() < link.loss:
+        rng = self.rng
+        if link.loss > 0 and rng.random() < link.loss:
             self.dropped_count += 1
             self.trace.emit("net", source, "frame-lost", dest=dest, port=port, link=link.name)
             return True
-        corrupt_prob = self.corrupt_prob.get(link.name, 0.0)
-        if corrupt_prob > 0 and self.rng.random() < corrupt_prob:
-            # Detected corruption: the checksum fails at the receiver and
-            # the frame is discarded there, one latency later.
-            self.corrupted_count += 1
-            self.dropped_count += 1
-            self.trace.emit("net", source, "frame-corrupted", dest=dest, port=port, link=link.name)
-            return True
-        message = Message(
-            source=source,
-            dest=dest,
-            port=port,
-            payload=payload,
-            size=size,
-            link=link.name,
-            sent_at=self.kernel.now,
-        )
-        delay = link.delay_for(size, self.rng) + self.egress_delay.get(source, 0.0)
+        if self.corrupt_prob:
+            corrupt_prob = self.corrupt_prob.get(link.name, 0.0)
+            if corrupt_prob > 0 and rng.random() < corrupt_prob:
+                # Detected corruption: the checksum fails at the receiver
+                # and the frame is discarded there, one latency later.
+                self.corrupted_count += 1
+                self.dropped_count += 1
+                self.trace.emit("net", source, "frame-corrupted", dest=dest, port=port, link=link.name)
+                return True
+        now = self.kernel.now
+        egress = self.egress_delay.get(source, 0.0) if self.egress_delay else 0.0
         channel = (source, dest, port)
-        deliver_at = max(self.kernel.now + delay, self._channel_clock.get(channel, 0.0))
-        self._channel_clock[channel] = deliver_at
-        self.kernel.schedule(deliver_at - self.kernel.now, self._deliver, message)
-        dup_prob = self.dup_prob.get(link.name, 0.0)
-        if dup_prob > 0 and self.rng.random() < dup_prob:
-            # The duplicate is a distinct frame with its own delay draw,
-            # clamped to the channel clock so per-channel FIFO still holds.
-            self.duplicated_count += 1
-            self.trace.emit("net", source, "frame-duplicated", dest=dest, port=port, link=link.name)
-            dup_delay = link.delay_for(size, self.rng) + self.egress_delay.get(source, 0.0)
-            dup_at = max(self.kernel.now + dup_delay, self._channel_clock[channel])
-            self._channel_clock[channel] = dup_at
-            duplicate = Message(
-                source=source,
-                dest=dest,
-                port=port,
-                payload=payload,
-                size=size,
-                link=link.name,
-                sent_at=self.kernel.now,
-            )
-            self.kernel.schedule(dup_at - self.kernel.now, self._deliver, duplicate)
+        clock = self._channel_clock
+        deliver_at = max(now + (link.delay_for(size, rng) + egress), clock.get(channel, 0.0))
+        clock[channel] = deliver_at
+        self.kernel.schedule(
+            deliver_at - now, self._deliver, Message(source, dest, port, payload, size, link.name, now)
+        )
+        if self.dup_prob:
+            dup_prob = self.dup_prob.get(link.name, 0.0)
+            if dup_prob > 0 and rng.random() < dup_prob:
+                # The duplicate is a distinct frame with its own delay draw,
+                # clamped to the channel clock so per-channel FIFO still holds.
+                self.duplicated_count += 1
+                self.trace.emit("net", source, "frame-duplicated", dest=dest, port=port, link=link.name)
+                dup_at = max(now + (link.delay_for(size, rng) + egress), clock[channel])
+                clock[channel] = dup_at
+                self.kernel.schedule(
+                    dup_at - now, self._deliver, Message(source, dest, port, payload, size, link.name, now)
+                )
         return True
 
     def _deliver(self, message: Message) -> None:
         node = self.nodes.get(message.dest)
-        if node is None or not node.powered:
+        if node is None or not node._powered:
             self.dropped_count += 1
             self.trace.emit("net", message.dest, "deliver-failed", port=message.port, reason="node-down")
             return
-        # Receiver NIC may have gone down in flight.
+        # The receiver's NIC or the segment may have gone down in flight.
         if not node.nics.get(message.link, False):
             self.dropped_count += 1
             self.trace.emit("net", message.dest, "deliver-failed", port=message.port, reason="nic-down")
             return
-        if self._partitioned(message.link, message.source, message.dest):
+        if not self.links[message.link]._up:
+            self.dropped_count += 1
+            self.trace.emit("net", message.dest, "deliver-failed", port=message.port, reason="link-down")
+            return
+        if self.partition_of and self._partitioned(message.link, message.source, message.dest):
             self.dropped_count += 1
             self.trace.emit("net", message.dest, "deliver-failed", port=message.port, reason="partition")
             return
-        if (message.source, message.dest) in self.blocked_pairs:
+        if self.blocked_pairs and (message.source, message.dest) in self.blocked_pairs:
             # Directional block raised while the frame was in flight.
             self.dropped_count += 1
             self.trace.emit("net", message.dest, "deliver-failed", port=message.port, reason="asym-block")
             return
-        handler = node.handler_for(message.port)
+        handler = node._handlers.get(message.port)
         if handler is None:
             self.dropped_count += 1
             self.trace.emit("net", message.dest, "deliver-failed", port=message.port, reason="port-closed")

@@ -69,6 +69,19 @@ def test_power_off_in_flight_drops_frame():
     assert received == []
 
 
+def test_link_down_in_flight_drops_frame():
+    kernel, network = build()
+    received = []
+    network.nodes["b"].bind("svc", received.append)
+    network.send("a", "b", "svc", "data")
+    network.links["lan0"].up = False  # the segment fails while the frame is in flight
+    kernel.run()
+    assert received == []
+    assert (network.delivered_count, network.dropped_count) == (0, 1)
+    reasons = [record.detail["reason"] for record in network.trace if record.event == "deliver-failed"]
+    assert reasons == ["link-down"]
+
+
 def test_lossy_link_drops_some_frames():
     kernel, network = build(seed=5, loss=0.5)
     received = []
