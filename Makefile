@@ -23,11 +23,14 @@ test-par:
 # HOT001-HOT006 over the roots in src/repro/analysis/hotpath.manifest)
 # are on for the lint gates; the planted-defect corpora that prove they
 # work are gated by tests/analysis/test_effects_corpus.py and
-# tests/analysis/test_hotpath_corpus.py under `make test`.  Results are
+# tests/analysis/test_hotpath_corpus.py under `make test`.  The examples
+# are linted in the same invocation as the library: their applications
+# subclass OfttApplication, whose teardown balances create_process, so
+# linted alone they would raise false LIFE003 leaks.  Results are
 # cached in .oftt-lint-cache.json (keyed by content hash + rule-set
 # version); pass --no-cache to force a cold run.
 lint:
-	$(PY) -m repro.analysis src/repro --strict --effects --hotpath --lifecycle
+	$(PY) -m repro.analysis src/repro examples --strict --effects --hotpath --lifecycle
 
 # Tests are linted with the per-directory profile: the ambient DET rules
 # (unseeded randomness, entropy, environment reads) are relaxed because

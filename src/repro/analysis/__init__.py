@@ -9,20 +9,22 @@ replay or the marshalling contract.  This package machine-checks both,
 plus a third hazard class — same-timestamp event handlers whose relative
 order is fixed only by the kernel's sequence-number tiebreak.
 
-Four passes run over the source tree (``python -m repro.analysis src/repro``):
+Six passes run over the source tree (``python -m repro.analysis
+src/repro``), the last three — whole-program — on request
+(``--effects``/``--hotpath``/``--lifecycle``, all on for ``make lint``):
 
-* :mod:`repro.analysis.determinism` — wall-clock, ambient entropy,
-  unordered fan-out, and other seed-replay hazards (``DET*`` rules).
-* :mod:`repro.analysis.comcheck` — ``ComObject`` subclasses cross-checked
-  against their ``InterfaceDecl``s, HRESULT discipline (``COM*`` rules).
-* :mod:`repro.analysis.races` — approximate read/write sets for scheduled
-  callbacks that can tie at equal sim time (``RACE001–004``).
-* :mod:`repro.analysis.effects` — whole-program layer (``--effects``): a
-  call graph (:mod:`repro.analysis.callgraph`) plus per-function effect
-  summaries propagated with k-bounded inlining
-  (:mod:`repro.analysis.summaries`) drive interprocedural race rules
-  (``RACE101–103``, reported with the full call chain) and purity checks
-  for ``parallel_map`` tasks (``PURE001–004``).
+* :mod:`repro.analysis.determinism` — seed-replay hazards (``DET*``).
+* :mod:`repro.analysis.comcheck` — ``ComObject`` subclasses against their
+  ``InterfaceDecl``s, HRESULT discipline (``COM*``).
+* :mod:`repro.analysis.races` — same-tick handler conflicts from direct
+  effect summaries (``RACE001–003``), loop-variable capture (``RACE004``).
+* :mod:`repro.analysis.effects` — those summaries propagated over a call
+  graph with k-bounded inlining: interprocedural races (``RACE101–103``)
+  and ``parallel_map`` task purity (``PURE001–004``).
+* :mod:`repro.analysis.hotpath` — per-event waste on hot paths (``HOT*``).
+* :mod:`repro.analysis.lifecycle` — acquire/release leaks (``LIFE*``).
+
+Every pass takes the invocation's one :class:`~repro.analysis.program.Program`.
 
 Findings carry a rule id, slug, severity and ``file:line``; deliberate
 violations are silenced in place with ``# oftt-lint: ok[slug]`` comments
@@ -33,7 +35,8 @@ violations are silenced in place with ``# oftt-lint: ok[slug]`` comments
 from __future__ import annotations
 
 from repro.analysis.findings import Finding, Rule, Severity, all_rules, rule
-from repro.analysis.walker import SourceFile, load_sources, run_passes
+from repro.analysis.program import Program, run_passes
+from repro.analysis.walker import SourceFile, load_sources
 
 # Importing the pass modules registers their rules, so suppression
 # parsing (`is_known`) has the complete catalogue no matter which entry
@@ -45,6 +48,7 @@ from repro.analysis import races as _races  # noqa: F401  (registers RACE00x)
 
 __all__ = [
     "Finding",
+    "Program",
     "Rule",
     "Severity",
     "SourceFile",

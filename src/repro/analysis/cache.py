@@ -36,8 +36,10 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.callgraph import DEFAULT_MAX_K
 from repro.analysis.findings import AnalysisError, Finding, all_rules, is_known, lookup
-from repro.analysis.walker import Pass, SourceFile, apply_suppressions
+from repro.analysis.program import Pass, Program
+from repro.analysis.walker import SourceFile, apply_suppressions
 
 SCHEMA = "repro.lint-cache/v1"
 
@@ -139,11 +141,14 @@ def run_cached(
     named_passes: Sequence[Tuple[str, Pass]],
     cache_path: str,
     config_key: str,
+    max_k: int = DEFAULT_MAX_K,
 ) -> Tuple[List[Finding], Dict[str, int]]:
     """Run *named_passes* with cache reuse; returns (findings, stats).
 
     Findings come back suppression-filtered but unsorted and
     un-relaxed — exactly what running the passes directly would yield.
+    The whole-program passes share one :class:`Program` over *files*;
+    a per-file pass gets its own over just the files it must re-run.
     ``stats`` reports ``{"files_reused": n, "project_reused": 0|1}`` for
     the text reporter's one-line cache note.
     """
@@ -170,12 +175,12 @@ def run_cached(
     new_files: Dict[str, Dict[str, object]] = {
         path: {"sha": sha, "passes": {}} for path, sha in shas.items()
     }
+    program = Program(files, max_k)
     for name, one_pass in named_passes:
         if name in PER_FILE_PASSES:
-            findings.extend(_run_per_file(files, name, one_pass, shas, old_files, new_files, stats))
+            findings.extend(_run_per_file(program, name, one_pass, shas, old_files, new_files, stats))
         else:
-            fresh = apply_suppressions(one_pass(files), files)
-            findings.extend(fresh)
+            findings.extend(apply_suppressions(one_pass(program), files))
 
     _store(
         cache_path,
@@ -190,7 +195,7 @@ def run_cached(
 
 
 def _run_per_file(
-    files: Sequence[SourceFile],
+    program: Program,
     name: str,
     one_pass: Pass,
     shas: Dict[str, str],
@@ -200,7 +205,7 @@ def _run_per_file(
 ) -> List[Finding]:
     reused: List[Finding] = []
     stale: List[SourceFile] = []
-    for source_file in files:
+    for source_file in program.files:
         entry = old_files.get(source_file.path)
         hit: Optional[List[Finding]] = None
         if isinstance(entry, dict) and entry.get("sha") == shas[source_file.path]:
@@ -217,7 +222,7 @@ def _run_per_file(
             new_files[source_file.path]["passes"][name] = [_encode(f) for f in hit]  # type: ignore[index]
     fresh: List[Finding] = []
     if stale:
-        fresh = apply_suppressions(one_pass(stale), stale)
+        fresh = apply_suppressions(one_pass(Program(stale, program.max_k)), stale)
         by_path: Dict[str, List[Finding]] = {f.path: [] for f in stale}
         for finding in fresh:
             by_path.setdefault(finding.path, []).append(finding)

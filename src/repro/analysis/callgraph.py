@@ -35,7 +35,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.walker import SourceFile, dotted_name, import_aliases
+from repro.analysis.walker import SourceFile, dotted_name
 
 #: An argument "slot" in the caller's frame: ("param", name) when the
 #: argument is a bare parameter name, ("self", attr) when it is exactly
@@ -234,7 +234,7 @@ def _collect(files: Sequence[SourceFile], graph: CallGraph) -> None:
         if source_file.tree is None:
             continue
         module = source_file.module_name
-        graph.aliases[module] = import_aliases(source_file.tree)
+        graph.aliases[module] = source_file.aliases
         for class_node, func in _function_defs(source_file.tree):
             class_name = class_node.name if class_node is not None else None
             qualname = f"{class_name}.{func.name}" if class_name else func.name

@@ -36,14 +36,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis import cache, comcheck, determinism, effects, hotpath, lifecycle, races
 from repro.analysis.callgraph import DEFAULT_MAX_K
 from repro.analysis.findings import AnalysisError, Finding, Severity, all_rules, lookup
+from repro.analysis.program import Pass, run_passes
 from repro.analysis.report import render_json, render_text
-from repro.analysis.walker import Pass, load_sources, run_passes, suppression_errors
+from repro.analysis.walker import load_sources, suppression_errors
 
 #: Registered passes, in execution order.  ``effects``, ``hot`` and
 #: ``life`` are opt-in via ``--effects``/``--hotpath``/``--lifecycle``
 #: (or explicit ``--passes`` entries) because they are whole-program
-#: passes; ``make lint`` turns all three on, and ``main`` binds
-#: ``--max-k`` and the manifest options onto their entries.
+#: passes; ``make lint`` turns all three on.  Every pass takes the one
+#: :class:`~repro.analysis.program.Program` of the invocation, which
+#: carries ``--max-k``; ``main`` binds the manifest options onto the
+#: ``hot`` and ``life`` entries.
 PASSES: Dict[str, Pass] = {
     "det": determinism.run,
     "com": comcheck.run,
@@ -220,9 +223,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             needed = {name for family in only_families for name in FAMILIES[family]}
             pass_names = [name for name in PASSES if name in needed]
         bound: Dict[str, Dict[str, object]] = {
-            "effects": {"max_k": options.max_k},
-            "hot": {"max_k": options.max_k, "manifest_path": options.hot_manifest},
-            "life": {"max_k": options.max_k, "manifest_path": options.life_manifest},
+            "hot": {"manifest_path": options.hot_manifest},
+            "life": {"manifest_path": options.life_manifest},
         }
         named: List[Tuple[str, Pass]] = []
         for name in pass_names:
@@ -244,10 +246,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if options.no_cache:
-        findings = run_passes(files, [one_pass for _, one_pass in named])
+        findings = run_passes(files, [one_pass for _, one_pass in named], options.max_k)
     else:
         config_key = f"max_k={options.max_k};manifest={manifest_digest};life_manifest={life_digest}"
-        findings, _stats = cache.run_cached(files, named, options.cache_path, config_key)
+        findings, _stats = cache.run_cached(files, named, options.cache_path, config_key, options.max_k)
         findings.extend(suppression_errors(files))
         findings.sort(key=Finding.sort_key)
     findings = sorted(load_findings + findings, key=lambda f: f.sort_key())

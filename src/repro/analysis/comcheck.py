@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity, rule
+from repro.analysis.program import Program
 from repro.analysis.walker import SourceFile, dotted_name
 
 MISSING_METHOD = rule(
@@ -231,8 +232,9 @@ def _is_camel_case(name: str) -> bool:
     return bool(name) and name[0].isupper() and not name.isupper()
 
 
-def run(files: Sequence[SourceFile]) -> List[Finding]:
+def run(program: Program) -> List[Finding]:
     """Pass entry point."""
+    files = program.files
     findings: List[Finding] = []
     interfaces = _collect_interfaces(files)
     classes = _collect_classes(files)

@@ -21,10 +21,13 @@ run: ``# oftt-lint: ok[wall-clock]``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.analysis.findings import Finding, Severity, rule
-from repro.analysis.walker import SourceFile, dotted_name, import_aliases, resolve_call_name
+from repro.analysis.walker import SourceFile, dotted_name, resolve_call_name
+
+if TYPE_CHECKING:  # the program module imports this one (via summaries)
+    from repro.analysis.program import Program
 
 WALL_CLOCK = rule(
     "DET001", "wall-clock", Severity.ERROR, "det",
@@ -151,7 +154,7 @@ def _check_file(source_file: SourceFile) -> List[Finding]:
     tree = source_file.tree
     if tree is None:
         return findings
-    aliases = import_aliases(tree)
+    aliases = source_file.aliases
     set_attrs = _set_typed_attrs(tree)
     path = source_file.path
 
@@ -222,9 +225,9 @@ def _check_file(source_file: SourceFile) -> List[Finding]:
     return findings
 
 
-def run(files: Sequence[SourceFile]) -> List[Finding]:
+def run(program: Program) -> List[Finding]:
     """Pass entry point."""
     findings: List[Finding] = []
-    for source_file in files:
+    for source_file in program.files:
         findings.extend(_check_file(source_file))
     return findings

@@ -6,14 +6,16 @@ propagated bottom-up with k-bounded inlining
 (:mod:`repro.analysis.summaries`):
 
 * **RACE101–103** extend the intraprocedural race pass across call
-  boundaries.  PR 1's RACE001–003 stop at the handler body, so a
+  boundaries.  RACE001–003 stop at the handler body, so a
   conflict routed through a private helper (``OpcGroup._dispatch``,
   ``self._collect()``) is invisible to them.  Here each same-tick
   handler's read/write/mutate/iterate sets include everything reachable
   through up to ``max_k`` ``self.method()`` hops, and findings carry the
   full call chain (``_on_ping_result -> _collect -> clear_callback``).
-  Conflicts already visible intraprocedurally are *not* re-reported —
-  those belong to RACE001–003 and their existing suppressions.
+  Conflicts whose sides are all direct (chain ``()``) are *not*
+  re-reported: those entries are the same direct summaries RACE001–003
+  read (:meth:`Program.direct <repro.analysis.program.Program.direct>`),
+  so such a conflict is theirs, with their existing suppressions.
 
 * **PURE001–004** check the contract ``parallel_map`` states but nothing
   enforced: tasks fanned out to spawn workers must be pure picklable
@@ -48,10 +50,11 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import races
-from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, build_call_graph, positional_params
+from repro.analysis.callgraph import CallGraph, positional_params
 from repro.analysis.findings import Finding, Severity, rule
-from repro.analysis.summaries import Chain, EffectSummary, compute_summaries
-from repro.analysis.walker import SourceFile, import_aliases, resolve_call_name
+from repro.analysis.program import Program
+from repro.analysis.summaries import Chain, EffectSummary
+from repro.analysis.walker import SourceFile, resolve_call_name
 
 IP_WRITE_WRITE = rule(
     "RACE101", "ip-race-write-write", Severity.WARNING, "effects",
@@ -97,15 +100,15 @@ def _chain_str(handler: str, chain: Chain, graph: CallGraph) -> str:
 
 def _handler_summaries(
     model: races.ClassModel,
-    module: str,
     graph: CallGraph,
     summaries: Dict[str, EffectSummary],
 ) -> Dict[str, EffectSummary]:
-    """Transitive summaries for the model's handlers, keyed by method name."""
+    """Transitive summaries for the model's call-graph handlers, by method name
+    (a class nested in a function has none: it is RACE001–003's alone)."""
     out: Dict[str, EffectSummary] = {}
     for handler in sorted(model.handlers):
-        key = graph.methods.get((module, model.name, handler))
-        if key is not None and key in summaries:
+        key = graph.methods.get((model.module, model.name, handler))
+        if key is not None and graph.functions[key].node is model.methods[handler]:
             out[handler] = summaries[key]
     return out
 
@@ -122,14 +125,31 @@ def _sides(
     return out
 
 
+def _first_pair(
+    lefts: List[Tuple[str, Chain]], rights: List[Tuple[str, Chain]]
+) -> Tuple[Optional[Tuple[Tuple[str, Chain], Tuple[str, Chain]]], bool]:
+    """(first pair of distinct handlers with a chained side, whether some
+    pair is direct on both sides — a conflict RACE001–003 own)."""
+    pair = None
+    direct = False
+    for left, left_chain in lefts:
+        for right, right_chain in rights:
+            if right == left:
+                continue
+            if left_chain == () and right_chain == ():
+                direct = True
+            elif pair is None:
+                pair = ((left, left_chain), (right, right_chain))
+    return pair, direct
+
+
 def _check_handler_conflicts(
     model: races.ClassModel,
-    module: str,
     graph: CallGraph,
     summaries: Dict[str, EffectSummary],
 ) -> List[Finding]:
     findings: List[Finding] = []
-    handlers = _handler_summaries(model, module, graph, summaries)
+    handlers = _handler_summaries(model, graph, summaries)
     if len(handlers) < 2:
         return findings
     def_line = {name: model.methods[name].lineno for name in handlers}
@@ -138,7 +158,6 @@ def _check_handler_conflicts(
     for summary in handlers.values():
         attrs.update(summary.self_writes)
         attrs.update(summary.self_reads)
-    reported: Set[Tuple[str, str]] = set()
 
     for attr in sorted(attrs):
         if attr.startswith("__"):
@@ -148,71 +167,39 @@ def _check_handler_conflicts(
         mutators = _sides(handlers, lambda s: s.self_mutates.get(attr))
         iterators = _sides(handlers, lambda s: s.self_iterates.get(attr))
 
-        direct_writers = [w for w, chain in writers if chain == ()]
-        # -- write-write ------------------------------------------------
-        if len(writers) >= 2:
-            if len(direct_writers) >= 2:
-                reported.add(("ww", attr))  # RACE001 territory; don't re-report
-            else:
-                reported.add(("ww", attr))
-                chained = [(w, c) for w, c in writers if c]
-                anchor = writers[0][0]
-                routes = "; ".join(
-                    f"{_chain_str(w, c, graph)}" for w, c in writers
-                )
-                findings.append(Finding(
-                    IP_WRITE_WRITE, model.path, def_line[anchor], 0,
-                    f"{model.name}.{attr} written by same-tick handlers via {routes}; "
-                    f"order is only the seq tiebreak",
-                ))
-                continue
+        # -- write-write (two direct writers are RACE001's) -------------
+        claimed = len(writers) >= 2
+        if claimed and sum(1 for _, chain in writers if chain == ()) < 2:
+            routes = "; ".join(_chain_str(w, c, graph) for w, c in writers)
+            findings.append(Finding(
+                IP_WRITE_WRITE, model.path, def_line[writers[0][0]], 0,
+                f"{model.name}.{attr} written by same-tick handlers via {routes}; "
+                f"order is only the seq tiebreak",
+            ))
+            continue
         # -- container mutate vs iterate (classified before write-read:
         # mutates are writes and iterations are reads, and the container
         # rule is the more precise diagnosis) ---------------------------
-        if mutators and iterators:
-            pair = None
-            direct_pair = False
-            for mutator, mut_chain in mutators:
-                for iterator, it_chain in iterators:
-                    if iterator == mutator:
-                        continue
-                    if mut_chain == () and it_chain == ():
-                        direct_pair = True  # RACE003 territory
-                        continue
-                    if pair is None:
-                        pair = ((mutator, mut_chain), (iterator, it_chain))
-            if pair is not None and not direct_pair:
-                reported.add(("ci", attr))
-                (mutator, mut_chain), (iterator, it_chain) = pair
-                findings.append(Finding(
-                    IP_CONTAINER, model.path, def_line[mutator], 0,
-                    f"{model.name}.{attr} mutated via {_chain_str(mutator, mut_chain, graph)} "
-                    f"while {_chain_str(iterator, it_chain, graph)} iterates it in a same-tick handler",
-                ))
-            elif direct_pair:
-                reported.add(("ci", attr))  # RACE003's; suppress the wr echo too
-        # -- write-read -------------------------------------------------
-        if ("ww", attr) not in reported and ("ci", attr) not in reported and writers and readers:
-            pair: Optional[Tuple[Tuple[str, Chain], Tuple[str, Chain]]] = None
-            direct_pair = False
-            for writer, write_chain in writers:
-                for reader, read_chain in readers:
-                    if reader == writer:
-                        continue
-                    if write_chain == () and read_chain == ():
-                        direct_pair = True  # RACE002 territory
-                        continue
-                    if pair is None:
-                        pair = ((writer, write_chain), (reader, read_chain))
-            if pair is not None and not direct_pair and ("wr", attr) not in reported:
-                reported.add(("wr", attr))
-                (writer, write_chain), (reader, read_chain) = pair
-                findings.append(Finding(
-                    IP_WRITE_READ, model.path, def_line[writer], 0,
-                    f"{model.name}.{attr} written via {_chain_str(writer, write_chain, graph)} "
-                    f"and read via {_chain_str(reader, read_chain, graph)} in same-tick handlers; "
-                    f"order is only the seq tiebreak",
-                ))
+        pair, direct = _first_pair(mutators, iterators)
+        if pair is not None and not direct:
+            (mutator, mut_chain), (iterator, it_chain) = pair
+            findings.append(Finding(
+                IP_CONTAINER, model.path, def_line[mutator], 0,
+                f"{model.name}.{attr} mutated via {_chain_str(mutator, mut_chain, graph)} "
+                f"while {_chain_str(iterator, it_chain, graph)} iterates it in a same-tick handler",
+            ))
+        # -- write-read, unless a rule above already owns the attribute -
+        if claimed or pair is not None or direct:
+            continue
+        pair, direct = _first_pair(writers, readers)
+        if pair is not None and not direct:
+            (writer, write_chain), (reader, read_chain) = pair
+            findings.append(Finding(
+                IP_WRITE_READ, model.path, def_line[writer], 0,
+                f"{model.name}.{attr} written via {_chain_str(writer, write_chain, graph)} "
+                f"and read via {_chain_str(reader, read_chain, graph)} in same-tick handlers; "
+                f"order is only the seq tiebreak",
+            ))
     return findings
 
 
@@ -323,7 +310,7 @@ def _check_parallel_map_sites(
     tree = source_file.tree
     if tree is None:
         return findings
-    aliases = import_aliases(tree)
+    aliases = source_file.aliases
     module = source_file.module_name
 
     def visit(node: ast.AST, class_name: Optional[str], scopes: Tuple[ast.AST, ...]) -> None:
@@ -352,19 +339,15 @@ def _check_parallel_map_sites(
 # -- pass entry points -----------------------------------------------------
 
 
-def run(files: Sequence[SourceFile], max_k: int = DEFAULT_MAX_K) -> List[Finding]:
-    """Pass entry point: RACE101-103 and PURE001-004 with inlining depth *max_k*."""
-    graph = build_call_graph(files)
-    summaries = compute_summaries(files, graph, max_k=max_k)
-    module_of_path = {f.path: f.module_name for f in files}
-
+def run(program: Program) -> List[Finding]:
+    """Pass entry point: RACE101-103 and PURE001-004 with inlining depth ``program.max_k``."""
+    graph = program.graph
+    summaries = program.summaries
     findings: List[Finding] = []
-    for model in races.collect_models(files):
+    for model in program.models:
         if len(model.handlers) < 2:
             continue
-        findings.extend(_check_handler_conflicts(
-            model, module_of_path.get(model.path, ""), graph, summaries,
-        ))
-    for source_file in files:
+        findings.extend(_check_handler_conflicts(model, graph, summaries))
+    for source_file in program.files:
         findings.extend(_check_parallel_map_sites(source_file, graph, summaries))
     return findings

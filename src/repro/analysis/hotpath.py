@@ -34,9 +34,10 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, FunctionInfo, Route, build_call_graph
+from repro.analysis.callgraph import CallGraph, FunctionInfo, Route
 from repro.analysis.findings import AnalysisError, Finding, Severity, rule
-from repro.analysis.walker import GROWTH_CALLS, SourceFile, manifest_lines, parent_map, self_attr
+from repro.analysis.program import Program
+from repro.analysis.walker import GROWTH_CALLS, manifest_lines, parent_map, self_attr
 
 HOT_FRESH_CONTAINER = rule(
     "HOT001",
@@ -730,17 +731,6 @@ _CHECKS = (
 )
 
 
-def _collect_classes(files: Sequence[SourceFile]) -> Dict[Tuple[str, str], ast.ClassDef]:
-    table: Dict[Tuple[str, str], ast.ClassDef] = {}
-    for source_file in files:
-        if source_file.tree is None:
-            continue
-        for node in source_file.tree.body:
-            if isinstance(node, ast.ClassDef):
-                table[(source_file.module_name, node.name)] = node
-    return table
-
-
 def _plain_module_names(tree: ast.Module) -> Set[str]:
     """Names bound by plain ``import X [as Y]`` (module objects, not members)."""
     names: Set[str] = set()
@@ -751,37 +741,26 @@ def _plain_module_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def run(
-    files: Sequence[SourceFile],
-    manifest_path: Optional[str] = None,
-    max_k: int = DEFAULT_MAX_K,
-) -> List[Finding]:
+def run(program: Program, manifest_path: Optional[str] = None) -> List[Finding]:
     """Pass entry point: HOT001-006 under *manifest_path* (default: the shipped one)."""
-    return run_with_roots(files, load_manifest(manifest_path or DEFAULT_MANIFEST), max_k)
+    return run_with_roots(program, load_manifest(manifest_path or DEFAULT_MANIFEST))
 
 
-def run_with_roots(
-    files: Sequence[SourceFile],
-    specs: Sequence[RootSpec],
-    max_k: int = DEFAULT_MAX_K,
-) -> List[Finding]:
+def run_with_roots(program: Program, specs: Sequence[RootSpec]) -> List[Finding]:
     """Manifest-free entry point (tests pass RootSpecs directly)."""
-    graph = build_call_graph(files)
+    graph = program.graph
     roots = resolve_roots(graph, specs)
     if not roots:
         return []
-    hot = graph.reach(roots, max_k)
-    class_table = _collect_classes(files)
-    plain_by_path: Dict[str, Set[str]] = {}
-    for source_file in files:
-        if source_file.tree is not None:
-            plain_by_path[source_file.path] = _plain_module_names(source_file.tree)
+    hot = graph.reach(roots, program.max_k)
+    trees = {source_file.path: source_file.tree for source_file in program.files}
+    plain_by_path: Dict[str, Set[str]] = {}  # only the files hot functions live in
     findings: List[Finding] = []
     for key in sorted(hot):
         info = graph.functions[key]
-        ctx = _FunctionContext(
-            info, hot[key], graph, class_table, plain_by_path.get(info.path, set())
-        )
+        if info.path not in plain_by_path:
+            plain_by_path[info.path] = _plain_module_names(trees[info.path])
+        ctx = _FunctionContext(info, hot[key], graph, program.classes, plain_by_path[info.path])
         for check in _CHECKS:
             check(ctx, findings)
     return findings

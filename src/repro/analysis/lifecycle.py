@@ -51,20 +51,15 @@ in ANALYSIS.md.
 from __future__ import annotations
 
 import ast
+import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, Route, build_call_graph
+from repro.analysis.callgraph import CallGraph, Route
 from repro.analysis.findings import AnalysisError, Finding, Severity, rule
-from repro.analysis.walker import (
-    GROWTH_CALLS,
-    SourceFile,
-    dotted_name,
-    manifest_lines,
-    parent_map,
-    self_attr,
-)
+from repro.analysis.program import Program
+from repro.analysis.walker import GROWTH_CALLS, dotted_name, manifest_lines, parent_map, self_attr
 
 LIFE_LEAKED_TIMER = rule(
     "LIFE001",
@@ -300,19 +295,6 @@ def _fn_facts(node: ast.FunctionDef) -> _FnFacts:
     return _FnFacts(call_names, call_chains, attrs)
 
 
-class _FactsCache:
-    def __init__(self, graph: CallGraph) -> None:
-        self.graph = graph
-        self._facts: Dict[str, _FnFacts] = {}
-
-    def facts(self, key: str) -> _FnFacts:
-        cached = self._facts.get(key)
-        if cached is None:
-            cached = _fn_facts(self.graph.functions[key].node)
-            self._facts[key] = cached
-        return cached
-
-
 def _super_call_names(node: ast.FunctionDef) -> List[str]:
     """Method names invoked as ``super().name(...)`` in *node*."""
     names: List[str] = []
@@ -337,7 +319,7 @@ class _ClassContext:
     def __init__(
         self,
         graph: CallGraph,
-        facts: _FactsCache,
+        facts: Callable[[str], _FnFacts],  # function key -> its facts, memoized
         spec: LifecycleSpec,
         module: str,
         class_name: str,
@@ -387,7 +369,7 @@ class _ClassContext:
 
     def _release_route(self, matches) -> Optional[Route]:
         for key in sorted(self.teardown_reach):
-            if matches(self.facts.facts(key)):
+            if matches(self.facts(key)):
                 return self.teardown_reach[key]
         return None
 
@@ -649,7 +631,7 @@ def _check_rearm(ctx, findings, info, method_name, call, pair, attr) -> None:
         return  # re-arm from inside the expired handle's own callback
     reach = ctx.graph.reach([info.key], ctx.max_k)
     for key in sorted(reach):
-        facts = ctx.facts.facts(key)
+        facts = ctx.facts(key)
         if attr in facts.attrs and any(name in facts.call_names for name in pair.releases):
             return
     releases = "/".join(pair.releases)
@@ -730,28 +712,20 @@ def _class_method_keys(graph: CallGraph) -> Dict[Tuple[str, str, str], List[str]
     return grouped
 
 
-def run(
-    files: Sequence[SourceFile],
-    manifest_path: Optional[str] = None,
-    max_k: int = DEFAULT_MAX_K,
-) -> List[Finding]:
+def run(program: Program, manifest_path: Optional[str] = None) -> List[Finding]:
     """Pass entry point: LIFE001-006 under *manifest_path* (default: the shipped one)."""
-    return run_with_spec(files, load_manifest(manifest_path or DEFAULT_MANIFEST), max_k)
+    return run_with_spec(program, load_manifest(manifest_path or DEFAULT_MANIFEST))
 
 
-def run_with_spec(
-    files: Sequence[SourceFile],
-    spec: LifecycleSpec,
-    max_k: int = DEFAULT_MAX_K,
-) -> List[Finding]:
+def run_with_spec(program: Program, spec: LifecycleSpec) -> List[Finding]:
     """Manifest-free entry point (tests pass a LifecycleSpec directly)."""
-    graph = build_call_graph(files)
-    facts = _FactsCache(graph)
+    graph = program.graph
+    facts = functools.cache(lambda key: _fn_facts(graph.functions[key].node))
     findings: List[Finding] = []
     grouped = _class_method_keys(graph)
     for path, module, class_name in sorted(grouped):
         ctx = _ClassContext(
-            graph, facts, spec, module, class_name, grouped[(path, module, class_name)], max_k
+            graph, facts, spec, module, class_name, grouped[(path, module, class_name)], program.max_k
         )
         _check_class(ctx, findings)
     return findings

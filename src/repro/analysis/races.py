@@ -10,8 +10,11 @@ result while every test keeps passing.
 
 This pass approximates, per class, the set of methods used as scheduled
 callbacks / process steps (anything passed to ``schedule``/``spawn``/
-``add_callback``/``bind``) and a static read/write set of ``self.*``
-attributes for each.  Pairs of handlers that can tie then yield:
+``add_callback``/``bind``) and each one's direct (k = 0) effect summary
+over ``self.*`` attributes (:meth:`Program.direct
+<repro.analysis.program.Program.direct>`) — the records the effects pass
+propagates, so both race families share one effect model.  Pairs of
+handlers that can tie then yield:
 
 * RACE001 ``race-write-write``   — both handlers store the same attribute
 * RACE002 ``race-write-read``    — one stores what the other loads
@@ -29,10 +32,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.analysis.callgraph import FunctionInfo
 from repro.analysis.findings import Finding, Severity, rule
 from repro.analysis.walker import SourceFile, dotted_name, self_attr
+
+if TYPE_CHECKING:  # the program module imports this one
+    from repro.analysis.program import Program
 
 WRITE_WRITE = rule(
     "RACE001", "race-write-write", Severity.WARNING, "race",
@@ -56,64 +63,6 @@ LOOP_CAPTURE = rule(
 #: must agree with this pass on what counts as a same-tick handler.
 REGISTRARS = {"schedule", "add_callback", "bind", "spawn", "on_message", "subscribe"}
 
-#: Container mutators treated as writes to the container attribute.
-_MUTATORS = {
-    "append", "extend", "insert", "remove", "pop", "clear", "add", "discard",
-    "update", "setdefault", "popitem", "appendleft", "popleft",
-}
-
-
-@dataclass
-class _Effects:
-    """Approximate effect set of one method, over ``self.*`` attributes."""
-
-    reads: Set[str] = field(default_factory=set)
-    writes: Set[str] = field(default_factory=set)
-    iterates: Set[str] = field(default_factory=set)
-    mutates: Set[str] = field(default_factory=set)
-    line: int = 0
-
-
-def _method_effects(func: ast.FunctionDef) -> _Effects:
-    effects = _Effects(line=func.lineno)
-    for node in ast.walk(func):
-        attr = self_attr(node)
-        if attr is not None:
-            if isinstance(node.ctx, (ast.Store, ast.Del)):  # type: ignore[attr-defined]
-                effects.writes.add(attr)
-            else:
-                effects.reads.add(attr)
-        if isinstance(node, ast.AugAssign):
-            target = self_attr(node.target)
-            if target is not None:
-                effects.writes.add(target)
-                effects.reads.add(target)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owner = self_attr(node.func.value)
-            if owner is not None and node.func.attr in _MUTATORS:
-                effects.mutates.add(owner)
-                effects.writes.add(owner)
-        if isinstance(node, (ast.Subscript,)):
-            owner = self_attr(node.value)
-            if owner is not None and isinstance(node.ctx, (ast.Store, ast.Del)):
-                effects.mutates.add(owner)
-                effects.writes.add(owner)
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            owner = self_attr(node.iter)
-            if owner is None and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Attribute):
-                # for x in self.attr.items()/keys()/values()
-                if node.iter.func.attr in ("items", "keys", "values"):
-                    owner = self_attr(node.iter.func.value)
-            if owner is not None:
-                effects.iterates.add(owner)
-                effects.reads.add(owner)
-        if isinstance(node, ast.comprehension):
-            owner = self_attr(node.iter)
-            if owner is not None:
-                effects.iterates.add(owner)
-                effects.reads.add(owner)
-    return effects
-
 
 @dataclass
 class ClassModel:
@@ -124,9 +73,16 @@ class ClassModel:
     """
 
     name: str
+    module: str
     path: str
     methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     handlers: Set[str] = field(default_factory=set)
+
+    def function(self, method: str) -> FunctionInfo:
+        """*method* as a FunctionInfo (a class nested in a function has no call-graph key)."""
+        qualname = f"{self.name}.{method}"
+        key = f"{self.module}:{qualname}"
+        return FunctionInfo(key, self.module, qualname, self.name, self.path, self.methods[method])
 
 
 def _callback_method_name(node: ast.AST) -> Optional[str]:
@@ -148,7 +104,7 @@ def collect_models(files: Sequence[SourceFile]) -> List[ClassModel]:
         for node in ast.walk(source_file.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            model = ClassModel(node.name, source_file.path)
+            model = ClassModel(node.name, source_file.module_name, source_file.path)
             for stmt in node.body:
                 if isinstance(stmt, ast.FunctionDef):
                     model.methods[stmt.name] = stmt
@@ -169,9 +125,29 @@ def collect_models(files: Sequence[SourceFile]) -> List[ClassModel]:
     return models
 
 
+def _free_loop_vars(func: Union[ast.Lambda, ast.FunctionDef], loop_vars: Set[str]) -> Set[str]:
+    """Loop variables a lambda or def uses without binding them itself.
+
+    Its own parameters bind names (defaults included: ``lambda n=node:``,
+    ``def fire(idx=idx):``), and so does a store in its body.
+    """
+    args = func.args
+    bound = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+    bound.update(arg.arg for arg in (args.vararg, args.kwarg) if arg is not None)
+    used: Set[str] = set()
+    for stmt in func.body if isinstance(func.body, list) else [func.body]:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id in loop_vars:
+                if isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                else:
+                    bound.add(node.id)
+    return used - bound
+
+
 def _check_loop_capture(source_file: SourceFile) -> List[Finding]:
-    """RACE004: lambda/def in a loop body, capturing the loop variable,
-    passed to a registrar."""
+    """RACE004: a lambda, or a def from the loop body passed by name, given
+    to a registrar (by position or keyword) and using the loop variable free."""
     findings: List[Finding] = []
     tree = source_file.tree
     if tree is None:
@@ -182,76 +158,82 @@ def _check_loop_capture(source_file: SourceFile) -> List[Finding]:
         loop_vars = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
         if not loop_vars:
             continue
-        for node in ast.walk(loop):
+        body = list(ast.walk(loop))
+        defs = {n.name: n for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in body:
             if not isinstance(node, ast.Call):
                 continue
             callee = dotted_name(node.func)
             if callee is None or callee.split(".")[-1] not in REGISTRARS:
                 continue
-            for arg in node.args:
-                if not isinstance(arg, ast.Lambda):
+            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                if isinstance(arg, ast.Lambda):
+                    func, what = arg, "lambda"
+                elif isinstance(arg, ast.Name) and arg.id in defs:
+                    func, what = defs[arg.id], f"def {arg.id}"
+                else:
                     continue
-                lambda_params = {a.arg for a in arg.args.args + arg.args.kwonlyargs}
-                captured = {
-                    n.id
-                    for n in ast.walk(arg.body)
-                    if isinstance(n, ast.Name) and n.id in loop_vars and n.id not in lambda_params
-                }
+                captured = _free_loop_vars(func, loop_vars)
                 if captured:
                     names = ", ".join(sorted(captured))
                     findings.append(
                         Finding(LOOP_CAPTURE, source_file.path, arg.lineno, arg.col_offset,
-                                f"lambda passed to {callee.split('.')[-1]}() captures loop variable "
+                                f"{what} passed to {callee.split('.')[-1]}() captures loop variable "
                                 f"{names}; bind it as a default or pass it as *args")
                     )
     return findings
 
 
-def run(files: Sequence[SourceFile]) -> List[Finding]:
+def run(program: Program) -> List[Finding]:
     """Pass entry point."""
     findings: List[Finding] = []
-    for source_file in files:
+    for source_file in program.files:
         findings.extend(_check_loop_capture(source_file))
 
-    for model in collect_models(files):
+    for model in program.models:
         if len(model.handlers) < 2:
             continue
-        effects = {name: _method_effects(model.methods[name]) for name in sorted(model.handlers)}
+        names = sorted(model.handlers)
+        effects = {name: program.direct(model.function(name)) for name in names}
+        line = {name: model.methods[name].lineno for name in names}
         # Report one finding per (attribute, kind), naming every handler
         # involved, anchored at the first writer's def line.
         reported: Set[Tuple[str, str]] = set()
-        names = sorted(model.handlers)
         for i, first in enumerate(names):
             for second in names[i + 1:]:
                 a, b = effects[first], effects[second]
-                for attr in sorted((a.writes & b.writes)):
+                for attr in sorted(a.self_writes.keys() & b.self_writes.keys()):
                     if attr.startswith("__") or ("ww", attr) in reported:
                         continue
                     reported.add(("ww", attr))
-                    writers = sorted(n for n in names if attr in effects[n].writes)
+                    writers = sorted(n for n in names if attr in effects[n].self_writes)
                     findings.append(
-                        Finding(WRITE_WRITE, model.path, effects[writers[0]].line, 0,
+                        Finding(WRITE_WRITE, model.path, line[writers[0]], 0,
                                 f"{model.name}.{attr} written by same-tick handlers "
                                 f"{', '.join(writers)}; order is only the seq tiebreak")
                     )
-                for attr in sorted((a.writes & b.reads) | (b.writes & a.reads)):
+                for attr in sorted(
+                    (a.self_writes.keys() & b.self_reads.keys()) | (b.self_writes.keys() & a.self_reads.keys())
+                ):
                     if attr.startswith("__") or ("wr", attr) in reported or ("ww", attr) in reported:
                         continue
                     reported.add(("wr", attr))
-                    writer = first if attr in a.writes else second
+                    writer = first if attr in a.self_writes else second
                     reader = second if writer == first else first
                     findings.append(
-                        Finding(WRITE_READ, model.path, effects[writer].line, 0,
+                        Finding(WRITE_READ, model.path, line[writer], 0,
                                 f"{model.name}.{attr} written by {writer} and read by {reader} "
                                 f"in same-tick handlers; order is only the seq tiebreak")
                     )
-                for attr in sorted((a.mutates & b.iterates) | (b.mutates & a.iterates)):
+                for attr in sorted(
+                    (a.self_mutates.keys() & b.self_iterates.keys()) | (b.self_mutates.keys() & a.self_iterates.keys())
+                ):
                     if ("ci", attr) in reported:
                         continue
                     reported.add(("ci", attr))
-                    mutator = first if attr in a.mutates else second
+                    mutator = first if attr in a.self_mutates else second
                     findings.append(
-                        Finding(CONTAINER_ITER, model.path, effects[mutator].line, 0,
+                        Finding(CONTAINER_ITER, model.path, line[mutator], 0,
                                 f"{model.name}.{attr} mutated by {mutator} while another same-tick "
                                 f"handler iterates it")
                     )

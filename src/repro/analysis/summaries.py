@@ -14,7 +14,10 @@ function it records, as dictionaries keyed by name,
 
 Each value is the *call chain* through which the effect was reached: the
 empty tuple for a direct effect, otherwise the function keys traversed,
-outermost first.  :func:`propagate` folds callee summaries into callers
+outermost first.  :func:`direct_effects` is the k = 0 summary: the one
+effect model under both race families (RACE001–003 read it per handler;
+:class:`~repro.analysis.program.Program` memoizes it per function).
+:func:`propagate` folds callee summaries into callers
 over the call graph with k-bounded inlining (an effect travels at most
 ``max_k`` call hops, default 2) and cycle-safe fixpoint iteration — the
 chain-length bound makes the lattice finite, so iteration terminates on
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, Edge, FunctionInfo, positional_params
 from repro.analysis.determinism import (
@@ -41,7 +44,7 @@ from repro.analysis.determinism import (
     _RANDOM_DRAWS,
     _WALL_CLOCK_CALLS,
 )
-from repro.analysis.walker import SourceFile, resolve_call_name, self_attr
+from repro.analysis.walker import dotted_name, resolve_call_name, self_attr
 
 #: A propagation path: keys of the callees traversed, outermost first.
 #: Empty for effects the function performs in its own body.
@@ -103,9 +106,11 @@ def module_global_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def _bound_names(func: ast.FunctionDef) -> Set[str]:
-    """Names the function binds locally (params plus any Store target)."""
+def _scope_names(func: ast.FunctionDef) -> Tuple[Set[str], Set[str]]:
+    """(names the function binds locally — params plus any Store target —,
+    names it declares ``global``), in one walk."""
     bound: Set[str] = set()
+    declared_global: Set[str] = set()
     args = func.args
     for arg in args.posonlyargs + args.args + args.kwonlyargs:
         bound.add(arg.arg)
@@ -118,7 +123,9 @@ def _bound_names(func: ast.FunctionDef) -> Set[str]:
             bound.add(node.id)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node is not func:
             bound.add(node.name)
-    return bound
+        elif isinstance(node, ast.Global):
+            declared_global.update(node.names)
+    return bound, declared_global
 
 
 def _param_names(func: ast.FunctionDef, *, is_method: bool) -> Set[str]:
@@ -154,11 +161,7 @@ def direct_effects(
     summary = EffectSummary()
     is_method = info.class_name is not None
     params = _param_names(func, is_method=is_method)
-    bound = _bound_names(func)
-    declared_global: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
+    bound, declared_global = _scope_names(func)
 
     def is_module_global(name: str) -> bool:
         if name in declared_global:
@@ -201,7 +204,7 @@ def direct_effects(
                 _record_mutation(summary, node.value, params, is_module_global)
         # -- ambient attribute reads ------------------------------------
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            dotted = _attr_dotted(node)
+            dotted = dotted_name(node)
             if dotted is not None:
                 head, _, rest = dotted.partition(".")
                 resolved = aliases.get(head, head) + (f".{rest}" if rest else "")
@@ -249,18 +252,6 @@ def _record_mutation(summary: EffectSummary, owner: ast.AST, params: Set[str], i
         summary.param_mutations.setdefault(root, ())
     elif is_module_global(root):
         summary.global_writes.setdefault(root, ())
-
-
-def _attr_dotted(node: ast.Attribute) -> Optional[str]:
-    parts: List[str] = []
-    current: ast.AST = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _iterated_self_attr(node: ast.AST) -> Optional[str]:
@@ -368,24 +359,3 @@ def propagate(
         if not changed:
             break
     return current
-
-
-def compute_summaries(
-    files: Sequence[SourceFile],
-    graph: CallGraph,
-    max_k: int = 2,
-) -> Dict[str, EffectSummary]:
-    """Direct extraction plus propagation for every function in *graph*."""
-    globals_by_module: Dict[str, Set[str]] = {}
-    for source_file in files:
-        if source_file.tree is not None:
-            globals_by_module[source_file.module_name] = module_global_names(source_file.tree)
-    direct = {
-        key: direct_effects(
-            info,
-            globals_by_module.get(info.module, set()),
-            graph.aliases.get(info.module, {}),
-        )
-        for key, info in graph.functions.items()
-    }
-    return propagate(graph, direct, max_k=max_k)

@@ -1,12 +1,13 @@
-"""Shared AST infrastructure: source loading, pass orchestration, manifest
-reading and the small AST helpers the passes share.
+"""Shared AST infrastructure: source loading, suppression filtering,
+manifest reading and the small AST helpers the passes share.
 
 A :class:`SourceFile` bundles one parsed module with its suppression
-state; :func:`load_sources` walks the argument paths in sorted order so
-reports are byte-stable across runs (the toolkit holds itself to the
-determinism bar it enforces).  Passes are plain callables taking the full
-file list — the COM and race passes need project-wide context (interface
-declarations, class tables), so per-file visitors would not do.
+state and its import aliases (walked once, shared by every pass);
+:func:`load_sources` walks the argument paths in sorted order so reports
+are byte-stable across runs (the toolkit holds itself to the determinism
+bar it enforces).  Passes take a :class:`repro.analysis.program.Program`,
+which adds the project-wide context (call graph, class tables, handler
+models, effect summaries) built once per invocation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import SYNTAX_RULE, AnalysisError, Finding
 from repro.analysis.suppress import Suppressions, parse_suppressions
@@ -41,9 +43,10 @@ class SourceFile:
             parts = parts[:-1]
         return ".".join(parts)
 
-
-#: A pass: (files) -> findings.  Registered in cli.PASSES.
-Pass = Callable[[Sequence[SourceFile]], List[Finding]]
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """The module's import aliases (:func:`import_aliases`), walked once."""
+        return import_aliases(self.tree) if self.tree is not None else {}
 
 
 def _iter_python_files(path: str) -> Iterable[str]:
@@ -110,17 +113,6 @@ def suppression_errors(files: Sequence[SourceFile]) -> List[Finding]:
     for source_file in files:
         errors.extend(source_file.suppressions.errors)
     return errors
-
-
-def run_passes(files: Sequence[SourceFile], passes: Sequence[Pass]) -> List[Finding]:
-    """Run *passes*, apply per-file suppressions, and sort the survivors."""
-    findings: List[Finding] = []
-    for one_pass in passes:
-        findings.extend(one_pass(files))
-    kept = apply_suppressions(findings, files)
-    kept.extend(suppression_errors(files))
-    kept.sort(key=Finding.sort_key)
-    return kept
 
 
 def manifest_lines(path: str, what: str) -> List[Tuple[int, str]]:

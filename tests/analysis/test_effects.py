@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import functools
-
 from repro.analysis import effects
+from repro.analysis.callgraph import DEFAULT_MAX_K
 from repro.analysis.findings import Severity
 
 from tests.analysis.util import analyze, rule_ids
 
 
-def run(source: str, max_k: int = effects.DEFAULT_MAX_K, path: str = "pkg/mod.py"):
-    return analyze(source, functools.partial(effects.run, max_k=max_k), path=path)
+def run(source: str, max_k: int = DEFAULT_MAX_K, path: str = "pkg/mod.py"):
+    return analyze(source, effects.run, path=path, max_k=max_k)
 
 
 # -- RACE101 interprocedural write/write ----------------------------------

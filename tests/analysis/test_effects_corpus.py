@@ -15,7 +15,8 @@ import re
 import pytest
 
 from repro.analysis import effects
-from repro.analysis.walker import load_sources, run_passes
+from repro.analysis.program import run_passes
+from repro.analysis.walker import load_sources
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 MARKER = re.compile(r"#\s*expect:\s*([A-Z]+\d+)")

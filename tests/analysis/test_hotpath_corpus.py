@@ -16,7 +16,8 @@ import pytest
 
 from repro.analysis import hotpath
 from repro.analysis.hotpath import RootSpec
-from repro.analysis.walker import load_sources, run_passes
+from repro.analysis.program import run_passes
+from repro.analysis.walker import load_sources
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 MARKER = re.compile(r"#\s*expect:\s*(HOT\d+)")
@@ -29,7 +30,7 @@ def hot_findings(name):
     files, load_findings = load_sources([os.path.join(CORPUS, name)])
     assert load_findings == [], f"{name} failed to load cleanly"
     roots = [RootSpec(name[: -len(".py")], "Hot.run")]
-    return run_passes(files, [lambda fs: hotpath.run_with_roots(fs, roots)])
+    return run_passes(files, [lambda program: hotpath.run_with_roots(program, roots)])
 
 
 def expected_marker(name):

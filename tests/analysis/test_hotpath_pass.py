@@ -9,7 +9,8 @@ import pytest
 from repro.analysis import cli, hotpath
 from repro.analysis.findings import AnalysisError
 from repro.analysis.hotpath import RootSpec
-from repro.analysis.walker import load_sources, run_passes
+from repro.analysis.program import Program, run_passes
+from repro.analysis.walker import load_sources
 
 
 def _lint(tmp_path, source, roots, max_k=2, name="mod.py"):
@@ -17,7 +18,7 @@ def _lint(tmp_path, source, roots, max_k=2, name="mod.py"):
     path.write_text(source, encoding="utf-8")
     files, load_findings = load_sources([str(path)])
     assert load_findings == []
-    return hotpath.run_with_roots(files, roots, max_k)
+    return hotpath.run_with_roots(Program(files, max_k), roots)
 
 
 PROPAGATION_SOURCE = '''
@@ -91,7 +92,7 @@ def test_suppression_comment_silences_hot_finding(tmp_path):
     path.write_text(source, encoding="utf-8")
     files, _ = load_sources([str(path)])
     roots = [RootSpec("mod", "Hot.run")]
-    findings = run_passes(files, [lambda fs: hotpath.run_with_roots(fs, roots)])
+    findings = run_passes(files, [lambda program: hotpath.run_with_roots(program, roots)])
     assert findings == []
 
 

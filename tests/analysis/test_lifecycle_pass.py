@@ -9,7 +9,8 @@ import pytest
 from repro.analysis import cli, lifecycle
 from repro.analysis.findings import AnalysisError
 from repro.analysis.lifecycle import LifecycleSpec, PairSpec
-from repro.analysis.walker import load_sources, run_passes
+from repro.analysis.program import Program, run_passes
+from repro.analysis.walker import load_sources
 
 TIMER_SPEC = LifecycleSpec(
     pairs=(PairSpec("timer", "Kernel", "schedule", None, ("cancel",)),),
@@ -29,7 +30,7 @@ def _lint(tmp_path, source, spec, max_k=2, name="mod.py"):
     path.write_text(source, encoding="utf-8")
     files, load_findings = load_sources([str(path)])
     assert load_findings == []
-    return lifecycle.run_with_spec(files, spec, max_k)
+    return lifecycle.run_with_spec(Program(files, max_k), spec)
 
 
 def _ids(findings):
@@ -367,7 +368,7 @@ def test_suppression_comment_silences_lifecycle_finding(tmp_path):
     path.write_text(source, encoding="utf-8")
     files, load_findings = load_sources([str(path)])
     assert load_findings == []
-    assert run_passes(files, [lambda fs: lifecycle.run_with_spec(fs, TIMER_SPEC)]) == []
+    assert run_passes(files, [lambda program: lifecycle.run_with_spec(program, TIMER_SPEC)]) == []
 
 
 # -- CLI wiring ------------------------------------------------------------

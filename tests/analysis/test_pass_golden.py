@@ -22,7 +22,8 @@ import pytest
 
 from repro.analysis import effects, hotpath, lifecycle
 from repro.analysis.hotpath import RootSpec
-from repro.analysis.walker import load_sources, run_passes
+from repro.analysis.program import run_passes
+from repro.analysis.walker import load_sources
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -38,7 +39,7 @@ GOLDEN = {
 def _pass_for(name):
     if name.startswith("hot"):
         roots = [RootSpec(name[: -len(".py")], "Hot.run")]
-        return "hot", lambda files: hotpath.run_with_roots(files, roots)
+        return "hot", lambda program: hotpath.run_with_roots(program, roots)
     if name.startswith("life"):
         return "life", lifecycle.run
     return "effects", effects.run

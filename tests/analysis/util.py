@@ -6,9 +6,11 @@ import ast
 import textwrap
 from typing import List, Sequence
 
+from repro.analysis.callgraph import DEFAULT_MAX_K
 from repro.analysis.findings import Finding
+from repro.analysis.program import Pass, run_passes
 from repro.analysis.suppress import parse_suppressions
-from repro.analysis.walker import Pass, SourceFile, run_passes
+from repro.analysis.walker import SourceFile
 
 
 def make_file(source: str, path: str = "snippet.py") -> SourceFile:
@@ -17,9 +19,11 @@ def make_file(source: str, path: str = "snippet.py") -> SourceFile:
     return SourceFile(path, source, ast.parse(source, filename=path), parse_suppressions(path, source))
 
 
-def analyze(source: str, *passes: Pass, path: str = "snippet.py") -> List[Finding]:
-    """Run *passes* over one snippet, suppressions applied."""
-    return run_passes([make_file(source, path)], list(passes))
+def analyze(
+    source: str, *passes: Pass, path: str = "snippet.py", max_k: int = DEFAULT_MAX_K
+) -> List[Finding]:
+    """Run *passes* over one snippet's Program, suppressions applied."""
+    return run_passes([make_file(source, path)], list(passes), max_k)
 
 
 def rule_ids(findings: Sequence[Finding]) -> List[str]:
