@@ -155,19 +155,19 @@ def _marshal(value: Any, depth: int, memo: Dict[int, Any]) -> Tuple[Any, int]:
                 total += size
                 if key_kind is not str and key_kind is not int:
                     # After its item, as deepcopy copies a key.
-                    key = copy_value(key, memo)
+                    key = copy_value(key, memo)[0]
                 twin[key] = item
             return twin, total
     # The general path, for values that are not plain data, containers
     # met again and containers at the depth limit.  copy_value hands a
     # non-plain value to copy.deepcopy with the walk's memo.
     _check(value, depth)
-    return copy_value(value, memo), estimate_wire_size(value)
+    return copy_value(value, memo)[0], estimate_wire_size(value)
 
 
 def unmarshal_value(value: Any) -> Any:
     """Deep-copy *value* on receipt (equal to ``copy.deepcopy``)."""
-    return copy_value(value, {})
+    return copy_value(value, {})[0]
 
 
 def estimate_wire_size(value: Any) -> int:

@@ -28,6 +28,26 @@ def canonical_image_bytes(image: Dict[str, Dict[str, Any]]) -> bytes:
     return json.dumps(image, default=repr, separators=(",", ":")).encode("utf-8")
 
 
+def image_size(
+    image: Dict[str, Dict[str, Any]], variable_sizes: Optional[Dict[str, Dict[str, int]]] = None
+) -> int:
+    """The image's share of :meth:`Checkpoint.size_bytes`: ``16 +
+    estimate_size(region)`` per region.
+
+    *variable_sizes* maps region -> variable -> size, as
+    :func:`~repro.nt.memory.copy_variables` prices a capture; with it
+    the sum is taken from those sizes (for the variables *image* holds,
+    so a delta of the capture is priced too) instead of a walk.
+    """
+    if variable_sizes is None:
+        return sum(16 + estimate_size(region) for region in image.values())
+    total = 0
+    for name, variables in image.items():
+        # A region dict costs 16 beyond its variables, and its entry 16 more.
+        total += 32 + sum(map(variable_sizes[name].__getitem__, variables))
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class Checkpoint:
     """One captured application state image."""
@@ -43,14 +63,22 @@ class Checkpoint:
     selective: bool = False
     #: True when this is an incremental delta against the previous one.
     incremental: bool = False
+    #: :func:`image_size` of *image* when the capture priced it while
+    #: copying; None prices it on demand.
+    image_bytes: Optional[int] = field(default=None, compare=False)
 
     def size_bytes(self) -> int:
-        """Estimated payload size (drives transfer-cost modelling)."""
-        total = 64
-        for region in self.image.values():
-            total += 16 + estimate_size(region)
-        total += 32 * len(self.thread_contexts)
-        return total
+        """Estimated payload size: a statistic, not a transfer cost.
+
+        The engine ships every checkpoint as a fixed-size frame; this
+        estimate feeds ``OfttEngine.checkpoint_sizes``, which the X1 and
+        X7 experiments, the checkpoint-period ablation and the end-to-end
+        benchmark read after the run.
+        """
+        image_bytes = self.image_bytes
+        if image_bytes is None:
+            image_bytes = image_size(self.image)
+        return 64 + image_bytes + 32 * len(self.thread_contexts)
 
     def as_wire(self) -> dict:
         """Marshalable form for the engine-to-engine transfer."""

@@ -175,7 +175,7 @@ class DRSite:
         checkpoint already reflects.
         """
         latest = self.store.latest(self.app_name)
-        image: Dict[str, Dict[str, Any]] = copy_value(latest.image, {}) if latest is not None else {}
+        image: Dict[str, Dict[str, Any]] = copy_value(latest.image, {})[0] if latest is not None else {}
         replayed = 0
         if self.apply_message is not None:
             region = image.setdefault("globals", {})

@@ -28,12 +28,12 @@ node can take over without risking two primaries.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.com.interfaces import declare_interface
 from repro.com.object import ComObject
 from repro.errors import CheckpointError, OfttError
-from repro.core.checkpoint import Checkpoint
+from repro.core.checkpoint import Checkpoint, image_size
 from repro.core.status import ComponentKind
 from repro.nt.kernel32 import Kernel32, ThreadHandle
 from repro.nt.process import NTProcess
@@ -153,9 +153,9 @@ class ClientFtim(ServerFtim):
         # The IAT trick: observe CreateThread so dynamically created
         # threads can be checkpointed too (§2.2.2, §3.1).
         self._dynamic_handles: List[ThreadHandle] = self.kernel32.install_thread_tracker()
-        # OFTTSelSave designations: region -> variable names (None = all
-        # variables in that region).
-        self._selected: Dict[str, Optional[Set[str]]] = {}
+        # OFTTSelSave designations: region -> sorted variable names (None
+        # = all variables in that region), kept in region-name order.
+        self._selected: Dict[str, Optional[List[str]]] = {}
         self.checkpoints_taken = 0
         self.capture_failures = 0
         self.last_sequence = 0
@@ -175,9 +175,13 @@ class ClientFtim(ServerFtim):
         if variables is None:
             self._selected[region] = None
         else:
-            existing = self._selected.setdefault(region, set())
+            existing = self._selected.get(region, [])
             if existing is not None:
-                existing.update(variables)
+                self._selected[region] = sorted(set(existing).union(variables))
+        # Sorted like walkthrough(): every image — full or selective —
+        # lists regions in name order, so serialized checkpoint bytes do
+        # not depend on the order OFTTSelSave designations were made.
+        self._selected = dict(sorted(self._selected.items()))
 
     def clear_selection(self) -> None:
         """Return to full-address-space captures."""
@@ -241,10 +245,15 @@ class ClientFtim(ServerFtim):
         return checkpoint.sequence
 
     def capture(self) -> Checkpoint:
-        """Build a :class:`Checkpoint` from the live process."""
+        """Build a :class:`Checkpoint` from the live process.
+
+        The copy that takes the image also prices it, so the checkpoint
+        carries its size; an incremental delta sums the sizes of the
+        variables it keeps.
+        """
         if not self.process.alive:
             raise CheckpointError(f"capture on dead process {self.app_name}")
-        full_image = self._capture_image()
+        full_image, sizes = self._capture_image()
         contexts = self._capture_contexts()
         is_incremental = self.incremental and bool(self._last_image)
         image = _image_delta(self._last_image, full_image) if is_incremental else full_image
@@ -257,20 +266,21 @@ class ClientFtim(ServerFtim):
             thread_contexts=contexts,
             selective=self.selective,
             incremental=is_incremental,
+            image_bytes=image_size(image, sizes),
         )
 
-    def _capture_image(self) -> Dict[str, Dict]:
+    def _capture_image(self) -> Tuple[Dict[str, Dict], Dict[str, Dict[str, int]]]:
+        """The image and its per-variable sizes, region -> variable -> size."""
         space = self.process.address_space
+        sizes: Dict[str, Dict[str, int]] = {}
         if not self.selective:
-            return space.walkthrough()
+            return space.walkthrough(sizes=sizes), sizes
         image: Dict[str, Dict] = {}
-        # Sorted to match walkthrough(): every image — full or selective —
-        # lists regions in name order, so serialized checkpoint bytes do
-        # not depend on the order OFTTSelSave designations were made.
-        for region_name, variables in sorted(self._selected.items()):
+        for region_name, variables in self._selected.items():
             if space.has_region(region_name):
-                image[region_name] = space.region(region_name).snapshot(variables)
-        return image
+                sizes[region_name] = region_sizes = {}
+                image[region_name] = space.region(region_name).snapshot(variables, region_sizes)
+        return image, sizes
 
     def _capture_contexts(self) -> Dict[str, Dict]:
         contexts: Dict[str, Dict] = {}

@@ -47,12 +47,16 @@ class ImportAddressTable:
 
     def call(self, api_name: str, *args: Any) -> Any:
         """Invoke an API through the table, firing hooks."""
-        if api_name not in self._entries:
+        implementation = self._entries.get(api_name)
+        if implementation is None:
             raise NTError(f"call through unresolved import {api_name}")
-        self.call_counts[api_name] = self.call_counts.get(api_name, 0) + 1
-        result = self._entries[api_name](*args)
-        for hook in self._hooks.get(api_name, []):
-            hook(api_name, args, result)
+        counts = self.call_counts
+        counts[api_name] = counts.get(api_name, 0) + 1
+        result = implementation(*args)
+        hooks = self._hooks.get(api_name)
+        if hooks:
+            for hook in hooks:
+                hook(api_name, args, result)
         return result
 
     def is_patched(self, api_name: str) -> bool:

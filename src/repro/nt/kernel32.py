@@ -67,6 +67,7 @@ class Kernel32:
 
     def __init__(self, process: NTProcess) -> None:
         self.process = process
+        self._iat_call = process.iat.call
         implementations: Dict[str, Callable[..., Any]] = {
             "CreateThread": self._create_thread,
             "ExitThread": self._exit_thread,
@@ -85,21 +86,21 @@ class Kernel32:
 
     def call(self, api_name: str, *args: Any) -> Any:
         """Invoke an API through the IAT (the only supported entry path)."""
-        return self.process.iat.call(api_name, *args)
+        return self._iat_call(api_name, *args)
 
     # Convenience wrappers used by application code.
 
     def CreateThread(self, name: str, body: Optional[ThreadBody] = None) -> ThreadHandle:
         """Create a *dynamic* thread (invisible to EnumProcessThreads)."""
-        return self.call("CreateThread", name, body)
+        return self._iat_call("CreateThread", name, body)
 
     def GetThreadContext(self, handle: ThreadHandle) -> ThreadContext:
         """Capture a thread's register context."""
-        return self.call("GetThreadContext", handle)
+        return self._iat_call("GetThreadContext", handle)
 
     def EnumProcessThreads(self) -> List[ThreadHandle]:
         """Handles of statically created, still-live threads only."""
-        return self.call("EnumProcessThreads")
+        return self._iat_call("EnumProcessThreads")
 
     # -- helper for OFTT: the IAT interception trick -------------------------
 
@@ -138,9 +139,10 @@ class Kernel32:
         thread.context = context.snapshot()
 
     def _enum_process_threads(self) -> List[ThreadHandle]:
+        threads = self.process.threads
         handles = []
         for tid in self.process.static_thread_tids:
-            thread = self.process.threads.get(tid)
+            thread = threads.get(tid)
             if thread is not None and thread.state is not ThreadState.TERMINATED:
                 handles.append(ThreadHandle(thread))
         return handles

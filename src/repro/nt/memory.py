@@ -10,7 +10,7 @@ walks these regions to capture a checkpoint.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import AccessViolation
 
@@ -21,85 +21,141 @@ STACK = "stack"
 
 _KINDS = (GLOBAL, HEAP, STACK)
 
-#: Exact types that are immutable and therefore safe to share between a
-#: region and its snapshot.  ``type()`` identity (not isinstance) keeps
-#: the check cheap and conservative: a subclass falls back to deepcopy.
-_IMMUTABLE_SCALARS = frozenset((str, int, float, bool, bytes, type(None)))
+#: Exact types :func:`estimate_size` prices at a flat 8 bytes, and exact
+#: types it prices by their length.  Both are immutable and therefore
+#: safe to share between a region and its snapshot.  ``type()`` identity
+#: (not isinstance) keeps the check cheap and conservative: a subclass
+#: falls back to deepcopy.
+_FIXED_SIZE = frozenset((int, float, bool, type(None)))
+_STRINGS = frozenset((str, bytes))
 
 _MISSING = object()
 
 
-def copy_value(value: Any, memo: Dict[int, Any]) -> Any:
-    """Return what ``copy.deepcopy(value, memo)`` returns, plain data inline.
+def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
+    """Return ``(copy, size)`` from one walk: what ``copy.deepcopy(value,
+    memo)`` returns and what :func:`estimate_size` returns for *value*.
 
     * An immutable scalar (exact type) is shared.
     * An exact ``list`` or ``dict`` goes into *memo* before its items, as
-      in ``deepcopy``, so aliases and cycles copy the same way; a flat one
-      (immutable scalars only) is copied by a C-level slice or ``dict()``.
+      in ``deepcopy``, so aliases and cycles copy the same way.  One that
+      holds only numbers and None (a dict: keyed by strings) is copied by
+      a C-level slice or ``dict()`` and priced from its length; any other
+      is copied and priced item by item.
     * An exact ``tuple`` is rebuilt (and memoized) only when one of its
       items copied to a new object; otherwise it is shared, as in
       ``deepcopy``.
-    * Any other type goes to ``copy.deepcopy`` with the same *memo*.
+    * Any other type goes to ``copy.deepcopy`` with the same *memo*, and
+      to :func:`estimate_size`.
+
+    A container met again keeps the copy it was given and is priced
+    again, as :func:`estimate_size` prices every path to it, by a walk
+    of its own.  A cycle back into a list or dict still being copied
+    (its copy is shorter than it) has no finite estimate and costs 0.
     """
-    scalars = _IMMUTABLE_SCALARS
+    fixed = _FIXED_SIZE
     kind = type(value)
-    if kind in scalars:
-        return value
+    if kind in fixed:
+        return value, 8
+    if kind is str or kind is bytes:
+        return value, len(value)
     twin = memo.get(id(value), _MISSING)
     if twin is not _MISSING:
-        return twin
+        if (kind is list or kind is dict) and len(twin) != len(value):
+            return twin, 0
+        return twin, copy_value(value, {})[1]
     if kind is list:
-        if scalars.issuperset(map(type, value)):
+        if fixed.issuperset(map(type, value)):
             twin = memo[id(value)] = value[:]
-            return twin
+            return twin, 16 + 8 * len(value)
         twin = memo[id(value)] = []
         append = twin.append
+        total = 16
         for item in value:
-            append(item if type(item) in scalars else copy_value(item, memo))
-        return twin
+            item_kind = type(item)
+            if item_kind in fixed:
+                total += 8
+            elif item_kind is str or item_kind is bytes:
+                total += len(item)
+            else:
+                item, size = copy_value(item, memo)
+                total += size
+            append(item)
+        return twin, total
     if kind is dict:
-        if scalars.issuperset(map(type, value.values())) and scalars.issuperset(map(type, value)):
+        if fixed.issuperset(map(type, value.values())) and _STRINGS.issuperset(map(type, value)):
             twin = memo[id(value)] = dict(value)
-            return twin
+            return twin, 16 + 8 * len(value) + sum(map(len, value))
         twin = memo[id(value)] = {}
+        total = 16
         for key, item in value.items():
             # The item is copied before its key, as in deepcopy.
-            twin[key if type(key) in scalars else copy_value(key, memo)] = (
-                item if type(item) in scalars else copy_value(item, memo)
-            )
-        return twin
+            item_kind = type(item)
+            if item_kind in fixed:
+                total += 8
+            elif item_kind is str or item_kind is bytes:
+                total += len(item)
+            else:
+                item, size = copy_value(item, memo)
+                total += size
+            if type(key) is str:
+                total += len(key)
+            else:
+                key, size = copy_value(key, memo)
+                total += size
+            twin[key] = item
+        return twin, total
     if kind is tuple:
-        items = [item if type(item) in scalars else copy_value(item, memo) for item in value]
+        items = []
+        total = 16
+        for item in value:
+            item, size = copy_value(item, memo)
+            items.append(item)
+            total += size
         # A cycle back through this tuple may have copied it already.
         twin = memo.get(id(value), _MISSING)
         if twin is not _MISSING:
-            return twin
+            return twin, total
         for item, copied in zip(value, items):
             if item is not copied:
                 twin = memo[id(value)] = tuple(items)
-                return twin
-        return value
+                return twin, total
+        return value, total
     # Reviewed-benign HOT004: this *is* the slow path — a subclass or
     # another type has no plain-data copy, and correctness requires the
     # deep copy (with the shared memo, so aliasing is kept).
-    return copy.deepcopy(value, memo)  # oftt-lint: ok[hot-unmemoized-heavy]
+    return copy.deepcopy(value, memo), estimate_size(value)  # oftt-lint: ok[hot-unmemoized-heavy]
 
 
-def copy_variables(data: Dict[str, Any], names: Optional[Iterable[str]] = None) -> Dict[str, Any]:
+def copy_variables(
+    data: Dict[str, Any], names: Optional[Iterable[str]] = None, sizes: Optional[Dict[str, int]] = None
+) -> Dict[str, Any]:
     """Copy a variable dict (or just its *names*), equal to ``deepcopy``.
 
     Each variable is copied by :func:`copy_value`, with one memo for the
     call, so two variables aliasing one container still alias one copy
     and no mutable object is shared between *data* and the result.  With
     *names*, the ones present in *data* are copied in sorted order;
-    without, all of *data* in its own order.
+    without, all of *data* in its own order.  With *sizes*, each copied
+    variable's :func:`estimate_size` of name plus value is stored there
+    under its name, so ``16 + sum(sizes.values())`` is the estimate of
+    the copy.
     """
-    scalars = _IMMUTABLE_SCALARS
+    fixed = _FIXED_SIZE
     memo: Dict[int, Any] = {}
     copied: Dict[str, Any] = {}
     for name in data if names is None else sorted(name for name in names if name in data):
         value = data[name]
-        copied[name] = value if type(value) in scalars else copy_value(value, memo)
+        kind = type(value)
+        if kind in fixed:
+            size = 8
+        elif kind is str or kind is bytes:
+            size = len(value)
+        else:
+            value, size = copy_value(value, memo)
+        copied[name] = value
+        if sizes is not None:
+            sizes[name] = size + (len(name) if type(name) is str else estimate_size(name))
     return copied
 
 
@@ -127,9 +183,11 @@ class MemoryRegion:
 
     def read(self, var: str) -> Any:
         """Read *var*; missing names are an access violation."""
-        if var not in self._data:
-            raise AccessViolation(f"read of unmapped {self.name}:{var}")
-        return self._data[var]
+        try:
+            return self._data[var]
+        except KeyError:
+            pass
+        raise AccessViolation(f"read of unmapped {self.name}:{var}")
 
     def delete(self, var: str) -> None:
         """Remove *var* from the region."""
@@ -141,18 +199,17 @@ class MemoryRegion:
         """Names stored in this region, sorted for determinism."""
         return sorted(self._data)
 
-    def snapshot(self, names: Optional[Iterable[str]] = None) -> Dict[str, Any]:
+    def snapshot(
+        self, names: Optional[Iterable[str]] = None, sizes: Optional[Dict[str, int]] = None
+    ) -> Dict[str, Any]:
         """Copy of the region's contents, or of just the *names* it holds
-        (sorted); see :func:`copy_variables`."""
-        return copy_variables(self._data, names)
+        (sorted), pricing each variable into *sizes* if given; see
+        :func:`copy_variables`."""
+        return copy_variables(self._data, names, sizes)
 
     def restore(self, data: Dict[str, Any]) -> None:
         """Replace the region's contents with a copy of *data*."""
         self._data = copy_variables(data)
-
-    def size_bytes(self) -> int:
-        """Rough size estimate used for checkpoint cost modelling."""
-        return _sum_sizes(self._data.values()) + 16 * len(self._data)
 
     def __contains__(self, var: str) -> bool:
         return var in self._data
@@ -214,28 +271,44 @@ class AddressSpace:
 
     def write(self, var: str, value: Any, region: str = "globals") -> None:
         """Write a variable into *region* (default globals)."""
-        self.region(region).write(var, value)
+        target = self._regions.get(region)
+        if target is None or target.protected:
+            # Unmapped or protected: the checked path raises the AccessViolation.
+            self.region(region).write(var, value)
+        else:
+            target._data[var] = value
 
     def read(self, var: str, region: str = "globals") -> Any:
         """Read a variable from *region* (default globals)."""
+        try:
+            return self._regions[region]._data[var]
+        except KeyError:
+            pass
+        # Unmapped region or variable: the checked path raises the AccessViolation.
         return self.region(region).read(var)
 
     # -- walkthrough ----------------------------------------------------------
 
-    def walkthrough(self, kinds: Optional[List[str]] = None) -> Dict[str, Dict[str, Any]]:
+    def walkthrough(
+        self, kinds: Optional[List[str]] = None, sizes: Optional[Dict[str, Dict[str, int]]] = None
+    ) -> Dict[str, Dict[str, Any]]:
         """The checkpoint "memory walkthrough": snapshot region contents.
 
         Parameters
         ----------
         kinds:
             Region kinds to include; defaults to all kinds.
+        sizes:
+            If given, each included region's per-variable sizes (see
+            :func:`copy_variables`) are stored there under its name.
         """
         wanted = set(kinds) if kinds is not None else set(_KINDS)
-        return {
-            region.name: region.snapshot()
-            for region in self.regions()
-            if region.kind in wanted
-        }
+        image: Dict[str, Dict[str, Any]] = {}
+        for region in self.regions():
+            if region.kind in wanted:
+                region_sizes = None if sizes is None else sizes.setdefault(region.name, {})
+                image[region.name] = region.snapshot(sizes=region_sizes)
+        return image
 
     def restore_walkthrough(self, image: Dict[str, Dict[str, Any]]) -> None:
         """Load a walkthrough image, creating missing regions as heap."""
@@ -244,16 +317,8 @@ class AddressSpace:
                 self.map_region(region_name, HEAP)
             self.region(region_name).restore(data)
 
-    def size_bytes(self) -> int:
-        """Estimated total footprint, for checkpoint cost modelling."""
-        return sum(region.size_bytes() for region in self.regions())
-
     def __repr__(self) -> str:
         return f"AddressSpace({self.owner_name}, regions={sorted(self._regions)})"
-
-
-#: Exact types :func:`estimate_size` prices at a flat 8 bytes.
-_FIXED_SIZE = frozenset((int, float, bool, type(None)))
 
 
 def estimate_size(value: Any) -> int:

@@ -31,7 +31,7 @@ class ThreadState(enum.Enum):
     TERMINATED = "terminated"
 
 
-@dataclass
+@dataclass(slots=True)
 class ThreadContext:
     """A register snapshot, as returned by ``GetThreadContext``."""
 
@@ -44,7 +44,7 @@ class ThreadContext:
         return ThreadContext(
             program_counter=self.program_counter,
             stack_pointer=self.stack_pointer,
-            registers=copy_value(self.registers, {}),
+            registers=copy_value(self.registers, {})[0],
         )
 
     def as_dict(self) -> Dict[str, Any]:

@@ -1,13 +1,16 @@
 """Unit tests for checkpoint capture, serialization, and the store."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
+import repro.core.checkpoint as checkpoint_module
+import repro.nt.memory as memory_module
 from repro.apps.synthetic import SyntheticStateApp
 from repro.core.checkpoint import Checkpoint, CheckpointStore, canonical_image_bytes
 from repro.errors import CheckpointError
-from repro.harness.scenario import build_demo, build_pair_env, build_remote_monitoring
+from repro.harness.scenario import ChaosScenario, build_demo, build_pair_env, build_remote_monitoring
 
 from tests.nt.test_memory import random_variables, reference_estimate_size
 
@@ -125,6 +128,12 @@ def test_size_bytes_matches_isinstance_estimate(seed):
     assert checkpoint(1, image=image).size_bytes() == expected
 
 
+def walked_size(checkpoint):
+    """*checkpoint*'s size priced by walking its image, as a checkpoint
+    built outside a capture is."""
+    return dataclasses.replace(checkpoint, image_bytes=None).size_bytes()
+
+
 #: Warm captures of the paper's applications: sha256 and length of their
 #: canonical image bytes, and their estimated size.  Pinned from captures
 #: taken before the per-variable copy path, so a capture that reorders,
@@ -156,3 +165,52 @@ def test_capture_bytes_match_golden(subject):
     captured = scenario.primary_app().api.ftim.capture()
     raw = canonical_image_bytes(captured.image)
     assert (hashlib.sha256(raw).hexdigest(), len(raw), captured.size_bytes()) == GOLDEN_CAPTURES[subject]
+    assert captured.image_bytes is not None and captured.size_bytes() == walked_size(captured)
+
+
+# -- a capture is priced by the copy that takes it ------------------------------------
+
+
+def test_checkpoint_built_outside_a_capture_is_priced_on_demand():
+    image = {"globals": random_variables(3)}
+    built = checkpoint(1, image=image)
+    assert built.image_bytes is None
+    rebuilt = Checkpoint.from_wire(built.as_wire())
+    assert rebuilt.image_bytes is None and rebuilt.size_bytes() == built.size_bytes()
+    priced = dataclasses.replace(built, image_bytes=5)
+    assert priced == built and priced.size_bytes() == 64 + 5 + 32
+
+
+def test_leader_follower_deltas_are_priced_as_the_walk_of_their_image():
+    scenario = ChaosScenario(
+        seed=0, strategy="leader-follower", workload_period=100.0, checkpoint_period=2_000.0, message_driven=True
+    )
+    submitted = []
+    for engine in scenario.pair.engines.values():
+        engine.on_checkpoint_submit.append(lambda _engine, captured: submitted.append(captured))
+    scenario.start()
+    scenario.run(until=5_000.0)
+    deltas = [captured for captured in submitted if captured.incremental]
+    assert len(deltas) > 20 and len(deltas) < len(submitted)
+    for captured in submitted:
+        assert captured.image_bytes is not None
+        assert captured.size_bytes() == walked_size(captured)
+
+
+def test_submit_checkpoint_records_the_capture_size_without_a_walk(monkeypatch):
+    scenario = build_demo(seed=2)
+    scenario.start()
+    scenario.run_for(5_000.0)
+    app = scenario.primary_app()
+    engine = scenario.pair.engines[scenario.pair.primary_node()]
+
+    def no_walk(_value):
+        raise AssertionError("estimate_size walked a captured image")
+
+    monkeypatch.setattr(checkpoint_module, "estimate_size", no_walk)
+    monkeypatch.setattr(memory_module, "estimate_size", no_walk)
+    sequence = app.api.ftim.TakeCheckpoint()
+    monkeypatch.undo()
+    latest = engine.local_store.latest(app.name)
+    assert latest.sequence == sequence
+    assert engine.checkpoint_sizes[-1] == walked_size(latest)

@@ -37,6 +37,27 @@ def test_read_unmapped_variable_faults():
         space.read("missing")
 
 
+def _violation(call):
+    with pytest.raises(AccessViolation) as caught:
+        call()
+    return str(caught.value), caught.value.__cause__, caught.value.__context__
+
+
+def test_address_space_access_violations_are_those_of_the_checked_path():
+    space = AddressSpace("app")
+    space.map_region("locked", HEAP).write("v", 1)
+    space.region("locked").protected = True
+    assert _violation(lambda: space.read("v", region="ghost")) == ("no region ghost in app", None, None)
+    assert _violation(lambda: space.write("v", 2, region="ghost")) == ("no region ghost in app", None, None)
+    assert _violation(lambda: space.read("missing")) == ("read of unmapped globals:missing", None, None)
+    assert _violation(lambda: space.write("v", 2, region="locked")) == (
+        "write to protected region locked",
+        None,
+        None,
+    )
+    assert space.read("v", region="locked") == 1
+
+
 def test_region_management():
     space = AddressSpace("app")
     space.map_region("heap1", HEAP)
@@ -121,13 +142,6 @@ def test_walkthrough_restore_roundtrip():
     target = AddressSpace("dst")
     target.restore_walkthrough(image)
     assert target.walkthrough() == image
-
-
-def test_size_estimate_grows_with_content():
-    space = AddressSpace("app")
-    empty = space.size_bytes()
-    space.write("blob", "x" * 10_000)
-    assert space.size_bytes() > empty + 9_000
 
 
 def test_region_variables_sorted():
@@ -301,10 +315,14 @@ def test_copy_value_of_self_referencing_list_matches_deepcopy():
     loop.append(loop)
     data = {"loop": loop, "holder": {"again": loop}}
     oracle = copy.deepcopy(data)
-    copied = copy_value(data, {})
+    copied, size = copy_value(data, {})
     assert_copy_matches_deepcopy(data, copied, oracle)
     assert copied["loop"][2] is copied["loop"] is copied["holder"]["again"]
     assert copied["loop"] is not loop
+    # A cycle has no estimate_size total: the back-reference costs 0,
+    # and the second path to the loop costs the loop's size again.
+    loop_size = 16 + 8 + 1 + 0
+    assert size == 16 + len("loop") + loop_size + len("holder") + 16 + len("again") + loop_size
 
 
 def test_snapshot_of_names_copies_only_present_names_sorted():
@@ -367,16 +385,67 @@ def test_estimate_size_matches_isinstance_chain(seed):
         object(),
         {("t", 1): {"x": [SubStr("q")]}},
         (1, [2, {"k": Level.LOW}]),
+        (1, "x", (2.5, None)),
+        {"flat": {"k": 1, "s": "str"}, 7: [1.5, "y", b"z"]},
     ],
-    ids=["intenum", "str-sub", "dict-sub", "list-sub", "set", "frozenset", "object", "tuple-key", "tuple"],
+    ids=[
+        "intenum", "str-sub", "dict-sub", "list-sub", "set", "frozenset", "object", "tuple-key", "tuple",
+        "shared-tuple", "mixed",
+    ],
 )
 def test_estimate_size_prices_subclasses_and_other_types_unchanged(value):
     assert estimate_size(value) == reference_estimate_size(value)
+    # The sized copy prices them the same and copies them as deepcopy does.
+    copied, size = copy_value(value, {})
+    assert size == reference_estimate_size(value)
+    if type(value) is not object:  # a copied object() reprs differently
+        assert typed(copied) == typed(copy.deepcopy(value))
 
 
-def test_region_size_is_the_sum_of_estimates():
-    region = MemoryRegion("r")
-    data = random_variables(7)
-    region.restore(data)
-    expected = sum(reference_estimate_size(value) for value in data.values()) + 16 * len(data)
-    assert region.size_bytes() == expected
+# -- the sized copy: one walk gives deepcopy's copy and estimate_size's total ---------
+
+
+_SHAPES = pytest.mark.parametrize("shape", [random_variables, nested_variables], ids=["random", "nested"])
+
+
+@pytest.mark.parametrize("seed", range(20))
+@_SHAPES
+def test_sized_copy_matches_deepcopy_and_estimate(shape, seed):
+    data = shape(seed)
+    copied, size = copy_value(data, {})
+    assert_copy_matches_deepcopy(data, copied, copy.deepcopy(data))
+    assert size == reference_estimate_size(data)
+    for value in data.values():
+        assert copy_value(value, {})[1] == reference_estimate_size(value)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@_SHAPES
+def test_copy_variables_prices_each_variable(shape, seed):
+    data = shape(seed)
+    sizes = {}
+    copied = copy_variables(data, sizes=sizes)
+    assert list(sizes) == list(copied)
+    for name, value in data.items():
+        assert sizes[name] == reference_estimate_size(name) + reference_estimate_size(value)
+    assert 16 + sum(sizes.values()) == reference_estimate_size(copied) == reference_estimate_size(data)
+    names = sorted(data)[::2] + ["missing"]
+    subset_sizes = {}
+    subset = copy_variables(data, names, subset_sizes)
+    assert list(subset_sizes) == list(subset) == sorted(set(names) & set(data))
+    assert 16 + sum(subset_sizes.values()) == reference_estimate_size(subset)
+
+
+def test_aliased_container_is_copied_once_and_priced_twice():
+    shared = [1, "x", [2.5, None]]
+    # deepcopy copies it first (inside the subclass), then the walk meets it.
+    data = {"sub": SubList([shared]), "a": shared, "b": shared, "c": shared}
+    copied, size = copy_value(data, {})
+    assert copied["a"] is copied["b"] is copied["c"] is copied["sub"][0]
+    assert copied["a"] is not shared
+    assert size == reference_estimate_size(data)
+    shared_size = reference_estimate_size(shared)
+    assert size == 16 + 4 * shared_size + 16 + len("a") + len("b") + len("sub") + len("c")
+    sizes = {}
+    copy_variables(data, sizes=sizes)
+    assert sizes["a"] == sizes["b"] == sizes["c"] == 1 + shared_size
