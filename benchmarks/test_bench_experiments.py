@@ -161,6 +161,54 @@ def check_scada_blackout(result):
     assert result["blackout_ms"] > result["median_progress_gap_ms"]
 
 
+def check_detector_sweep(rows):
+    """S1 (§2.2.1): detection latency grows with the heartbeat timeout and
+    with the miss threshold, every heartbeat-only fault is either
+    detected or missed, and no detector setting costs an invariant."""
+    latency = {(row["miss_threshold"], row["timeout_ms"]): row["mean_latency_ms"] for row in rows}
+    thresholds = sorted({threshold for threshold, _ in latency})
+    timeouts = sorted({timeout for _, timeout in latency})
+    for threshold in thresholds:
+        series = [latency[(threshold, timeout)] for timeout in timeouts]
+        assert series == sorted(series)  # monotone in the timeout
+    for timeout in timeouts:
+        series = [latency[(threshold, timeout)] for threshold in thresholds]
+        assert series == sorted(series)  # monotone in the threshold
+    for row in rows:
+        assert row["detected"] + row["missed"] == row["faults"]
+        assert row["violations"] == 0
+
+
+def check_strategy_comparison(rows):
+    """S2 (DESIGN.md §3b): only the log-replay DR site recovers a total
+    pair loss, and it loses nothing; leader-follower's update stream
+    loses less than cold-passive's checkpoint gap on a primary crash."""
+    by_key = {(row["strategy"], row["scenario"]): row for row in rows}
+    survivors = [
+        row["strategy"] for row in rows if row["scenario"] == "total-pair-loss" and row["recovered_by"] != "none"
+    ]
+    assert survivors == ["log-replay-dr"]
+    assert by_key[("log-replay-dr", "total-pair-loss")]["lost"] == 0
+    assert by_key[("leader-follower", "primary-crash")]["lost"] < by_key[("cold-passive", "primary-crash")]["lost"]
+
+
+def check_policy_comparison(rows):
+    """S3 (DESIGN.md §3c): on the ``mixed`` drifting fault mix the adaptive
+    policy's mean recovery is below every static policy's, at no more
+    spurious failovers."""
+    mixed = {row["policy"]: row for row in rows if row["profile"] == "mixed"}
+    adaptive = mixed.pop("adaptive", None)
+    assert adaptive is not None, "no adaptive row for profile 'mixed'"
+    for name, row in sorted(mixed.items()):
+        assert adaptive["mean_recovery_ms"] < row["mean_recovery_ms"], (
+            f"adaptive mean {adaptive['mean_recovery_ms']}ms is not below {name} ({row['mean_recovery_ms']}ms)"
+        )
+        assert adaptive["spurious_failovers"] <= row["spurious_failovers"], (
+            f"adaptive spurious failovers {adaptive['spurious_failovers']} exceed {name} "
+            f"({row['spurious_failovers']})"
+        )
+
+
 CHECKS = {
     "F1": check_reference_configs,
     "F2": check_architecture,
@@ -177,6 +225,9 @@ CHECKS = {
     "A2": check_ablation_heartbeat_loss,
     "A3": check_ablation_checkpoint_period,
     "BL": check_scada_blackout,
+    "S1": check_detector_sweep,
+    "S2": check_strategy_comparison,
+    "S3": check_policy_comparison,
 }
 
 

@@ -92,8 +92,6 @@ class OfttConfig:
 
     # Checkpointing (§2.2.2).
     checkpoint_period: float = 1_000.0
-    #: Network timeout waiting for the peer's checkpoint acknowledgement.
-    checkpoint_ack_timeout: float = 1_000.0
     #: Checkpoints kept in each store (latest is what recovery uses).
     checkpoint_history: int = 8
 
@@ -105,9 +103,6 @@ class OfttConfig:
     # Peer monitoring.
     peer_heartbeat_period: float = 100.0
     peer_heartbeat_timeout: float = 500.0
-
-    # Status reporting (§2.2.1 / §2.2.4).
-    status_report_period: float = 1_000.0
 
     # MSMQ store-and-forward retry (§2.2.3 diverter redelivery).  The
     # retry interval after attempt *n* is
@@ -123,14 +118,9 @@ class OfttConfig:
     # Replication strategy (see repro.core.strategy).  "cold-passive" is
     # the paper's primary/backup behaviour and the default.
     replication_strategy: str = "cold-passive"
-    #: Leader-follower: period of the incremental state-update stream
-    #: (overrides every FTIM's checkpoint period under that strategy).
-    lf_update_period: float = 100.0
     #: Log-replay DR: node name of the disaster-recovery site ("" = no
     #: site wired; the strategy then degenerates to cold-passive).
     dr_node: str = ""
-    #: Log-replay DR: pair silence before the remote site activates.
-    dr_activation_timeout: float = 5_000.0
 
     # Recovery rules by component name; ``default_rule`` covers the rest.
     recovery_rules: Dict[str, RecoveryRule] = field(default_factory=dict)
@@ -147,46 +137,18 @@ class OfttConfig:
     # every trace/wire byte is identical to the pre-policy engine (the
     # replay gate pins this).
     adaptive_policy: bool = False
-    #: Restart-governance: exponential backoff factor applied to the
-    #: rule's ``restart_delay`` per consecutive local restart (attempt n
-    #: waits ``restart_delay * backoff**n``, capped below).
-    policy_cooldown_backoff: float = 2.0
-    #: Cap on the backed-off restart delay.
+    #: Restart governance: cap on the backed-off restart delay (the
+    #: back-off factor is ``repro.core.policy.POLICY_COOLDOWN_BACKOFF``).
     policy_cooldown_max: float = 5_000.0
     #: Thrash detector: this many failures of one component inside
-    #: ``policy_thrash_window`` is a crash-loop — stop burning local
-    #: restarts and escalate immediately.
+    #: ``repro.core.policy.POLICY_THRASH_WINDOW`` is a crash-loop — stop
+    #: burning local restarts and escalate immediately.
     policy_thrash_threshold: int = 2
-    policy_thrash_window: float = 1_500.0
     #: A component stable this long has its failure history, backoff and
     #: escalation-ladder position cleared.
     policy_stability_window: float = 2_500.0
     #: Classifier: evidence window for failure/anomaly event counting.
     policy_anomaly_window: float = 3_000.0
-    #: Classifier: component failures inside the anomaly window that mark
-    #: the regime transient-crashy.
-    policy_crashy_threshold: int = 2
-    #: Classifier: a peer-heartbeat inter-arrival gap above this multiple
-    #: of ``peer_heartbeat_period`` is a latency-skew anomaly (gray
-    #: evidence).
-    policy_gray_gap_factor: float = 3.0
-    #: Detector tuning applied while gray evidence is live: the peer
-    #: watch tolerates this many consecutive missed sweeps (instead of
-    #: ``heartbeat_miss_threshold``) before declaring peer loss.
-    policy_gray_miss_tolerance: int = 4
-    #: Detector tuning applied while crashy evidence is live: component
-    #: watch timeouts are scaled by this factor (<1 tightens detection of
-    #: hangs; component heartbeats are same-node calls, so tightening
-    #: carries no network false-positive risk).
-    policy_tighten_scale: float = 0.5
-    #: Escalation gating: a failover is deferred to a local restart when
-    #: the peer has been silent longer than this multiple of
-    #: ``peer_heartbeat_period`` (handing off toward a possibly
-    #: unreachable peer risks a demote-into-partition outage).
-    policy_peer_stale_factor: float = 2.0
-    #: Pillar 2: allow the backup to advise the primary to switch over
-    #: when the classifier labels the primary's traffic gray.
-    policy_proactive_failover: bool = True
     #: Pillar 3: allow runtime replication-strategy switching.
     policy_switch_strategies: bool = True
     #: Minimum time between strategy switches on one engine (anti-flap
@@ -232,34 +194,16 @@ class OfttConfig:
                 f"unknown replication_strategy {self.replication_strategy!r}; "
                 f"valid: {', '.join(REPLICATION_STRATEGIES)}"
             )
-        if self.lf_update_period <= 0:
-            raise ValueError("lf_update_period must be positive")
-        if self.dr_activation_timeout <= 0:
-            raise ValueError("dr_activation_timeout must be positive")
         if self.decision_log_limit < 1:
             raise ValueError("decision_log_limit must be at least 1")
-        if self.policy_cooldown_backoff < 1.0:
-            raise ValueError("policy_cooldown_backoff must be at least 1.0")
         if self.policy_cooldown_max <= 0:
             raise ValueError("policy_cooldown_max must be positive")
         if self.policy_thrash_threshold < 2:
             raise ValueError("policy_thrash_threshold must be at least 2")
-        if self.policy_thrash_window <= 0:
-            raise ValueError("policy_thrash_window must be positive")
         if self.policy_stability_window <= 0:
             raise ValueError("policy_stability_window must be positive")
         if self.policy_anomaly_window <= 0:
             raise ValueError("policy_anomaly_window must be positive")
-        if self.policy_crashy_threshold < 1:
-            raise ValueError("policy_crashy_threshold must be at least 1")
-        if self.policy_gray_gap_factor <= 1.0:
-            raise ValueError("policy_gray_gap_factor must exceed 1.0")
-        if self.policy_gray_miss_tolerance < 1:
-            raise ValueError("policy_gray_miss_tolerance must be at least 1")
-        if not 0.0 < self.policy_tighten_scale <= 1.0:
-            raise ValueError("policy_tighten_scale must be in (0, 1]")
-        if self.policy_peer_stale_factor <= 0:
-            raise ValueError("policy_peer_stale_factor must be positive")
         if self.policy_switch_dwell <= 0:
             raise ValueError("policy_switch_dwell must be positive")
 

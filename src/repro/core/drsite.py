@@ -13,7 +13,7 @@ MSMQ queue (``oftt.dr.journal``) and watches the pair's liveness:
   ``DiverterClient`` ``mirror`` option), so the log survives the pair
   (the pair-side inbox journal dies with its node).
 
-When *both* pair engines go silent for ``config.dr_activation_timeout``
+When *both* pair engines go silent for ``DR_ACTIVATION_TIMEOUT``
 (no DR heartbeats on ``oftt.dr``, no checkpoint arrivals), the site
 activates: it reconstructs the application state as
 ``last checkpoint image + replay of logged messages the image does not
@@ -44,6 +44,8 @@ from repro.simnet.trace import TraceLog
 DR_QUEUE = "oftt.dr.journal"
 #: Port the pair engines heartbeat the DR site on.
 DR_PORT = "oftt.dr"
+#: Pair silence (ms) before the site activates.
+DR_ACTIVATION_TIMEOUT = 5_000.0
 
 
 class DRSite:
@@ -61,7 +63,6 @@ class DRSite:
     ) -> None:
         self.kernel = kernel
         self.system = system
-        self.config = config
         self.trace = trace
         self.node_name = system.node.name
         self.app_name = app_name
@@ -86,7 +87,7 @@ class DRSite:
         system.node.bind(DR_PORT, self._on_pair_heartbeat)
         # Poll well inside the activation timeout so activation latency
         # is dominated by the timeout itself, not the poll grid.
-        self._watch_period = max(config.dr_activation_timeout / 4.0, 250.0)
+        self._watch_period = max(DR_ACTIVATION_TIMEOUT / 4.0, 250.0)
         self._watch_timer: Optional[int] = self.kernel.schedule(self._watch_period, self._watch)
 
     def stop(self) -> None:
@@ -138,7 +139,7 @@ class DRSite:
         if (
             not self.active
             and self.last_pair_signal is not None
-            and now - self.last_pair_signal > self.config.dr_activation_timeout
+            and now - self.last_pair_signal > DR_ACTIVATION_TIMEOUT
         ):
             self._activate(now - self.last_pair_signal)
         self._watch_timer = self.kernel.schedule(self._watch_period, self._watch)

@@ -38,6 +38,13 @@ ENGINE_PORT = "oftt.engine"
 STATUS_PORT = "oftt.status"
 DIVERTER_PORT = "oftt.diverter"
 
+#: How long :meth:`OfttEngine.ack_event_for` waits for the peer's
+#: checkpoint acknowledgement by default (ms).
+CHECKPOINT_ACK_TIMEOUT = 1_000.0
+#: Period of the status reports to the System Monitor, and of the
+#: primary's role re-broadcast to diverter clients (ms, §2.2.1/§2.2.4).
+STATUS_REPORT_PERIOD = 1_000.0
+
 IENGINE = declare_interface(
     "IOFTTEngine",
     ("GetRole", "GetStatusTable", "RequestSwitchover", "GetCheckpointInfo"),
@@ -677,8 +684,8 @@ class OfttEngine(ComObject):
     def ack_event_for(self, sequence: int, timeout: Optional[float] = None):
         """A waitable that fires True once the peer acks *sequence*.
 
-        Fires False after *timeout* (default: the configured checkpoint
-        ack timeout) — e.g. when no backup is present.  Used by the
+        Fires False after *timeout* (default: ``CHECKPOINT_ACK_TIMEOUT``)
+        — e.g. when no backup is present.  Used by the
         durable-save API so applications can make state changes
         *provably* replicated before proceeding.
         """
@@ -689,7 +696,7 @@ class OfttEngine(ComObject):
             event.succeed(True)
             return event
         self._ack_waiters.append((sequence, event))
-        deadline = timeout if timeout is not None else self.config.checkpoint_ack_timeout
+        deadline = timeout if timeout is not None else CHECKPOINT_ACK_TIMEOUT
 
         def give_up() -> None:
             if not event.fired:
@@ -716,7 +723,7 @@ class OfttEngine(ComObject):
         if self.role is Role.PRIMARY:
             self._broadcast_role_change()
         self._report_timer = self.kernel.schedule(
-            self.scaled(self.config.status_report_period), self._status_report_loop
+            self.scaled(STATUS_REPORT_PERIOD), self._status_report_loop
         )
 
     def status_reports(self) -> List[StatusReport]:

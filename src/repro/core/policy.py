@@ -54,6 +54,36 @@ from repro.nt.perfmon import PerfMon
 if TYPE_CHECKING:
     from repro.core.engine import OfttEngine
 
+#: Restart governance: exponential back-off factor applied to the
+#: rule's ``restart_delay`` per consecutive local restart (attempt n
+#: waits ``restart_delay * backoff**(n-1)``, capped at
+#: ``OfttConfig.policy_cooldown_max``).
+POLICY_COOLDOWN_BACKOFF = 2.0
+#: Thrash detector window (ms): ``OfttConfig.policy_thrash_threshold``
+#: failures of one component inside it is a crash loop — stop burning
+#: local restarts and escalate immediately.
+POLICY_THRASH_WINDOW = 1_500.0
+#: Classifier: component failures inside the anomaly window that mark
+#: the regime transient-crashy.
+POLICY_CRASHY_THRESHOLD = 2
+#: Classifier: a peer-heartbeat inter-arrival gap above this multiple of
+#: ``peer_heartbeat_period`` is a latency-skew anomaly (gray evidence).
+POLICY_GRAY_GAP_FACTOR = 3.0
+#: Detector tuning while gray evidence is live: the peer watch tolerates
+#: this many consecutive missed sweeps (instead of
+#: ``heartbeat_miss_threshold``) before declaring peer loss.
+POLICY_GRAY_MISS_TOLERANCE = 4
+#: Detector tuning while crashy or gray evidence is live: component
+#: watch timeouts are scaled by this factor (<1 tightens hang detection;
+#: component heartbeats are same-node calls, so tightening carries no
+#: network false-positive risk).
+POLICY_TIGHTEN_SCALE = 0.5
+#: Escalation gating: a failover is deferred to a local restart when the
+#: peer has been silent longer than this multiple of
+#: ``peer_heartbeat_period`` (handing off toward a possibly unreachable
+#: peer risks a demote-into-partition outage).
+POLICY_PEER_STALE_FACTOR = 2.0
+
 
 class FaultRegime(Enum):
     """Classifier verdict about the deployment's current fault shape."""
@@ -114,7 +144,7 @@ class FaultClassifier:
         # channel.  A gap well past the send period with beats still
         # arriving is the gray-node signature — delay, not death.
         gap = self.engine.monitor.largest_gap(PEER)
-        if gap is not None and gap > self.config.policy_gray_gap_factor * self.config.peer_heartbeat_period:
+        if gap is not None and gap > POLICY_GRAY_GAP_FACTOR * self.config.peer_heartbeat_period:
             self._gray_evidence_at = now
         if self.perfmon_missing():
             self._perfmon_anomaly_at = now
@@ -139,7 +169,7 @@ class FaultClassifier:
         window = self.config.policy_anomaly_window
         fresh = lambda at: at is not None and now - at <= window  # noqa: E731
         crashes = len(self._crash_events)
-        crashy = crashes >= self.config.policy_crashy_threshold or (
+        crashy = crashes >= POLICY_CRASHY_THRESHOLD or (
             crashes >= 1 and fresh(self._perfmon_anomaly_at)
         )
         if not self.engine.peer_present:
@@ -196,7 +226,7 @@ class AdaptivePolicy:
         decision = base
         if self.governor_enabled:
             recent = self._recent.setdefault(component, [])
-            recent[:] = [t for t in recent if t >= now - cfg.policy_thrash_window]
+            recent[:] = [t for t in recent if t >= now - POLICY_THRASH_WINDOW]
             recent.append(now)
             thrashing = len(recent) >= cfg.policy_thrash_threshold
             if base.action is RecoveryAction.LOCAL_RESTART:
@@ -205,12 +235,12 @@ class AdaptivePolicy:
                     decision = self._escalate(
                         base,
                         f"{reason} (thrash: {len(recent)} failures in "
-                        f"{cfg.policy_thrash_window:.0f}ms)",
+                        f"{POLICY_THRASH_WINDOW:.0f}ms)",
                     )
                 else:
                     # Exponential back-off between local attempts.
                     delay = min(
-                        base.delay * cfg.policy_cooldown_backoff ** (base.restart_number - 1),
+                        base.delay * POLICY_COOLDOWN_BACKOFF ** (base.restart_number - 1),
                         cfg.policy_cooldown_max,
                     )
                     decision = replace(base, delay=delay)
@@ -255,7 +285,7 @@ class AdaptivePolicy:
         silence = self.engine.monitor.silence(PEER)
         return (
             silence is not None
-            and silence > self.config.policy_peer_stale_factor * self.config.peer_heartbeat_period
+            and silence > POLICY_PEER_STALE_FACTOR * self.config.peer_heartbeat_period
         )
 
     # -- periodic regime loop -----------------------------------------------------
@@ -285,8 +315,7 @@ class AdaptivePolicy:
         self.classifier.sample()
         regime = self.classifier.classify()
         self._apply_regime(regime)
-        if self.config.policy_proactive_failover:
-            self._proactive_check()
+        self._proactive_check()
         if self.config.policy_switch_strategies:
             self._maybe_switch_strategy(regime)
         self._stability_sweep()
@@ -298,7 +327,6 @@ class AdaptivePolicy:
         if regime is self._tuned_regime:
             return
         monitor = self.engine.monitor
-        cfg = self.config
         # Component watches are same-node direct calls — no network
         # between the FTIM and the engine — so tightening them converts
         # hang-detection latency into almost no false-positive risk.
@@ -306,9 +334,9 @@ class AdaptivePolicy:
         # under gray evidence it must tolerate more consecutive misses.
         tighten = regime in (FaultRegime.CRASHY, FaultRegime.GRAY)
         for name in sorted(self.engine.components):
-            monitor.tune(name, timeout_scale=cfg.policy_tighten_scale if tighten else None)
+            monitor.tune(name, timeout_scale=POLICY_TIGHTEN_SCALE if tighten else None)
         if regime is FaultRegime.GRAY:
-            monitor.tune(PEER, miss_tolerance=cfg.policy_gray_miss_tolerance)
+            monitor.tune(PEER, miss_tolerance=POLICY_GRAY_MISS_TOLERANCE)
         else:
             monitor.tune(PEER)
         self._tuned_regime = regime

@@ -12,7 +12,7 @@ diverter can run alternative modes.  Three built-ins:
   pre-strategy engine on every scenario; the replay gate proves it.
 * :class:`LeaderFollowerStrategy` — LLFT-style (arxiv 1004.1864):
   instead of full checkpoints every ``checkpoint_period``, the leader
-  streams *incremental state updates* every ``lf_update_period`` (one
+  streams *incremental state updates* every ``LF_UPDATE_PERIOD`` (one
   delta per workload message at matching rates).  The follower's
   mirrored store merges each delta onto its latest image, so a failover
   promotes from a near-fresh image with no checkpoint gap to replay.
@@ -49,6 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: (not in engine.py) so strategies can reference it without an import
 #: cycle; the engine module re-exports it for existing importers.
 PEER = "peer-engine"
+
+#: Leader-follower: period of the incremental state-update stream (ms);
+#: it overrides every FTIM's checkpoint period under that strategy.
+LF_UPDATE_PERIOD = 100.0
 
 
 class ReplicationStrategy:
@@ -188,7 +192,7 @@ class LeaderFollowerStrategy(ColdPassiveStrategy):
 
     Role lifecycle and takeover are inherited from cold-passive; what
     changes is the replication stream.  The checkpoint policy forces
-    every FTIM onto ``config.lf_update_period`` with *incremental*
+    every FTIM onto ``LF_UPDATE_PERIOD`` with *incremental*
     capture, so the leader ships one small state delta per update period
     (per workload message, at matching rates) instead of a full image
     every ``checkpoint_period``.  The follower's store merges each delta
@@ -206,7 +210,7 @@ class LeaderFollowerStrategy(ColdPassiveStrategy):
         self.updates_applied = 0
 
     def checkpoint_policy(self, app_name: str, requested: Optional[float]) -> Tuple[float, bool]:
-        return self.engine.config.lf_update_period, True
+        return LF_UPDATE_PERIOD, True
 
     def replicate(self, checkpoint: Checkpoint) -> None:
         self.updates_replicated += 1
@@ -220,7 +224,7 @@ class LeaderFollowerStrategy(ColdPassiveStrategy):
     def describe(self) -> Dict[str, Any]:
         return {
             "strategy": self.name,
-            "update_period": self.engine.config.lf_update_period if self.engine else None,
+            "update_period": LF_UPDATE_PERIOD,
             "updates_replicated": self.updates_replicated,
             "updates_applied": self.updates_applied,
         }
@@ -236,7 +240,7 @@ class LogReplayDRStrategy(ColdPassiveStrategy):
     site so it can tell "pair alive" from "total pair loss".  The
     receiving :class:`~repro.core.drsite.DRSite` journals checkpoint and
     message records and reconstructs last-checkpoint + log-replay state
-    when the pair goes silent past ``config.dr_activation_timeout``.
+    when the pair goes silent past ``DR_ACTIVATION_TIMEOUT``.
     """
 
     name = "log-replay-dr"

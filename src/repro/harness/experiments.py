@@ -18,22 +18,42 @@ X4        diverter vs naive sender: message loss on switchover
 X5        recovery rules: local restart vs failover
 X6        DCOM RPC failure behaviour vs OFTT detection
 X7        API transparency levels: overhead vs staleness
+S1        detector sensitivity: miss threshold x timeout
+S2        replication strategies under primary and pair loss
+S3        adaptive recovery policy vs static rules
 ========  ====================================================
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.synthetic import SyntheticStateApp
-from repro.core.config import GiveUpPolicy, OfttConfig, RecoveryRule, replace_config
+from repro.chaos.cli import campaign_tasks
+from repro.chaos.runner import ChaosRun
+from repro.chaos.schedule import (
+    DRIFT_DESTRUCTIVE_KINDS,
+    DRIFT_PROFILES,
+    ChaosSchedule,
+    FaultEntry,
+    drift_schedule,
+)
+from repro.core.config import (
+    REPLICATION_STRATEGIES,
+    GiveUpPolicy,
+    OfttConfig,
+    RecoveryRule,
+    replace_config,
+)
 from repro.core.roles import Role
+from repro.errors import OfttError
 from repro.faults.campaign import Campaign
 from repro.faults.faultlib import AppHang, TransientAppCrash
 from repro.faults.injector import FaultInjector
 from repro.harness.scenario import (
     DEMO_FAULTS,
     DEMO_NODES,
+    ChaosScenario,
     DemoScenario,
     Scenario,
     build_demo,
@@ -848,4 +868,326 @@ def exp_scada_blackout(seed: int = 0, warmup: float = 20_000.0, after: float = 3
         "blackout_ms": round(max(gaps), 1) if gaps else None,
         "failover_latency_ms": timing.failover_latency,
         "resumed": samples[-1][1] > 0 and scenario.pair.is_stable(),
+    }
+
+
+# ---------------------------------------------------------------------------
+# S1 — detector sensitivity: miss threshold x timeout over chaos schedules
+# ---------------------------------------------------------------------------
+
+#: Faults that must be caught (by heartbeat silence or peer loss).
+DESTRUCTIVE_KINDS = frozenset({
+    "app-crash", "app-hang", "middleware-crash",
+    "node-failure", "bluescreen", "crash-during-checkpoint",
+})
+#: The subset only the heartbeat path can detect (no exit hook fires),
+#: i.e. the faults whose latency actually measures the detector.
+HEARTBEAT_ONLY_KINDS = frozenset({
+    "app-hang", "node-failure", "bluescreen",
+    "middleware-crash", "crash-during-checkpoint",
+})
+#: Slack added to the attribution window beyond the detector's own
+#: worst-case (timeout x miss threshold): scheduling and repair jitter.
+ATTRIBUTION_GRACE = 5_000.0
+
+
+def exp_detector_sweep(
+    thresholds: Optional[List[int]] = None,
+    timeouts: Optional[List[float]] = None,
+    seeds: int = 4,
+    schedules: int = 3,
+) -> List[Dict[str, Any]]:
+    """S1: detection latency and false positives per detector setting.
+
+    §2.2.1 leaves the heartbeat timeout (and the consecutive-miss
+    threshold this reproduction adds) to the deployer.  The same seeded
+    chaos schedules run, with the invariant monitors on, at every
+    ``(threshold, timeout)`` point, threshold-major; the component and
+    peer detectors share the swept timeout.  One row per point.
+    """
+    runs = [(seed, schedule) for seed, schedule, _ in campaign_tasks(seeds, schedules, 0)]
+    rows: List[Dict[str, Any]] = []
+    for threshold in thresholds or [1, 2, 3]:
+        for timeout in timeouts or [300.0, 500.0, 1_000.0]:
+            outcomes = [_detector_run(seed, schedule, threshold, timeout) for seed, schedule in runs]
+            latencies = sorted(latency for outcome in outcomes for latency in outcome["latencies"])
+            detected = len(latencies)
+            rows.append(
+                {
+                    "miss_threshold": threshold,
+                    "timeout_ms": timeout,
+                    "runs": len(runs),
+                    "faults": sum(outcome["faults"] for outcome in outcomes),
+                    "detected": detected,
+                    "missed": sum(outcome["missed"] for outcome in outcomes),
+                    "mean_latency_ms": round(sum(latencies) / detected, 1) if detected else None,
+                    "max_latency_ms": round(latencies[-1], 1) if detected else None,
+                    "false_positives": sum(outcome["false_positives"] for outcome in outcomes),
+                    "violations": sum(outcome["violations"] for outcome in outcomes),
+                }
+            )
+    return rows
+
+
+def _detector_run(seed: int, schedule: ChaosSchedule, threshold: int, timeout: float) -> Dict[str, Any]:
+    """One schedule under one detector setting.
+
+    A detection (``heartbeat-timeout`` or ``peer-lost``) is attributed
+    to a destructive fault when it lands in ``[at, at + timeout *
+    threshold + ATTRIBUTION_GRACE]``; an unattributed one is a false
+    positive.  Latency and misses count only the heartbeat-only faults.
+    """
+    config = replace_config(
+        OfttConfig(),
+        heartbeat_timeout=timeout,
+        peer_heartbeat_timeout=timeout,
+        heartbeat_miss_threshold=threshold,
+    )
+    run = ChaosRun(seed=seed, schedule=schedule, config=config)
+    violations = len(run.execute().violations)
+    trace = run.scenario.trace
+    detections = sorted(
+        trace.select(category="engine", event="heartbeat-timeout")
+        + trace.select(category="engine", event="peer-lost"),
+        key=lambda record: record.time,
+    )
+    window = timeout * threshold + ATTRIBUTION_GRACE
+    destructive = [entry for entry in schedule.sorted_entries() if entry.kind in DESTRUCTIVE_KINDS]
+    heartbeat_only = [entry for entry in destructive if entry.kind in HEARTBEAT_ONLY_KINDS]
+    latencies: List[float] = []
+    for entry in heartbeat_only:
+        hit = next((r for r in detections if entry.at <= r.time <= entry.at + window), None)
+        if hit is not None:
+            latencies.append(round(hit.time - entry.at, 3))
+    false_positives = sum(
+        1
+        for record in detections
+        if not any(entry.at <= record.time <= entry.at + window for entry in destructive)
+    )
+    return {
+        "faults": len(heartbeat_only),
+        "latencies": latencies,
+        "missed": len(heartbeat_only) - len(latencies),
+        "false_positives": false_positives,
+        "violations": violations,
+    }
+
+
+# ---------------------------------------------------------------------------
+# S2 — replication strategies under primary loss and total pair loss
+# ---------------------------------------------------------------------------
+
+#: The two fault stories every strategy faces.  ``primary-crash`` is the
+#: paper's case (one node dies, the pair recovers); ``total-pair-loss``
+#: kills both pair nodes 50 ms apart, the failure the pair cannot
+#: survive and the log-replay DR site exists for.
+STRATEGY_SCENARIOS: List[Tuple[str, List[FaultEntry]]] = [
+    ("primary-crash", [FaultEntry(10_000.0, "node-failure", {"node": "alpha"})]),
+    ("total-pair-loss", [
+        FaultEntry(12_000.0, "node-failure", {"node": "alpha"}),
+        FaultEntry(12_050.0, "node-failure", {"node": "beta"}),
+    ]),
+]
+#: Run horizon and workload cutoff.  The workload stops well before the
+#: horizon so DR activation (5 s of silence) and any queue drain finish
+#: inside the run.
+STRATEGY_HORIZON = 30_000.0
+STRATEGY_WORKLOAD_STOP = 20_000.0
+
+
+def exp_strategy_comparison(seeds: int = 3) -> List[Dict[str, Any]]:
+    """S2: who recovers, how fast, and what is lost, per strategy and story.
+
+    A message-driven chaos testbed (100 ms workload through the
+    diverter, 2 s full-checkpoint period: the cold-passive gap the other
+    strategies attack) plays each fault story under each replication
+    strategy, seeds ``0 .. seeds-1``.  One row per (strategy, story).
+    """
+    rows: List[Dict[str, Any]] = []
+    for strategy in REPLICATION_STRATEGIES:
+        for name, entries in STRATEGY_SCENARIOS:
+            outcomes = [_strategy_run(strategy, entries, seed) for seed in range(seeds)]
+            latencies = sorted(o["recovery_ms"] for o in outcomes if o["recovery_ms"] is not None)
+            rows.append(
+                {
+                    "strategy": strategy,
+                    "scenario": name,
+                    "runs": seeds,
+                    "recovered_by": "/".join(sorted({o["recovered_by"] for o in outcomes})),
+                    "mean_recovery_ms": round(sum(latencies) / len(latencies), 1) if latencies else None,
+                    "sent": sum(o["sent"] for o in outcomes),
+                    "applied": sum(o["applied"] for o in outcomes),
+                    "lost": sum(o["lost"] for o in outcomes),
+                    "replayed": sum(o["replayed"] for o in outcomes),
+                }
+            )
+    return rows
+
+
+def _strategy_run(strategy: str, entries: List[FaultEntry], seed: int) -> Dict[str, Any]:
+    """One fault story under one strategy: who serves the state at the end.
+
+    ``recovery_ms`` is the first takeover or DR activation at or after
+    the last fault; ``lost`` is workload messages the surviving state is
+    missing.
+    """
+    scenario = ChaosScenario(
+        seed=seed,
+        config=replace_config(OfttConfig(), replication_strategy=strategy),
+        workload_period=100.0,
+        checkpoint_period=2_000.0,
+        message_driven=True,
+    )
+    injector = FaultInjector(scenario.kernel, scenario, trace=scenario.trace)
+    for entry in entries:
+        injector.inject_at(entry.at, entry.build())
+    scenario.start(settle=True)
+    scenario.kernel.schedule(
+        max(STRATEGY_WORKLOAD_STOP - scenario.kernel.now, 0.0), scenario.stop_workload
+    )
+    scenario.run(until=STRATEGY_HORIZON)
+
+    fault_at = max(entry.at for entry in entries)
+    pair = scenario.pair
+    primary = next(
+        (
+            name
+            for name in pair.node_names
+            if pair.engines[name].alive and pair.engines[name].role is Role.PRIMARY
+        ),
+        None,
+    )
+    recovered_by = "none"
+    applied = 0
+    replayed = 0
+    if primary is not None and pair.apps[primary].applied() > 0:
+        recovered_by = "pair"
+        applied = pair.apps[primary].applied()
+    elif scenario.dr_site is not None and scenario.dr_site.active:
+        recovered_by = "dr"
+        # Re-reconstruct at the horizon: mirror records that arrived
+        # after activation (clients keep logging) count too.
+        image, replayed = scenario.dr_site.reconstruct()
+        applied = image.get("globals", {}).get("applied", 0)
+    recoveries = sorted(
+        scenario.trace.select(category="engine", event="takeover")
+        + scenario.trace.select(category="drsite", event="dr-activated"),
+        key=lambda record: record.time,
+    )
+    hit = next((r for r in recoveries if r.time >= fault_at), None)
+    return {
+        "recovered_by": recovered_by,
+        "recovery_ms": round(hit.time - fault_at, 1) if hit is not None else None,
+        "sent": scenario.workload_sent,
+        "applied": applied,
+        "lost": scenario.workload_sent - applied,
+        "replayed": replayed,
+    }
+
+
+# ---------------------------------------------------------------------------
+# S3 — adaptive recovery policy vs static rules over drifting fault mixes
+# ---------------------------------------------------------------------------
+
+#: Policy name -> OfttConfig overrides: the paper's static rule, two
+#: detector tunings of it, the two degenerate rules, and the adaptive
+#: layer with everything at defaults.
+POLICY_CONFIGS: List[Tuple[str, Dict[str, Any]]] = [
+    ("static-default", {}),
+    ("static-fast", {"heartbeat_timeout": 300.0, "peer_heartbeat_timeout": 300.0}),
+    ("static-safe", {"heartbeat_miss_threshold": 3}),
+    ("static-local-only", {"default_rule": RecoveryRule.local_only()}),
+    ("static-always-failover", {"default_rule": RecoveryRule.always_failover()}),
+    ("adaptive", {"adaptive_policy": True}),
+]
+#: Stability sample period (ms) for the unavailability integral.
+POLICY_SAMPLE_PERIOD = 25.0
+#: A unilateral promotion within this window after a destructive entry
+#: is attributed to it; later ones are spurious.
+POLICY_FP_WINDOW = 2_500.0
+
+
+def exp_policy_comparison(profiles: Optional[List[str]] = None, seeds: int = 3) -> List[Dict[str, Any]]:
+    """S3: mean recovery latency and spurious failovers per policy and drift.
+
+    The same deterministic drifting fault mixes (every destructive motif
+    hits both pair nodes) run under every policy, seeds ``0 ..
+    seeds-1``.  *Mean recovery* is the sampled time the pair is out of
+    its steady state (one live primary, all apps running; a dual
+    primary counts as unstable) divided by the destructive entries, so a
+    policy cannot look good by recovering somewhere else while the unit
+    is still down.  *Spurious failovers* are unilateral promotions (peer
+    heartbeat loss, dual-backup resolution) with no destructive entry in
+    the preceding ``POLICY_FP_WINDOW``; coordinated switchovers never
+    count.  One row per (profile, policy).
+    """
+    rows: List[Dict[str, Any]] = []
+    for profile in profiles if profiles is not None else sorted(DRIFT_PROFILES):
+        for policy, overrides in POLICY_CONFIGS:
+            outcomes = [_policy_run(overrides, profile, seed) for seed in range(seeds)]
+            faults = sum(o["destructive"] for o in outcomes)
+            unstable = sum(o["unstable_ms"] for o in outcomes)
+            rows.append(
+                {
+                    "profile": profile,
+                    "policy": policy,
+                    "runs": seeds,
+                    "faults": faults,
+                    "unstable_ms": round(unstable, 1),
+                    "mean_recovery_ms": round(unstable / faults, 1) if faults else None,
+                    "spurious_failovers": sum(o["spurious"] for o in outcomes),
+                    "strategy_switches": sum(o["switches"] for o in outcomes),
+                }
+            )
+    return rows
+
+
+def _policy_run(overrides: Dict[str, Any], profile: str, seed: int) -> Dict[str, Any]:
+    """One drift profile under one policy's config overrides."""
+    scenario = ChaosScenario(seed=seed, config=replace_config(OfttConfig(), **overrides))
+    schedule = drift_schedule(profile, list(scenario.PAIR_NODES), scenario.APP_NAME)
+    injector = FaultInjector(scenario.kernel, scenario, trace=scenario.trace)
+    for entry in schedule.sorted_entries():
+        injector.inject_at(entry.at, entry.build())
+    scenario.start(settle=True)
+
+    unstable = {"ms": 0.0}
+
+    def stable_now() -> bool:
+        try:
+            return scenario.pair.is_stable()
+        except OfttError:  # dual primary
+            return False
+
+    def sample() -> None:
+        if scenario.kernel.now >= schedule.horizon:
+            return
+        if not stable_now():
+            unstable["ms"] += POLICY_SAMPLE_PERIOD
+        scenario.kernel.schedule(POLICY_SAMPLE_PERIOD, sample)
+
+    scenario.kernel.schedule(POLICY_SAMPLE_PERIOD, sample)
+    scenario.run(until=schedule.horizon)
+
+    destructive = [e for e in schedule.sorted_entries() if e.kind in DRIFT_DESTRUCTIVE_KINDS]
+    unilateral = [
+        record
+        for record in scenario.trace.select(category="engine", event="takeover")
+        if record.detail.get("reason") in ("peer heartbeat loss", "dual-backup resolution")
+    ]
+    spurious = sum(
+        1
+        for record in unilateral
+        if not any(e.at <= record.time <= e.at + POLICY_FP_WINDOW for e in destructive)
+    )
+    switches = sum(
+        engine.strategy_switch_count
+        for engine in scenario.pair.engines.values()
+        if engine.alive
+    )
+    return {
+        "unstable_ms": round(unstable["ms"], 1),
+        "destructive": len(destructive),
+        "spurious": spurious,
+        "switches": switches,
     }

@@ -21,14 +21,14 @@ byte-identical for any worker count::
 
 from __future__ import annotations
 
-import sys
+import argparse
 
 # oftt-lint: file-ok[ambient-io] -- the experiment runner is the host-side CLI.
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import experiments as E
 from repro.harness.reporting import format_result
-from repro.perf.executor import parallel_map
+from repro.perf.executor import add_jobs_argument, parallel_map
 from repro.simnet.trace import canonical_value
 
 #: The one definition of every experiment: id -> (title, runner).  The
@@ -49,6 +49,9 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable[[], Any]]] = {
     "A2": ("A2: false takeovers vs heartbeat timeout on lossy links", lambda: E.exp_ablation_heartbeat_loss(seed=53)),
     "A3": ("A3: checkpoint period vs traffic vs staleness bound", lambda: E.exp_ablation_checkpoint_period(seed=55)),
     "BL": ("BL: monitoring blackout across a station power-off (F1a)", lambda: E.exp_scada_blackout(seed=9)),
+    "S1": ("S1: detector sensitivity, miss threshold x heartbeat timeout", lambda: E.exp_detector_sweep(seeds=4, schedules=3)),
+    "S2": ("S2: replication strategies under primary and total pair loss", lambda: E.exp_strategy_comparison(seeds=3)),
+    "S3": ("S3: adaptive recovery policy vs static rules, drifting faults", lambda: E.exp_policy_comparison(seeds=3)),
 }
 
 
@@ -106,40 +109,32 @@ def replay_check(ids: List[str], jobs: int = 1) -> int:
     return 1 if failures else 0
 
 
-def main(argv: List[str]) -> int:
-    check_mode = "--replay-check" in argv
-    args = [arg for arg in argv if arg != "--replay-check"]
-    jobs = 1
-    cleaned: List[str] = []
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--jobs" or arg.startswith("--jobs="):
-            value = arg.partition("=")[2]
-            if not value:
-                index += 1
-                if index >= len(args):
-                    print("--jobs requires a value")
-                    return 2
-                value = args[index]
-            try:
-                jobs = int(value)
-            except ValueError:
-                print(f"bad --jobs value {value!r}")
-                return 2
-        else:
-            cleaned.append(arg)
-        index += 1
-    requested = cleaned or list(EXPERIMENTS)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="run_experiments",
+        description="Run registered experiments and print their tables.",
+    )
+    parser.add_argument("ids", nargs="*", metavar="ID",
+                        help="experiment ids to run (default: all)")
+    parser.add_argument("--replay-check", action="store_true",
+                        help="run each experiment twice and compare the canonical results")
+    add_jobs_argument(parser)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Intermixed: ids may sit on either side of the options.
+    options = build_parser().parse_intermixed_args(argv)
+    requested = options.ids or list(EXPERIMENTS)
     unknown = [experiment_id for experiment_id in requested if experiment_id not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment ids: {unknown}; available: {sorted(EXPERIMENTS)}")
         return 2
-    if check_mode:
-        return replay_check(requested, jobs=jobs)
-    run(requested, jobs=jobs)
+    if options.replay_check:
+        return replay_check(requested, jobs=options.jobs)
+    run(requested, jobs=options.jobs)
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

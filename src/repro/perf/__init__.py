@@ -1,21 +1,16 @@
 """Deterministic parallel execution for independent seeded runs.
 
-The subsystem has three parts (see PERF.md):
-
 * :mod:`repro.perf.executor` — a process-pool fan-out whose merged
   results are byte-identical to the serial run regardless of worker
-  count.  Wired into ``oftt-chaos --jobs``, ``oftt-replay --jobs`` and
+  count (see PERF.md).  Wired into ``oftt-chaos --jobs``,
+  ``oftt-replay --jobs``, ``oftt-bench --jobs`` and
   ``run_experiments --jobs``.
-* :mod:`repro.perf.grid` — canonical-order parameter grids for sweeps.
-* :mod:`repro.perf.sweep` — the detector-sensitivity sweep
-  (``heartbeat_miss_threshold`` x ``heartbeat_timeout`` over chaos
-  schedules; published in EXPERIMENTS.md).
 
 ``python -m repro.perf`` / ``oftt-perf`` exposes the parallel-equivalence
-gate (``check-chaos``) used by ``make verify`` and the sweep CLI.
+gate (``check-chaos``) used by ``make verify``.  The parameter sweeps
+are registry experiments S1–S3 (``run_experiments S1 S2 S3``).
 """
 
 from repro.perf.executor import parallel_map, resolve_jobs
-from repro.perf.grid import grid_points
 
-__all__ = ["parallel_map", "resolve_jobs", "grid_points"]
+__all__ = ["parallel_map", "resolve_jobs"]

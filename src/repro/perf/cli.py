@@ -1,21 +1,14 @@
 """Command-line driver: ``python -m repro.perf`` / ``oftt-perf``.
 
-Two subcommands:
+One subcommand, ``check-chaos``: the parallel-equivalence gate used by
+``make verify``.  It runs one small chaos campaign serially and again
+at ``--jobs N`` and requires the rendered ``repro.chaos/v1`` JSON (and
+the text report) to be byte-identical.  Exit 0 on equality, 1 on any
+difference, 2 on usage error.
 
-* ``check-chaos`` — the parallel-equivalence gate used by
-  ``make verify``: run one small chaos campaign serially and again at
-  ``--jobs N`` and require the rendered ``repro.chaos/v1`` JSON (and the
-  text report) to be byte-identical.  Exit 0 on equality, 1 on any
-  difference, 2 on usage error.
-* ``sweep`` — the detector-sensitivity sweep
-  (``heartbeat_miss_threshold`` x ``heartbeat_timeout`` over a fixed set
-  of chaos schedules); prints the table EXPERIMENTS.md publishes.
-
-Examples::
+Example::
 
     python -m repro.perf check-chaos --seeds 2 --schedules 2 --jobs 2
-    oftt-perf sweep --seeds 4 --schedules 3 --jobs 0 --markdown
-    oftt-perf sweep --policies --seeds 3 --jobs 0 --markdown --gate
 """
 
 from __future__ import annotations
@@ -27,21 +20,12 @@ from typing import Optional, Sequence
 # oftt-lint: file-ok[ambient-io] -- the perf driver is a host-side CLI.
 from repro.chaos.report import render_json, render_text
 from repro.perf.executor import add_jobs_argument
-from repro.perf.sweep import (
-    DEFAULT_THRESHOLDS,
-    DEFAULT_TIMEOUTS,
-    policy_gate,
-    render_rows,
-    sweep_detectors,
-    sweep_policies,
-    sweep_strategies,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oftt-perf",
-        description="Parallel-equivalence gate and parameter sweeps for the OFTT toolkit.",
+        description="Parallel-equivalence gate for the OFTT toolkit.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -53,32 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--schedules", type=int, default=2, help="schedules per seed (default: 2)")
     check.add_argument("--seed-base", type=int, default=0, help="first seed value (default: 0)")
     add_jobs_argument(check, default=2)
-
-    sweep = commands.add_parser(
-        "sweep",
-        help="detector-sensitivity sweep (miss threshold x timeout over chaos schedules)",
-    )
-    sweep.add_argument("--seeds", type=int, default=4, help="seeds to sweep over (default: 4)")
-    sweep.add_argument("--schedules", type=int, default=3, help="schedules per seed (default: 3)")
-    sweep.add_argument("--seed-base", type=int, default=0, help="first seed value (default: 0)")
-    sweep.add_argument("--thresholds", default="", metavar="N,N,...",
-                       help=f"miss thresholds to sweep (default: {DEFAULT_THRESHOLDS})")
-    sweep.add_argument("--timeouts", default="", metavar="MS,MS,...",
-                       help=f"heartbeat timeouts in ms (default: {DEFAULT_TIMEOUTS})")
-    sweep.add_argument("--strategies", action="store_true",
-                       help="sweep replication strategies over fixed fault stories "
-                            "instead of the detector grid")
-    sweep.add_argument("--policies", action="store_true",
-                       help="sweep recovery policies (static rules vs the adaptive layer) "
-                            "over drifting fault-mix schedules")
-    sweep.add_argument("--profiles", default="", metavar="NAME,NAME,...",
-                       help="drift profiles for --policies (default: all)")
-    sweep.add_argument("--gate", action="store_true",
-                       help="with --policies: exit 1 unless adaptive beats every static "
-                            "policy on the 'mixed' profile")
-    sweep.add_argument("--markdown", action="store_true", help="emit a markdown table")
-    sweep.add_argument("--out", default="", help="also write the table to this file")
-    add_jobs_argument(sweep)
     return parser
 
 
@@ -107,62 +65,13 @@ def check_chaos(seeds: int, schedules: int, seed_base: int, jobs: int) -> int:
     return 0
 
 
-def _parse_values(raw: str, cast) -> Optional[list]:
-    if not raw.strip():
-        return None
-    return [cast(token.strip()) for token in raw.split(",") if token.strip()]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
-
-    if options.command == "check-chaos":
-        if options.seeds < 1 or options.schedules < 1:
-            print("oftt-perf: --seeds and --schedules must be positive", file=sys.stderr)
-            return 2
-        return check_chaos(options.seeds, options.schedules, options.seed_base, options.jobs)
-
-    gate_failures = []
-    if options.policies:
-        profiles = _parse_values(options.profiles, str)
-        rows = sweep_policies(
-            profiles=profiles,
-            seeds=options.seeds,
-            seed_base=options.seed_base,
-            jobs=options.jobs,
-        )
-        if options.gate:
-            gate_failures = policy_gate(rows)
-    elif options.strategies:
-        rows = sweep_strategies(seeds=options.seeds, seed_base=options.seed_base, jobs=options.jobs)
-    else:
-        try:
-            thresholds = _parse_values(options.thresholds, int)
-            timeouts = _parse_values(options.timeouts, float)
-        except ValueError as exc:
-            print(f"oftt-perf: bad sweep axis value ({exc})", file=sys.stderr)
-            return 2
-        rows = sweep_detectors(
-            thresholds=thresholds,
-            timeouts=timeouts,
-            seeds=options.seeds,
-            schedules=options.schedules,
-            seed_base=options.seed_base,
-            jobs=options.jobs,
-        )
-    rendered = render_rows(rows, markdown=options.markdown) + "\n"
-    sys.stdout.write(rendered)
-    if options.out:
-        with open(options.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    if gate_failures:
-        for failure in gate_failures:
-            print(f"policy-gate: {failure}", file=sys.stderr)
-        return 1
-    if options.policies and options.gate:
-        print("policy-gate: adaptive dominates every static policy on 'mixed'")
-    return 0
+    if options.seeds < 1 or options.schedules < 1:
+        print("oftt-perf: --seeds and --schedules must be positive", file=sys.stderr)
+        return 2
+    return check_chaos(options.seeds, options.schedules, options.seed_base, options.jobs)
 
 
 if __name__ == "__main__":

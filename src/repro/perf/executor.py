@@ -1,10 +1,10 @@
 """Process-pool fan-out that is byte-identical to the serial run.
 
 Every workload this executor carries (chaos schedules, replay subjects,
-experiment scenarios, sweep grid points) is a *pure function of its
-picklable arguments*: a task rebuilds its whole world (kernel, network,
-RNG streams) from the seed it is handed, so where and when it executes
-cannot change its result.  The executor adds the remaining guarantees:
+experiments) is a *pure function of its picklable arguments*: a task
+rebuilds its whole world (kernel, network, RNG streams) from the seed
+it is handed, so where and when it executes cannot change its result.
+The executor adds the remaining guarantees:
 
 * **Canonical merge order** — results come back in input order
   (:func:`parallel_map` is order-preserving), so reports rendered from
@@ -19,9 +19,9 @@ cannot change its result.  The executor adds the remaining guarantees:
 
 The worker pool is **persistent**: the first parallel call spawns it,
 and every later call with the same worker count reuses it, so a command
-that fans out many times (campaign then replay check, a sweep grid, the
-bench suite) pays the spawn cost once instead of per call.  Reuse is
-sound *because* of the purity contract above — the oftt-lint PURE001–004
+that fans out many times (campaign then replay check, the bench suite)
+pays the spawn cost once instead of per call.  Reuse is sound
+*because* of the purity contract above — the oftt-lint PURE001–004
 pass rejects tasks that write module state, so a worker that already ran
 ten tasks is indistinguishable from a fresh one.  (A task that mutated
 its worker would already diverge from the serial run; pooling adds no
@@ -36,6 +36,7 @@ clean.
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -161,10 +162,26 @@ def parallel_map(
         raise
 
 
+def _jobs_value(text: str) -> int:
+    """argparse type for ``--jobs``: an int >= 0, else a usage error.
+
+    Rejecting a negative count while parsing (exit 2, nothing run) keeps
+    it from reaching :func:`resolve_jobs` mid-run, where the error would
+    surface as the CLIs' "violation" exit code 1.
+    """
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {jobs}")
+    return jobs
+
+
 def add_jobs_argument(parser: Any, default: int = 1) -> None:
     """Attach the standard ``--jobs`` option to an argparse parser."""
     parser.add_argument(
-        "--jobs", type=int, default=default, metavar="N",
+        "--jobs", type=_jobs_value, default=default, metavar="N",
         help="worker processes for independent runs; 0 = one per CPU "
              f"(default: {default}; output is byte-identical for any value)",
     )

@@ -4,52 +4,28 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.scenario import Scenario
 from repro.nt.system import NTSystem
-from repro.simnet.kernel import SimKernel
-from repro.simnet.network import Network
-from repro.simnet.partitions import PartitionController
-from repro.simnet.random import RngStreams
-from repro.simnet.trace import TraceLog
 
 
-class World:
-    """A bundle of kernel + network + machines used by most tests."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self.kernel = SimKernel()
-        self.rngs = RngStreams(seed)
-        self.trace = TraceLog(clock=lambda: self.kernel.now)
-        self.network = Network(self.kernel, self.rngs, self.trace)
-        self.partitions = PartitionController(self.network)
-        self.systems = {}
-        self.fieldbuses = {}
+class World(Scenario):
+    """A bare scenario whose machines may sit on any named links."""
 
     def add_machine(self, name: str, links=("lan0",), boot: bool = True) -> NTSystem:
-        """Create a node + NT machine attached to *links*."""
-        self.network.add_node(name)
+        """Create a node + NT machine attached to *links*, creating any missing link."""
         for link in links:
             if link not in self.network.links:
                 self.network.add_link(link, latency=0.5, jitter=0.1)
-            self.network.attach(name, link)
-        system = NTSystem(self.kernel, self.network.nodes[name], self.rngs, self.trace)
-        self.systems[name] = system
+        system = self._add_machine(name, lans=list(links))
         if boot:
             system.boot_immediately()
         return system
-
-    def run(self, until: float) -> float:
-        """Advance to absolute time *until*."""
-        return self.kernel.run(until=until)
-
-    def run_for(self, duration: float) -> float:
-        """Advance by *duration*."""
-        return self.kernel.run(until=self.kernel.now + duration)
 
 
 @pytest.fixture
 def world() -> World:
     """A fresh empty world (seed 0)."""
-    return World(seed=0)
+    return make_world(seed=0)
 
 
 @pytest.fixture
@@ -62,4 +38,4 @@ def two_machines(world: World):
 
 def make_world(seed: int = 0) -> World:
     """Non-fixture construction for parametrised/property tests."""
-    return World(seed=seed)
+    return World(seed, dual_lan=False)

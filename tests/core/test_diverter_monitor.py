@@ -1,6 +1,7 @@
 """Unit tests for the Message Diverter and the System Monitor."""
 
 from repro.core.diverter import DiverterClient, MessageDiverter, inbox_queue_name
+from repro.core.engine import STATUS_REPORT_PERIOD
 from repro.core.monitor import SystemMonitor
 from repro.core.status import ComponentStatus
 from repro.msq.manager import QueueManager
@@ -132,7 +133,7 @@ def test_monitor_transitions_and_staleness():
     transitions = monitor.transitions(primary, "oftt-engine")
     assert transitions and transitions[0][1] is ComponentStatus.RUNNING
     staleness = monitor.staleness(primary, "oftt-engine")
-    assert staleness is not None and staleness <= world.config.status_report_period + 100.0
+    assert staleness is not None and staleness <= STATUS_REPORT_PERIOD + 100.0
     assert monitor.staleness("ghost", "x") is None
 
 

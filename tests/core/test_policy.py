@@ -1,9 +1,9 @@
 """Unit and pair-level tests for the adaptive recovery policy layer."""
 
 from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule, replace_config
-from repro.core.policy import FaultRegime
+from repro.core.policy import POLICY_GRAY_MISS_TOLERANCE, POLICY_TIGHTEN_SCALE, FaultRegime
 from repro.core.roles import Role
-from repro.core.strategy import PEER
+from repro.core.strategy import LF_UPDATE_PERIOD, PEER
 from repro.faults.faultlib import AppCrash
 
 from tests.core.util import make_pair_world
@@ -201,10 +201,10 @@ def test_gray_regime_desensitises_peer_watch_only():
     policy = engine.policy
     policy._apply_regime(FaultRegime.GRAY)
     peer_watch = engine.monitor._watches[PEER]
-    assert peer_watch.miss_tolerance == world.config.policy_gray_miss_tolerance
+    assert peer_watch.miss_tolerance == POLICY_GRAY_MISS_TOLERANCE
     assert peer_watch.timeout == peer_watch.base_timeout  # never tightened
     app_watch = engine.monitor._watches[APP]
-    assert app_watch.timeout == app_watch.base_timeout * world.config.policy_tighten_scale
+    assert app_watch.timeout == app_watch.base_timeout * POLICY_TIGHTEN_SCALE
     policy._apply_regime(FaultRegime.HEALTHY)
     assert peer_watch.miss_tolerance is None
     assert app_watch.timeout == app_watch.base_timeout
@@ -234,7 +234,7 @@ def test_switch_strategy_rebases_ftim_and_emits_trace():
     assert engine.strategy_switch_count == 1
     ftim = engine.applications[APP].api.ftim
     assert ftim.incremental is True
-    assert ftim.checkpoint_period == world.config.lf_update_period
+    assert ftim.checkpoint_period == LF_UPDATE_PERIOD
     records = world.trace.select(event="strategy-switched", component=world.primary)
     assert records and records[0].detail["previous"] == "cold-passive"
 

@@ -18,6 +18,7 @@ from repro.core.config import (
 )
 from repro.core.roles import Role
 from repro.core.strategy import (
+    LF_UPDATE_PERIOD,
     STRATEGIES,
     ColdPassiveStrategy,
     LeaderFollowerStrategy,
@@ -88,7 +89,7 @@ def test_leader_follower_streams_incremental_updates():
     follower = scenario.pair.backup_node()
     ftim = scenario.pair.apps[primary].api.ftim
     assert ftim.incremental
-    assert ftim.checkpoint_period == scenario.config.lf_update_period
+    assert ftim.checkpoint_period == LF_UPDATE_PERIOD
 
     strategy = scenario.pair.engines[primary].strategy
     assert isinstance(strategy, LeaderFollowerStrategy)

@@ -15,7 +15,7 @@ class PairWorld(World):
     """World + an assembled OfttPair, the common core-test environment."""
 
     def __init__(self, seed: int = 0, config: Optional[OfttConfig] = None, app_factory=None, **pair_kwargs):
-        super().__init__(seed=seed)
+        super().__init__(seed, dual_lan=False)
         for name in ("alpha", "beta"):
             self.add_machine(name)
         self.config = config or OfttConfig()
@@ -29,11 +29,6 @@ class PairWorld(World):
             trace=self.trace,
             **pair_kwargs,
         )
-
-    def start(self, settle: bool = True) -> None:
-        self.pair.start()
-        if settle:
-            self.pair.settle()
 
     @property
     def primary(self) -> str:

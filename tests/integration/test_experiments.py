@@ -1,8 +1,8 @@
 """Integration tests for the experiment runners.
 
-The smoke tests assert the *shape* of each X-series result — who wins,
-in which direction — with small parameters; the benchmarks run the full
-versions.  The golden test pins every registered experiment's exact
+The smoke tests assert the *shape* of each X- and S-series result — who
+wins, in which direction — with small parameters; the benchmarks run the
+full versions.  The golden test pins every registered experiment's exact
 result at its registry seed and parameters.
 """
 
@@ -34,6 +34,9 @@ GOLDEN = {
     "A2": "44f0562bbfded6dc60b3d2d0233833ab84f3191910e96e958bc8c5f5f067ba28",
     "A3": "17d73c4a1937438063058978fc7b45bcd5c7bf72253bd21180596ce5d7ced69a",
     "BL": "4714bb5a0c4a043c94bbf949ede24f5a887a010cd75e80ccc135363cdc5cc086",
+    "S1": "7d0787e115fdb7a4f24f07aa3c1c0ae436ec0aad4d0b394b6e3d3667b4647ce4",
+    "S2": "a9784d72d866930a8d0e12e5111d9abaee0ff065d7c9fa5dde51e80041ca00ef",
+    "S3": "6c722e79dcbacfca5305baa6ec6dcb9e8ff9f953cc1fa3a996bcc13ce6a796dd",
 }
 
 
@@ -129,3 +132,100 @@ def test_x7_api_levels_tradeoff():
     assert l3["checkpoints_taken"] >= l2["checkpoints_taken"]
     # ...and loses no completed work on failover.
     assert l3["events_lost"] == 0
+
+
+def small_detector_sweep():
+    return E.exp_detector_sweep(thresholds=[1, 2], timeouts=[500.0], seeds=1, schedules=2)
+
+
+def test_s1_rows_follow_grid_order_and_shape():
+    rows = small_detector_sweep()
+    assert [(row["miss_threshold"], row["timeout_ms"]) for row in rows] == [(1, 500.0), (2, 500.0)]
+    for row in rows:
+        assert row["runs"] == 2
+        assert row["detected"] + row["missed"] == row["faults"]
+        assert row["false_positives"] >= 0
+        if row["detected"]:
+            assert row["mean_latency_ms"] <= row["max_latency_ms"]
+        else:
+            assert row["mean_latency_ms"] is None
+
+
+def test_s1_higher_threshold_never_detects_faster():
+    fast, slow = small_detector_sweep()
+    if fast["detected"] and slow["detected"]:
+        assert slow["mean_latency_ms"] >= fast["mean_latency_ms"]
+
+
+def strategy_rows():
+    return {(row["strategy"], row["scenario"]): row for row in E.exp_strategy_comparison(seeds=1)}
+
+
+def test_s2_total_pair_loss_contrast():
+    # The headline comparison: only log-replay-dr survives losing both
+    # pair nodes — cold-passive has nobody left to recover anything.
+    rows = strategy_rows()
+    cold = rows[("cold-passive", "total-pair-loss")]
+    assert cold["recovered_by"] == "none"
+    assert cold["applied"] == 0
+    assert cold["lost"] == cold["sent"]
+
+    dr = rows[("log-replay-dr", "total-pair-loss")]
+    assert dr["recovered_by"] == "dr"
+    assert dr["lost"] == 0
+    assert dr["replayed"] > 0
+    assert dr["mean_recovery_ms"] is not None
+
+
+def test_s2_leader_follower_narrows_checkpoint_gap():
+    rows = strategy_rows()
+    cold = rows[("cold-passive", "primary-crash")]
+    lf = rows[("leader-follower", "primary-crash")]
+    assert cold["recovered_by"] == lf["recovered_by"] == "pair"
+    # Cold-passive replays into its 2s checkpoint gap; the update stream
+    # loses at most the in-flight tail.
+    assert lf["lost"] <= 2
+    assert cold["lost"] > lf["lost"]
+
+
+def test_s3_rows_shape_and_order():
+    rows = E.exp_policy_comparison(profiles=["crashy"], seeds=1)
+    assert [row["policy"] for row in rows] == [name for name, _ in E.POLICY_CONFIGS]
+    for row in rows:
+        assert row["profile"] == "crashy"
+        assert row["faults"] > 0
+        assert row["mean_recovery_ms"] is not None
+        assert row["spurious_failovers"] >= 0
+
+
+def test_s3_only_adaptive_switches_strategies():
+    # Gray is the switch-provoking profile: peer-gap evidence is seen by
+    # both engines, so the serving primary reaches a hot-standby regime.
+    rows = E.exp_policy_comparison(profiles=["gray"], seeds=1)
+    by_policy = {row["policy"]: row for row in rows}
+    assert by_policy["adaptive"]["strategy_switches"] > 0
+    assert all(
+        row["strategy_switches"] == 0
+        for name, row in by_policy.items()
+        if name != "adaptive"
+    )
+
+
+def test_s3_check_passes_on_dominant_adaptive_and_fails_otherwise():
+    from benchmarks.test_bench_experiments import check_policy_comparison
+
+    def row(policy, mean, spurious):
+        return {
+            "profile": "mixed",
+            "policy": policy,
+            "mean_recovery_ms": mean,
+            "spurious_failovers": spurious,
+        }
+
+    check_policy_comparison([row("static-default", 150.0, 2), row("adaptive", 100.0, 0)])
+    with pytest.raises(AssertionError, match="not below"):
+        check_policy_comparison([row("static-default", 90.0, 2), row("adaptive", 100.0, 0)])
+    with pytest.raises(AssertionError, match="spurious"):
+        check_policy_comparison([row("static-default", 150.0, 0), row("adaptive", 100.0, 1)])
+    with pytest.raises(AssertionError, match="no adaptive row for profile 'mixed'"):
+        check_policy_comparison([row("static-default", 150.0, 0)])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.perf.executor import parallel_map, resolve_jobs
-from repro.perf.grid import grid_points
 
 
 def double(value: int) -> int:
@@ -51,20 +50,3 @@ def test_resolve_jobs():
     assert resolve_jobs(0) >= 1
     with pytest.raises(ValueError):
         resolve_jobs(-1)
-
-
-def test_grid_points_canonical_order():
-    points = grid_points({"b": [2, 1], "a": ["y", "x"]})
-    # Axis names sort ("a" before "b"); first sorted axis varies slowest,
-    # and values keep their given order within an axis.
-    assert points == [
-        {"a": "y", "b": 2},
-        {"a": "y", "b": 1},
-        {"a": "x", "b": 2},
-        {"a": "x", "b": 1},
-    ]
-
-
-def test_grid_points_rejects_empty_axis():
-    with pytest.raises(ValueError):
-        grid_points({"a": []})

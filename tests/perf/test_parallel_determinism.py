@@ -1,4 +1,4 @@
-"""Byte-identity of every --jobs surface: chaos, replay, experiments, sweep.
+"""Byte-identity of every --jobs surface: chaos, replay, experiments.
 
 The executor's whole promise is that worker count is unobservable in the
 output.  These tests render each CLI's report at jobs 1/2/4 and require
@@ -8,12 +8,14 @@ report embeds a ddmin minimization whose result must not change either.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.bench.cli import main as bench_main
 from repro.chaos.cli import campaign
 from repro.chaos.cli import main as chaos_main
 from repro.chaos.report import render_json
 from repro.harness.run_experiments import main as experiments_main
 from repro.perf.cli import main as perf_main
-from repro.perf.sweep import sweep_detectors
 from repro.replay.cli import main as replay_main
 
 
@@ -66,11 +68,6 @@ def test_run_experiments_bytes_stable_across_jobs(capsys):
     assert outputs[2] == outputs[1]
 
 
-def test_sweep_rows_stable_across_jobs():
-    kwargs = dict(thresholds=[2], timeouts=[500.0], seeds=1, schedules=1)
-    assert sweep_detectors(jobs=2, **kwargs) == sweep_detectors(jobs=1, **kwargs)
-
-
 def test_perf_check_chaos_gate_passes(capsys):
     code, out = _capture(
         capsys, perf_main,
@@ -82,3 +79,25 @@ def test_perf_check_chaos_gate_passes(capsys):
 
 def test_chaos_rejects_unknown_sabotage(capsys):
     assert chaos_main(["--sabotage", "no-such-hook", "--format", "json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "main, argv, runner",
+    [
+        (chaos_main, ["--jobs", "-1"], "repro.chaos.cli.parallel_map"),
+        (replay_main, ["--jobs", "-1"], "repro.replay.cli.parallel_map"),
+        (bench_main, ["--only", "kernel-events", "--jobs", "-1"], "repro.bench.cli.run_benches"),
+        (perf_main, ["check-chaos", "--jobs", "-1"], "repro.chaos.cli.campaign"),
+        (experiments_main, ["X5", "--jobs", "-1"], "repro.harness.run_experiments.parallel_map"),
+    ],
+    ids=["oftt-chaos", "oftt-replay", "oftt-bench", "oftt-perf-check-chaos", "run_experiments"],
+)
+def test_negative_jobs_is_a_usage_error_before_anything_runs(monkeypatch, capsys, main, argv, runner):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError(f"{runner} ran despite --jobs -1")
+
+    monkeypatch.setattr(runner, must_not_run)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "argument --jobs: must be >= 0, got -1" in capsys.readouterr().err
