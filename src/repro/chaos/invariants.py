@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.engine import PEER
-from repro.core.roles import Role
+from repro.core.roles import PRIMARY
 from repro.msq.manager import DEAD_LETTER_QUEUE
 
 
@@ -77,13 +77,23 @@ class InvariantMonitor:
         self._hooked.append((hooks, callback))
 
     def _violate(self, time: float, **detail: Any) -> None:
-        self.violations.append(Violation(invariant=self.name, time=time, detail=detail))
+        # Once per reported breach, not per tick: each ticking monitor
+        # sets a reported flag and stays quiet while it is set.
+        self.violations.append(Violation(invariant=self.name, time=time, detail=detail))  # oftt-lint: ok[hot-no-slots]
 
 
 def _connected_both_ways(scenario: Any) -> bool:
     a, b = scenario.pair.node_names
     network = scenario.network
     return network.path_ok(a, b) and network.path_ok(b, a)
+
+
+def _all_alive(pair: Any) -> bool:
+    engines = pair.engines
+    for name in pair.node_names:
+        if not engines[name].alive:
+            return False
+    return True
 
 
 class SplitBrainMonitor(InvariantMonitor):
@@ -115,11 +125,12 @@ class SplitBrainMonitor(InvariantMonitor):
 
     def on_tick(self, scenario: Any, now: float) -> None:
         pair = scenario.pair
-        primaries = [
-            name
-            for name in pair.node_names
-            if pair.engines[name].alive and pair.engines[name].role is Role.PRIMARY
-        ]
+        engines = pair.engines
+        primaries = []
+        for name in pair.node_names:
+            engine = engines[name]
+            if engine.alive and engine.role is PRIMARY:
+                primaries.append(name)
         dual = len(primaries) > 1 and _connected_both_ways(scenario)
         if not dual:
             self._since = -1.0
@@ -144,11 +155,11 @@ class SplitBrainMonitor(InvariantMonitor):
             self._dr_reported = False
             return
         network = scenario.network
-        serving = [
-            name
-            for name in primaries
-            if network.path_ok(name, dr_site.node_name) and network.path_ok(dr_site.node_name, name)
-        ]
+        dr_node = dr_site.node_name
+        serving = []
+        for name in primaries:
+            if network.path_ok(name, dr_node) and network.path_ok(dr_node, name):
+                serving.append(name)
         if not serving:
             self._dr_since = -1.0
             self._dr_reported = False
@@ -285,20 +296,24 @@ class RecoveryLatencyMonitor(InvariantMonitor):
 
     def _stable(self, scenario: Any) -> bool:
         pair = scenario.pair
+        engines = pair.engines
         for name in pair.node_names:
-            engine = pair.engines[name]
-            if (
-                engine.alive
-                and engine.role is Role.PRIMARY
-                and engine.applications
-                and all(app.running for app in engine.applications.values())
-            ):
-                return True
+            engine = engines[name]
+            if engine.alive and engine.role is PRIMARY and engine.applications:
+                for app in engine.applications.values():
+                    if not app.running:
+                        break
+                else:
+                    return True
         return False
 
     def _recoverable(self, scenario: Any) -> bool:
         pair = scenario.pair
-        return any(pair.engines[name].alive for name in pair.node_names)
+        engines = pair.engines
+        for name in pair.node_names:
+            if engines[name].alive:
+                return True
+        return False
 
     def on_tick(self, scenario: Any, now: float) -> None:
         elapsed = now - self._last_tick if self._last_tick >= 0 else 0.0
@@ -350,25 +365,28 @@ class HeartbeatLivenessMonitor(InvariantMonitor):
 
     def on_tick(self, scenario: Any, now: float) -> None:
         pair = scenario.pair
-        both_alive = all(pair.engines[name].alive for name in pair.node_names)
-        if not (both_alive and _connected_both_ways(scenario)):
+        engines = pair.engines
+        suspect_since = self._suspect_since
+        if not (_all_alive(pair) and _connected_both_ways(scenario)):
             self._healthy_since = -1.0
-            self._suspect_since.clear()
+            suspect_since.clear()
             self._reported = False
             return
         if self._healthy_since < 0:
             self._healthy_since = now
             return
         for name in pair.node_names:
-            if pair.engines[name].monitor.is_suspected(PEER):
-                self._suspect_since.setdefault(name, now)
+            if engines[name].monitor.is_suspected(PEER):
+                suspect_since.setdefault(name, now)
             else:
-                self._suspect_since.pop(name, None)
-        if self._reported or now - self._healthy_since <= self.grace:
+                suspect_since.pop(name, None)
+        grace = self.grace
+        if self._reported or now - self._healthy_since <= grace:
             return
-        stuck = [
-            name for name, since in self._suspect_since.items() if now - since > self.grace
-        ]
+        stuck = []
+        for name, since in suspect_since.items():
+            if now - since > grace:
+                stuck.append(name)
         if stuck:
             self._reported = True
             self._violate(now, nodes=sorted(stuck), healthy_for=round(now - self._healthy_since, 3))
@@ -420,12 +438,15 @@ class ReplicaFreshnessMonitor(InvariantMonitor):
         if not self._enabled:
             return
         pair = scenario.pair
-        both_alive = all(pair.engines[name].alive for name in pair.node_names)
-        primaries = [
-            name
-            for name in pair.node_names
-            if pair.engines[name].alive and pair.engines[name].role is Role.PRIMARY
-        ]
+        engines = pair.engines
+        both_alive = True
+        primaries = []
+        for name in pair.node_names:
+            engine = engines[name]
+            if not engine.alive:
+                both_alive = False
+            elif engine.role is PRIMARY:
+                primaries.append(name)
         if not (both_alive and len(primaries) == 1 and _connected_both_ways(scenario)):
             self._healthy_since = -1.0
             self._target = None
@@ -435,7 +456,9 @@ class ReplicaFreshnessMonitor(InvariantMonitor):
             self._healthy_since = now
             return
         primary = primaries[0]
-        follower = next(name for name in pair.node_names if name != primary)
+        for follower in pair.node_names:
+            if follower != primary:
+                break
         submitted = self._submitted.get(primary, 0)
         stored = self._stored.get(follower, 0)
         if stored >= submitted:
@@ -534,16 +557,23 @@ class RestartThrashMonitor(InvariantMonitor):
         self._reported.setdefault(id(engine), False)
 
     def on_tick(self, scenario: Any, now: float) -> None:
+        last_counts = self._last_counts
+        all_bursts = self._bursts
+        reported = self._reported
+        oldest = now - self.window
         for key, engine in self._engines.items():
-            delta = engine.local_restart_count - self._last_counts[key]
-            self._last_counts[key] = engine.local_restart_count
-            bursts = self._bursts[key]
+            count = engine.local_restart_count
+            bursts = all_bursts[key]
+            delta = count - last_counts[key]
+            if not delta and not bursts:
+                continue  # idle: no restart since the last tick, no burst to age out
+            last_counts[key] = count
             if delta > 0:
                 bursts.append((now, delta))
-            bursts[:] = [(t, n) for t, n in bursts if t >= now - self.window]
+            bursts[:] = [(t, n) for t, n in bursts if t >= oldest]
             total = sum(n for _, n in bursts)
-            if total > self.bound and not self._reported[key]:
-                self._reported[key] = True
+            if total > self.bound and not reported[key]:
+                reported[key] = True
                 self._violate(
                     now,
                     node=engine.node_name,

@@ -139,7 +139,8 @@ class ChaosRun:
         #: The scenario of the last execute() — exposed for replay subjects
         #: that need the TraceLog, not just its fingerprint.
         self.scenario: Optional[ChaosScenario] = None
-        self._seen_engines: List[int] = []
+        #: node -> the engine instance the monitors last saw there.
+        self._engines: Dict[str, Any] = {}
 
     def execute(self) -> RunResult:
         """Build the testbed, play the schedule, collect violations."""
@@ -157,7 +158,7 @@ class ChaosRun:
         for entry in self.schedule.sorted_entries():
             injector.inject_at(entry.at, entry.build())
         scenario.start(settle=True)
-        self._tick_loop(scenario)
+        scenario.kernel.schedule(TICK_PERIOD, self._tick)
         scenario.run(until=self.schedule.horizon)
         now = scenario.kernel.now
         for monitor in self.monitors:
@@ -191,24 +192,30 @@ class ChaosRun:
 
     def _scan_engines(self, scenario: ChaosScenario) -> None:
         # Node reinstalls create brand-new engine objects; monitors must
-        # hook every instance they have not seen yet.
+        # hook every instance they have not seen yet.  Holding the last
+        # engine per node keeps it alive, so identity cannot be recycled.
+        engines = scenario.pair.engines
+        seen = self._engines
         for name in scenario.pair.node_names:
-            engine = scenario.pair.engines[name]
-            if id(engine) not in self._seen_engines:
-                self._seen_engines.append(id(engine))
+            engine = engines[name]
+            if engine is not seen.get(name):
+                seen[name] = engine
                 for monitor in self.monitors:
                     monitor.on_engine(engine)
 
-    def _tick_loop(self, scenario: ChaosScenario) -> None:
-        def tick() -> None:
-            if scenario.kernel.now >= self.schedule.horizon:
-                return
-            self._scan_engines(scenario)
-            for monitor in self.monitors:
-                monitor.on_tick(scenario, scenario.kernel.now)
-            scenario.kernel.schedule(TICK_PERIOD, tick)
-
-        scenario.kernel.schedule(TICK_PERIOD, tick)
+    def _tick(self) -> None:
+        """One monitor poll, re-armed every ``TICK_PERIOD`` until the horizon."""
+        scenario = self.scenario
+        kernel = scenario.kernel
+        now = kernel.now
+        if now >= self.schedule.horizon:
+            return
+        self._scan_engines(scenario)
+        for monitor in self.monitors:
+            monitor.on_tick(scenario, now)
+        # No handle to cancel: the first tick at or past the horizon stops
+        # the loop, and execute() never runs the kernel beyond it.
+        kernel.schedule(TICK_PERIOD, self._tick)  # oftt-lint: ok[leaked-timer]
 
 
 def run_schedule(

@@ -17,7 +17,7 @@ from repro.core.appdriver import NodeContext, OfttApplication
 from repro.core.config import OfttConfig
 from repro.core.diverter import MessageDiverter
 from repro.core.engine import OfttEngine
-from repro.core.roles import Role
+from repro.core.roles import BACKUP, PRIMARY
 from repro.errors import OfttError
 from repro.msq.manager import QueueManager
 from repro.nt.system import NTSystem
@@ -156,21 +156,22 @@ class OfttPair:
     def primary_node(self) -> Optional[str]:
         """The node whose live engine currently holds PRIMARY (None if
         none, which happens transiently during negotiation/switchover)."""
-        primaries = [
-            name
-            for name in self.node_names
-            if self.engines[name].alive and self.engines[name].role is Role.PRIMARY
-        ]
-        if len(primaries) > 1:
-            raise OfttError(f"dual primary: {primaries}")
-        return primaries[0] if primaries else None
+        engines = self.engines
+        primary = None
+        for name in self.node_names:
+            engine = engines[name]
+            if engine.alive and engine.role is PRIMARY:
+                if primary is not None:
+                    raise OfttError(f"dual primary: {[primary, name]}")
+                primary = name
+        return primary
 
     def backup_node(self) -> Optional[str]:
         """The node whose live engine currently holds BACKUP."""
         backups = [
             name
             for name in self.node_names
-            if self.engines[name].alive and self.engines[name].role is Role.BACKUP
+            if self.engines[name].alive and self.engines[name].role is BACKUP
         ]
         return backups[0] if backups else None
 
@@ -180,12 +181,16 @@ class OfttPair:
 
     def is_stable(self) -> bool:
         """One live primary running the app (the pair's steady state)."""
-        primary = None
         try:
             primary = self.primary_node()
         except OfttError:
             return False
-        return primary is not None and all(app.running for app in self.all_apps[primary])
+        if primary is None:
+            return False
+        for app in self.all_apps[primary]:
+            if not app.running:
+                return False
+        return True
 
     def settle(self, max_time: float = 30_000.0, step: float = 50.0) -> float:
         """Run the simulation until :meth:`is_stable` (returns the time).

@@ -27,7 +27,7 @@ from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule
 from repro.core.heartbeat import HeartbeatMonitor
 from repro.core.policy import AdaptivePolicy
 from repro.core.recovery import RecoveryManager
-from repro.core.roles import Role, RoleNegotiator
+from repro.core.roles import BACKUP, PRIMARY, Role, RoleNegotiator, role_of
 from repro.core.status import ComponentKind, ComponentStatus, StatusReport
 from repro.core.strategy import PEER, create_strategy
 from repro.core.watchdog import WatchdogTimer
@@ -400,7 +400,7 @@ class OfttEngine(ComObject):
         app = self.applications.get(component)
         if not self.alive or app is None:
             return
-        if self.role is not Role.PRIMARY:
+        if self.role is not PRIMARY:
             return  # role changed while the restart was queued
         self.local_restart_count += 1
         image = self.latest_local_image(component)
@@ -421,12 +421,12 @@ class OfttEngine(ComObject):
         """OFTTDistress entry point: hand control to the peer if possible."""
         if not self.alive:
             return
-        if self.role is not Role.PRIMARY:
+        if self.role is not PRIMARY:
             raise OfttError(f"{self.node_name}: switchover requested while {self.role.value}")
         self._initiate_switchover(reason)
 
     def _initiate_switchover(self, reason: str) -> None:
-        if self.role is not Role.PRIMARY:
+        if self.role is not PRIMARY:
             return
         if not self.peer_present:
             # "if application on the peer node is functional" — it is not;
@@ -451,7 +451,7 @@ class OfttEngine(ComObject):
     # so the loser of the seq tiebreak is a no-op.
     def _forced_local_restart(self, component: str) -> None:  # oftt-lint: ok[race-write-write]
         app = self.applications.get(component)
-        if not self.alive or app is None or self.role is not Role.PRIMARY:
+        if not self.alive or app is None or self.role is not PRIMARY:
             return
         if app.running:
             return
@@ -560,7 +560,7 @@ class OfttEngine(ComObject):
     def _on_role_decided(self, role: Role) -> None:
         if not self.alive:
             return
-        if role is Role.PRIMARY:
+        if role is PRIMARY:
             self._start_application_as_primary()
         self._broadcast_role_change()
         self._report_now("oftt-engine")
@@ -637,16 +637,16 @@ class OfttEngine(ComObject):
         if self.degraded:
             self.degraded = False
             self.trace.emit("engine", self.node_name, "peer-returned")
-        peer_role = Role(payload["role"])
-        if not was_present or peer_role is Role.PRIMARY:
+        peer_role = role_of(payload["role"])
+        if not was_present or peer_role is PRIMARY:
             # Role-carrying heartbeats double as announcements.
             self.negotiator.on_peer_announce(payload)
         peer_strategy = payload.get("strategy")
         if (
             self.policy is not None
             and peer_strategy
-            and peer_role is Role.PRIMARY
-            and self.role is not Role.PRIMARY
+            and peer_role is PRIMARY
+            and self.role is not PRIMARY
             and peer_strategy != self.strategy_name
         ):
             self.switch_strategy(peer_strategy, "follow primary")
@@ -657,7 +657,7 @@ class OfttEngine(ComObject):
         # nodes BACKUP with nobody running the application.  If the
         # condition persists across several peer heartbeats, the
         # deterministic tie-break winner promotes itself.
-        if self.role is Role.BACKUP and peer_role is Role.BACKUP and self.negotiator.decided_at is not None:
+        if self.role is BACKUP and peer_role is BACKUP and self.negotiator.decided_at is not None:
             self._dual_backup_streak += 1
             if self._dual_backup_streak >= 3 and self.negotiator._wins_tiebreak():
                 self._dual_backup_streak = 0
@@ -673,7 +673,9 @@ class OfttEngine(ComObject):
         self._stats["acks_rx"] += 1
         self.acked_sequence = max(self.acked_sequence, payload["sequence"])
         still_waiting = []
-        for sequence, event in self._ack_waiters:
+        # Only the durable saves still awaiting an ack: each ack drops the
+        # ones it covers, and give_up() drops the timed-out ones.
+        for sequence, event in self._ack_waiters:  # oftt-lint: ok[hot-linear-scan]
             if sequence <= self.acked_sequence:
                 if not event.fired:
                     event.succeed(True)
@@ -720,7 +722,7 @@ class OfttEngine(ComObject):
         # Re-broadcast the role periodically as well: diverter clients
         # that missed a role-change notice (boot races, lossy links)
         # relearn the primary within one report period.
-        if self.role is Role.PRIMARY:
+        if self.role is PRIMARY:
             self._broadcast_role_change()
         self._report_timer = self.kernel.schedule(
             self.scaled(STATUS_REPORT_PERIOD), self._status_report_loop

@@ -34,6 +34,30 @@ class Role(enum.Enum):
     SHUTDOWN = "shutdown"
 
 
+# The members bound once.  ``EnumType`` defines a Python-level
+# ``__getattr__``, so on CPython 3.11 every ``Role.PRIMARY`` lookup takes
+# the interpreter's slow attribute-hook path, and ``Role(value)`` runs
+# ``EnumType.__call__``: each is an order of magnitude dearer than a
+# module global or a dict lookup.  The heartbeat handlers and the chaos
+# monitors read roles on every message and every tick, so they use these
+# names and :func:`role_of` instead.
+UNDECIDED = Role.UNDECIDED
+PRIMARY = Role.PRIMARY
+BACKUP = Role.BACKUP
+SHUTDOWN = Role.SHUTDOWN
+
+#: Wire value -> member, what ``Role(value)`` returns.
+ROLE_BY_VALUE: Dict[str, Role] = {role.value: role for role in Role}
+
+
+def role_of(value: Any) -> Role:
+    """``Role(value)`` at one dict lookup; an unknown value raises ``ValueError``."""
+    try:
+        return ROLE_BY_VALUE[value]
+    except (KeyError, TypeError):
+        return Role(value)  # Enum's own lookup and its ValueError
+
+
 class RoleNegotiator:
     """Per-engine role state machine.
 
@@ -69,7 +93,7 @@ class RoleNegotiator:
         self.on_demoted = on_demoted
         self.preferred_primary = preferred_primary
         self.trace = trace if trace is not None else TraceLog(clock=lambda: kernel.now)
-        self.role = Role.UNDECIDED
+        self.role = UNDECIDED
         self.incarnation = 0
         self.retries_used = 0
         self._negotiating = False
@@ -81,7 +105,7 @@ class RoleNegotiator:
 
     def begin(self) -> None:
         """Enter negotiation: announce and wait for the peer."""
-        if self.role is not Role.UNDECIDED:
+        if self.role is not UNDECIDED:
             raise RoleError(f"{self.node_name}: begin() in role {self.role.value}")
         self._started = True
         self._negotiating = True
@@ -129,12 +153,12 @@ class RoleNegotiator:
             return
         if self.config.give_up_policy is GiveUpPolicy.SHUTDOWN:
             self._negotiating = False
-            self.role = Role.SHUTDOWN
+            self.role = SHUTDOWN
             self.trace.emit("role", self.node_name, "startup-shutdown", retries=self.retries_used)
             self.on_shutdown()
         else:
             self.trace.emit("role", self.node_name, "lone-primary", retries=self.retries_used)
-            self._decide(Role.PRIMARY)
+            self._decide(PRIMARY)
 
     # -- peer messages -------------------------------------------------------------
 
@@ -144,40 +168,40 @@ class RoleNegotiator:
             # The engine (and with it, this negotiator) is not up yet; a
             # real node's port would not even be bound.
             return
-        if self.role is Role.SHUTDOWN:
+        if self.role is SHUTDOWN:
             # Startup gave up and powered the stack down (§3.2): the same
             # unbound-port contract applies — a shut-down node must not
             # keep answering announcements (it used to, via the
             # rebooted-peer branch below).
             return
-        peer_role = Role(payload["role"])
+        peer_role = role_of(payload["role"])
         peer_incarnation = int(payload.get("incarnation", 0))
-        if self.role is Role.UNDECIDED:
+        if self.role is UNDECIDED:
             self._resolve_against(peer_role, peer_incarnation)
-        elif self.role is Role.PRIMARY and peer_role is Role.PRIMARY:
+        elif self.role is PRIMARY and peer_role is PRIMARY:
             self._resolve_dual_primary(peer_incarnation)
-        elif self.role is Role.BACKUP and peer_role is Role.PRIMARY:
+        elif self.role is BACKUP and peer_role is PRIMARY:
             # Track the pair's epoch so a later promotion outranks the
             # primary we are following.
             self.incarnation = max(self.incarnation, peer_incarnation)
-        elif peer_role is Role.UNDECIDED and self._negotiating is False:
+        elif peer_role is UNDECIDED and self._negotiating is False:
             # Rebooted peer asking around: tell it where things stand.
             self._announce()
 
     def _resolve_against(self, peer_role: Role, peer_incarnation: int) -> None:
-        if peer_role is Role.PRIMARY:
+        if peer_role is PRIMARY:
             self.incarnation = peer_incarnation  # adopt the pair's epoch
-            self._decide(Role.BACKUP)
-        elif peer_role is Role.BACKUP:
+            self._decide(BACKUP)
+        elif peer_role is BACKUP:
             # Outrank whatever epoch the waiting backup last followed.
             self.incarnation = max(self.incarnation, peer_incarnation + 1)
-            self._decide(Role.PRIMARY)
-        elif peer_role is Role.UNDECIDED:
+            self._decide(PRIMARY)
+        elif peer_role is UNDECIDED:
             # Both undecided: deterministic tie-break.
             if self._wins_tiebreak():
-                self._decide(Role.PRIMARY)
+                self._decide(PRIMARY)
             else:
-                self._decide(Role.BACKUP)
+                self._decide(BACKUP)
 
     def _wins_tiebreak(self) -> bool:
         if self.preferred_primary:
@@ -190,7 +214,7 @@ class RoleNegotiator:
             self._announce()  # push the loser to demote
             return
         self.trace.emit("role", self.node_name, "dual-primary-demote", peer_incarnation=peer_incarnation)
-        self.role = Role.BACKUP
+        self.role = BACKUP
         self.incarnation = peer_incarnation
         self.decided_at = self.kernel.now
         self.on_demoted()
@@ -199,7 +223,7 @@ class RoleNegotiator:
         self._negotiating = False
         self._cancel_wait()
         self.role = role
-        if role is Role.PRIMARY and self.incarnation == 0:
+        if role is PRIMARY and self.incarnation == 0:
             self.incarnation = 1
         self.decided_at = self.kernel.now
         self.trace.emit("role", self.node_name, "role-decided", role=role.value, incarnation=self.incarnation)
@@ -210,19 +234,19 @@ class RoleNegotiator:
 
     def promote(self) -> None:
         """Backup takes over (peer loss or explicit handoff)."""
-        if self.role is not Role.BACKUP:
+        if self.role is not BACKUP:
             raise RoleError(f"{self.node_name}: promote from {self.role.value}")
         self.incarnation += 1
-        self.role = Role.PRIMARY
+        self.role = PRIMARY
         self.decided_at = self.kernel.now
         self.trace.emit("role", self.node_name, "promoted", incarnation=self.incarnation)
         self._announce()
 
     def demote(self) -> None:
         """Primary steps down (explicit switchback)."""
-        if self.role is not Role.PRIMARY:
+        if self.role is not PRIMARY:
             raise RoleError(f"{self.node_name}: demote from {self.role.value}")
-        self.role = Role.BACKUP
+        self.role = BACKUP
         # Every role change stamps decided_at (promote()/_decide() do),
         # so demotion-driven transitions account their latency too.
         self.decided_at = self.kernel.now

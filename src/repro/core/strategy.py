@@ -115,10 +115,6 @@ class ReplicationStrategy:
     def on_heartbeat_tick(self) -> None:
         """Called every peer-heartbeat period (extra liveness traffic)."""
 
-    def describe(self) -> Dict[str, Any]:
-        """Strategy name + counters (for status surfaces and tests)."""
-        return {"strategy": self.name}
-
 
 class ColdPassiveStrategy(ReplicationStrategy):
     """The paper's primary/backup pair, extracted from the engine.
@@ -207,7 +203,6 @@ class LeaderFollowerStrategy(ColdPassiveStrategy):
     def __init__(self) -> None:
         super().__init__()
         self.updates_replicated = 0
-        self.updates_applied = 0
 
     def checkpoint_policy(self, app_name: str, requested: Optional[float]) -> Tuple[float, bool]:
         return LF_UPDATE_PERIOD, True
@@ -215,19 +210,6 @@ class LeaderFollowerStrategy(ColdPassiveStrategy):
     def replicate(self, checkpoint: Checkpoint) -> None:
         self.updates_replicated += 1
         super().replicate(checkpoint)
-
-    def on_peer_checkpoint(self, payload: Dict[str, Any]) -> None:
-        before = self.engine.peer_store.stored_count
-        super().on_peer_checkpoint(payload)
-        self.updates_applied += self.engine.peer_store.stored_count - before
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.name,
-            "update_period": LF_UPDATE_PERIOD,
-            "updates_replicated": self.updates_replicated,
-            "updates_applied": self.updates_applied,
-        }
 
 
 class LogReplayDRStrategy(ColdPassiveStrategy):
@@ -245,10 +227,6 @@ class LogReplayDRStrategy(ColdPassiveStrategy):
 
     name = "log-replay-dr"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.checkpoints_mirrored = 0
-
     def replicate(self, checkpoint: Checkpoint) -> None:
         super().replicate(checkpoint)
         engine = self.engine
@@ -260,7 +238,6 @@ class LogReplayDRStrategy(ColdPassiveStrategy):
                 persistent=True,
                 label="dr-ckpt",
             )
-            self.checkpoints_mirrored += 1
 
     def on_heartbeat_tick(self) -> None:
         engine = self.engine
@@ -271,13 +248,6 @@ class LogReplayDRStrategy(ColdPassiveStrategy):
                 {"kind": "hb", "node": engine.node_name, "role": engine.role.value},
                 size=32,
             )
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.name,
-            "dr_node": self.engine.config.dr_node if self.engine else "",
-            "checkpoints_mirrored": self.checkpoints_mirrored,
-        }
 
 
 #: name -> class; keep in sync with ``config.REPLICATION_STRATEGIES``

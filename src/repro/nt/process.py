@@ -32,6 +32,13 @@ class ProcessState(enum.Enum):
     KILLED = "killed"
 
 
+#: The states in which the kernel object still exists.  Bound once:
+#: ``ProcessState.RUNNING`` is an Enum-class lookup (slow on CPython 3.11,
+#: see ``repro.core.roles``), and ``alive`` is read on every heartbeat and
+#: monitor tick.
+_ALIVE_STATES = (ProcessState.RUNNING, ProcessState.HUNG)
+
+
 class NTProcess:
     """A simulated NT process."""
 
@@ -174,7 +181,7 @@ class NTProcess:
     @property
     def alive(self) -> bool:
         """Running or hung — i.e. the kernel object still exists."""
-        return self.state in (ProcessState.RUNNING, ProcessState.HUNG)
+        return self.state in _ALIVE_STATES
 
     @property
     def qualified_name(self) -> str:

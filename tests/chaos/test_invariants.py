@@ -5,10 +5,12 @@ from repro.chaos.invariants import (
     CheckpointMonotonicityMonitor,
     DiverterConservationMonitor,
     HeartbeatLivenessMonitor,
+    InvariantMonitor,
     RecoveryLatencyMonitor,
     SplitBrainMonitor,
+    default_monitors,
 )
-from repro.chaos.runner import run_schedule
+from repro.chaos.runner import ChaosRun, run_schedule
 from repro.chaos.schedule import ChaosSchedule, FaultEntry
 from repro.core.roles import Role
 from repro.msq.manager import DEAD_LETTER_QUEUE
@@ -321,6 +323,42 @@ def test_same_seed_runs_are_wire_identical():
     assert first.trace_fingerprint == second.trace_fingerprint
 
 
+class EngineRecorder(InvariantMonitor):
+    """Records every engine instance the runner hands to ``on_engine``."""
+
+    name = "engine-recorder"
+
+    def __init__(self):
+        super().__init__()
+        self.engines = []
+
+    # A recorder lives for one run, so its list is bounded by that run.
+    def on_engine(self, engine):
+        self.engines.append(engine)  # oftt-lint: ok[unbounded-growth]
+
+
+def test_runner_hooks_each_engine_instance_once_across_reinstalls():
+    schedule = ChaosSchedule(
+        entries=[
+            FaultEntry(3_000.0, "node-failure", {"node": "alpha"}),
+            FaultEntry(5_000.0, "node-reboot", {"node": "alpha"}),
+            FaultEntry(10_000.0, "node-failure", {"node": "beta"}),
+            FaultEntry(12_000.0, "node-reboot", {"node": "beta"}),
+        ],
+        horizon=20_000.0,
+    )
+    first, last = EngineRecorder(), EngineRecorder()
+    run = ChaosRun(0, schedule, monitors=[first] + default_monitors() + [last])
+    run.execute()
+    started = run.scenario.trace.count(category="engine", event="engine-started")
+    assert started == 4  # two originals, two reinstalls
+    final = run.scenario.pair.engines
+    for recorder in (first, last):
+        assert len({id(engine) for engine in recorder.engines}) == len(recorder.engines) == started
+        for name in ("alpha", "beta"):
+            assert any(engine is final[name] for engine in recorder.engines)
+
+
 # ---------------------------------------------------------------------------
 # StrategyFlappingMonitor / RestartThrashMonitor
 
@@ -410,3 +448,41 @@ def test_restart_thrash_ignores_preexisting_count():
     monitor.on_engine(engine)
     monitor.on_tick(None, 100.0)
     assert monitor.violations == []
+
+
+def _idle_ticks(monitor, start, end):
+    now = start
+    while now <= end:
+        monitor.on_tick(None, now)
+        now += 50.0
+
+
+def test_restart_thrash_reports_burst_after_idle_ticks():
+    from repro.chaos.invariants import RestartThrashMonitor
+
+    monitor = RestartThrashMonitor(bound=5, window=4_000.0)
+    engine = FakeSwitchEngine()
+    monitor.on_engine(engine)
+    _idle_ticks(monitor, 50.0, 10_000.0)  # 200 restart-free ticks
+    engine.local_restart_count += 3
+    monitor.on_tick(None, 10_050.0)
+    engine.local_restart_count += 3
+    monitor.on_tick(None, 10_100.0)
+    assert [(v.time, v.detail["restarts"]) for v in monitor.violations] == [(10_100.0, 6)]
+
+
+def test_restart_thrash_drops_burst_once_it_leaves_the_window():
+    from repro.chaos.invariants import RestartThrashMonitor
+
+    monitor = RestartThrashMonitor(bound=5, window=4_000.0)
+    engine = FakeSwitchEngine()
+    monitor.on_engine(engine)
+    engine.local_restart_count += 4
+    monitor.on_tick(None, 1_000.0)
+    _idle_ticks(monitor, 1_050.0, 5_000.0)  # the burst is still inside the window at 5_000
+    engine.local_restart_count += 4
+    monitor.on_tick(None, 5_050.0)  # the 1_000 burst ages out here: 4 in the window
+    assert monitor.violations == []
+    engine.local_restart_count += 2
+    monitor.on_tick(None, 5_100.0)
+    assert [(v.time, v.detail["restarts"]) for v in monitor.violations] == [(5_100.0, 6)]

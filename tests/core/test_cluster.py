@@ -5,6 +5,7 @@ import pytest
 from repro.apps.synthetic import SyntheticStateApp
 from repro.core.cluster import OfttPair
 from repro.core.config import OfttConfig
+from repro.core.roles import Role
 from repro.errors import OfttError
 
 from tests.conftest import make_world
@@ -50,6 +51,17 @@ def test_queries():
     assert world.pair.running_app_nodes() == [primary]
     assert world.pair.engine(primary).role.value == "primary"
     assert world.pair.app(primary).running
+
+
+def test_dual_primary_query_names_both_nodes():
+    world = make_pair_world()
+    world.start()
+    backup = world.backup
+    world.pair.engines[backup].negotiator.role = Role.PRIMARY  # both live engines now PRIMARY
+    with pytest.raises(OfttError) as error:
+        world.pair.primary_node()
+    assert str(error.value) == "dual primary: ['alpha', 'beta']"
+    assert world.pair.is_stable() is False
 
 
 def test_multi_app_pair_runs_all_apps_on_primary():

@@ -8,7 +8,7 @@ shutdown logic, dual-primary resolution — is tested in isolation.
 import pytest
 
 from repro.core.config import GiveUpPolicy, OfttConfig, replace_config
-from repro.core.roles import Role, RoleNegotiator
+from repro.core.roles import ROLE_BY_VALUE, Role, RoleNegotiator, role_of
 from repro.errors import RoleError
 from repro.simnet.kernel import SimKernel
 
@@ -164,3 +164,19 @@ def test_begin_twice_rejected():
     assert harness.negotiators["alpha"].role is not Role.UNDECIDED
     with pytest.raises(RoleError):
         harness.negotiators["alpha"].begin()
+
+
+def test_role_of_returns_the_enum_member_for_every_value():
+    assert set(ROLE_BY_VALUE.values()) == set(Role)
+    for role in Role:
+        assert role_of(role.value) is Role(role.value)
+    assert role_of(Role.BACKUP) is Role(Role.BACKUP)
+
+
+@pytest.mark.parametrize("value", ["leader", "PRIMARY", "", None, ["primary"]])
+def test_role_of_rejects_unknown_values_like_the_enum(value):
+    with pytest.raises(ValueError) as enum_error:
+        Role(value)
+    with pytest.raises(ValueError) as map_error:
+        role_of(value)
+    assert str(map_error.value) == str(enum_error.value)
