@@ -138,14 +138,17 @@ class ScadaMonitorApp(OfttApplication):
         latest = space.read("latest")
         trend = space.read("trend")
         updates = space.read("updates_seen")
+        trend_depth = self.trend_depth
         for _handle, item_id, value in batch:
-            latest[item_id] = [value.value, value.quality.value, value.timestamp]
+            quality = value.quality
+            # ``_value_`` is the member's value without Enum's descriptor.
+            latest[item_id] = [value.value, quality._value_, value.timestamp]
             tail = trend.setdefault(item_id, [])
             tail.append([value.timestamp, value.value])
-            if len(tail) > self.trend_depth:
-                del tail[: len(tail) - self.trend_depth]
+            if len(tail) > trend_depth:
+                del tail[: len(tail) - trend_depth]
             updates += 1
-            if value.quality.is_good:
+            if quality.is_good:
                 self._check_alarm(item_id, value)
         space.write("latest", latest)
         space.write("trend", trend)

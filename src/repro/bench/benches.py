@@ -16,6 +16,9 @@ still fully deterministic sim code.
 
 from __future__ import annotations
 
+import copy
+import gc
+import heapq
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -42,6 +45,10 @@ ROUNDTRIP_COUNT = {"quick": 250, "full": 2000}
 _WARMUP = 15_000.0  #: sim ms before the checkpoint bench starts capturing
 
 
+#: Passes of :func:`reference_loop` timed before, and again after, the benches.
+REFERENCE_PASSES = 5
+
+
 def _timed(fn: Callable[[], Any]) -> tuple:
     start = time.perf_counter()
     value = fn()
@@ -50,6 +57,48 @@ def _timed(fn: Callable[[], Any]) -> tuple:
 
 def _rate(count: int, seconds: float) -> float:
     return round(count / seconds, 1) if seconds > 0 else 0.0
+
+
+class _Cell:
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
+def reference_loop() -> int:
+    """Fixed stdlib-only work in the simulator's style: deep copies of
+    nested plain data, a heap drained in order, small slotted objects.
+
+    A yardstick for the host, not the code: it uses nothing from
+    ``repro``, so when it reads faster or slower between two reports,
+    the host moved.  13–18 ms per pass on a shared 2-vCPU x86-64 VM
+    under CPython 3.11.
+    """
+    state = {f"v{i}": [i, {"t": float(i), "tags": ["a", "b"]}] for i in range(150)}
+    for _ in range(12):
+        copy.deepcopy(state)
+    heap: List[Tuple[int, int]] = []
+    for i in range(4000):
+        heapq.heappush(heap, ((i * 7919) % 1009, i))
+    while heap:
+        heapq.heappop(heap)
+    cells = [_Cell() for _ in range(300)]
+    total = 0
+    for step in range(20):
+        for cell in cells:
+            cell.value += step
+            total += cell.value
+    return total
+
+
+def reference_seconds(passes: int = REFERENCE_PASSES) -> List[float]:
+    """Wall seconds of *passes* timed runs of :func:`reference_loop`."""
+    times = []
+    for _ in range(passes):
+        gc.collect()
+        times.append(_timed(reference_loop)[1])
+    return times
 
 
 def bench_kernel_events(n: int) -> Dict[str, Any]:

@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import os
 import platform
+import statistics
 import sys
 from typing import Any, Dict, Optional, Sequence
 
 # oftt-lint: file-ok[ambient-io] -- the bench driver reads host facts and writes reports.
 from repro.bench import diff as diff_mod
-from repro.bench.benches import PROFILES, run_benches
+from repro.bench.benches import PROFILES, reference_seconds, run_benches
 from repro.bench.report import build_report, next_bench_path, render_json
 from repro.perf.executor import add_jobs_argument
 
@@ -120,12 +121,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               "(drop --save/--out)", file=sys.stderr)
         return 2
     try:
+        # The reference loop is timed before and after the benches, so the
+        # host's speed over the whole run is on record for `diff`.
+        reference = reference_seconds()
         benches = run_benches(profile=options.profile, jobs=options.jobs,
                               only=options.only or None)
+        reference += reference_seconds()
     except ValueError as exc:
         print(f"oftt-bench: {exc}", file=sys.stderr)
         return 2
-    report = build_report(benches, profile=options.profile, jobs=options.jobs, host=host_facts())
+    host = host_facts()
+    host["reference_s"] = round(statistics.median(reference), 5)
+    report = build_report(benches, profile=options.profile, jobs=options.jobs, host=host)
     rendered = render_json(report)
     sys.stdout.write(rendered)
 

@@ -18,6 +18,12 @@ the diff treats them accordingly:
 Exit codes follow the analyzer's convention: ``0`` clean, ``1`` at
 least one regression or work mismatch, ``2`` usage error (missing file,
 wrong schema).
+
+The diff also prints one ungated line on the host: the median time of
+:func:`repro.bench.benches.reference_loop` that each report keeps in
+its ``host`` block, and its change.  The loop runs no project code, so
+when it moves, every measured figure moved with the host as well.
+Reports saved before the loop existed read "not recorded".
 """
 
 from __future__ import annotations
@@ -78,6 +84,8 @@ class MetricDelta:
 class DiffResult:
     work_mismatches: List[str] = field(default_factory=list)
     deltas: List[MetricDelta] = field(default_factory=list)
+    #: Each report's host ``reference_s`` (None where not recorded).
+    host_reference: Tuple[Optional[float], Optional[float]] = (None, None)
 
     def regressions(self, threshold: float) -> List[MetricDelta]:
         return [d for d in self.deltas if d.regressed(threshold)]
@@ -140,7 +148,10 @@ def _work_mismatches(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
 
 def diff_reports(old: Dict[str, Any], new: Dict[str, Any]) -> DiffResult:
     """Compare two loaded reports; thresholds are applied by the caller."""
-    result = DiffResult(work_mismatches=_work_mismatches(old, new))
+    result = DiffResult(
+        work_mismatches=_work_mismatches(old, new),
+        host_reference=(_reference_s(old), _reference_s(new)),
+    )
     old_measured = {bench["name"]: bench.get("measured", {}) for bench in old["benches"]}
     new_measured = {bench["name"]: bench.get("measured", {}) for bench in new["benches"]}
     for name in sorted(set(old_measured) & set(new_measured)):
@@ -152,6 +163,24 @@ def diff_reports(old: Dict[str, Any], new: Dict[str, Any]) -> DiffResult:
                     name, key, float(old_value), float(new_value), metric_direction(key),
                 ))
     return result
+
+
+def _reference_s(report: Dict[str, Any]) -> Optional[float]:
+    host = report.get("host")
+    value = host.get("reference_s") if isinstance(host, dict) else None
+    return float(value) if isinstance(value, (int, float)) else None
+
+
+def format_host_line(old: Optional[float], new: Optional[float]) -> str:
+    """The host line: both reference-loop times and their change."""
+
+    def shown(seconds: Optional[float]) -> str:
+        return "not recorded" if seconds is None else f"{seconds * 1e3:.2f} ms"
+
+    line = f"host: reference loop {shown(old)} -> {shown(new)}"
+    if old and new is not None:
+        line += f"  ({(new - old) / old:+.1%})"
+    return line
 
 
 def _format_delta(delta: MetricDelta, threshold: float) -> str:
@@ -180,6 +209,7 @@ def render_diff(
         lines.extend(f"  {reason}" for reason in result.work_mismatches)
     else:
         lines.append("work: identical")
+    lines.append(format_host_line(*result.host_reference))
     regressions = result.regressions(threshold)
     improvements = result.improvements(threshold)
     if result.deltas:

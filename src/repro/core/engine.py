@@ -717,8 +717,11 @@ class OfttEngine(ComObject):
     def _status_report_loop(self) -> None:
         if not self.alive:
             return
-        for report in self.status_reports():
-            self._send_report(report)
+        # Reports go to the monitor nodes only; with none, building the
+        # table is waste (GetStatusTable still builds it on request).
+        if self.monitor_nodes:
+            for report in self.status_reports():
+                self._send_report(report)
         # Re-broadcast the role periodically as well: diverter clients
         # that missed a role-change notice (boot races, lossy links)
         # relearn the primary within one report period.
@@ -764,6 +767,8 @@ class OfttEngine(ComObject):
         return reports
 
     def _report_now(self, component: str) -> None:
+        if not self.monitor_nodes:
+            return
         for report in self.status_reports():
             if report.component == component:
                 self._send_report(report)

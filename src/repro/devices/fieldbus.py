@@ -8,7 +8,7 @@ OPC server then reports to clients.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Tuple
 
 from repro.devices.device import Actuator, Device, Sensor, Valve
 
@@ -22,32 +22,34 @@ class Fieldbus:
         self.devices: Dict[str, Device] = {}
         self.read_count = 0
         self.write_count = 0
+        # Name-sorted views the PLC scans every period; attach, the only
+        # writer of ``devices``, rebuilds them.
+        self._sensors: Tuple[Sensor, ...] = ()
+        self._actuators: Tuple[Actuator, ...] = ()
 
     def attach(self, device: Device) -> None:
         """Put a device on the bus (names must be unique)."""
         if device.name in self.devices:
             raise ValueError(f"device {device.name} already on {self.name}")
         self.devices[device.name] = device
+        ordered = [self.devices[name] for name in sorted(self.devices)]
+        self._sensors = tuple(device for device in ordered if isinstance(device, Sensor))
+        self._actuators = tuple(device for device in ordered if isinstance(device, Actuator))
 
     def device(self, name: str) -> Device:
         """Look up a device."""
-        if name not in self.devices:
+        device = self.devices.get(name)
+        if device is None:
             raise KeyError(f"no device {name} on {self.name}")
-        return self.devices[name]
+        return device
 
-    def sensors(self) -> List[Sensor]:
+    def sensors(self) -> Tuple[Sensor, ...]:
         """All attached sensors, sorted by name."""
-        return sorted(
-            (device for device in self.devices.values() if isinstance(device, Sensor)),
-            key=lambda device: device.name,
-        )
+        return self._sensors
 
-    def actuators(self) -> List[Actuator]:
+    def actuators(self) -> Tuple[Actuator, ...]:
         """All attached actuators, sorted by name."""
-        return sorted(
-            (device for device in self.devices.values() if isinstance(device, Actuator)),
-            key=lambda device: device.name,
-        )
+        return self._actuators
 
     def read_sensor(self, name: str, time: float, rng) -> float:
         """Read through the bus (raises when the bus is down)."""

@@ -10,6 +10,12 @@ input image from the fieldbus, run user logic, write the output image.
 :class:`PlcOpcBridge` is the "device driver" inside an OPC server: it
 polls the PLC's IO image and pushes values (with quality) into the
 server's namespace.
+
+Both loops are plain kernel timers, as the engine's heartbeat loop is:
+``start`` arms the first tick at the current time, each tick re-arms
+itself one period later while the device runs, and ``stop`` cancels the
+armed tick.  Ticks fall at the times, and in the order, of a process
+sleeping one period between them.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.devices.fieldbus import Fieldbus
 from repro.opc.server import OpcServer
-from repro.opc.types import Quality
-from repro.simnet.events import Timeout
-from repro.simnet.kernel import Process, SimKernel
+from repro.opc.types import BAD_DEVICE_FAILURE, GOOD, Quality
+from repro.simnet.kernel import ScheduleHandle, SimKernel
 
 # User logic: fn(inputs, outputs, time) mutates the outputs dict.
 ScanLogic = Callable[[Dict[str, float], Dict[str, float], float], None]
@@ -48,7 +53,7 @@ class PLC:
         self.logic: List[ScanLogic] = []
         self.running = False
         self.scan_count = 0
-        self._process: Optional[Process] = None
+        self._timer: Optional[ScheduleHandle] = None
 
     def add_logic(self, logic: ScanLogic) -> None:
         """Append a rung of user logic to the scan."""
@@ -61,42 +66,57 @@ class PLC:
     # -- scan loop -----------------------------------------------------------
 
     def start(self) -> None:
-        """Begin scanning."""
+        """Begin scanning; the first scan runs at the current time."""
         if self.running:
             return
         self.running = True
-        self._process = self.kernel.spawn(self._scan_loop(), name=f"plc:{self.name}")
+        if self._timer is not None:
+            self.kernel.cancel(self._timer)
+        self._timer = self.kernel.schedule(0.0, self._scan_tick)
 
     def stop(self) -> None:
         """Halt scanning (PLC fault or shutdown)."""
         self.running = False
-        if self._process is not None:
-            self._process.kill()
-            self._process = None
+        if self._timer is not None:
+            self.kernel.cancel(self._timer)
+            self._timer = None
 
-    def _scan_loop(self):
-        while self.running:
-            self.scan_once()
-            yield Timeout(self.scan_period)
+    def _scan_tick(self) -> None:
+        self._timer = None
+        self.scan_once()
+        # A rung may have stopped the PLC, or stopped and restarted it
+        # (which armed a fresh first tick): re-arm only the loop still owned.
+        if self.running and self._timer is None:
+            self._timer = self.kernel.schedule(self.scan_period, self._scan_tick)
 
     def scan_once(self) -> None:
         """One full input-logic-output scan."""
         now = self.kernel.now
+        fieldbus = self.fieldbus
+        read_sensor = fieldbus.read_sensor
+        rng = self.rng
+        inputs = self.inputs
+        input_quality = self.input_quality
+        outputs = self.outputs
         # Input scan.
-        for sensor in self.fieldbus.sensors():
+        for sensor in fieldbus.sensors():
+            name = sensor.name
             try:
-                self.inputs[sensor.name] = self.fieldbus.read_sensor(sensor.name, now, self.rng)
-                self.input_quality[sensor.name] = Quality.GOOD
+                inputs[name] = read_sensor(name, now, rng)
+                input_quality[name] = GOOD
             except IOError:
-                self.input_quality[sensor.name] = Quality.BAD_DEVICE_FAILURE
-        # Logic.
-        for rung in self.logic:
-            rung(self.inputs, self.outputs, now)
+                input_quality[name] = BAD_DEVICE_FAILURE
+        # Logic.  Rungs are added while the plant is built, never per
+        # event, so the list holds a handful of fixed entries.
+        for rung in self.logic:  # oftt-lint: ok[hot-linear-scan]
+            rung(inputs, outputs, now)
         # Output scan.
-        for actuator in self.fieldbus.actuators():
-            if actuator.name in self.outputs:
+        write_actuator = fieldbus.write_actuator
+        for actuator in fieldbus.actuators():
+            name = actuator.name
+            if name in outputs:
                 try:
-                    self.fieldbus.write_actuator(actuator.name, self.outputs[actuator.name])
+                    write_actuator(name, outputs[name])
                 except IOError:
                     pass  # surfaced via input quality on the next scan
         self.scan_count += 1
@@ -120,55 +140,61 @@ class PlcOpcBridge:
         self.poll_period = poll_period
         self.running = False
         self.poll_count = 0
-        self._process: Optional[Process] = None
-        self._defined: set = set()
+        self._timer: Optional[ScheduleHandle] = None
+        #: Point -> item id, for every point already defined in the namespace.
+        self._item_ids: Dict[str, str] = {}
 
     def item_id(self, point: str) -> str:
         """OPC item id for a PLC point."""
         return f"{self.plc.name}.{point}"
 
     def start(self) -> None:
-        """Begin polling the PLC image."""
+        """Begin polling the PLC image; the first poll runs at the current time."""
         if self.running:
             return
         self.running = True
-        self._process = self.kernel.spawn(self._poll_loop(), name=f"bridge:{self.plc.name}")
+        if self._timer is not None:
+            self.kernel.cancel(self._timer)
+        self._timer = self.kernel.schedule(0.0, self._poll_tick)
 
     def stop(self) -> None:
         """Stop polling."""
         self.running = False
-        if self._process is not None:
-            self._process.kill()
-            self._process = None
+        if self._timer is not None:
+            self.kernel.cancel(self._timer)
+            self._timer = None
 
-    def _poll_loop(self):
-        while self.running:
-            self.poll_once()
-            yield Timeout(self.poll_period)
+    def _poll_tick(self) -> None:
+        self._timer = None
+        self.poll_once()
+        if self.running and self._timer is None:
+            self._timer = self.kernel.schedule(self.poll_period, self._poll_tick)
 
     def poll_once(self) -> None:
         """Copy the current IO image into the OPC namespace."""
-        for point, value in sorted(self.plc.inputs.items()):
-            quality = self.plc.input_quality.get(point, Quality.GOOD)
-            self._publish(self.item_id(point), float(value), quality, writable=False)
-        for point, value in sorted(self.plc.outputs.items()):
-            self._publish(self.item_id(point), float(value), Quality.GOOD, writable=True)
+        plc = self.plc
+        input_quality = plc.input_quality
+        publish = self._publish
+        for point, value in sorted(plc.inputs.items()):
+            publish(point, float(value), input_quality.get(point, GOOD), False)
+        for point, value in sorted(plc.outputs.items()):
+            publish(point, float(value), GOOD, True)
         self.poll_count += 1
 
-    def _publish(self, item_id: str, value: float, quality: Quality, writable: bool) -> None:
-        if item_id not in self._defined:
-            if not self.server.namespace.exists(item_id):
-                access = "read_write" if writable else "read"
-                self.server.namespace.define_simple(item_id, value, access=access)
+    def _publish(self, point: str, value: float, quality: Quality, writable: bool) -> None:
+        item_id = self._item_ids.get(point)
+        if item_id is None:
+            item_id = self._item_ids[point] = self.item_id(point)
+            namespace = self.server.namespace
+            if not namespace.exists(item_id):
+                namespace.define_simple(item_id, value, access="read_write" if writable else "read")
                 if writable:
                     # Operator writes land in the PLC output image (user
                     # logic may override them on the next scan, as on a
                     # real PLC).
-                    point = item_id[len(self.plc.name) + 1:]
-                    self.server.namespace.on_write(
+                    namespace.on_write(
                         item_id, lambda _item, v, p=point: self.plc.outputs.__setitem__(p, float(v))
                     )
-            self._defined.add(item_id)
         self.server.update_item(item_id, value, quality)
 
     def __repr__(self) -> str:

@@ -41,7 +41,10 @@ def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
       in ``deepcopy``, so aliases and cycles copy the same way.  One that
       holds only numbers and None (a dict: keyed by strings) is copied by
       a C-level slice or ``dict()`` and priced from its length; any other
-      is copied and priced item by item.
+      is copied and priced item by item.  Inside a list or dict, an
+      exact list met for the first time whose items are all numbers,
+      None, ``str`` or ``bytes`` (a trend point, an alarm entry) is
+      priced and sliced in line, without a recursive call.
     * An exact ``tuple`` is rebuilt (and memoized) only when one of its
       items copied to a new object; otherwise it is shared, as in
       ``deepcopy``.
@@ -77,6 +80,21 @@ def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
                 total += 8
             elif item_kind is str or item_kind is bytes:
                 total += len(item)
+            elif item_kind is list and id(item) not in memo:
+                size = 16
+                for scalar in item:
+                    scalar_kind = type(scalar)
+                    if scalar_kind in fixed:
+                        size += 8
+                    elif scalar_kind is str or scalar_kind is bytes:
+                        size += len(scalar)
+                    else:
+                        item, size = copy_value(item, memo)
+                        break
+                else:
+                    # Keyed by the source's id: the copy is bound last.
+                    memo[id(item)] = item = item[:]
+                total += size
             else:
                 item, size = copy_value(item, memo)
                 total += size
@@ -95,6 +113,21 @@ def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
                 total += 8
             elif item_kind is str or item_kind is bytes:
                 total += len(item)
+            elif item_kind is list and id(item) not in memo:
+                # The short scalar list in line, as in the list loop above.
+                size = 16
+                for scalar in item:
+                    scalar_kind = type(scalar)
+                    if scalar_kind in fixed:
+                        size += 8
+                    elif scalar_kind is str or scalar_kind is bytes:
+                        size += len(scalar)
+                    else:
+                        item, size = copy_value(item, memo)
+                        break
+                else:
+                    memo[id(item)] = item = item[:]
+                total += size
             else:
                 item, size = copy_value(item, memo)
                 total += size

@@ -261,11 +261,11 @@ class OpcGroup(ComObject):
         """Called by the server whenever the namespace cache changes."""
         if not self.active or (self._sink_local is None and self._sink_remote is None):
             return
-        # Sorted by handle so the pending-update fan-out is ordered by a
-        # stable key rather than dict insertion history (which add/remove
-        # churn — or a restore path rebuilding the group — could reorder).
-        for handle in sorted(self.items):
-            subscribed_id = self.items[handle]
+        # The fan-out walks handles in ascending order.  ``items`` is kept
+        # in that order: handles come from a counter and are only ever
+        # appended (AddItems) or deleted (RemoveItems), so dict order is
+        # handle order and no per-update sort is needed.
+        for handle, subscribed_id in self.items.items():
             if subscribed_id != item_id:
                 continue
             if self._within_deadband(handle, new_value):

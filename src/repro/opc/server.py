@@ -23,7 +23,7 @@ from repro.com.hresult import OPC_E_DUPLICATENAME
 from repro.errors import OpcError
 from repro.opc.group import OpcGroup
 from repro.opc.items import ItemNamespace
-from repro.opc.types import OpcValue, Quality
+from repro.opc.types import GOOD, OpcValue, Quality
 
 IOPC_SERVER = declare_interface(
     "IOPCServer",
@@ -40,6 +40,12 @@ class ServerState(enum.Enum):
     FAILED = "failed"
     SUSPENDED = "suspended"
     NO_CONFIG = "noConfig"
+
+
+# Bound once for update_item, which tests them on every device update
+# (see the Quality members in repro.opc.types).
+_RUNNING = ServerState.RUNNING
+_NO_CONFIG = ServerState.NO_CONFIG
 
 
 class OpcServer(ComObject):
@@ -63,12 +69,12 @@ class OpcServer(ComObject):
 
     # -- device-side feed ------------------------------------------------------
 
-    def update_item(self, item_id: str, value: Any, quality: Quality = Quality.GOOD) -> OpcValue:
+    def update_item(self, item_id: str, value: Any, quality: Quality = GOOD) -> OpcValue:
         """Push a new device reading into the cache and notify groups."""
         new_value = self.namespace.update(item_id, value, quality, self.kernel.now)
         self.update_count += 1
-        if self.state is ServerState.NO_CONFIG:
-            self.state = ServerState.RUNNING
+        if self.state is _NO_CONFIG:
+            self.state = _RUNNING
         for group in self.groups.values():
             group._on_item_update(item_id, new_value)
         return new_value

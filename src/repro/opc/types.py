@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Dict
 
 # VARIANT type tags (the subset industrial data uses).
 VT_I4 = "VT_I4"
@@ -39,15 +39,38 @@ class Quality(enum.Enum):
     BAD_COMM_FAILURE = "bad:comm-failure"
     BAD_OUT_OF_SERVICE = "bad:out-of-service"
 
+    # Per-update paths read ``_value_``: on CPython 3.11 ``.value`` goes
+    # through a Python-level descriptor, several times dearer than a
+    # plain attribute.
     @property
     def is_good(self) -> bool:
         """Major status is GOOD."""
-        return self.value.startswith("good")
+        return self._value_.startswith("good")
 
     @property
     def is_bad(self) -> bool:
         """Major status is BAD."""
-        return self.value.startswith("bad")
+        return self._value_.startswith("bad")
+
+
+# The members the plant-to-screen path uses, bound once: ``Quality.GOOD``
+# takes ``EnumType``'s slow attribute path on CPython 3.11, and
+# ``Quality(value)`` runs ``EnumType.__call__``, each an order of
+# magnitude dearer than a module global or a dict lookup (see
+# :mod:`repro.core.roles`, which does the same for ``Role``).
+GOOD = Quality.GOOD
+BAD_DEVICE_FAILURE = Quality.BAD_DEVICE_FAILURE
+
+#: Wire value -> member, what ``Quality(value)`` returns.
+QUALITY_BY_VALUE: Dict[str, Quality] = {quality.value: quality for quality in Quality}
+
+
+def quality_of(value: Any) -> Quality:
+    """``Quality(value)`` at one dict lookup; an unknown value raises ``ValueError``."""
+    try:
+        return QUALITY_BY_VALUE[value]
+    except (KeyError, TypeError):
+        return Quality(value)  # Enum's own lookup and its ValueError
 
 
 @dataclass(frozen=True)
@@ -55,7 +78,7 @@ class OpcValue:
     """A value with OPC quality and source timestamp."""
 
     value: Any
-    quality: Quality = Quality.GOOD
+    quality: Quality = GOOD
     timestamp: float = 0.0
 
     def with_quality(self, quality: Quality) -> "OpcValue":
@@ -64,12 +87,12 @@ class OpcValue:
 
     def as_wire(self) -> dict:
         """Marshalable form for DCOM callbacks."""
-        return {"value": self.value, "quality": self.quality.value, "timestamp": self.timestamp}
+        return {"value": self.value, "quality": self.quality._value_, "timestamp": self.timestamp}
 
     @classmethod
     def from_wire(cls, data: dict) -> "OpcValue":
         """Inverse of :meth:`as_wire`."""
-        return cls(value=data["value"], quality=Quality(data["quality"]), timestamp=data["timestamp"])
+        return cls(value=data["value"], quality=quality_of(data["quality"]), timestamp=data["timestamp"])
 
     def __repr__(self) -> str:
         return f"OpcValue({self.value!r}, {self.quality.value}, t={self.timestamp})"

@@ -165,3 +165,30 @@ def test_zero_baseline_never_divides(tmp_path):
     new = variant(kernel_events__events_per_s=10.0)
     result = diff.diff_reports(old, new)
     assert result.regressions(0.25) == []
+
+
+# -- the host line --------------------------------------------------------
+
+
+def test_host_line_shows_the_reference_loop_of_both_reports(tmp_path, capsys):
+    old = copy.deepcopy(BASE)  # saved before the loop existed: no field
+    new = copy.deepcopy(BASE)
+    new["host"]["reference_s"] = 0.0102
+    assert run_diff(tmp_path, old, new) == 0
+    assert "host: reference loop not recorded -> 10.20 ms" in capsys.readouterr().out
+    newer = copy.deepcopy(new)
+    newer["host"]["reference_s"] = 0.0153
+    assert run_diff(tmp_path, new, newer) == 0  # host drift never gates
+    assert "host: reference loop 10.20 ms -> 15.30 ms  (+50.0%)" in capsys.readouterr().out
+    assert diff.format_host_line(0.02, None) == "host: reference loop 20.00 ms -> not recorded"
+
+
+def test_reference_loop_is_recorded_in_the_host_block_only(monkeypatch, capsys):
+    from repro.bench import cli
+    from repro.bench.report import deterministic_view
+
+    monkeypatch.setattr(cli, "run_benches", lambda **_kwargs: [])
+    assert cli.main([]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["host"]["reference_s"] > 0
+    assert "reference_s" not in json.dumps(deterministic_view(report))

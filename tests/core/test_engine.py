@@ -1,7 +1,11 @@
 """Unit tests for the OFTT engine."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.config import OfttConfig, RecoveryRule, replace_config
 from repro.core.roles import Role
 from repro.core.status import ComponentStatus
@@ -215,6 +219,56 @@ def test_status_reports_cover_components():
     components = {report.component for report in reports}
     assert {"oftt-engine", "peer-link", "synthetic"} <= components
     assert all(report.node == world.primary for report in reports)
+
+
+def count_status_reports(monkeypatch):
+    """Count every StatusReport the engine module builds."""
+    built = []
+    real = engine_module.StatusReport
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("component"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "StatusReport", counting)
+    return built
+
+
+def switch_over_midway(world):
+    """Three report periods, a switchover, then four and a half more."""
+    world.run_for(3_000.0)
+    first = world.primary
+    world.pair.engines[first].request_switchover("test")
+    world.run_for(4_500.0)
+    assert world.primary != first
+
+
+def test_engine_without_monitor_nodes_builds_no_status_reports(monkeypatch):
+    built = count_status_reports(monkeypatch)
+    world = started(seed=7)
+    switch_over_midway(world)
+    assert built == []
+    # The table is still built on request.
+    table = world.pair.engines[world.primary].GetStatusTable()
+    assert {"oftt-engine", "peer-link"} <= {row["component"] for row in table}
+    assert len(built) == len(table)
+
+
+def test_engine_with_a_monitor_delivers_the_same_reports():
+    from repro.core.monitor import SystemMonitor
+
+    world = make_pair_world(seed=7, monitor_nodes=["mon"])
+    world.add_machine("mon")
+    monitor = SystemMonitor(world.kernel, world.network.nodes["mon"])
+    received = []
+    monitor.subscribe(lambda report: received.append(report.as_wire()))
+    world.start()
+    switch_over_midway(world)
+    assert len(received) == 45
+    # The stream the periodic loop and the on-change reports delivered
+    # before reports were skipped for engines with no monitor node.
+    digest = hashlib.sha256(json.dumps(received, sort_keys=True).encode()).hexdigest()
+    assert digest == "335b2c92f1f64769e655cf016313060d236178733df12f6c268f7d3d0fb1d13c"
 
 
 def test_com_surface():

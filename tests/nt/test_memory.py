@@ -276,8 +276,16 @@ def test_copy_variables_of_named_subset_matches_deepcopy(seed):
 def nested_variables(seed):
     """Seeded variables shaped like SCADA and Call Track state: lists of
     flat lists, dicts of lists of lists, tuples holding lists, and one
-    container aliased from two variables and from inside a third."""
+    container aliased from two variables and from inside a third.
+
+    Three short scalar lists (copied in line where they are nested) are
+    each met again on later paths: ``point`` first inside a dict,
+    ``sample`` first inside a list, and ``reading`` first as a variable
+    of its own, then nested (the reverse order)."""
     rng = random.Random(seed)
+    point = [rng.random(), f"tag{rng.randint(0, 9)}", None]
+    sample = [rng.randint(0, 9), b"raw", 2.5]
+    reading = [rng.random(), "good"]
     shared = [rng.randint(0, 9), "shared", [rng.random()]]
     entries = [
         ("alarm_log", [[rng.random(), f"tag{i}", rng.randint(0, 99)] for i in range(rng.randint(0, 6))]),
@@ -292,7 +300,11 @@ def nested_variables(seed):
         ("holder", {"inner": [shared, (shared,)], "n": _scalar(rng)}),
     ]
     rng.shuffle(entries)
-    return dict(entries)
+    # Fixed around the shuffled middle, so the first meeting of each short
+    # list is the same in dict order and in sorted-name order.
+    first = [("inline_a", {"pt": point}), ("inline_b", [sample, 1.5]), ("inline_c", reading)]
+    again = [("inline_d", [reading, point]), ("inline_e", {"s": sample, "p": point, "r": reading})]
+    return dict(first + entries + again)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -305,6 +317,10 @@ def test_copy_variables_of_nested_values_matches_deepcopy(seed):
     assert_copy_matches_deepcopy(data, copied, oracle)
     assert copied["alias_a"] is copied["alias_b"] is copied["holder"]["inner"][0]
     assert copied["holder"]["inner"][1][0] is copied["alias_a"]
+    point, sample, reading = data["inline_a"]["pt"], data["inline_b"][0], data["inline_c"]
+    assert copied["inline_a"]["pt"] is copied["inline_d"][1] is copied["inline_e"]["p"] is not point
+    assert copied["inline_b"][0] is copied["inline_e"]["s"] is not sample
+    assert copied["inline_c"] is copied["inline_d"][0] is copied["inline_e"]["r"] is not reading
     # An all-immutable tuple is shared, one holding a list is rebuilt.
     assert copied["frozen"] is data["frozen"] and oracle["frozen"] is data["frozen"]
     assert copied["pairs"] is not data["pairs"]

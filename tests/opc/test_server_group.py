@@ -1,9 +1,12 @@
 """Unit tests for the OPC server and group subscription machinery."""
 
+import random
+
 import pytest
 
 from repro.com.runtime import ComRuntime
 from repro.errors import OpcError
+from repro.opc.group import OpcGroup
 from repro.opc.server import OpcServer, ServerState
 from repro.opc.types import Quality
 
@@ -175,3 +178,61 @@ def test_group_get_state():
         "active": True,
         "item_count": 1,
     }
+
+
+# -- the update fan-out walks items in stored (handle) order ---------------------------
+
+
+class SortedWalkGroup(OpcGroup):
+    """The fan-out as it was: sort the handles on every update."""
+
+    def _on_item_update(self, item_id, new_value):
+        if not self.active or (self._sink_local is None and self._sink_remote is None):
+            return
+        for handle in sorted(self.items):
+            if self.items[handle] != item_id:
+                continue
+            if self._within_deadband(handle, new_value):
+                continue
+            self._pending[handle] = new_value
+        if self._pending and not self._flush_armed:
+            self._flush_armed = True
+            self.server.kernel.schedule(self.update_rate, self._flush)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flush_batches_after_churn_equal_the_sorted_walk(seed):
+    world, server = make_server()
+    server.namespace.define_simple("plc.level", 0.0)
+    server.namespace.define_simple("plc.mode", "auto")
+    rng = random.Random(seed)
+    item_ids = ["plc.temp", "plc.flow", "plc.level", "plc.mode"]
+    batches = {"stored": [], "sorted": []}
+    groups = {}
+    for name, kind in (("stored", OpcGroup), ("sorted", SortedWalkGroup)):
+        group = kind(server, name, update_rate=100.0, deadband=5.0)
+        server.groups[name] = group
+        group.SetDataCallback(lambda group_name, batch: batches[group_name].append(batch))
+        groups[name] = group
+    # The same churn on both groups: duplicate subscriptions, removals
+    # from the middle and re-adds, so handles are not contiguous.
+    for _ in range(5):
+        adds = [rng.choice(item_ids) for _ in range(rng.randint(1, 4))]
+        handles = [group.AddItems(adds) for group in groups.values()]
+        assert handles[0] == handles[1]
+        present = sorted(groups["stored"].items)
+        removed = rng.sample(present, k=rng.randint(0, len(present) // 2))
+        for group in groups.values():
+            group.RemoveItems(removed)
+    assert list(groups["stored"].items) == sorted(groups["stored"].items)
+    for step in range(60):
+        item_id = rng.choice(item_ids)
+        if item_id == "plc.mode":
+            value = rng.choice(["auto", "manual"])
+        else:
+            value = rng.choice([10.0, 10.2, 11.0, 30.0])  # 10.0 -> 10.2 is inside the deadband
+        quality = Quality.GOOD if rng.random() < 0.8 else Quality.UNCERTAIN
+        server.update_item(item_id, value, quality)
+        world.run(step * 40.0)
+    world.run(5_000.0)
+    assert batches["stored"] and batches["stored"] == batches["sorted"]

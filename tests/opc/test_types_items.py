@@ -4,7 +4,17 @@ import pytest
 
 from repro.errors import ItemNotFound, OpcError
 from repro.opc.items import READ, READ_WRITE, WRITE, ItemDef, ItemNamespace
-from repro.opc.types import OpcValue, Quality, VT_BOOL, VT_BSTR, VT_I4, VT_R8, canonical_vt
+from repro.opc.types import (
+    QUALITY_BY_VALUE,
+    OpcValue,
+    Quality,
+    VT_BOOL,
+    VT_BSTR,
+    VT_I4,
+    VT_R8,
+    canonical_vt,
+    quality_of,
+)
 
 
 # -- types -------------------------------------------------------------------
@@ -30,6 +40,25 @@ def test_quality_major_status():
 def test_opcvalue_wire_roundtrip():
     value = OpcValue(3.14, Quality.UNCERTAIN_LAST_USABLE, 123.0)
     assert OpcValue.from_wire(value.as_wire()) == value
+
+
+def test_quality_of_returns_the_enum_member_for_every_value():
+    assert set(QUALITY_BY_VALUE.values()) == set(Quality)
+    for quality in Quality:
+        assert quality_of(quality.value) is Quality(quality.value)
+        assert OpcValue.from_wire(OpcValue(1.0, quality, 2.0).as_wire()).quality is quality
+    assert quality_of(Quality.BAD) is Quality(Quality.BAD)
+
+
+@pytest.mark.parametrize("value", ["GOOD", "bad:unknown", "", None, ["good"]])
+def test_quality_of_rejects_unknown_values_like_the_enum(value):
+    with pytest.raises(ValueError) as enum_error:
+        Quality(value)
+    with pytest.raises(ValueError) as map_error:
+        quality_of(value)
+    assert str(map_error.value) == str(enum_error.value)
+    with pytest.raises(ValueError):
+        OpcValue.from_wire({"value": 1.0, "quality": value, "timestamp": 0.0})
 
 
 def test_opcvalue_with_quality():
