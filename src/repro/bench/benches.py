@@ -105,7 +105,8 @@ def bench_kernel_events(n: int) -> Dict[str, Any]:
     """Schedule *n* no-op callbacks (cancelling every third) and drain.
 
     The cancel mix exercises the lazy-cancel skip in ``run()``, which
-    frees cancelled slots as it reaches them; ``pending`` must hit zero.
+    passes over cancelled entries as it reaches them; ``pending`` must
+    hit zero.
     """
     kernel = SimKernel()
     fired = [0]

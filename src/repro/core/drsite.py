@@ -37,7 +37,7 @@ from repro.msq.manager import QueueManager
 from repro.msq.queue import QueueMessage
 from repro.nt.memory import copy_value
 from repro.nt.system import NTSystem
-from repro.simnet.kernel import SimKernel
+from repro.simnet.kernel import ScheduleHandle, SimKernel
 from repro.simnet.trace import TraceLog
 
 #: The DR site's journal queue (checkpoint mirror + message log).
@@ -88,7 +88,7 @@ class DRSite:
         # Poll well inside the activation timeout so activation latency
         # is dominated by the timeout itself, not the poll grid.
         self._watch_period = max(DR_ACTIVATION_TIMEOUT / 4.0, 250.0)
-        self._watch_timer: Optional[int] = self.kernel.schedule(self._watch_period, self._watch)
+        self._watch_timer: Optional[ScheduleHandle] = self.kernel.schedule(self._watch_period, self._watch)
 
     def stop(self) -> None:
         """Retire the site: stop the activation watch and journal intake.

@@ -33,6 +33,7 @@ from repro.core.strategy import PEER, create_strategy
 from repro.core.watchdog import WatchdogTimer
 from repro.errors import OfttError, WatchdogError
 from repro.nt.process import NTProcess
+from repro.simnet.kernel import ScheduleHandle
 
 ENGINE_PORT = "oftt.engine"
 STATUS_PORT = "oftt.status"
@@ -169,8 +170,8 @@ class OfttEngine(ComObject):
         self._ack_waiters: List = []  # (sequence, Event) pairs
         #: Handles of the heartbeat/status report loops, cancelled on
         #: process exit so a dead engine leaves nothing in the kernel.
-        self._hb_timer: Optional[int] = None
-        self._report_timer: Optional[int] = None
+        self._hb_timer: Optional[ScheduleHandle] = None
+        self._report_timer: Optional[ScheduleHandle] = None
         self._stats = {"heartbeats_rx": 0, "checkpoints_tx": 0, "checkpoints_rx": 0, "acks_rx": 0}
         #: Observation hooks for invariant monitors and fault triggers
         #: (repro.chaos): fired after a local checkpoint is submitted /

@@ -53,6 +53,7 @@ from repro.nt.perfmon import PerfMon
 
 if TYPE_CHECKING:
     from repro.core.engine import OfttEngine
+    from repro.simnet.kernel import ScheduleHandle
 
 #: Restart governance: exponential back-off factor applied to the
 #: rule's ``restart_delay`` per consecutive local restart (attempt n
@@ -212,7 +213,7 @@ class AdaptivePolicy:
         self._tuned_regime: Optional[FaultRegime] = None
         self._last_switch_at: Optional[float] = None
         self._running = False
-        self._timer: Optional[int] = None
+        self._timer: Optional[ScheduleHandle] = None
 
     # -- recovery governance ------------------------------------------------------
 

@@ -41,7 +41,7 @@ from repro.msq.manager import QueueManager
 from repro.nt.system import NTSystem
 from repro.opc.server import OpcServer
 from repro.com.runtime import ComRuntime
-from repro.simnet.kernel import SimKernel
+from repro.simnet.kernel import ScheduleHandle, SimKernel
 from repro.simnet.network import Network
 from repro.simnet.partitions import PartitionController
 from repro.simnet.random import RngStreams
@@ -384,7 +384,7 @@ class ChaosScenario(Scenario):
         self.workload_period = workload_period
         self.workload_sent = 0
         self._workload_on = False
-        self._workload_timer: Optional[int] = None
+        self._workload_timer: Optional[ScheduleHandle] = None
 
         from repro.apps.synthetic import SyntheticStateApp
 

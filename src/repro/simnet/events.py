@@ -66,7 +66,8 @@ class Timeout(Waitable):
     """
 
     def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0.0:
+            # Also rejects NaN, as SimKernel.schedule does.
             raise SimError(f"negative timeout delay: {delay}")
         super().__init__()
         self.delay = delay

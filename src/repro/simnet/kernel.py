@@ -1,51 +1,49 @@
 """The discrete-event simulation kernel.
 
-:class:`SimKernel` maintains a priority queue of timestamped events and a
+:class:`SimKernel` maintains a calendar of timestamped calls and a
 monotonically increasing simulated clock.  Work is expressed either as a
 plain scheduled callback (:meth:`SimKernel.schedule`) or as a cooperative
 :class:`Process` wrapping a generator that yields
 :mod:`repro.simnet.events` waitables.
 
-Determinism: events at equal timestamps run in insertion order (a strictly
-increasing sequence number breaks ties), and all randomness flows through
+Determinism: calls at equal timestamps run in the order they were
+scheduled, and all randomness flows through
 :class:`repro.simnet.random.RngStreams`.  Two runs with the same seed
 produce identical traces.
 
-Hot-path notes (``SimKernel.run``/``step``/``schedule``/``cancel`` are hot
-roots in ``repro/analysis/hotpath.manifest``): the event queue is a
-struct-of-arrays layout, not a heap of per-call handle objects.  Each
-scheduled call occupies a *slot* — an index into parallel columns
-(``array('d')`` times, ``array('q')`` sequence numbers, plain lists for
-the callable and its argument tuple, a ``bytearray`` of cancelled flags)
-— and slots are recycled through a free list, so steady-state scheduling
-allocates no Python objects beyond the argument tuple the call protocol
-builds anyway.
+Hot-path notes (``SimKernel.run``/``_drain``/``step``/``schedule``/
+``cancel`` are hot roots in ``repro/analysis/hotpath.manifest``): each
+scheduled call is one plain list, an *entry* ``[callback, args, time]``,
+and the entry is also the handle :meth:`SimKernel.schedule` returns.
+Entries for the same timestamp share one *calendar bucket* (a plain list,
+in schedule order), and a ``heapq`` of the distinct timestamps orders the
+buckets:
 
-Ordering is delegated to a *calendar* structure instead of a per-event
-heap: slots scheduled for the same timestamp share one bucket (a plain
-list of slot indices), and a ``heapq`` of the distinct timestamps orders
-the buckets.  Two facts make this both fast and exactly equivalent to
-the old ``(time, seq, call)`` tuple heap:
-
-* within a bucket, list append order *is* sequence-number order, so the
-  bucket itself encodes the equal-timestamp tie-break — no comparisons
-  needed at all;
-* across buckets, the heap compares raw floats in C, and holds one entry
-  per *distinct* timestamp rather than one per event.  Sim workloads are
+* within a bucket, list order *is* schedule order, the only tie-break,
+  so equal timestamps need no comparisons at all;
+* across buckets, the heap compares raw floats in C and holds one item
+  per *distinct* timestamp rather than one per call.  Sim workloads are
   heavily collisional (periodic heartbeats, sweeps, retries), so the
-  heap shrinks by an order of magnitude; even the all-unique worst case
-  just degrades to a float heap, still cheaper than tuple entries.
+  heap stays small; the all-unique worst case is a plain float heap.
 
-An earlier struct-of-arrays draft kept a per-event index heap with the
-sift loops in Python; it measured ~3x *slower* per comparison than C
-tuple compares and was discarded — the calendar layout is what lets the
-struct-of-arrays columns win (see PERF.md round 3).
+A call that ran or was cancelled has its callback cleared to ``None``.
+Entries are never reused, so a stale handle is harmless: the drain skips
+a cleared entry, and cancelling one again does nothing.  A finished
+bucket leaves the kernel with its entries.
+
+The entries replaced struct-of-arrays slot columns (times, sequence
+numbers, callbacks, arguments) recycled through a free list and
+addressed by bit-packed int handles.  Under CPython 3.11 building one
+3-item list costs less than four column stores, a free-list pop, a
+sequence bump and packing a handle, and the drain stopped reconciling
+counters and returning slots per bucket: one self-re-arming timer went
+from 1.3–1.9 µs to 0.56–0.70 µs per event on a shared 2-vCPU VM
+(PERF.md §5, "Eleventh round").
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import SimError
@@ -56,16 +54,10 @@ from repro.simnet.events import Timeout, Waitable
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: A schedule handle is an opaque int: the low bits address the slot, the
-#: high bits carry the call's unique sequence number.  ``cancel`` checks
-#: the sequence column before acting, so a handle kept past its call's
-#: execution or cancellation can never cancel an unrelated call that
-#: reused the slot — the stale-handle no-op the old per-call objects gave
-#: for free.
-ScheduleHandle = int
-
-_SLOT_BITS = 28
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
+#: A schedule handle is the call's calendar entry, ``[callback, args,
+#: time]``.  Callers treat it as opaque and compare handles by identity
+#: only: two calls with the same callback, args and time are equal lists.
+ScheduleHandle = List[Any]
 
 
 class Interrupt(Exception):
@@ -210,30 +202,16 @@ class SimKernel:
         self.now: float = 0.0
         self.on_error = on_error
         self.process_errors: List[Tuple[Process, BaseException]] = []
-        # Struct-of-arrays slot columns.  A slot is live while its seq
-        # column entry is positive, *cancelled* while it is negative
-        # (the sign bit doubles as the cancelled flag, saving a separate
-        # column), and free once it is zero — so stale handles, whose
-        # positive seq can no longer match, are harmless by construction.
-        self._slot_times = array("d")
-        self._slot_seqs = array("q")
-        self._slot_callbacks: List[Optional[Callable[..., None]]] = []
-        self._slot_args: List[Optional[Tuple[Any, ...]]] = []
-        self._free_slots: List[int] = []
-        # Calendar: one bucket (list of slots, in insertion == seq order)
-        # per distinct timestamp, ordered by a heap of the raw floats.
-        self._buckets: Dict[float, List[int]] = {}
+        # Calendar: one bucket (entries in schedule order) per distinct
+        # timestamp, ordered by a heap of the raw floats.
+        self._buckets: Dict[float, List[ScheduleHandle]] = {}
         self._times_heap: List[float] = []
-        # The bucket currently being drained (already popped from
-        # ``_buckets``) plus the resume cursor, persisted on the kernel so
-        # an exception escaping ``run`` leaves the remaining same-tick
-        # events intact for the next ``run``/``step``.
-        self._active_bucket: Optional[List[int]] = None
-        self._active_index = 0
-        self._active_time = 0.0
-        self._seq = 0
-        self._queued = 0
-        self._cancelled_count = 0
+        # The bucket being drained, already popped from ``_buckets``.  It
+        # stays here until every entry in it is spent, so an exception
+        # escaping ``run`` leaves the rest of the bucket for the next
+        # ``run``/``step``; the cleared callbacks of the entries that ran
+        # are the resume cursor.
+        self._active_bucket: Optional[List[ScheduleHandle]] = None
         self._raised: Optional[BaseException] = None
         self._running = False
 
@@ -244,64 +222,29 @@ class SimKernel:
 
         Returns an opaque :data:`ScheduleHandle` accepted by
         :meth:`cancel`.  Handles stay harmless forever: cancelling an
-        already-executed (or already-cancelled) call is a no-op even if
-        its slot has been recycled for a newer call.
+        already-executed (or already-cancelled) call is a no-op.
         """
         if not delay >= 0.0:
             # Also rejects NaN, which would silently corrupt the time heap.
             raise SimError(f"negative delay: {delay}")
-        seq = self._seq + 1
-        self._seq = seq
         time = self.now + delay
-        free_slots = self._free_slots
-        if free_slots:
-            slot = free_slots.pop()
-            self._slot_times[slot] = time
-            self._slot_seqs[slot] = seq
-            self._slot_callbacks[slot] = callback
-            self._slot_args[slot] = args
-        else:
-            slot = len(self._slot_seqs)
-            self._slot_times.append(time)
-            self._slot_seqs.append(seq)
-            self._slot_callbacks.append(callback)
-            self._slot_args.append(args)
+        entry = [callback, args, time]
         buckets = self._buckets
         bucket = buckets.get(time)
         if bucket is None:
-            buckets[time] = [slot]
+            buckets[time] = [entry]
             _heappush(self._times_heap, time)
         else:
-            bucket.append(slot)
-        self._queued += 1
-        return slot | (seq << _SLOT_BITS)
+            bucket.append(entry)
+        return entry
 
     def cancel(self, handle: ScheduleHandle) -> None:
         """Prevent a scheduled call from running (idempotent, stale-safe).
 
-        Cancellation is lazy: the slot stays in its bucket and is freed
-        when the drain reaches it.  The kernel counts cancelled entries
-        so :attr:`pending` stays O(1).
+        Cancellation is lazy: the entry stays in its bucket with its
+        callback cleared, and the drain skips it.
         """
-        slot = handle & _SLOT_MASK
-        seq = handle >> _SLOT_BITS
-        seqs = self._slot_seqs
-        if slot >= len(seqs) or seqs[slot] != seq:
-            return  # already ran, cancelled, or never ours
-        seqs[slot] = -seq
-        self._cancelled_count += 1
-
-    def scheduled_time(self, handle: ScheduleHandle) -> Optional[float]:
-        """The absolute time a live handle is armed for (None if spent).
-
-        Debug/introspection helper: a handle is *spent* once its call has
-        run or been cancelled.
-        """
-        slot = handle & _SLOT_MASK
-        seqs = self._slot_seqs
-        if slot >= len(seqs) or seqs[slot] != handle >> _SLOT_BITS:
-            return None
-        return self._slot_times[slot]
+        handle[0] = None
 
     def spawn(self, generator: Generator[Waitable, Any, Any], name: str = "") -> Process:
         """Create and start a :class:`Process` around *generator*."""
@@ -334,20 +277,17 @@ class SimKernel:
         return self.now
 
     def _drain(self, until: Optional[float]) -> None:
-        """The hot drain loop: pop buckets in time order, fire their slots.
+        """The hot drain loop: pop buckets in time order, run their calls.
 
         A callback scheduling at the *current* time cannot touch the
         active bucket (it was popped from the calendar before draining),
         so it opens a fresh bucket at the same timestamp which the outer
-        loop reaches right after — preserving strict ``(time, seq)``
-        execution order without re-checking the bucket length per event.
+        loop reaches right after, behind every call already scheduled for
+        that time.  The clock moves when a call runs, so a bucket of
+        cancelled calls leaves ``now`` alone.
         """
         times_heap = self._times_heap
         buckets = self._buckets
-        callbacks = self._slot_callbacks
-        args_list = self._slot_args
-        seqs = self._slot_seqs
-        free_extend = self._free_slots.extend
         while True:
             bucket = self._active_bucket
             if bucket is None:
@@ -361,84 +301,47 @@ class SimKernel:
                 if time < self.now:
                     raise SimError("time went backwards")
                 self._active_bucket = bucket
-                self._active_index = 0
-                self._active_time = time
-            index = self._active_index
-            size = len(bucket)
-            active_time = self._active_time
-            cancelled_seen = 0
-            # The resume cursor, queued/cancelled counts, and the free
-            # list are reconciled once per bucket (or on the exception
-            # path) instead of once per event; the finally block keeps
-            # mid-bucket aborts resumable.  Consumed slots keep their
-            # stale callback/args references until reuse — __getstate__
-            # prunes them so pickled kernels stay clean.
-            try:
-                while index < size:
-                    slot = bucket[index]
-                    index += 1
-                    seq = seqs[slot]
-                    seqs[slot] = 0
-                    if seq < 0:
-                        cancelled_seen += 1
-                        continue
-                    self.now = active_time
-                    args = args_list[slot]
-                    if args:
-                        callbacks[slot](*args)
-                    else:
-                        callbacks[slot]()
-                    if self._raised is not None:
-                        error, self._raised = self._raised, None
-                        raise error
-            finally:
-                start = self._active_index
-                self._queued -= index - start
-                self._cancelled_count -= cancelled_seen
-                self._active_index = index
-                free_extend(bucket[start:index])
+            for entry in bucket:
+                callback = entry[0]
+                if callback is None:
+                    continue
+                entry[0] = None
+                self.now = entry[2]
+                args = entry[1]
+                if args:
+                    callback(*args)
+                else:
+                    callback()
+                if self._raised is not None:
+                    error, self._raised = self._raised, None
+                    raise error
             self._active_bucket = None
 
     def step(self) -> bool:
-        """Execute the single next event.  Returns False if queue is empty."""
+        """Execute the single next event.  Returns False if queue is empty.
+
+        Each step scans the active bucket from its start, skipping the
+        spent entries, so stepping through a bucket of n calls makes
+        O(n²) checks; :meth:`run` drains a bucket in one pass.
+        """
         times_heap = self._times_heap
-        buckets = self._buckets
-        callbacks = self._slot_callbacks
-        args_list = self._slot_args
-        seqs = self._slot_seqs
-        free_append = self._free_slots.append
         while True:
             bucket = self._active_bucket
             if bucket is None:
                 if not times_heap:
                     return False
                 time = _heappop(times_heap)
-                bucket = buckets.pop(time)
+                bucket = self._buckets.pop(time)
                 if time < self.now:
                     raise SimError("time went backwards")
                 self._active_bucket = bucket
-                self._active_index = 0
-                self._active_time = time
-            index = self._active_index
-            size = len(bucket)
-            while index < size:
-                slot = bucket[index]
-                index += 1
-                self._active_index = index
-                seq = seqs[slot]
-                seqs[slot] = 0
-                free_append(slot)
-                self._queued -= 1
-                callback = callbacks[slot]
-                args = args_list[slot]
-                callbacks[slot] = None
-                args_list[slot] = None
-                if seq < 0:
-                    self._cancelled_count -= 1
+            for entry in bucket:
+                callback = entry[0]
+                if callback is None:
                     continue
-                self.now = self._active_time
-                if index >= size:
-                    self._active_bucket = None
+                entry[0] = None
+                self.now = entry[2]
+                args = entry[1]
                 if args:
                     callback(*args)
                 else:
@@ -453,10 +356,13 @@ class SimKernel:
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) calls still queued.
 
-        O(1): the kernel counts queued and cancelled slots instead of
-        scanning the calendar.
+        Counts the live entries over the calendar; only tests, the
+        ``kernel-events`` bench and ``repr`` read it.
         """
-        return self._queued - self._cancelled_count
+        buckets = list(self._buckets.values())
+        if self._active_bucket is not None:
+            buckets.append(self._active_bucket)
+        return sum(entry[0] is not None for bucket in buckets for entry in bucket)
 
     # -- error policy ----------------------------------------------------
 
@@ -466,27 +372,6 @@ class SimKernel:
         self.process_errors.append((process, error))  # oftt-lint: ok[unbounded-growth]
         if self.on_error == "raise":
             self._raised = error
-
-    # -- copy/pickle -----------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Prune stale callback/args references from free slots.
-
-        The drain loop leaves consumed slots' references in place (they
-        are overwritten on reuse), which is fine in memory but would drag
-        dead — possibly unpicklable — callables into a pickle.
-        """
-        state = dict(self.__dict__)
-        seqs = state["_slot_seqs"]
-        callbacks = list(state["_slot_callbacks"])
-        args_list = list(state["_slot_args"])
-        for slot, seq in enumerate(seqs):
-            if seq == 0:
-                callbacks[slot] = None
-                args_list[slot] = None
-        state["_slot_callbacks"] = callbacks
-        state["_slot_args"] = args_list
-        return state
 
     def __repr__(self) -> str:
         return f"SimKernel(now={self.now}, pending={self.pending})"

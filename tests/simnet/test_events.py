@@ -12,6 +12,28 @@ def test_timeout_negative_delay_rejected():
         Timeout(-0.1)
 
 
+def _yield_timeout(delay):
+    yield Timeout(delay)
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_bad_timeout_is_recorded_inside_its_process(delay):
+    """A bad delay raises in the generator, so the "record" policy keeps it."""
+    kernel = SimKernel(on_error="record")
+    process = kernel.spawn(_yield_timeout(delay))
+    kernel.run()
+    assert [(p, type(e)) for p, e in kernel.process_errors] == [(process, SimError)]
+    assert "negative timeout delay" in str(kernel.process_errors[0][1])
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_bad_timeout_propagates_under_raise_policy(delay):
+    kernel = SimKernel()
+    kernel.spawn(_yield_timeout(delay))
+    with pytest.raises(SimError, match="negative timeout delay"):
+        kernel.run()
+
+
 def test_timeout_carries_value():
     kernel = SimKernel()
     result = []

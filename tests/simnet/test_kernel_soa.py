@@ -1,14 +1,15 @@
-"""Property tests for the struct-of-arrays calendar queue.
+"""Property tests for the calendar queue.
 
-The kernel's SoA layout (parallel time/seq columns, calendar buckets,
-free-list slot reuse, lazy cancellation by seq sign) is checked against
-a brute-force reference: a plain ``(time, seq)`` heap with a cancelled
-set.  Randomized seeded operation sequences — schedule bursts with
-deliberate timestamp collisions, cancels of live/fired/stale handles,
-partial ``run(until=...)`` windows — must fire identically on both.
+The kernel's calendar (buckets of entries per timestamp in schedule
+order, lazy cancellation by clearing an entry's callback, stale handles
+that stay harmless) is checked against a brute-force reference: a plain
+``(time, seq)`` heap with a cancelled set.  Randomized seeded operation
+sequences — schedule bursts with deliberate timestamp collisions,
+cancels of live/fired/stale handles, partial ``run(until=...)`` windows
+— must fire identically on both.
 
 Pickle and deepcopy round-trips are exercised on awkward intermediate
-states: lazily-cancelled slots still queued for the drain to free, and a
+states: lazily-cancelled calls still queued for the drain to skip, and a
 kernel frozen mid-bucket by a raising callback.
 """
 
@@ -22,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from repro.simnet.kernel import SimKernel
+from repro.simnet.kernel import ScheduleHandle, SimKernel
 
 # Module-level sink so scheduled callbacks stay picklable by reference
 # (pickled kernels must round-trip with their callbacks attached).
@@ -86,7 +87,7 @@ def test_randomized_ops_match_reference_heap(seed):
     reference = ReferenceKernel()
     kernel_fired: List[Tuple[float, int]] = []
     reference_fired: List[Tuple[float, int]] = []
-    handles: List[Tuple[int, int]] = []  # (kernel handle, reference handle)
+    handles: List[Tuple[ScheduleHandle, int]] = []  # (kernel handle, reference handle)
     label = 0
 
     for _step in range(400):
@@ -128,7 +129,7 @@ def _drain_labels(kernel: SimKernel) -> List[int]:
 
 
 def _build_lazy_cancelled_kernel() -> SimKernel:
-    kernel = SimKernel()  # 300 of 600 slots cancelled, still queued until drained
+    kernel = SimKernel()  # 300 of 600 calls cancelled, still queued until drained
     handles = [kernel.schedule(float((i * 13) % 37), _record, i) for i in range(600)]
     for handle in handles[::2]:
         kernel.cancel(handle)
@@ -172,12 +173,10 @@ def test_pickle_roundtrip_of_mid_bucket_kernel():
 
 
 def test_pickle_after_drain_drops_consumed_references():
-    """Fired slots keep refs in memory, but never reach a pickle.
+    """Calls that ran never reach a pickle.
 
-    The drain loop deliberately leaves consumed slots' callback/args in
-    place (overwritten on reuse); __getstate__ prunes them, which is
-    also what lets a kernel that ran unpicklable callbacks be pickled
-    afterwards.
+    A drained bucket leaves the kernel with its entries, which is what
+    lets a kernel that ran unpicklable callbacks be pickled afterwards.
     """
     kernel = SimKernel()
     kernel.schedule(1.0, lambda: None)  # unpicklable on purpose
@@ -188,3 +187,63 @@ def test_pickle_after_drain_drops_consumed_references():
     del _SINK[:]
     clone.run()
     assert _SINK == [7]
+
+
+def _run_by_steps(kernel: SimKernel) -> None:
+    while kernel.step():
+        pass
+
+
+@pytest.mark.parametrize("drive", [SimKernel.run, _run_by_steps], ids=["run", "step"])
+def test_clock_stays_at_last_call_when_last_bucket_is_all_cancelled(drive):
+    kernel = SimKernel()
+    kernel.schedule(2.0, _record, 1)
+    kernel.schedule(3.0, _record, 2)
+    doomed = [kernel.schedule(9.0, _record, 3), kernel.schedule(9.0, _record, 4)]
+    for handle in doomed:
+        kernel.cancel(handle)
+    del _SINK[:]
+    drive(kernel)
+    assert _SINK == [1, 2]
+    assert kernel.now == 3.0
+    assert kernel.pending == 0
+
+
+def test_equal_calls_are_cancelled_independently():
+    """Handles are identities: equal callback, args and time share nothing."""
+    kernel = SimKernel()
+    first = kernel.schedule(4.0, _record, 5)
+    second = kernel.schedule(4.0, _record, 5)
+    kernel.cancel(first)
+    assert kernel.pending == 1
+    assert _drain_labels(kernel) == [5]
+    kernel.cancel(second)  # already ran
+    assert kernel.pending == 0
+
+
+def test_spent_handles_change_nothing():
+    """Self-cancel, double cancel and cancel-after-run leave ``pending`` exact."""
+    kernel = SimKernel()
+    handles: List[ScheduleHandle] = []
+
+    def cancel_self(label: int) -> None:
+        kernel.cancel(handles[0])
+        assert kernel.pending == 2
+        _record(label)
+
+    handles.append(kernel.schedule(1.0, cancel_self, 0))
+    twice = kernel.schedule(1.0, _record, 1)
+    kernel.schedule(1.0, _record, 2)
+    kernel.schedule(6.0, _record, 3)
+    kernel.cancel(twice)
+    kernel.cancel(twice)
+    assert kernel.pending == 3
+    del _SINK[:]
+    kernel.run(until=2.0)
+    assert _SINK == [0, 2]
+    assert kernel.pending == 1
+    kernel.cancel(handles[0])  # its call ran
+    kernel.cancel(twice)
+    assert kernel.pending == 1
+    assert _drain_labels(kernel) == [3]
+    assert kernel.pending == 0
