@@ -141,13 +141,15 @@ class CallTrackApp(OfttApplication):
         space.write("seen_recent", seen_recent)
 
         histogram = space.read("histogram")
-        histogram[str(event["busy_lines"])] = histogram.get(str(event["busy_lines"]), 0) + 1
+        busy = str(event["busy_lines"])
+        histogram[busy] = histogram.get(busy, 0) + 1
         space.write("histogram", histogram)
-        if event["kind"] == "start":
+        kind = event["kind"]
+        if kind == "start":
             space.write("total_calls", space.read("total_calls") + 1)
-        elif event["kind"] == "blocked":
+        elif kind == "blocked":
             space.write("blocked_calls", space.read("blocked_calls") + 1)
-        elif event["kind"] == "end" and event["line"] >= 0:
+        elif kind == "end" and event["line"] >= 0:
             line_seconds = space.read("line_seconds")
             key = str(event["line"])
             line_seconds[key] = line_seconds.get(key, 0.0) + 1.0
@@ -155,7 +157,7 @@ class CallTrackApp(OfttApplication):
         space.write("events_processed", space.read("events_processed") + 1)
         space.write("last_event_time", float(event["time"]))
 
-        if self.save_on_end and event["kind"] == "end" and self.api is not None:
+        if self.save_on_end and kind == "end" and self.api is not None:
             # Level-3 event-based checkpointing: completed calls are
             # durable the moment they finish.
             self.api.OFTTSave()
@@ -176,7 +178,7 @@ class CallTrackApp(OfttApplication):
         for busy in range(self.lines + 1):
             count = histogram.get(str(busy), 0)
             bar = "#" * int(round(width * count / total))
-            lines.append(f"{busy} busy |{bar:<{width}}| {count}")
+            lines.append(f"{busy} busy |{bar.ljust(width)}| {count}")
         return "\n".join(lines)
 
     # -- state accessors (tests/benches) ------------------------------------------------

@@ -94,15 +94,16 @@ class Checkpoint:
 
     @classmethod
     def from_wire(cls, data: dict) -> "Checkpoint":
-        """Inverse of :meth:`as_wire`."""
+        """Inverse of :meth:`as_wire` (fields passed positionally, in
+        declaration order, as :meth:`ClientFtim.capture` does)."""
         return cls(
-            app_name=data["app_name"],
-            sequence=data["sequence"],
-            captured_at=data["captured_at"],
-            image=data["image"],
-            thread_contexts=data["thread_contexts"],
-            selective=data["selective"],
-            incremental=data["incremental"],
+            data["app_name"],
+            data["sequence"],
+            data["captured_at"],
+            data["image"],
+            data["thread_contexts"],
+            data["selective"],
+            data["incremental"],
         )
 
     def merged_onto(self, base: Optional["Checkpoint"]) -> "Checkpoint":

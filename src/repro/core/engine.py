@@ -28,7 +28,15 @@ from repro.core.heartbeat import HeartbeatMonitor
 from repro.core.policy import AdaptivePolicy
 from repro.core.recovery import RecoveryManager
 from repro.core.roles import BACKUP, PRIMARY, Role, RoleNegotiator, role_of
-from repro.core.status import ComponentKind, ComponentStatus, StatusReport
+from repro.core.status import (
+    FAILED,
+    HARDWARE,
+    OFTT_ENGINE,
+    RUNNING,
+    ComponentKind,
+    ComponentStatus,
+    StatusReport,
+)
 from repro.core.strategy import PEER, create_strategy
 from repro.core.watchdog import WatchdogTimer
 from repro.errors import OfttError, WatchdogError
@@ -733,38 +741,38 @@ class OfttEngine(ComObject):
         )
 
     def status_reports(self) -> List[StatusReport]:
-        """Current status of everything this engine monitors."""
+        """Current status of everything this engine monitors.
+
+        Reports are built positionally, in field order: node, component,
+        kind, status, role, time, detail.
+        """
+        node = self.node_name
+        role = self.role.value
+        now = self.kernel.now
         reports = [
             StatusReport(
-                node=self.node_name,
-                component="oftt-engine",
-                kind=ComponentKind.OFTT_ENGINE,
-                status=ComponentStatus.RUNNING if self.alive else ComponentStatus.FAILED,
-                role=self.role.value,
-                time=self.kernel.now,
-                detail={"incarnation": self.negotiator.incarnation, "degraded": self.degraded},
+                node,
+                "oftt-engine",
+                OFTT_ENGINE,
+                RUNNING if self.alive else FAILED,
+                role,
+                now,
+                {"incarnation": self.negotiator.incarnation, "degraded": self.degraded},
             ),
             StatusReport(
-                node=self.node_name,
-                component="peer-link",
-                kind=ComponentKind.HARDWARE,
-                status=ComponentStatus.RUNNING if self.peer_present else ComponentStatus.FAILED,
-                time=self.kernel.now,
-                detail={"peer": self.peer_node},
+                node,
+                "peer-link",
+                HARDWARE,
+                RUNNING if self.peer_present else FAILED,
+                "",
+                now,
+                {"peer": self.peer_node},
             ),
         ]
-        for component in sorted(self.components):
-            record = self.components[component]
-            reports.append(
-                StatusReport(
-                    node=self.node_name,
-                    component=component,
-                    kind=record.kind,
-                    status=record.status,
-                    role=self.role.value,
-                    time=self.kernel.now,
-                )
-            )
+        components = self.components
+        for component in sorted(components):
+            record = components[component]
+            reports.append(StatusReport(node, component, record.kind, record.status, role, now))
         return reports
 
     def _report_now(self, component: str) -> None:

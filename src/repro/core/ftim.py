@@ -37,6 +37,7 @@ from repro.core.checkpoint import Checkpoint, image_size
 from repro.core.status import ComponentKind
 from repro.nt.kernel32 import Kernel32, ThreadHandle
 from repro.nt.process import NTProcess
+from repro.nt.thread import TERMINATED
 from repro.simnet.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -258,15 +259,19 @@ class ClientFtim(ServerFtim):
         is_incremental = self.incremental and bool(self._last_image)
         image = _image_delta(self._last_image, full_image) if is_incremental else full_image
         self._last_image = full_image
+        # Positional: keyword binding into the generated __init__ costs
+        # more than the frozen stores.  The fields, in declaration order:
+        # app_name, sequence, captured_at, image, thread_contexts,
+        # selective, incremental, image_bytes.
         return Checkpoint(
-            app_name=self.app_name,
-            sequence=next(self._sequence),
-            captured_at=self.kernel.now,
-            image=image,
-            thread_contexts=contexts,
-            selective=self.selective,
-            incremental=is_incremental,
-            image_bytes=image_size(image, sizes),
+            self.app_name,
+            next(self._sequence),
+            self.kernel.now,
+            image,
+            contexts,
+            self.selective,
+            is_incremental,
+            image_size(image, sizes),
         )
 
     def _capture_image(self) -> Tuple[Dict[str, Dict], Dict[str, Dict[str, int]]]:
@@ -283,14 +288,17 @@ class ClientFtim(ServerFtim):
         return image, sizes
 
     def _capture_contexts(self) -> Dict[str, Dict]:
+        """Thread name -> context dict, static threads then tracked dynamic ones."""
+        kernel32 = self.kernel32
+        get_context = kernel32.GetThreadContext
         contexts: Dict[str, Dict] = {}
-        for handle in self.kernel32.EnumProcessThreads():
+        for handle in kernel32.EnumProcessThreads():
             thread = handle.deref()
-            contexts[thread.name] = self.kernel32.GetThreadContext(handle).as_dict()
+            contexts[thread.name] = get_context(handle).as_dict()
         for handle in self._dynamic_handles:
             thread = handle.deref()
-            if thread.state.value != "terminated":
-                contexts[thread.name] = self.kernel32.GetThreadContext(handle).as_dict()
+            if thread.state is not TERMINATED:
+                contexts[thread.name] = get_context(handle).as_dict()
         return contexts
 
     def GetStats(self) -> dict:

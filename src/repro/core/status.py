@@ -38,6 +38,38 @@ class ComponentStatus(enum.Enum):
         return self in (ComponentStatus.STARTING, ComponentStatus.RUNNING, ComponentStatus.RECOVERING)
 
 
+# The members the per-period report paths use, bound once, and the wire
+# value maps: on CPython 3.11 ``ComponentStatus.RUNNING`` takes
+# ``EnumType``'s slow attribute path and ``ComponentKind(value)`` runs
+# ``EnumType.__call__`` (see :mod:`repro.core.roles`, which does the same
+# for ``Role``).
+OFTT_ENGINE = ComponentKind.OFTT_ENGINE
+HARDWARE = ComponentKind.HARDWARE
+RUNNING = ComponentStatus.RUNNING
+FAILED = ComponentStatus.FAILED
+
+#: Wire value -> member, what ``ComponentKind(value)`` returns.
+KIND_BY_VALUE: Dict[str, ComponentKind] = {kind.value: kind for kind in ComponentKind}
+#: Wire value -> member, what ``ComponentStatus(value)`` returns.
+STATUS_BY_VALUE: Dict[str, ComponentStatus] = {status.value: status for status in ComponentStatus}
+
+
+def kind_of(value: Any) -> ComponentKind:
+    """``ComponentKind(value)`` at one dict lookup; an unknown value raises ``ValueError``."""
+    try:
+        return KIND_BY_VALUE[value]
+    except (KeyError, TypeError):
+        return ComponentKind(value)  # Enum's own lookup and its ValueError
+
+
+def status_of(value: Any) -> ComponentStatus:
+    """``ComponentStatus(value)`` at one dict lookup; an unknown value raises ``ValueError``."""
+    try:
+        return STATUS_BY_VALUE[value]
+    except (KeyError, TypeError):
+        return ComponentStatus(value)  # Enum's own lookup and its ValueError
+
+
 @dataclass(frozen=True)
 class StatusReport:
     """One status update about one component."""
@@ -64,15 +96,17 @@ class StatusReport:
 
     @classmethod
     def from_wire(cls, data: dict) -> "StatusReport":
-        """Inverse of :meth:`as_wire`."""
+        """Inverse of :meth:`as_wire` (fields passed positionally, in
+        declaration order: keyword binding into the generated
+        ``__init__`` costs more than the frozen stores)."""
         return cls(
-            node=data["node"],
-            component=data["component"],
-            kind=ComponentKind(data["kind"]),
-            status=ComponentStatus(data["status"]),
-            role=data["role"],
-            time=data["time"],
-            detail=dict(data["detail"]),
+            data["node"],
+            data["component"],
+            kind_of(data["kind"]),
+            status_of(data["status"]),
+            data["role"],
+            data["time"],
+            dict(data["detail"]),
         )
 
     def __str__(self) -> str:

@@ -38,7 +38,7 @@ MSQ_PORT = "msq.transport"
 DEAD_LETTER_QUEUE = "system$deadletter"
 
 
-@dataclass
+@dataclass(slots=True)
 class _OutgoingEntry:
     """A message awaiting acknowledgement from its destination node."""
 
@@ -152,27 +152,20 @@ class QueueManager:
         """
         if not self.service_up:
             raise MsqError(f"queue manager on {self.node.name} is down")
-        message_id = f"{self.node.name}-{self._msg_epoch}.{next(self._msg_counter)}"
-        message = QueueMessage(
-            message_id=message_id,
-            sender=self.node.name,
-            body=body,
-            persistent=persistent,
-            sent_at=self.kernel.now,
-            label=label,
-        )
+        node_name = self.node.name
+        now = self.kernel.now
+        message_id = f"{node_name}-{self._msg_epoch}.{next(self._msg_counter)}"
+        # Positional, in field order: message_id, sender, body, persistent,
+        # enqueued_at, sent_at, delivery_count, label.
+        message = QueueMessage(message_id, node_name, body, persistent, 0.0, now, 0, label)
         self.stats["sent"] += 1
-        if dest_node == self.node.name:
-            self.open_queue(dest_queue).enqueue(message, self.kernel.now)
+        if dest_node == node_name:
+            self.open_queue(dest_queue).enqueue(message, now)
             self.stats["delivered_local"] += 1
             return message_id
+        # message, dest_node, dest_queue, attempts, next_retry_at, expires_at
         entry = _OutgoingEntry(
-            message=message,
-            dest_node=dest_node,
-            dest_queue=dest_queue,
-            attempts=0,
-            next_retry_at=self.kernel.now,
-            expires_at=self.kernel.now + (ttl if ttl is not None else self.message_ttl),
+            message, dest_node, dest_queue, 0, now, now + (ttl if ttl is not None else self.message_ttl)
         )
         self.outgoing[message_id] = entry
         self._transmit(entry)
@@ -203,16 +196,17 @@ class QueueManager:
         entry.attempts += 1
         if entry.attempts > 1:
             self.stats["retries"] += 1
+        message = entry.message
         packet = {
             "kind": "deliver",
             "queue": entry.dest_queue,
             "message": {
-                "message_id": entry.message.message_id,
-                "sender": entry.message.sender,
-                "body": entry.message.body,
-                "persistent": entry.message.persistent,
-                "sent_at": entry.message.sent_at,
-                "label": entry.message.label,
+                "message_id": message.message_id,
+                "sender": message.sender,
+                "body": message.body,
+                "persistent": message.persistent,
+                "sent_at": message.sent_at,
+                "label": message.label,
             },
         }
         self.network.send(self.node.name, entry.dest_node, MSQ_PORT, packet, size=128)
@@ -254,15 +248,17 @@ class QueueManager:
                 size=64,
             )
             return
+        # Delivered once (delivery_count 1); enqueue stamps enqueued_at.
         incoming = QueueMessage(
-            message_id=data["message_id"],
-            sender=data["sender"],
-            body=data["body"],
-            persistent=data["persistent"],
-            sent_at=data["sent_at"],
-            label=data["label"],
+            data["message_id"],
+            data["sender"],
+            data["body"],
+            data["persistent"],
+            0.0,
+            data["sent_at"],
+            1,
+            data["label"],
         )
-        incoming.delivery_count += 1
         queue.enqueue(incoming, self.kernel.now)  # duplicate ids dropped inside
         self.network.send(
             self.node.name,

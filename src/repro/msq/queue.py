@@ -6,9 +6,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueMessage:
-    """A message stored in (or travelling towards) a queue."""
+    """A message stored in (or travelling towards) a queue.
+
+    The manager's per-message paths build it positionally: keyword
+    binding into the generated ``__init__`` costs as much as the stores.
+    """
 
     message_id: str
     sender: str

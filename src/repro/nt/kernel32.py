@@ -17,11 +17,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NTError, ThreadDead
 from repro.nt.process import NTProcess
-from repro.nt.thread import NTThread, ThreadBody, ThreadContext, ThreadState
+from repro.nt.thread import TERMINATED, NTThread, ThreadBody, ThreadContext
 
 
 class ThreadHandle:
     """An opaque handle to a thread, as returned by ``CreateThread``."""
+
+    __slots__ = ("_thread", "closed")
 
     def __init__(self, thread: NTThread) -> None:
         self._thread = thread
@@ -143,7 +145,7 @@ class Kernel32:
         handles = []
         for tid in self.process.static_thread_tids:
             thread = threads.get(tid)
-            if thread is not None and thread.state is not ThreadState.TERMINATED:
+            if thread is not None and thread.state is not TERMINATED:
                 handles.append(ThreadHandle(thread))
         return handles
 

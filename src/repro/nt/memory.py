@@ -177,7 +177,7 @@ def copy_variables(
     fixed = _FIXED_SIZE
     memo: Dict[int, Any] = {}
     copied: Dict[str, Any] = {}
-    for name in data if names is None else sorted(name for name in names if name in data):
+    for name in data if names is None else sorted(filter(data.__contains__, names)):
         value = data[name]
         kind = type(value)
         if kind in fixed:

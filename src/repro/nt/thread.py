@@ -40,19 +40,24 @@ class ThreadContext:
     registers: Dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> "ThreadContext":
-        """Deep copy for checkpointing."""
+        """Deep copy for checkpointing (empty registers skip the copier)."""
+        registers = self.registers
         return ThreadContext(
-            program_counter=self.program_counter,
-            stack_pointer=self.stack_pointer,
-            registers=copy_value(self.registers, {})[0],
+            self.program_counter, self.stack_pointer, copy_value(registers, {})[0] if registers else {}
         )
 
     def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict form used in serialized checkpoints."""
+        """Plain-dict form used in serialized checkpoints.
+
+        The dict holds this context's own registers dict, not a copy:
+        call it on a context the caller owns, such as the snapshot
+        ``GetThreadContext`` returns, so a capture copies each register
+        set once.
+        """
         return {
             "program_counter": self.program_counter,
             "stack_pointer": self.stack_pointer,
-            "registers": dict(self.registers),
+            "registers": self.registers,
         }
 
     @classmethod
@@ -63,6 +68,12 @@ class ThreadContext:
             stack_pointer=data["stack_pointer"],
             registers=dict(data["registers"]),
         )
+
+
+# Bound once: ``ThreadState.TERMINATED`` takes ``EnumType``'s slow
+# attribute path on CPython 3.11 (see :mod:`repro.core.roles`), and
+# every checkpoint capture tests each thread's state.
+TERMINATED = ThreadState.TERMINATED
 
 
 class NTThread:
@@ -177,7 +188,7 @@ class NTThread:
 
     def capture_context(self) -> ThreadContext:
         """What ``GetThreadContext`` returns."""
-        if self.state is ThreadState.TERMINATED:
+        if self.state is TERMINATED:
             raise ThreadDead(f"GetThreadContext on dead thread {self.name}")
         return self.context.snapshot()
 

@@ -89,7 +89,7 @@ class ItemNamespace:
         """Device-side update of the cache (does not check access rights)."""
         if item_id not in self._defs:
             raise ItemNotFound(f"no item {item_id}")
-        new_value = OpcValue(value=value, quality=quality, timestamp=timestamp)
+        new_value = OpcValue(value, quality, timestamp)
         self._values[item_id] = new_value
         return new_value
 

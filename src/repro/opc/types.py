@@ -83,7 +83,7 @@ class OpcValue:
 
     def with_quality(self, quality: Quality) -> "OpcValue":
         """Copy with a different quality flag."""
-        return OpcValue(value=self.value, quality=quality, timestamp=self.timestamp)
+        return OpcValue(self.value, quality, self.timestamp)
 
     def as_wire(self) -> dict:
         """Marshalable form for DCOM callbacks."""
@@ -92,7 +92,7 @@ class OpcValue:
     @classmethod
     def from_wire(cls, data: dict) -> "OpcValue":
         """Inverse of :meth:`as_wire`."""
-        return cls(value=data["value"], quality=quality_of(data["quality"]), timestamp=data["timestamp"])
+        return cls(data["value"], quality_of(data["quality"]), data["timestamp"])
 
     def __repr__(self) -> str:
         return f"OpcValue({self.value!r}, {self.quality.value}, t={self.timestamp})"

@@ -132,3 +132,28 @@ def test_state_vars_all_designated():
     world, app = make_calltrack()
     checkpoint = app.api.ftim.capture()
     assert set(checkpoint.image["globals"]) == set(STATE_VARS)
+
+
+def test_render_histogram_is_pinned():
+    """The display string, pinned from the nested-format-spec rendering."""
+    world, app = make_calltrack()
+    for sequence, busy in enumerate([0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 5, 5, 1], start=1):
+        app.process_event(event(sequence, kind="start", busy=busy))
+    assert app.render_histogram() == (
+        "Busy-line histogram (13 events)\n"
+        "0 busy |###                                     | 1\n"
+        "1 busy |#########                               | 3\n"
+        "2 busy |#########                               | 3\n"
+        "3 busy |############                            | 4\n"
+        "4 busy |                                        | 0\n"
+        "5 busy |######                                  | 2"
+    )
+    assert app.render_histogram(width=7) == (
+        "Busy-line histogram (13 events)\n"
+        "0 busy |#      | 1\n"
+        "1 busy |##     | 3\n"
+        "2 busy |##     | 3\n"
+        "3 busy |##     | 4\n"
+        "4 busy |       | 0\n"
+        "5 busy |#      | 2"
+    )

@@ -9,7 +9,15 @@ from repro.core.config import (
     RecoveryRule,
     replace_config,
 )
-from repro.core.status import ComponentKind, ComponentStatus, StatusReport
+from repro.core.status import (
+    KIND_BY_VALUE,
+    STATUS_BY_VALUE,
+    ComponentKind,
+    ComponentStatus,
+    StatusReport,
+    kind_of,
+    status_of,
+)
 
 
 def test_default_config_validates():
@@ -73,6 +81,37 @@ def test_status_report_wire_roundtrip():
         detail={"restarts": 2},
     )
     assert StatusReport.from_wire(report.as_wire()) == report
+
+
+def test_status_maps_return_the_enum_member_for_every_value():
+    assert set(KIND_BY_VALUE.values()) == set(ComponentKind)
+    assert set(STATUS_BY_VALUE.values()) == set(ComponentStatus)
+    for kind in ComponentKind:
+        assert kind_of(kind.value) is ComponentKind(kind.value)
+    for status in ComponentStatus:
+        assert status_of(status.value) is ComponentStatus(status.value)
+    for kind in ComponentKind:
+        for status in ComponentStatus:
+            report = StatusReport("n", "c", kind, status, "backup", 1.0, {"k": 1})
+            decoded = StatusReport.from_wire(report.as_wire())
+            assert decoded == report
+            assert decoded.kind is kind and decoded.status is status
+    assert kind_of(ComponentKind.WATCHDOG) is ComponentKind(ComponentKind.WATCHDOG)
+    assert status_of(ComponentStatus.FAILED) is ComponentStatus(ComponentStatus.FAILED)
+
+
+@pytest.mark.parametrize("value", ["RUNNING", "app", "", None, ["running"]])
+def test_status_maps_reject_unknown_values_like_the_enum(value):
+    for enum_class, convert in ((ComponentKind, kind_of), (ComponentStatus, status_of)):
+        with pytest.raises(ValueError) as enum_error:
+            enum_class(value)
+        with pytest.raises(ValueError) as map_error:
+            convert(value)
+        assert str(map_error.value) == str(enum_error.value)
+    wire = StatusReport("n", "c", ComponentKind.APPLICATION, ComponentStatus.RUNNING).as_wire()
+    for field in ("kind", "status"):
+        with pytest.raises(ValueError):
+            StatusReport.from_wire({**wire, field: value})
 
 
 def test_status_health_classification():

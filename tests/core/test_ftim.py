@@ -151,3 +151,50 @@ def test_stats_surface():
     assert stats["selective"]
     assert stats["heartbeats"] > 0
     assert stats["checkpoints"] >= 1
+
+
+def test_captured_contexts_equal_get_thread_context():
+    """Capture builds each context dict from the one GetThreadContext
+    copy; it must equal that copy's as_dict() for static and IAT-tracked
+    dynamic threads alike."""
+    world = started_pair()
+    _primary, app, _engine = primary_bits(world)
+    ftim = app.api.ftim
+    worker = ftim.kernel32.CreateThread("worker")
+    worker.deref().context.registers = {"eax": 7, "ebx": 11}
+    static = ftim.kernel32.EnumProcessThreads()
+    expected = {h.deref().name: ftim.kernel32.GetThreadContext(h).as_dict() for h in static + [worker]}
+    assert "main" in expected and "worker" in expected
+    assert ftim.capture().thread_contexts == expected
+
+
+def test_capture_makes_one_iat_call_per_live_thread():
+    world = started_pair()
+    _primary, app, _engine = primary_bits(world)
+    ftim = app.api.ftim
+    ftim.kernel32.CreateThread("worker")
+    dead = ftim.kernel32.CreateThread("gone")
+    ftim.kernel32.call("TerminateThread", dead)
+    counts = app.process.iat.call_counts
+    before = dict(counts)
+    contexts = ftim.capture().thread_contexts
+    assert "worker" in contexts and "gone" not in contexts
+    delta = {api: counts[api] - before.get(api, 0) for api in counts if counts[api] != before.get(api, 0)}
+    assert delta == {"EnumProcessThreads": 1, "GetThreadContext": len(contexts)}
+
+
+def test_captured_registers_are_private():
+    world = started_pair()
+    _primary, app, _engine = primary_bits(world)
+    ftim = app.api.ftim
+    threads = {thread.name: thread for thread in app.process.threads.values()}
+    threads["main"].context.registers = {"eax": 1}
+    first = ftim.capture().thread_contexts
+    first["main"]["registers"]["eax"] = 99
+    # An empty register set is copied as a fresh dict, never shared.
+    first["ftim:synthetic"]["registers"]["ecx"] = 5
+    assert threads["main"].context.registers == {"eax": 1}
+    assert threads["ftim:synthetic"].context.registers == {}
+    second = ftim.capture().thread_contexts
+    assert second["main"]["registers"] == {"eax": 1}
+    assert second["ftim:synthetic"]["registers"] == {}

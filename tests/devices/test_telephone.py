@@ -1,5 +1,10 @@
 """Unit tests for the telephone system simulator (§4 workload)."""
 
+import hashlib
+import json
+
+import pytest
+
 from repro.devices.telephone import CallEvent, TelephoneSystem
 
 from tests.conftest import make_world
@@ -88,8 +93,94 @@ def test_stop_frees_lines_and_halts():
     world, phone = make_phone()
     phone.start()
     world.run(30_000.0)
+    assert phone.busy_lines > 0  # stopped mid-call
     phone.stop()
+    assert phone.busy_lines == 0
+    assert phone.line_busy == [False] * phone.line_count
     count = len(phone.events)
+    assert world.kernel.pending > 0  # the retired ticks are still armed
     world.run(60_000.0)
     assert len(phone.events) == count
     assert phone.busy_lines == 0
+    assert world.kernel.pending == 0  # they drained without an event
+
+
+def stream_digest(events):
+    rows = [[e.kind, e.caller, e.line, e.time, e.busy_lines, e.sequence] for e in events]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# Pinned from the callers run as simulation processes (a generator per
+# caller sleeping on Timeouts): the kernel-timer callers must emit the
+# same events at the same times, with the same RNG draws.
+@pytest.mark.parametrize(
+    "lines, callers, bounce, count, digest",
+    [
+        (5, 10, False, 93, "3f4ff9ad14c8007908dec0fb2a7da59edfa6072ffe0e567e609d555e9733065b"),
+        (40, 100, False, 979, "1d453b86e3b379c3d4eaec41340a289507cd48c4d3ec08c32155e4acf3496ba8"),
+        (5, 10, True, 93, "0fdf79bc42d0bcdf0f791e4f8309526949f1fe0888615f3422a61ad014bd8f37"),
+        (40, 100, True, 953, "6c41e3155a9fd9458e7a0f283d360fcbeb0d6a8a7a6dff8e0025489776d8050d"),
+    ],
+)
+def test_event_stream_is_pinned(lines, callers, bounce, count, digest):
+    world, phone = make_phone(seed=7, lines=lines, callers=callers)
+    phone.start()
+    if bounce:
+        # stop() and start() in one tick, mid-run.
+        world.kernel.schedule(30_000.0, lambda: (phone.stop(), phone.start()))
+    world.run(60_000.0)
+    assert len(phone.events) == count
+    assert stream_digest(phone.events) == digest
+
+
+def test_busy_count_matches_the_lines_at_every_event():
+    world, phone = make_phone(seed=3, lines=5, callers=10, mean_idle=2_000.0)
+    mismatches = []
+
+    def check(event):
+        if not event.busy_lines == phone.busy_lines == sum(phone.line_busy):
+            mismatches.append(event)
+
+    phone.add_listener(check)
+    phone.start()
+    world.run(200_000.0)
+    assert phone.blocked_count > 0
+    assert mismatches == []
+
+
+def test_stop_before_the_first_ticks_run():
+    world, phone = make_phone()
+    phone.start()
+    phone.stop()
+    world.run(60_000.0)
+    assert phone.events == []
+
+
+@pytest.mark.parametrize("kind", ["start", "end", "blocked"])
+def test_listener_can_stop_the_simulator(kind):
+    world, phone = make_phone(seed=3, mean_idle=2_000.0)
+    stopped_at = []
+
+    def stop_on_first(event):
+        if event.kind == kind and not stopped_at:
+            stopped_at.append(event.sequence)
+            phone.stop()
+
+    phone.add_listener(stop_on_first)
+    phone.start()
+    world.run(400_000.0)
+    assert stopped_at
+    assert [event.sequence for event in phone.events] == list(range(1, stopped_at[0] + 1))
+    assert phone.busy_lines == 0
+
+
+def test_listener_exception_ends_the_run():
+    world, phone = make_phone()
+
+    def explode(event):
+        raise RuntimeError(f"listener failed on {event.sequence}")
+
+    phone.add_listener(explode)
+    phone.start()
+    with pytest.raises(RuntimeError, match="listener failed on 1"):
+        world.run(60_000.0)

@@ -156,3 +156,17 @@ def test_create_queue_idempotent():
     first = sender.create_queue("q")
     second = sender.create_queue("q")
     assert first is second
+
+
+def test_message_received_over_the_network_is_delivered_once_and_stamped():
+    world, sender, receiver = make_managers()
+    receiver.create_queue("inbox")
+    world.run_for(40.0)
+    sender.send("receiver", "inbox", "payload", label="x")
+    sent_at = world.kernel.now
+    world.run_for(100.0)
+    message = receiver.open_queue("inbox").receive()
+    assert message.delivery_count == 1
+    assert message.sent_at == sent_at
+    assert sent_at < message.enqueued_at <= world.kernel.now
+    assert (message.sender, message.body, message.label, message.persistent) == ("sender", "payload", "x", True)
