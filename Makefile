@@ -1,22 +1,16 @@
-# Developer entry points.  `make verify` is the CI gate: tier-1 tests,
-# the static-analysis toolkit (see ANALYSIS.md), the dynamic
+# Developer entry points.  `make verify` is the CI gate: tier-1 tests
+# (which include the parallel-equivalence tests of tests/perf, see
+# PERF.md), the static-analysis toolkit (see ANALYSIS.md), the dynamic
 # replay-divergence gate (see REPLAY.md), the chaos smoke campaign
-# (see CHAOS.md), the parallel-equivalence gate (see PERF.md), and the
-# paper-claim checks of every experiment (see EXPERIMENTS.md).
+# (see CHAOS.md), and the paper-claim checks of every experiment (see
+# EXPERIMENTS.md).
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix perf-gate bench bench-diff e2e-selftest experiments verify
+.PHONY: test lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix bench bench-diff e2e-selftest experiments verify
 
 test:
 	$(PY) -m pytest -x -q
-
-# The persistent-pool profile: the executor suite re-run with the shared
-# worker pool exercised at jobs 1, 2 and 4 inside one interpreter, so
-# pool reuse, resize-respawn and byte-identity across worker counts are
-# all covered (see tests/perf/test_parallel_profile.py).
-test-par:
-	$(PY) -m pytest -x -q tests/perf
 
 # The interprocedural effects pass (--effects: call-graph race
 # propagation + parallel_map purity) and the hot-path pass (--hotpath:
@@ -83,11 +77,6 @@ strategy-matrix: chaos
 policy-matrix:
 	$(PY) -m repro.chaos --drift mixed --policy --seeds 3 --jobs 2
 
-# The executor contract (see PERF.md): a campaign run at --jobs 2 must
-# render byte-identically to the serial run.
-perf-gate:
-	$(PY) -m repro.perf check-chaos --seeds 2 --schedules 2 --jobs 2
-
 # Quick-profile benchmark; saves the next numbered BENCH_<n>.json here.
 # `make bench ONLY=kernel-events` runs a single bench (unsaved) for
 # hot-path iteration.
@@ -116,4 +105,4 @@ e2e-selftest:
 experiments:
 	$(PY) -m pytest benchmarks -q --benchmark-disable
 
-verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest perf-gate bench-diff e2e-selftest experiments
+verify: test lint lint-tests replay strategy-matrix policy-matrix chaos-selftest bench-diff e2e-selftest experiments

@@ -41,7 +41,8 @@ propagated bottom-up with k-bounded inlining
 RACE101–103 are warnings like their intraprocedural siblings (the
 tiebreak order is occasionally the designed behaviour; annotate reviewed
 pairs in place).  PURE rules are errors: each one breaks the hard
-byte-identity gate ``make perf-gate`` enforces.
+byte-identity contract the ``tests/perf`` parallel-equivalence tests
+enforce.
 """
 
 from __future__ import annotations

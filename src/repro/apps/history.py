@@ -34,14 +34,6 @@ class CallingHistoryGenerator:
             result[event.busy_lines] = result.get(event.busy_lines, 0) + 1
         return result
 
-    def histogram_up_to(self, sequence: int) -> Dict[int, int]:
-        """Histogram over events with sequence <= *sequence*."""
-        result: Dict[int, int] = {k: 0 for k in range(self.telephone.line_count + 1)}
-        for event in self.history:
-            if event.sequence <= sequence:
-                result[event.busy_lines] = result.get(event.busy_lines, 0) + 1
-        return result
-
     def counts(self) -> Dict[str, int]:
         """Ground-truth call statistics."""
         return {
@@ -50,10 +42,6 @@ class CallingHistoryGenerator:
             "completed_calls": sum(1 for e in self.history if e.kind == "end"),
             "events": len(self.history),
         }
-
-    def max_sequence(self) -> int:
-        """Highest event sequence generated (0 when none)."""
-        return self.history[-1].sequence if self.history else 0
 
     def replay_into(self, app) -> int:
         """Replay the full history into a Call Track copy.

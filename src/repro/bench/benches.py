@@ -143,11 +143,10 @@ def bench_kernel_events(n: int) -> Dict[str, Any]:
 
 
 def bench_trace_emits(n: int) -> Dict[str, Any]:
-    """Emit *n* records (no subscribers), then fingerprint cold and warm.
+    """Emit *n* records, then fingerprint the log twice.
 
-    Times the ``emit`` fast path plus the incremental log fingerprint:
-    the second full fingerprint folds no new records, so it should be
-    near-free.
+    Times the ``emit`` fast path plus the one-pass log fingerprint; the
+    second call (``fingerprint_warm_s``) hashes the whole log again.
     """
     trace = TraceLog()
 

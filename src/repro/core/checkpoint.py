@@ -157,7 +157,6 @@ class CheckpointStore:
             raise CheckpointError("history must be at least 1")
         self.history = history
         self._by_app: Dict[str, List[Checkpoint]] = {}
-        self.stored_count = 0
         self.rejected_count = 0
 
     def store(self, checkpoint: Checkpoint) -> bool:
@@ -170,7 +169,6 @@ class CheckpointStore:
         chain.append(resolved)
         if len(chain) > self.history:
             del chain[: len(chain) - self.history]
-        self.stored_count += 1
         return True
 
     def latest(self, app_name: str) -> Optional[Checkpoint]:

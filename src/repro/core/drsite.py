@@ -77,7 +77,6 @@ class DRSite:
         self.activations = 0
         self.activated_at: Optional[float] = None
         self.recovered_image: Optional[Dict[str, Dict[str, Any]]] = None
-        self.replayed_count = 0
         # Armed on standdown: the pair came back, possibly rebooted with
         # fresh checkpoint sequences, so its next full checkpoint starts a
         # new chain instead of being rejected as stale.
@@ -150,7 +149,6 @@ class DRSite:
         self.activated_at = self.kernel.now
         image, replayed = self.reconstruct()
         self.recovered_image = image
-        self.replayed_count = replayed
         self.trace.emit(
             "drsite",
             self.node_name,

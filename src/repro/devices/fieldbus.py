@@ -20,7 +20,6 @@ class Fieldbus:
         self.name = name
         self.up = True
         self.devices: Dict[str, Device] = {}
-        self.read_count = 0
         self.write_count = 0
         # Name-sorted views the PLC scans every period; attach, the only
         # writer of ``devices``, rebuilds them.
@@ -55,7 +54,6 @@ class Fieldbus:
         """Read through the bus (raises when the bus is down)."""
         if not self.up:
             raise IOError(f"fieldbus {self.name} down")
-        self.read_count += 1
         device = self.device(name)
         if not isinstance(device, Sensor):
             raise TypeError(f"{name} is not a sensor")

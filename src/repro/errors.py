@@ -17,10 +17,6 @@ class SimError(ReproError):
     """Error in the discrete-event simulation kernel."""
 
 
-class SimDeadlock(SimError):
-    """The kernel ran out of events while processes were still waiting."""
-
-
 class NTError(ReproError):
     """Error in the simulated Windows NT layer."""
 

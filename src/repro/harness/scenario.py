@@ -460,11 +460,6 @@ class ChaosScenario(Scenario):
         self._workload_timer = self.kernel.schedule(self.workload_period, self._workload_tick)
 
 
-def build_chaos(seed: int = 0, config: Optional[OfttConfig] = None, **kwargs) -> ChaosScenario:
-    """Construct (without starting) the chaos-campaign testbed."""
-    return ChaosScenario(seed=seed, config=config, **kwargs)
-
-
 def build_pair_env(seed: int = 0, config: Optional[OfttConfig] = None, app_factory=None, **kwargs) -> PairEnvScenario:
     """Construct (without starting) a minimal two-node pair environment."""
     return PairEnvScenario(seed=seed, config=config, app_factory=app_factory, **kwargs)

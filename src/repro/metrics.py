@@ -53,11 +53,6 @@ def failover_timing(trace: TraceLog, fault_at: float, promoting_node: str) -> Fa
     )
 
 
-def count_events(trace: TraceLog, category: str, event: str, since: float = 0.0) -> int:
-    """How many matching records the trace holds."""
-    return trace.count(category=category, event=event, since=since)
-
-
 def histogram_distance(a: Dict[int, int], b: Dict[int, int]) -> int:
     """L1 distance between two busy-line histograms (events of difference)."""
     keys = set(a) | set(b)

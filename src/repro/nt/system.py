@@ -23,7 +23,6 @@ import enum
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import NTError
-from repro.nt.kernel32 import Kernel32
 from repro.nt.perfmon import PerfMon
 from repro.nt.process import NTProcess, ProcessState
 from repro.nt.registry import NTRegistry
@@ -180,17 +179,6 @@ class NTSystem:
     def find_process(self, name: str) -> Optional[NTProcess]:
         """The process registered under *name*, if any (live or dead)."""
         return self.processes.get(name)
-
-    def live_processes(self) -> List[NTProcess]:
-        """All processes currently alive, sorted by name."""
-        return sorted(
-            (process for process in self.processes.values() if process.alive),
-            key=lambda process: process.name,
-        )
-
-    def kernel32_for(self, process: NTProcess) -> Kernel32:
-        """Bind the Win32 API surface to *process*."""
-        return Kernel32(process)
 
     def uptime(self) -> float:
         """Milliseconds since boot finished (0 when not UP)."""

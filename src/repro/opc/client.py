@@ -52,10 +52,6 @@ class DataCallbackSink(ComObject):
         """Register the handler for one group's notifications."""
         self._routes[group_name] = callback
 
-    def unroute(self, group_name: str) -> None:
-        """Drop a group's handler (idempotent)."""
-        self._routes.pop(group_name, None)
-
     def await_read(self, group_name: str, transaction_id: int, callback: Callable) -> None:
         """Register a one-shot completion handler for an async read."""
         self._read_waiters[(group_name, transaction_id)] = callback

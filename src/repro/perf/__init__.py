@@ -6,9 +6,9 @@
   ``oftt-replay --jobs``, ``oftt-bench --jobs`` and
   ``run_experiments --jobs``.
 
-``python -m repro.perf`` / ``oftt-perf`` exposes the parallel-equivalence
-gate (``check-chaos``) used by ``make verify``.  The parameter sweeps
-are registry experiments S1–S3 (``run_experiments S1 S2 S3``).
+Byte-identity across worker counts is checked by the tier-1 tests in
+``tests/perf``.  The parameter sweeps are registry experiments S1–S3
+(``run_experiments S1 S2 S3``).
 """
 
 from repro.perf.executor import parallel_map, resolve_jobs

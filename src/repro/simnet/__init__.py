@@ -7,28 +7,25 @@ simulated time.
 
 Public surface:
 
-* :class:`SimKernel` — the event loop (``schedule``, ``spawn``, ``run``).
-* :class:`Process` — a generator-based cooperative process.
-* Yieldables: :class:`Timeout`, :class:`Event`, :class:`AnyOf`,
-  :class:`AllOf`.
-* :class:`Interrupt` — raised inside a process that another interrupted.
+* :class:`SimKernel` — the event loop (``schedule``, ``cancel``,
+  ``spawn``, ``run``).
+* :class:`Process` — a generator-based cooperative process (``kill``
+  ends it).
+* Yieldables: :class:`Timeout`, :class:`Event` and :class:`Process`.
 * :class:`Network`, :class:`NetNode`, :class:`Link` — simulated Ethernet.
 * :class:`RngStreams` — named, seeded random streams.
 * :class:`TraceLog` — structured trace of simulation events.
 """
 
-from repro.simnet.kernel import Interrupt, Process, SimKernel
-from repro.simnet.events import AllOf, AnyOf, Event, Timeout
+from repro.simnet.kernel import Process, SimKernel
+from repro.simnet.events import Event, Timeout
 from repro.simnet.random import RngStreams
 from repro.simnet.network import Link, Message, NetNode, Network
 from repro.simnet.partitions import PartitionController
 from repro.simnet.trace import TraceLog, TraceRecord
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Link",
     "Message",
     "NetNode",

@@ -8,7 +8,7 @@ the result of the ``yield`` expression.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 from repro.errors import SimError
 
@@ -55,7 +55,7 @@ class Waitable:
         """Hook for the kernel: schedule whatever makes this fire.
 
         Most waitables are externally triggered and need nothing;
-        :class:`Timeout` (and composites containing one) override this.
+        :class:`Timeout` overrides this.
         """
 
 
@@ -106,94 +106,3 @@ class Event(Waitable):
     def __repr__(self) -> str:
         label = self.name or hex(id(self))
         return f"Event({label}, fired={self._fired})"
-
-
-class AnyOf(Waitable):
-    """Fires when the first of *waitables* fires.
-
-    The value is a ``(index, value)`` pair identifying which child fired
-    first and what it carried.  Children that fire later are ignored.
-    """
-
-    def __init__(self, waitables: List[Waitable]) -> None:
-        if not waitables:
-            raise SimError("AnyOf requires at least one waitable")
-        super().__init__()
-        self.waitables = list(waitables)
-        for index, waitable in enumerate(self.waitables):
-            waitable.add_callback(self._make_child_callback(index))
-
-    def _arm(self, kernel) -> None:
-        for waitable in self.waitables:
-            waitable._arm(kernel)
-
-    def _make_child_callback(self, index: int) -> Callable[[Waitable], None]:
-        def on_child(child: Waitable) -> None:
-            if not self._fired:
-                self._fire((index, child.value))
-
-        return on_child
-
-    def __repr__(self) -> str:
-        return f"AnyOf({len(self.waitables)} children, fired={self._fired})"
-
-
-class AllOf(Waitable):
-    """Fires when every one of *waitables* has fired.
-
-    The value is the list of child values in construction order.
-    """
-
-    def __init__(self, waitables: List[Waitable]) -> None:
-        if not waitables:
-            raise SimError("AllOf requires at least one waitable")
-        super().__init__()
-        self.waitables = list(waitables)
-        self._remaining = len(self.waitables)
-        for waitable in self.waitables:
-            waitable.add_callback(self._on_child)
-
-    def _arm(self, kernel) -> None:
-        for waitable in self.waitables:
-            waitable._arm(kernel)
-
-    def _on_child(self, _child: Waitable) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and not self._fired:
-            self._fire([w.value for w in self.waitables])
-
-    def __repr__(self) -> str:
-        return f"AllOf({len(self.waitables)} children, fired={self._fired})"
-
-
-class Condition(Waitable):
-    """Fires the first time :meth:`poll` is called with the predicate true.
-
-    Useful for level-triggered waits where the kernel has no edge to hook:
-    the owner calls ``poll()`` whenever relevant state changes.
-    """
-
-    def __init__(self, predicate: Callable[[], bool], name: str = "") -> None:
-        super().__init__()
-        self.predicate = predicate
-        self.name = name
-
-    def poll(self) -> bool:
-        """Evaluate the predicate; fire (once) if it holds.
-
-        Returns whether the condition has fired (now or earlier).
-        """
-        if not self._fired and self.predicate():
-            self._fire(True)
-        return self._fired
-
-    def __repr__(self) -> str:
-        return f"Condition({self.name or 'anonymous'}, fired={self._fired})"
-
-
-def first_fired(composite_value: Any) -> Optional[int]:
-    """Return the child index from an :class:`AnyOf` yield value."""
-    if composite_value is None:
-        return None
-    index, _value = composite_value
-    return index

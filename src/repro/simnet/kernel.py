@@ -11,10 +11,14 @@ scheduled, and all randomness flows through
 :class:`repro.simnet.random.RngStreams`.  Two runs with the same seed
 produce identical traces.
 
-Hot-path notes (``SimKernel.run``/``_drain``/``step``/``schedule``/
-``cancel`` are hot roots in ``repro/analysis/hotpath.manifest``): each
-scheduled call is one plain list, an *entry* ``[callback, args, time]``,
-and the entry is also the handle :meth:`SimKernel.schedule` returns.
+One drain loop (:meth:`SimKernel._drain`, under :meth:`SimKernel.run`)
+runs every call, and an exception escaping a callback or a process body
+ends :meth:`SimKernel.run`.
+
+Hot-path notes (``SimKernel.run``/``_drain``/``schedule``/``cancel`` are
+hot roots in ``repro/analysis/hotpath.manifest``): each scheduled call
+is one plain list, an *entry* ``[callback, args, time]``, and the entry
+is also the handle :meth:`SimKernel.schedule` returns.
 Entries for the same timestamp share one *calendar bucket* (a plain list,
 in schedule order), and a ``heapq`` of the distinct timestamps orders the
 buckets:
@@ -44,10 +48,10 @@ from 1.3–1.9 µs to 0.56–0.70 µs per event on a shared 2-vCPU VM
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import SimError
-from repro.simnet.events import Timeout, Waitable
+from repro.simnet.events import Waitable
 
 # Bound once at import so the per-event loops skip the module-attribute
 # lookup (HOT006 dogfood; see ANALYSIS.md "Hot-path rules").
@@ -58,14 +62,6 @@ _heappop = heapq.heappop
 #: time]``.  Callers treat it as opaque and compare handles by identity
 #: only: two calls with the same callback, args and time are equal lists.
 ScheduleHandle = List[Any]
-
-
-class Interrupt(Exception):
-    """Raised inside a process generator when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(f"interrupted: {cause!r}")
-        self.cause = cause
 
 
 class Process(Waitable):
@@ -84,31 +80,17 @@ class Process(Waitable):
         self.alive = True
         self.error: Optional[BaseException] = None
         self._waiting_on: Optional[Waitable] = None
-        self._pending_interrupt: Optional[Interrupt] = None
 
     # -- lifecycle -------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the generator at its next step.
-
-        Interrupting a finished process is a no-op, matching the semantics
-        of signalling a dead thread.
-        """
-        if not self.alive:
-            return
-        self._pending_interrupt = Interrupt(cause)
-        # Detach from whatever we were waiting on and resume immediately.
-        self._waiting_on = None
-        self.kernel.schedule(0.0, self._step, None)
 
     def kill(self) -> None:
         """Terminate the process without running any more of its body.
 
-        Unlike :meth:`interrupt`, the generator gets no chance to clean up
-        via ``except Interrupt`` — this models an OS-level kill.  The
-        process fires with value ``None``.  A process may kill itself (a
-        thread tearing down its own process): the generator is then
-        abandoned at its next yield instead of closed in place.
+        The generator is closed (``generator.close()``), never resumed —
+        this models an OS-level kill.  The process fires with value
+        ``None``.  A process may kill itself (a thread tearing down
+        its own process): the generator is then abandoned at its next
+        yield instead of closed in place.
         """
         if not self.alive:
             return
@@ -143,27 +125,19 @@ class Process(Waitable):
         if not self.alive:
             return
         if self._waiting_on is not None:
-            # A stale scheduled resume (e.g. cancelled interrupt path).
+            # Resumed while still suspended on a waitable: only that
+            # waitable's callback (_on_wait_fired) may resume the body.
             return
         try:
-            if self._pending_interrupt is not None:
-                interrupt, self._pending_interrupt = self._pending_interrupt, None
-                target = self.generator.throw(interrupt)
-            else:
-                target = self.generator.send(send_value)
+            target = self.generator.send(send_value)
         except StopIteration as stop:
             self.alive = False
             self._fire(stop.value)
             return
-        except Interrupt:
-            # Generator chose not to handle the interrupt: it dies quietly.
-            self.alive = False
-            self._fire(None)
-            return
-        except BaseException as exc:  # noqa: BLE001 - surfaced via kernel policy
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the drain
             self.alive = False
             self.error = exc
-            self.kernel._on_process_error(self, exc)
+            self.kernel._raised = exc
             if not self.fired:
                 self._fire(None)
             return
@@ -186,22 +160,13 @@ class Process(Waitable):
 class SimKernel:
     """Event loop and simulated clock.
 
-    Parameters
-    ----------
-    on_error:
-        Policy for uncaught exceptions inside processes: ``"raise"``
-        (default; the exception propagates out of :meth:`run`) or
-        ``"record"`` (stored on :attr:`process_errors`, simulation
-        continues — used by fault-injection campaigns where application
-        crashes are the point).
+    An uncaught exception inside a process ends the process (kept on
+    :attr:`Process.error`) and propagates out of :meth:`run` once the
+    call that raised it returns.
     """
 
-    def __init__(self, on_error: str = "raise") -> None:
-        if on_error not in ("raise", "record"):
-            raise SimError(f"unknown error policy {on_error!r}")
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.on_error = on_error
-        self.process_errors: List[Tuple[Process, BaseException]] = []
         # Calendar: one bucket (entries in schedule order) per distinct
         # timestamp, ordered by a heap of the raw floats.
         self._buckets: Dict[float, List[ScheduleHandle]] = {}
@@ -209,8 +174,8 @@ class SimKernel:
         # The bucket being drained, already popped from ``_buckets``.  It
         # stays here until every entry in it is spent, so an exception
         # escaping ``run`` leaves the rest of the bucket for the next
-        # ``run``/``step``; the cleared callbacks of the entries that ran
-        # are the resume cursor.
+        # ``run``; the cleared callbacks of the entries that ran are the
+        # resume cursor.
         self._active_bucket: Optional[List[ScheduleHandle]] = None
         self._raised: Optional[BaseException] = None
         self._running = False
@@ -251,10 +216,6 @@ class SimKernel:
         process = Process(self, generator, name=name)
         process._start()
         return process
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Convenience constructor for a :class:`Timeout` yieldable."""
-        return Timeout(delay, value)
 
     # -- execution -------------------------------------------------------
 
@@ -317,41 +278,6 @@ class SimKernel:
                     raise error
             self._active_bucket = None
 
-    def step(self) -> bool:
-        """Execute the single next event.  Returns False if queue is empty.
-
-        Each step scans the active bucket from its start, skipping the
-        spent entries, so stepping through a bucket of n calls makes
-        O(n²) checks; :meth:`run` drains a bucket in one pass.
-        """
-        times_heap = self._times_heap
-        while True:
-            bucket = self._active_bucket
-            if bucket is None:
-                if not times_heap:
-                    return False
-                time = _heappop(times_heap)
-                bucket = self._buckets.pop(time)
-                if time < self.now:
-                    raise SimError("time went backwards")
-                self._active_bucket = bucket
-            for entry in bucket:
-                callback = entry[0]
-                if callback is None:
-                    continue
-                entry[0] = None
-                self.now = entry[2]
-                args = entry[1]
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                if self._raised is not None:
-                    error, self._raised = self._raised, None
-                    raise error
-                return True
-            self._active_bucket = None
-
     @property
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) calls still queued.
@@ -363,15 +289,6 @@ class SimKernel:
         if self._active_bucket is not None:
             buckets.append(self._active_bucket)
         return sum(entry[0] is not None for bucket in buckets for entry in bucket)
-
-    # -- error policy ----------------------------------------------------
-
-    def _on_process_error(self, process: Process, error: BaseException) -> None:
-        # Post-mortem diagnostic log: grows only on process failures,
-        # which either raise immediately or end the run under test.
-        self.process_errors.append((process, error))  # oftt-lint: ok[unbounded-growth]
-        if self.on_error == "raise":
-            self._raised = error
 
     def __repr__(self) -> str:
         return f"SimKernel(now={self.now}, pending={self.pending})"

@@ -8,11 +8,11 @@ heartbeat timeout elapsed") rather than only on final state.
 Hot-path notes (this module is on the ``trace-emits`` bench path and a hot
 root in ``repro/analysis/hotpath.manifest``): :class:`TraceRecord` is a
 hand-written ``__slots__`` class because ~200k instances are allocated
-per full bench run; per-record fingerprints build their canonical JSON payload
-directly (skipping the intermediate wire dict) via module-bound
-serializer entry points; and :meth:`TraceLog.fingerprint` folds only
-records emitted since the previous call into a running digest, so the
-cold path is O(new records) instead of O(all records).
+per full bench run, and per-record fingerprints build their canonical
+JSON payload directly (skipping the intermediate wire dict) via
+module-bound serializer entry points.  :meth:`TraceLog.fingerprint`
+hashes the whole log in one pass: a run's log is fingerprinted once,
+when the run is checked.
 """
 
 from __future__ import annotations
@@ -202,44 +202,16 @@ class TraceRecord:
 class TraceLog:
     """Append-only log of :class:`TraceRecord` entries with query helpers.
 
-    Per-category and per-component indexes (lists of records in emission
-    order) let :meth:`select` — the query every invariant monitor and
-    experiment metric goes through — scan only the narrowest matching
-    index instead of the full record list.  The indexes are folded
-    *lazily*: ``emit`` only appends to the record list (its batch
-    buffer), and the first query after a burst of emits folds the new
-    records into both indexes in one chunk (:meth:`_fold_indexes`).
-    Emit-heavy phases with no queries — the common shape for campaign
-    runs, where monitors subscribe instead of polling — therefore pay
-    nothing for indexing.
+    :meth:`select`, :meth:`first` and :meth:`count` share one predicate
+    and scan :attr:`records` in emission order.  A run only emits: the
+    experiments, the chaos and replay checks and the tests query or
+    fingerprint its log once the run is over, so the log keeps no index
+    or running digest for ``emit`` to maintain.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.records: List[TraceRecord] = []
         self._clock = clock
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
-        self._by_category: Dict[str, List[TraceRecord]] = {}
-        self._by_component: Dict[str, List[TraceRecord]] = {}
-        self._indexed = 0  #: records folded into the indexes so far
-        # Incremental log fingerprint: sha256 over all folded records'
-        # fingerprints, plus the count folded so far.  Created lazily on
-        # the first fingerprint() call — hashlib objects cannot be
-        # pickled, so a never-fingerprinted log stays freely copyable.
-        self._fp_digest: Optional[Any] = None
-        self._fp_folded = 0
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulated clock used to timestamp records."""
-        self._clock = clock
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Invoke *callback* for every future record (live monitoring)."""
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Stop invoking *callback* (idempotent)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
 
     def emit(self, category: str, component: str, event: str, **detail: Any) -> TraceRecord:
         """Append a record stamped with the current simulated time.
@@ -255,58 +227,27 @@ class TraceLog:
         time = self._clock() if self._clock is not None else 0.0
         record = TraceRecord(time, category, component, event, detail)
         self.records.append(record)
-        if self._subscribers:
-            # Reviewed-benign HOT003: _subscribers grows with *monitor*
-            # count (a handful per scenario), not with event count.
-            for callback in self._subscribers:  # oftt-lint: ok[hot-linear-scan]
-                callback(record)
         return record
 
     # -- queries ---------------------------------------------------------
 
-    def _fold_indexes(self) -> None:
-        """Fold records emitted since the last query into both indexes.
-
-        Amortized O(1) per record: each record is folded exactly once,
-        whether it arrived alone or in a 100k-emit burst.  If the record
-        list ever shrinks — unsupported, but cheap to detect — the
-        indexes are rebuilt from scratch rather than served stale.
-        """
-        records = self.records
-        indexed = self._indexed
-        if indexed > len(records):
-            self._by_category = {}
-            self._by_component = {}
-            indexed = 0
-        by_category = self._by_category
-        by_component = self._by_component
-        for record in records[indexed:]:
-            index = by_category.get(record.category)
-            if index is None:
-                by_category[record.category] = [record]
-            else:
-                index.append(record)
-            index = by_component.get(record.component)
-            if index is None:
-                by_component[record.component] = [record]
-            else:
-                index.append(record)
-        self._indexed = len(records)
-
-    def _candidates(self, category: Optional[str], component: Optional[str]) -> List[TraceRecord]:
-        """Narrowest index covering the given category/component filters."""
-        candidates: List[TraceRecord] = self.records
-        if category is None and component is None:
-            return candidates
-        if self._indexed != len(candidates):
-            self._fold_indexes()
-        if category is not None:
-            candidates = self._by_category.get(category, [])
-        if component is not None:
-            by_component = self._by_component.get(component, [])
-            if len(by_component) < len(candidates):
-                candidates = by_component
-        return candidates
+    def _matching(
+        self,
+        category: Optional[str],
+        component: Optional[str],
+        event: Optional[str],
+        since: float,
+        until: float,
+    ) -> Iterator[TraceRecord]:
+        """Records passing every given filter, in emission order."""
+        for record in self.records:
+            if (
+                (category is None or record.category == category)
+                and (component is None or record.component == component)
+                and (event is None or record.event == event)
+                and since <= record.time < until
+            ):
+                yield record
 
     def select(
         self,
@@ -322,14 +263,7 @@ class TraceLog:
         exactly at *until* is excluded, so adjacent windows tile the
         timeline without double-counting.
         """
-        return [
-            record
-            for record in self._candidates(category, component)
-            if (category is None or record.category == category)
-            and (component is None or record.component == component)
-            and (event is None or record.event == event)
-            and since <= record.time < until
-        ]
+        return list(self._matching(category, component, event, since, until))
 
     def first(
         self,
@@ -341,41 +275,9 @@ class TraceLog:
     ) -> Optional[TraceRecord]:
         """First record matching :meth:`select` filters, or None.
 
-        Short-circuits on the first hit instead of materializing the
-        full ``select()`` list (the HOT003 poster child — see
-        ANALYSIS.md "Hot-path rules").
+        Stops at the first hit instead of building the ``select()`` list.
         """
-        for record in self._candidates(category, component):
-            if (
-                (category is None or record.category == category)
-                and (component is None or record.component == component)
-                and (event is None or record.event == event)
-                and since <= record.time < until
-            ):
-                return record
-        return None
-
-    def last(
-        self,
-        category: Optional[str] = None,
-        component: Optional[str] = None,
-        event: Optional[str] = None,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> Optional[TraceRecord]:
-        """Last record matching :meth:`select` filters, or None.
-
-        Scans the narrowest index backwards and stops at the first hit.
-        """
-        for record in reversed(self._candidates(category, component)):
-            if (
-                (category is None or record.category == category)
-                and (component is None or record.component == component)
-                and (event is None or record.event == event)
-                and since <= record.time < until
-            ):
-                return record
-        return None
+        return next(self._matching(category, component, event, since, until), None)
 
     def count(
         self,
@@ -385,18 +287,8 @@ class TraceLog:
         since: float = float("-inf"),
         until: float = float("inf"),
     ) -> int:
-        """Number of records matching :meth:`select` filters.
-
-        Counts in a single pass without building the intermediate list.
-        """
-        return sum(
-            1
-            for record in self._candidates(category, component)
-            if (category is None or record.category == category)
-            and (component is None or record.component == component)
-            and (event is None or record.event == event)
-            and since <= record.time < until
-        )
+        """Number of records matching :meth:`select` filters."""
+        return sum(1 for _record in self._matching(category, component, event, since, until))
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -418,42 +310,15 @@ class TraceLog:
 
         Two runs of the same scenario with the same seed should yield
         identical fingerprints; ``repro.replay`` uses this as the cheap
-        equality check before computing an event-by-event diff.
-
-        The log is append-only, so the digest is maintained
-        incrementally: each call folds only the records emitted since
-        the last call, then reports the digest over everything folded so
-        far.  The result is byte-for-byte identical to hashing the full
-        log from scratch (the replay gate re-verifies this every run).
-        If the record list ever shrinks — unsupported, but cheap to
-        detect — the digest is rebuilt from scratch rather than served
-        stale.
+        equality check before computing an event-by-event diff.  The
+        digest is sha256 over every record's :meth:`TraceRecord.fingerprint`,
+        each followed by a newline, in emission order.
         """
-        records = self.records
-        digest = self._fp_digest
-        if digest is None or self._fp_folded > len(records):
-            digest = self._fp_digest = _sha256()
-            self._fp_folded = 0
-        folded = self._fp_folded
-        if folded < len(records):
-            update = digest.update
-            for record in records[folded:]:
-                update(record.fingerprint().encode("ascii"))
-                update(b"\n")
-            self._fp_folded = len(records)
+        # Fed record by record, not joined first: a chaos run fingerprints
+        # its log inside the run, where a joined payload adds to peak heap.
+        digest = _sha256()
+        update = digest.update
+        for record in self.records:
+            update(record.fingerprint().encode("ascii"))
+            update(b"\n")
         return digest.hexdigest()[:16]
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Drop the unpicklable running digest and the derived indexes.
-
-        Both rebuild on demand; dropping the indexes roughly halves the
-        pickled size of a queried log (every record would otherwise be
-        referenced three times).
-        """
-        state = self.__dict__.copy()
-        state["_fp_digest"] = None
-        state["_fp_folded"] = 0
-        state["_by_category"] = {}
-        state["_by_component"] = {}
-        state["_indexed"] = 0
-        return state

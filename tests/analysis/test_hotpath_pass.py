@@ -173,6 +173,15 @@ def test_default_manifest_is_checked_in_and_parses():
     assert "SimKernel.run" in qualnames
     assert "TraceLog.emit" in qualnames
     assert "TraceRecord.fingerprint" in qualnames
+    # resolve_roots skips a root that matches nothing, because a partial
+    # lint sees a subset of the tree; over the whole package every root
+    # must name a function, or a deleted function's root goes unnoticed.
+    package = os.path.dirname(os.path.dirname(hotpath.__file__))
+    files, load_findings = load_sources([package])
+    assert load_findings == []
+    graph = Program(files, 0).graph
+    stale = [spec for spec in specs if not hotpath.resolve_roots(graph, [spec])]
+    assert stale == []
 
 
 # -- CLI integration -------------------------------------------------------

@@ -91,10 +91,3 @@ def test_engine_stats_counters_consistent():
     assert primary_stats["checkpoints_tx"] == backup_stats["checkpoints_rx"]
     assert primary_stats["acks_rx"] == backup_stats["checkpoints_rx"]
     assert backup_stats["checkpoints_tx"] == 0  # backup app is not running
-
-
-def test_first_fired_helper():
-    from repro.simnet.events import first_fired
-
-    assert first_fired((2, "value")) == 2
-    assert first_fired(None) is None

@@ -13,9 +13,8 @@ import pytest
 from repro.bench.cli import main as bench_main
 from repro.chaos.cli import campaign
 from repro.chaos.cli import main as chaos_main
-from repro.chaos.report import render_json
+from repro.chaos.report import render_json, render_text
 from repro.harness.run_experiments import main as experiments_main
-from repro.perf.cli import main as perf_main
 from repro.replay.cli import main as replay_main
 
 
@@ -25,10 +24,11 @@ def _capture(capsys, main, argv):
 
 
 def test_chaos_campaign_bytes_stable_across_jobs():
-    reports = {
-        jobs: render_json(campaign(2, 1, 0, jobs=jobs))
-        for jobs in (1, 2, 4)
-    }
+    # 2 seeds x 2 schedules; both the JSON and the text report.
+    reports = {}
+    for jobs in (1, 2, 4):
+        result = campaign(2, 2, 0, jobs=jobs)
+        reports[jobs] = (render_json(result), render_text(result))
     assert reports[2] == reports[1]
     assert reports[4] == reports[1]
 
@@ -68,15 +68,6 @@ def test_run_experiments_bytes_stable_across_jobs(capsys):
     assert outputs[2] == outputs[1]
 
 
-def test_perf_check_chaos_gate_passes(capsys):
-    code, out = _capture(
-        capsys, perf_main,
-        ["check-chaos", "--seeds", "1", "--schedules", "2", "--jobs", "2"],
-    )
-    assert code == 0
-    assert "byte-identical" in out
-
-
 def test_chaos_rejects_unknown_sabotage(capsys):
     assert chaos_main(["--sabotage", "no-such-hook", "--format", "json"]) == 2
 
@@ -87,10 +78,9 @@ def test_chaos_rejects_unknown_sabotage(capsys):
         (chaos_main, ["--jobs", "-1"], "repro.chaos.cli.parallel_map"),
         (replay_main, ["--jobs", "-1"], "repro.replay.cli.parallel_map"),
         (bench_main, ["--only", "kernel-events", "--jobs", "-1"], "repro.bench.cli.run_benches"),
-        (perf_main, ["check-chaos", "--jobs", "-1"], "repro.chaos.cli.campaign"),
         (experiments_main, ["X5", "--jobs", "-1"], "repro.harness.run_experiments.parallel_map"),
     ],
-    ids=["oftt-chaos", "oftt-replay", "oftt-bench", "oftt-perf-check-chaos", "run_experiments"],
+    ids=["oftt-chaos", "oftt-replay", "oftt-bench", "run_experiments"],
 )
 def test_negative_jobs_is_a_usage_error_before_anything_runs(monkeypatch, capsys, main, argv, runner):
     def must_not_run(*_args, **_kwargs):

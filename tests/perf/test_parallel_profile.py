@@ -1,9 +1,9 @@
 """The persistent worker pool exercised across jobs profiles.
 
-``make test-par`` runs this module (with the rest of tests/perf) as the
-pool's dedicated gate: one interpreter drives the shared pool at jobs 1,
-2 and 4, covering spawn-once reuse, resize-respawn, the serial bypass,
-chunked dispatch, and byte-identity of results across worker counts.
+One interpreter (the tier-1 run, or ``pytest tests/perf`` alone) drives
+the shared pool at jobs 1, 2 and 4, covering spawn-once reuse,
+resize-respawn, the serial bypass, chunked dispatch, and byte-identity
+of results across worker counts.
 """
 
 from __future__ import annotations

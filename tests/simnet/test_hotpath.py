@@ -1,9 +1,8 @@
 """The hot-path optimizations must be invisible: same results, same order.
 
-Covers the trace select() indexes, the emit() no-subscriber fast path,
-the record wire form and fingerprints, the incremental log fingerprint,
-and the kernel's lazy cancellation — each checked against a brute-force
-equivalent or a repeated call.
+Covers the trace select() filters, the record wire form and
+fingerprints, the log fingerprint, and the kernel's lazy cancellation —
+each checked against a brute-force equivalent or a repeated call.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ def build_log(n: int = 60) -> TraceLog:
     return log
 
 
-# -- select() indexes ------------------------------------------------------
+# -- select() --------------------------------------------------------------
 
 
 def brute_select(log, category=None, component=None, event=None, since=None, until=None):
@@ -69,19 +68,6 @@ def test_index_tracks_post_select_emits():
     log.emit("cat-0", "comp-9", "late")
     assert len(log.select(category="cat-0")) == 5
     assert log.select(category="cat-0")[-1].event == "late"
-
-
-# -- emit() fast path ------------------------------------------------------
-
-
-def test_emit_without_subscribers_then_subscribe():
-    log = TraceLog()
-    log.emit("a", "b", "before")
-    seen = []
-    log.subscribe(seen.append)
-    log.emit("a", "b", "after")
-    assert [r.event for r in seen] == ["after"]
-    assert [r.event for r in log.records] == ["before", "after"]
 
 
 # -- record wire form and fingerprints -------------------------------------

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import SimError
-from repro.simnet.events import AllOf, AnyOf, Event, Timeout
-from repro.simnet.kernel import Interrupt, SimKernel
+from repro.simnet.events import Timeout
+from repro.simnet.kernel import SimKernel
 
 
 def test_schedule_runs_in_time_order():
@@ -55,18 +55,6 @@ def test_negative_delay_rejected():
         kernel.schedule(-1.0, lambda: None)
 
 
-def test_step_executes_single_event():
-    kernel = SimKernel()
-    seen = []
-    kernel.schedule(1.0, seen.append, 1)
-    kernel.schedule(2.0, seen.append, 2)
-    assert kernel.step()
-    assert seen == [1]
-    assert kernel.step()
-    assert seen == [1, 2]
-    assert not kernel.step()
-
-
 def test_process_runs_and_fires_with_return_value():
     kernel = SimKernel()
 
@@ -100,38 +88,6 @@ def test_process_can_join_another_process():
     kernel.spawn(parent())
     kernel.run()
     assert order == ["child", ("parent", 42)]
-
-
-def test_interrupt_raises_inside_generator():
-    kernel = SimKernel()
-    caught = []
-
-    def body():
-        try:
-            yield Timeout(100.0)
-        except Interrupt as interrupt:
-            caught.append(interrupt.cause)
-            yield Timeout(1.0)
-        return "recovered"
-
-    process = kernel.spawn(body())
-    kernel.schedule(10.0, process.interrupt, "reason")
-    kernel.run()
-    assert caught == ["reason"]
-    assert process.value == "recovered"
-
-
-def test_unhandled_interrupt_kills_process_quietly():
-    kernel = SimKernel()
-
-    def body():
-        yield Timeout(100.0)
-
-    process = kernel.spawn(body())
-    kernel.schedule(10.0, process.interrupt, None)
-    kernel.run()
-    assert not process.alive
-    assert process.fired
 
 
 def test_kill_stops_process_without_cleanup():
@@ -170,28 +126,11 @@ def test_process_error_raises_from_run_by_default():
         yield Timeout(1.0)
         raise ValueError("boom")
 
-    kernel.spawn(body())
-    with pytest.raises(ValueError, match="boom"):
+    process = kernel.spawn(body())
+    with pytest.raises(ValueError, match="boom") as raised:
         kernel.run()
-
-
-def test_process_error_recorded_with_record_policy():
-    kernel = SimKernel()
-
-    def body():
-        yield Timeout(1.0)
-        raise ValueError("boom")
-
-    kernel_recording = SimKernel(on_error="record")
-    process = kernel_recording.spawn(body())
-    kernel_recording.run()
-    assert len(kernel_recording.process_errors) == 1
-    assert kernel_recording.process_errors[0][0] is process
-
-
-def test_unknown_error_policy_rejected():
-    with pytest.raises(SimError):
-        SimKernel(on_error="explode")
+    assert process.error is raised.value
+    assert not process.alive and process.fired
 
 
 def test_yielding_non_waitable_is_error():

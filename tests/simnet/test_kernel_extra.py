@@ -1,31 +1,11 @@
-"""Additional kernel coverage: interrupts on events, nested processes,
-self-kill, timeout helper, reentrancy guard."""
+"""Additional kernel coverage: nested processes, self-kill, reentrancy
+guard."""
 
 import pytest
 
 from repro.errors import SimError
-from repro.simnet.events import Event, Timeout
-from repro.simnet.kernel import Interrupt, SimKernel
-
-
-def test_interrupt_while_waiting_on_event():
-    kernel = SimKernel()
-    gate = Event("never")
-    outcome = []
-
-    def body():
-        try:
-            yield gate
-        except Interrupt as interrupt:
-            outcome.append(interrupt.cause)
-
-    process = kernel.spawn(body())
-    kernel.schedule(10.0, process.interrupt, "stop waiting")
-    kernel.run()
-    assert outcome == ["stop waiting"]
-    # The event never fired; late firing must not resurrect the process.
-    gate.succeed("late")
-    assert not process.alive
+from repro.simnet.events import Timeout
+from repro.simnet.kernel import SimKernel
 
 
 def test_self_kill_from_inside_body():
@@ -45,19 +25,6 @@ def test_self_kill_from_inside_body():
     assert progressed == [10.0, 20.0, 30.0]
     assert not holder["process"].alive
     assert holder["process"].fired
-
-
-def test_kernel_timeout_helper():
-    kernel = SimKernel()
-    seen = []
-
-    def body():
-        value = yield kernel.timeout(5.0, value="v")
-        seen.append(value)
-
-    kernel.spawn(body())
-    kernel.run()
-    assert seen == ["v"]
 
 
 def test_reentrant_run_rejected():
@@ -92,37 +59,3 @@ def test_process_spawning_processes():
     kernel.spawn(parent())
     kernel.run()
     assert order == ["grandchild", ("child", 3), ("parent", 6)]
-
-
-def test_interrupt_cancels_pending_wait():
-    """After an interrupt is handled, the old timeout firing must not
-    double-resume the process."""
-    kernel = SimKernel()
-    resumed = []
-
-    def body():
-        try:
-            yield Timeout(100.0)
-            resumed.append("timeout")
-        except Interrupt:
-            resumed.append("interrupt")
-            yield Timeout(50.0)
-            resumed.append("after")
-
-    process = kernel.spawn(body())
-    kernel.schedule(10.0, process.interrupt, None)
-    kernel.run(until=1_000.0)
-    assert resumed == ["interrupt", "after"]
-
-
-def test_interrupt_dead_process_is_noop():
-    kernel = SimKernel()
-
-    def body():
-        yield Timeout(1.0)
-
-    process = kernel.spawn(body())
-    kernel.run()
-    process.interrupt("too late")  # must not raise
-    kernel.run()
-    assert not process.alive

@@ -58,17 +58,8 @@ def test_first_last_count():
     trace.emit("c", "comp", "b")
     trace.emit("c", "comp", "a")
     assert trace.first(event="a") is trace.records[0]
-    assert trace.last(event="a") is trace.records[2]
     assert trace.count(event="a") == 2
     assert trace.first(event="missing") is None
-
-
-def test_subscribe_streams_future_records():
-    kernel, trace = build()
-    seen = []
-    trace.subscribe(lambda record: seen.append(record.event))
-    trace.emit("c", "comp", "after")
-    assert seen == ["after"]
 
 
 def test_detail_kwargs_preserved():

@@ -1,12 +1,11 @@
 """Byte-compatibility gates for the trace fast paths.
 
-The fingerprint pipeline was rewritten for speed (template-built wire
-payloads, per-record memoization, incremental log digests).  These tests
-pin the *bytes*: golden hex values that must never drift, the fast
-payload checked against a reference ``json.dumps(as_wire())`` encoding,
-the incremental log digest checked against from-scratch hashing, and
-``first``/``last``/``count`` checked against a ``select()``-based
-reference.  A drift here silently breaks replay comparison across
+The record fingerprint builds its wire payload from a template for
+speed.  These tests pin the *bytes*: golden hex values that must never
+drift, the fast payload checked against a reference
+``json.dumps(as_wire())`` encoding, the log digest checked against a
+reference hash of the record fingerprints, and ``first``/``count``
+checked against a ``select()``-based reference.  A drift here silently breaks replay comparison across
 versions, so every assertion is exact.
 """
 
@@ -85,7 +84,7 @@ def test_fast_fingerprint_matches_reference_encoding(detail):
     assert record.fingerprint() == reference_fingerprint(record)
 
 
-# -- incremental log digest vs from-scratch --------------------------------
+# -- log digest vs from-scratch reference ----------------------------------
 
 
 def scratch_fingerprint(log):
@@ -101,8 +100,7 @@ def test_incremental_fingerprint_matches_scratch_across_interleavings():
     for round_no in range(5):
         for i in range(7):
             log.emit("cat", f"comp-{i % 2}", "ev", round=round_no, index=i)
-        # fingerprint mid-stream folds the tail; later emits must extend
-        # the digest, never restart or double-fold it
+        # a fingerprint taken mid-stream covers exactly the records so far
         assert log.fingerprint() == scratch_fingerprint(log)
     assert log.fingerprint() == scratch_fingerprint(log)
 
@@ -121,8 +119,6 @@ def test_fingerprint_stable_when_called_twice_without_new_emits():
 
 
 # -- pickle / deepcopy of fingerprinted logs -------------------------------
-# hashlib digest objects cannot be pickled; the lazy incremental state
-# must drop out of the serialized form and rebuild on demand.
 
 
 def test_pickle_round_trip_after_fingerprint():
@@ -146,7 +142,7 @@ def test_deepcopy_round_trip_after_fingerprint():
     assert clone.fingerprint() == before
 
 
-# -- first/last/count vs select reference ----------------------------------
+# -- first/count vs select reference ---------------------------------------
 
 
 def build_log(n=60):
@@ -174,12 +170,10 @@ def test_first_last_count_match_select_reference(filters):
     log = build_log()
     selected = log.select(**filters)
     assert log.first(**filters) == (selected[0] if selected else None)
-    assert log.last(**filters) == (selected[-1] if selected else None)
     assert log.count(**filters) == len(selected)
 
 
 def test_first_last_on_empty_log():
     log = TraceLog()
     assert log.first() is None
-    assert log.last() is None
     assert log.count() == 0

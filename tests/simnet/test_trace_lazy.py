@@ -1,12 +1,11 @@
-"""Lazy rendering and lazy index folding must be invisible.
+"""Lazy rendering must be invisible.
 
-The trace plane defers two things: a record's wire form / fingerprint
-(built on first ask, not at emit) and the per-category/component select
-indexes (folded in a chunk at the first query after an emit burst).
-These tests pin that laziness never changes observable results: golden
-fingerprints stay byte-identical whatever the emit/query interleaving,
-and the snapshot semantics of ``emit(**detail)`` are exactly documented
-— top level copied by kwargs splat, nested values by reference.
+The trace plane builds a record's wire form and fingerprint on first
+ask, not at emit.  These tests pin that this never changes observable
+results: golden fingerprints stay byte-identical whatever the emit/query
+interleaving, and the snapshot semantics of ``emit(**detail)`` are
+exactly documented — top level copied by kwargs splat, nested values by
+reference.
 """
 
 from __future__ import annotations
@@ -37,34 +36,12 @@ def test_golden_fingerprints_unchanged_by_lazy_paths():
 
 def test_fingerprint_identical_whatever_the_query_interleaving():
     eager, lazy = build_golden_log(), build_golden_log()
-    # Eager: query (forcing index folds) after every emit-equivalent step.
+    # Eager: queried before it is fingerprinted.
     eager.select(category="proc")
     eager.first(component="link-a")
     eager.count(category="net")
     assert eager.fingerprint() == lazy.fingerprint() == GOLDEN_LOG_FP
     assert eager.select(category="proc") == lazy.select(category="proc")
-
-
-def test_indexes_fold_lazily_and_catch_up_exactly():
-    log = TraceLog()
-    for i in range(50):
-        log.emit(f"cat-{i % 3}", f"comp-{i % 4}", "ev", index=i)
-    # Nothing folded yet: emit never touches the indexes.
-    assert log._indexed == 0
-    picked = log.select(category="cat-1")
-    assert log._indexed == 50
-    assert [r.detail["index"] for r in picked] == list(range(1, 50, 3))
-    # A post-query burst folds on the next query, not at emit.
-    log.emit("cat-1", "comp-9", "late")
-    assert log._indexed == 50
-    assert log.select(category="cat-1")[-1].event == "late"
-    assert log._indexed == 51
-
-
-def test_unfiltered_select_never_needs_the_indexes():
-    log = build_golden_log()
-    assert log.select() == log.records
-    assert log._indexed == 0  # full-scan queries skip folding entirely
 
 
 def test_caller_held_detail_dict_mutation_does_not_alter_wire_form():
@@ -95,11 +72,12 @@ def test_nested_detail_values_are_held_by_reference():
     assert record.as_wire()["detail"]["snapshot"] == {"queue": [1, 2, 3]}  # ...is visible
 
 
-def test_pickled_log_rebuilds_indexes_and_digest():
+def test_pickled_log_answers_like_the_original():
     log = build_golden_log()
-    log.select(category="proc")  # force a fold + eat the digest
+    log.select(category="proc")
     log.fingerprint()
     clone = pickle.loads(pickle.dumps(log))
-    assert clone._indexed == 0  # derived state dropped by __getstate__
-    assert clone.fingerprint() == GOLDEN_LOG_FP
+    assert clone.fingerprint() == log.fingerprint() == GOLDEN_LOG_FP
     assert clone.select(category="proc") == log.select(category="proc")
+    assert clone.first(component="link-a") == log.first(component="link-a")
+    assert clone.count(category="proc") == log.count(category="proc") == 2
