@@ -57,6 +57,9 @@ class CallTrackApp(OfttApplication):
         self.lines = lines
         self.save_on_end = save_on_end
         self.api: Optional[OfttApi] = None
+        #: ``(events_processed, histogram copy)`` at the last display
+        #: render in the current process; None before its first render.
+        self._display_key: Optional[tuple] = None
 
     # -- lifecycle (engine-driven) ----------------------------------------------
 
@@ -65,6 +68,7 @@ class CallTrackApp(OfttApplication):
         assert context is not None, "install() must run before launch()"
         process = context.system.create_process(self.name)
         self.process = process
+        self._display_key = None
         self._init_state(process, image)
 
         # The main application thread: periodically refreshes the
@@ -129,16 +133,21 @@ class CallTrackApp(OfttApplication):
         sequence = int(event["sequence"])
         seen_floor = space.read("seen_floor")
         seen_recent = space.read("seen_recent")
-        if sequence <= seen_floor or sequence in seen_recent:
+        if sequence == seen_floor + 1 and not seen_recent:
+            # In order with no gap pending: the floor moves and the
+            # window stays empty, what the compaction below would leave.
+            space.write("seen_floor", sequence)
+        elif sequence <= seen_floor or sequence in seen_recent:
             space.write("duplicates_dropped", space.read("duplicates_dropped") + 1)
             return False
-        seen_recent = sorted(set(seen_recent) | {sequence})
-        # Compact: advance the floor across any contiguous prefix.
-        while seen_recent and seen_recent[0] == seen_floor + 1:
-            seen_floor += 1
-            seen_recent.pop(0)
-        space.write("seen_floor", seen_floor)
-        space.write("seen_recent", seen_recent)
+        else:
+            seen_recent = sorted(set(seen_recent) | {sequence})
+            # Compact: advance the floor across any contiguous prefix.
+            while seen_recent and seen_recent[0] == seen_floor + 1:
+                seen_floor += 1
+                seen_recent.pop(0)
+            space.write("seen_floor", seen_floor)
+            space.write("seen_recent", seen_recent)
 
         histogram = space.read("histogram")
         busy = str(event["busy_lines"])
@@ -166,7 +175,16 @@ class CallTrackApp(OfttApplication):
     # -- display ---------------------------------------------------------------------
 
     def _refresh_display(self) -> None:
+        # The display shows the histogram and the event count only, so
+        # it is rendered again only when one of them changed since the
+        # last render in this process.
         space = self.process.address_space
+        events = space.read("events_processed")
+        histogram = space.read("histogram")
+        key = self._display_key
+        if key is not None and key[0] == events and key[1] == histogram:
+            return
+        self._display_key = (events, dict(histogram))
         space.write("display", self.render_histogram())
 
     def render_histogram(self, width: int = 40) -> str:

@@ -113,6 +113,15 @@ class OfttEngine(ComObject):
         self.process.bind_port(ENGINE_PORT, self._on_engine_message)
         self.process.on_exit.append(self._on_process_exit)
         self.process.start()
+        #: Whether the engine process is still running.  The process's
+        #: first exit hook (:meth:`_on_process_exit`) clears it, in the
+        #: call that ends the process, so it reads what
+        #: ``process.alive`` reads for every caller.
+        self.alive = True
+        self._system = context.system
+        #: ``Network.send`` bound once: the engine's frames skip
+        #: ``NetNode.send``, which only adds the source name.
+        self._net_send = context.system.node.network.send
 
         self.negotiator = RoleNegotiator(
             kernel=self.kernel,
@@ -166,7 +175,6 @@ class OfttEngine(ComObject):
         self.acked_sequence = 0
         self.peer_present = False
         self.degraded = False
-        self.stopped = False
         self.switchover_count = 0
         self.local_restart_count = 0
         self._pending_takeover: Optional[int] = None
@@ -176,8 +184,10 @@ class OfttEngine(ComObject):
         self.checkpoint_sizes: List[int] = []
         #: Waiters for peer acknowledgement of a sequence (durable saves).
         self._ack_waiters: List = []  # (sequence, Event) pairs
-        #: Handles of the heartbeat/status report loops, cancelled on
-        #: process exit so a dead engine leaves nothing in the kernel.
+        #: Handles of the heartbeat timer (the tick, or the peer
+        #: heartbeat loop once the tick split) and of the status report
+        #: loop, cancelled on process exit so a dead engine leaves
+        #: nothing in the kernel.
         self._hb_timer: Optional[ScheduleHandle] = None
         self._report_timer: Optional[ScheduleHandle] = None
         self._stats = {"heartbeats_rx": 0, "checkpoints_tx": 0, "checkpoints_rx": 0, "acks_rx": 0}
@@ -191,20 +201,28 @@ class OfttEngine(ComObject):
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin operation: watch the peer, negotiate roles, report."""
-        self.monitor.watch(PEER, self.config.peer_heartbeat_timeout)
-        self.monitor.start()
-        self._peer_heartbeat_loop()
+        """Begin operation: watch the peer, negotiate roles, report.
+
+        With ``heartbeat_period`` equal to ``peer_heartbeat_period`` and
+        an unskewed clock, the heartbeat sweep and the peer heartbeat
+        share one timer (:meth:`_tick`); otherwise each has its own.
+        """
+        config = self.config
+        self.monitor.watch(PEER, config.peer_heartbeat_timeout)
+        self._cancel_timers()
+        if config.heartbeat_period == config.peer_heartbeat_period and self._system.clock_scale == 1.0:
+            self.monitor.start(timer=False)
+            self._hb_timer = self.kernel.schedule(config.heartbeat_period, self._tick)
+            if self.alive:
+                self._beat()
+        else:
+            self.monitor.start()
+            self._peer_heartbeat_loop()
         self._status_report_loop()
         if self.policy is not None:
             self.policy.start()
         self.negotiator.begin()
         self.trace.emit("engine", self.node_name, "engine-started")
-
-    @property
-    def alive(self) -> bool:
-        """Whether the engine process is still running."""
-        return not self.stopped and self.process.alive
 
     @property
     def role(self) -> Role:
@@ -220,13 +238,8 @@ class OfttEngine(ComObject):
 
     def _on_process_exit(self, _process: NTProcess) -> None:
         # §4 demo (d): middleware failure.  Everything engine-driven stops.
-        self.stopped = True
-        if self._hb_timer is not None:
-            self.kernel.cancel(self._hb_timer)
-            self._hb_timer = None
-        if self._report_timer is not None:
-            self.kernel.cancel(self._report_timer)
-            self._report_timer = None
+        self.alive = False
+        self._cancel_timers()
         self.monitor.stop()
         self.monitor.clear()
         if self.policy is not None:
@@ -238,6 +251,14 @@ class OfttEngine(ComObject):
             if not watchdog.deleted:
                 watchdog.delete()
         self.trace.emit("engine", self.node_name, "engine-dead")
+
+    def _cancel_timers(self) -> None:
+        if self._hb_timer is not None:
+            self.kernel.cancel(self._hb_timer)
+            self._hb_timer = None
+        if self._report_timer is not None:
+            self.kernel.cancel(self._report_timer)
+            self._report_timer = None
 
     def shutdown(self) -> None:
         """Orderly engine shutdown (stops the apps too)."""
@@ -587,9 +608,8 @@ class OfttEngine(ComObject):
     # -- wire protocol ------------------------------------------------------------------------
 
     def _send_to_peer(self, payload: Dict[str, Any]) -> None:
-        if not self.process.alive:
-            return
-        self.context.system.node.send(self.peer_node, ENGINE_PORT, payload, size=128)
+        if self.alive:
+            self._net_send(self.node_name, self.peer_node, ENGINE_PORT, payload, 128)
 
     def scaled(self, period: float) -> float:
         """*period* as measured by this machine's (possibly skewed) clock.
@@ -599,27 +619,59 @@ class OfttEngine(ComObject):
         hardware clock would.  Re-read every iteration, so skew injected
         mid-run takes effect on the next tick.
         """
-        return period * self.context.system.clock_scale
+        return period * self._system.clock_scale
 
-    def _peer_heartbeat_loop(self) -> None:
+    def _tick(self) -> None:
+        """One heartbeat period on one timer: the sweep, then the peer heartbeat.
+
+        The two timers this replaces fired at the same instant, the
+        sweep's directly before the heartbeat loop's (see :meth:`start`).
+        The tick re-arms where the sweep re-armed itself, before the
+        heartbeat is sent.  Once a ``ClockSkew`` moves this machine's
+        clock scale off 1, the sweep goes back to the monitor's own
+        timer and the heartbeat to :meth:`_peer_heartbeat_loop`, for
+        good: the scaled heartbeat period leaves the sweep's grid.
+        """
         if not self.alive:
             return
+        self.monitor.sweep()
+        if self._system.clock_scale == 1.0:
+            self._hb_timer = self.kernel.schedule(self.config.heartbeat_period, self._tick)
+            if self.alive:
+                self._beat()
+        else:
+            self.monitor.start_timer()
+            self._peer_heartbeat_loop()
+
+    # The tick hands the heartbeat timer to this loop once, and does not
+    # re-arm itself then; the loop never arms the tick.  So _hb_timer's
+    # two writers never both have a live call.
+    def _peer_heartbeat_loop(self) -> None:  # oftt-lint: ok[race-write-write]
+        if not self.alive:
+            return
+        self._beat()
+        self._hb_timer = self.kernel.schedule(
+            self.scaled(self.config.peer_heartbeat_period), self._peer_heartbeat_loop
+        )
+
+    def _beat(self) -> None:
+        """Send the peer heartbeat, then run the strategy's heartbeat tick."""
+        negotiator = self.negotiator
         payload = {
             "kind": "hb",
             "node": self.node_name,
-            "role": self.role.value,
-            "incarnation": self.negotiator.incarnation,
+            # The member's own attribute, not the Enum ``value``
+            # descriptor (see repro.core.roles).
+            "role": negotiator.role._value_,
+            "incarnation": negotiator.incarnation,
         }
         if self.policy is not None:
             # Lets the backup follow a runtime strategy switch.  Only
             # added with the policy on, keeping default wire bytes (and
             # thus traces) identical to the static build.
             payload["strategy"] = self.strategy_name
-        self._send_to_peer(payload)
+        self._net_send(self.node_name, self.peer_node, ENGINE_PORT, payload, 128)
         self.strategy.on_heartbeat_tick()
-        self._hb_timer = self.kernel.schedule(
-            self.scaled(self.config.peer_heartbeat_period), self._peer_heartbeat_loop
-        )
 
     def _on_engine_message(self, message) -> None:
         if not self.alive:
@@ -747,7 +799,7 @@ class OfttEngine(ComObject):
         kind, status, role, time, detail.
         """
         node = self.node_name
-        role = self.role.value
+        role = self.negotiator.role._value_
         now = self.kernel.now
         reports = [
             StatusReport(
@@ -784,19 +836,19 @@ class OfttEngine(ComObject):
 
     def _send_report(self, report: StatusReport) -> None:
         for monitor_node in self.monitor_nodes:
-            self.context.system.node.send(monitor_node, STATUS_PORT, report.as_wire(), size=96)
+            self._net_send(self.node_name, monitor_node, STATUS_PORT, report.as_wire(), 96)
 
     def _broadcast_role_change(self) -> None:
         notice = {
             "kind": "role-change",
             "node": self.node_name,
             "peer": self.peer_node,
-            "role": self.role.value,
+            "role": self.negotiator.role._value_,
             "incarnation": self.negotiator.incarnation,
             "time": self.kernel.now,
         }
         for subscriber in self.subscriber_nodes:
-            self.context.system.node.send(subscriber, DIVERTER_PORT, notice, size=64)
+            self._net_send(self.node_name, subscriber, DIVERTER_PORT, notice, 64)
 
     # -- COM surface --------------------------------------------------------------------------------
 

@@ -179,11 +179,21 @@ class HeartbeatMonitor:
 
     # -- sweep loop ----------------------------------------------------------------
 
-    def start(self) -> None:
-        """Begin periodic sweeps."""
+    def start(self, timer: bool = True) -> None:
+        """Begin periodic sweeps.
+
+        With *timer* false the owner runs :meth:`sweep` once a period
+        from a timer of its own (the engine's tick) until it hands the
+        period back with :meth:`start_timer`.
+        """
         if self._running:
             return
         self._running = True
+        if timer:
+            self.start_timer()
+
+    def start_timer(self) -> None:
+        """Sweep on this monitor's own timer, the next sweep one period from now."""
         self._cancel_timer()
         self._timer = self.kernel.schedule(self.sweep_period, self._sweep)
 
@@ -200,6 +210,16 @@ class HeartbeatMonitor:
     def _sweep(self) -> None:
         if not self._running:
             return
+        self.sweep()
+        self._timer = self.kernel.schedule(self.sweep_period, self._sweep)
+
+    def sweep(self) -> None:
+        """One sweep: declare each enabled watch silent past its timeout failed.
+
+        A watch is reported once, after ``miss_threshold`` consecutive
+        sweeps (or its own ``miss_tolerance``) found it silent, and not
+        again until it beats.
+        """
         now = self.kernel.now
         for component, watch in list(self._watches.items()):
             if not watch.enabled or watch.suspected:
@@ -217,7 +237,6 @@ class HeartbeatMonitor:
                     self.on_failure(component, silence)
             else:
                 watch.misses = 0
-        self._timer = self.kernel.schedule(self.sweep_period, self._sweep)
 
     def __repr__(self) -> str:
         return f"HeartbeatMonitor(watching={self.watched()}, running={self._running})"

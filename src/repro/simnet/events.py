@@ -51,18 +51,14 @@ class Waitable:
         for callback in callbacks:
             callback(self)
 
-    def _arm(self, kernel) -> None:
-        """Hook for the kernel: schedule whatever makes this fire.
-
-        Most waitables are externally triggered and need nothing;
-        :class:`Timeout` overrides this.
-        """
-
 
 class Timeout(Waitable):
     """Fires after *delay* units of simulated time.
 
-    The kernel arms the timeout when the yielding process is suspended.
+    The first process that waits on a timeout arms it: the kernel
+    schedules that process's resume *delay* later, and the resume fires
+    the timeout (``Process._resume_from``).  A timeout no process has
+    waited on never fires.
     """
 
     def __init__(self, delay: float, value: Any = None) -> None:
@@ -73,16 +69,6 @@ class Timeout(Waitable):
         self.delay = delay
         self.timeout_value = value
         self._armed = False
-
-    def _arm(self, kernel) -> None:
-        if self._armed or self._fired:
-            return
-        self._armed = True
-        kernel.schedule(self.delay, self._fire_if_needed)
-
-    def _fire_if_needed(self) -> None:
-        if not self._fired:
-            self._fire(self.timeout_value)
 
     def __repr__(self) -> str:
         return f"Timeout({self.delay})"

@@ -51,7 +51,7 @@ import heapq
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import SimError
-from repro.simnet.events import Waitable
+from repro.simnet.events import Timeout, Waitable
 
 # Bound once at import so the per-event loops skip the module-attribute
 # lookup (HOT006 dogfood; see ANALYSIS.md "Hot-path rules").
@@ -115,8 +115,10 @@ class Process(Waitable):
     # the same-tick write/read below is the designed protocol.
     # The interprocedural write-writes (alive/error/_value/... via
     # _step -> _fire from both entry points) are the same protocol:
-    # _step is re-entered only through the _waiting_on guard.
-    def _on_wait_fired(self, waitable: Waitable) -> None:  # oftt-lint: ok[race-write-read,ip-race-write-write]
+    # _step is re-entered only through the _waiting_on guard.  So is the
+    # write-write with _resume_from: each clears _waiting_on only while
+    # it still names its own waitable.
+    def _on_wait_fired(self, waitable: Waitable) -> None:  # oftt-lint: ok[race-write-read,race-write-write,ip-race-write-write]
         if self._waiting_on is waitable:
             self._waiting_on = None
             self._step(waitable.value)
@@ -146,11 +148,37 @@ class Process(Waitable):
         self._wait_on(target)
 
     def _wait_on(self, target: Waitable) -> None:
+        if isinstance(target, Timeout) and not target._armed:
+            # The first process to wait on a timeout arms it, and the
+            # armed call is this process's resume.
+            target._armed = True
+            self._waiting_on = target
+            self.kernel.schedule(target.delay, self._resume_from, target)
+            return
         if not isinstance(target, Waitable):
             raise SimError(f"process {self.name} yielded non-waitable {target!r}")
-        target._arm(self.kernel)
         self._waiting_on = target
         target.add_callback(self._on_wait_fired)
+
+    def _resume_from(self, timeout: Timeout) -> None:
+        """Fire *timeout*, which this process armed, resuming the process first.
+
+        This is :meth:`Waitable._fire` with :meth:`_on_wait_fired` as
+        the first callback, without registering it: the timeout is marked
+        fired with its value, the process steps if it still waits on it,
+        and then the callbacks that others added run in the order they
+        were added.  A killed process's timeout still fires.
+        """
+        timeout._fired = True
+        value = timeout._value = timeout.timeout_value
+        if self._waiting_on is timeout:
+            self._waiting_on = None
+            self._step(value)
+        callbacks = timeout._callbacks
+        if callbacks:
+            timeout._callbacks = []
+            for callback in callbacks:
+                callback(timeout)
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"

@@ -2,15 +2,15 @@
 
 
 class LiveView:
-    def __init__(self, trace):
-        self.trace = trace
+    def __init__(self, queue):
+        self.queue = queue
         self.count = 0
 
     def attach(self):
-        self.trace.subscribe(self._on_record)
+        self.queue.subscribe(self._on_message)
 
     def stop(self):
-        self.trace.unsubscribe(self._on_record)
+        self.queue.unsubscribe(self._on_message)
 
-    def _on_record(self, record):
+    def _on_message(self, message):
         self.count += 1

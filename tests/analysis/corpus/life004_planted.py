@@ -1,16 +1,16 @@
-"""Planted LIFE004: trace subscription never released on teardown."""
+"""Planted LIFE004: queue subscription never released on teardown."""
 
 
 class LiveView:
-    def __init__(self, trace):
-        self.trace = trace
+    def __init__(self, queue):
+        self.queue = queue
         self.count = 0
 
     def attach(self):
-        self.trace.subscribe(self._on_record)  # expect: LIFE004
+        self.queue.subscribe(self._on_message)  # expect: LIFE004
 
     def stop(self):
         self.count = 0  # detaches nothing
 
-    def _on_record(self, record):
+    def _on_message(self, message):
         self.count += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 
 import pytest
@@ -89,6 +90,36 @@ def test_default_manifest_is_checked_in_and_parses():
     assert {"schedule", "watch", "create_process", "subscribe"} <= acquires
     assert all(pair.kind in lifecycle.KINDS for pair in spec.pairs)
     assert "detach" in spec.teardowns
+
+
+def test_default_manifest_pairs_resolve_in_the_package():
+    # An acquire that names nothing matches nothing, so a pair left behind
+    # by a deleted method goes unnoticed.  Over the whole package every
+    # OWNER.ACQUIRE must be a method, and every hook-list OWNER.ATTR.APPEND
+    # an attribute that OWNER's methods assign.
+    spec = lifecycle.load_manifest(lifecycle.DEFAULT_MANIFEST)
+    package = os.path.dirname(os.path.dirname(lifecycle.__file__))
+    files, load_findings = load_sources([package])
+    assert load_findings == []
+    graph = Program(files, 0).graph
+    methods = {info.qualname for info in graph.functions.values()}
+    attrs = {
+        f"{info.class_name}.{node.attr}"
+        for info in graph.functions.values()
+        if info.class_name is not None
+        for node in ast.walk(info.node)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+    def resolves(pair):
+        if pair.qualifier is not None:
+            return f"{pair.owner}.{pair.qualifier}" in attrs
+        return f"{pair.owner}.{pair.acquire}" in methods
+
+    assert [pair for pair in spec.pairs if not resolves(pair)] == []
 
 
 # -- handle rules (LIFE001/LIFE003/LIFE005) --------------------------------

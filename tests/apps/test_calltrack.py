@@ -128,6 +128,77 @@ def test_render_histogram_display():
     assert app.process.address_space.read("display")
 
 
+def counting_renders(monkeypatch, app):
+    renders = []
+    render = app.render_histogram
+
+    def counting(*args, **kwargs):
+        renders.append(None)
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(app, "render_histogram", counting)
+    return renders
+
+
+def test_display_renders_again_only_when_histogram_or_count_changes(monkeypatch):
+    world, app = make_calltrack(save_on_end=False)
+    renders = counting_renders(monkeypatch, app)
+    space = app.process.address_space
+    app.process_event(event(1, busy=3))
+    world.run_for(2_000.0)  # four refreshes, one change
+    assert len(renders) == 1
+    assert space.read("display") == CallTrackApp.render_histogram(app)
+    app.process_event(event(2, busy=3))
+    world.run_for(500.0)
+    assert len(renders) == 2
+    assert "2 events" in space.read("display")
+    # A histogram written without an event still shows.
+    histogram = space.read("histogram")
+    histogram["0"] += 1
+    world.run_for(500.0)
+    assert len(renders) == 3
+    assert space.read("display") == CallTrackApp.render_histogram(app)
+
+
+def test_display_renders_again_after_a_relaunch(monkeypatch):
+    world, app = make_calltrack(save_on_end=False)
+    app.process_event(event(1, busy=3))
+    world.run_for(1_000.0)
+    shown = app.process.address_space.read("display")
+    image = {"globals": app.api.ftim.capture().image["globals"]}
+    app.stop()
+    app.launch(image)
+    assert app.process.address_space.read("display") == ""
+    renders = counting_renders(monkeypatch, app)
+    world.run_for(1_000.0)
+    assert len(renders) == 1  # same histogram and count, new process
+    assert app.process.address_space.read("display") == shown
+
+
+def test_dedupe_window_is_pinned():
+    """The window over each kind of sequence, as the sorted-set rebuild left it."""
+    world, app = make_calltrack(save_on_end=False)
+    space = app.process.address_space
+    steps = [
+        # sequence, accepted, seen_floor, seen_recent
+        (1, True, 1, []),  # in order
+        (2, True, 2, []),
+        (4, True, 2, [4]),  # a gap
+        (4, False, 2, [4]),  # a duplicate inside the window
+        (3, True, 4, []),  # the gap filled
+        (2, False, 4, []),  # below the floor
+        (5, True, 5, []),
+        (7, True, 5, [7]),
+        (6, True, 7, []),
+        (8, True, 8, []),
+    ]
+    for sequence, accepted, floor, recent in steps:
+        assert app.process_event(event(sequence)) is accepted
+        assert (space.read("seen_floor"), space.read("seen_recent")) == (floor, recent)
+    assert space.read("duplicates_dropped") == 2
+    assert space.read("events_processed") == 8
+
+
 def test_state_vars_all_designated():
     world, app = make_calltrack()
     checkpoint = app.api.ftim.capture()

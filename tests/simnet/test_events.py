@@ -66,3 +66,44 @@ def test_late_callback_on_fired_event_runs_immediately():
     seen = []
     event.add_callback(lambda w: seen.append(w.value))
     assert seen == ["val"]
+
+
+# -- the direct resume: a process arms the timeout it waits on --------------------
+
+
+def test_timeout_shared_by_two_processes_resumes_both_in_yield_order():
+    kernel = SimKernel()
+    shared = Timeout(10.0, value="tick")
+    resumed = []
+
+    def waiter(tag):
+        value = yield shared
+        resumed.append((tag, value, kernel.now))
+
+    kernel.spawn(waiter("first"))
+    kernel.spawn(waiter("second"))
+    kernel.run(until=1.0)  # both have yielded; the first armed the timeout
+    shared.add_callback(lambda fired: resumed.append(("callback", fired.value, kernel.now)))
+    kernel.run()
+    assert resumed == [("first", "tick", 10.0), ("second", "tick", 10.0), ("callback", "tick", 10.0)]
+    assert shared.fired and shared.value == "tick"
+
+
+def test_killed_process_timeout_still_fires_without_resuming_it():
+    kernel = SimKernel()
+    timeout = Timeout(10.0, value="late")
+    resumed = []
+
+    def body():
+        resumed.append((yield timeout))
+
+    process = kernel.spawn(body())
+    kernel.run(until=5.0)
+    process.kill()
+    kernel.run()
+    assert kernel.now == 10.0  # the timeout's call still ran
+    assert timeout.fired and timeout.value == "late"
+    assert resumed == []
+    seen = []
+    timeout.add_callback(lambda fired: seen.append(fired.value))
+    assert seen == ["late"]  # a callback added after the fire runs at once
