@@ -20,9 +20,7 @@ test:
 # tests/analysis/test_hotpath_corpus.py under `make test`.  The examples
 # are linted in the same invocation as the library: their applications
 # subclass OfttApplication, whose teardown balances create_process, so
-# linted alone they would raise false LIFE003 leaks.  Results are
-# cached in .oftt-lint-cache.json (keyed by content hash + rule-set
-# version); pass --no-cache to force a cold run.
+# linted alone they would raise false LIFE003 leaks.
 lint:
 	$(PY) -m repro.analysis src/repro examples --strict --effects --hotpath --lifecycle
 

@@ -33,12 +33,12 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis import cache, comcheck, determinism, effects, hotpath, lifecycle, races
+from repro.analysis import comcheck, determinism, effects, hotpath, lifecycle, races
 from repro.analysis.callgraph import DEFAULT_MAX_K
 from repro.analysis.findings import AnalysisError, Finding, Severity, all_rules, lookup
 from repro.analysis.program import Pass, run_passes
 from repro.analysis.report import render_json, render_text
-from repro.analysis.walker import load_sources, suppression_errors
+from repro.analysis.walker import load_sources
 
 #: Registered passes, in execution order.  ``effects``, ``hot`` and
 #: ``life`` are opt-in via ``--effects``/``--hotpath``/``--lifecycle``
@@ -105,10 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="propagation depth for the effects/hot/life passes: effects, "
                              "hotness and teardown release searches follow at most N call "
                              f"hops (default: {DEFAULT_MAX_K})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache (always re-analyse)")
-    parser.add_argument("--cache-path", default=cache.DEFAULT_PATH, metavar="PATH",
-                        help=f"result cache location (default: {cache.DEFAULT_PATH})")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default: text)")
     parser.add_argument("--json", action="store_const", const="json", dest="format",
@@ -226,32 +222,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "hot": {"manifest_path": options.hot_manifest},
             "life": {"manifest_path": options.life_manifest},
         }
-        named: List[Tuple[str, Pass]] = []
+        passes: List[Pass] = []
         for name in pass_names:
             if name not in PASSES:
                 raise AnalysisError(f"unknown pass {name!r} (choose from {', '.join(PASSES)})")
-            named.append((name, functools.partial(PASSES[name], **bound.get(name, {}))))
+            passes.append(functools.partial(PASSES[name], **bound.get(name, {})))
         relaxations = parse_relaxations(options.relax)
-        manifest_digest = ""
-        if "hot" in pass_names:
-            # Editing the manifest must invalidate cached hot findings.
-            manifest_digest = cache.file_digest(options.hot_manifest or hotpath.DEFAULT_MANIFEST)
-        life_digest = ""
-        if "life" in pass_names:
-            # Same contract for the lifecycle manifest.
-            life_digest = cache.file_digest(options.life_manifest or lifecycle.DEFAULT_MANIFEST)
         files, load_findings = load_sources(options.paths or ["src/repro"])
     except AnalysisError as exc:
         print(f"oftt-lint: {exc}", file=sys.stderr)
         return 2
 
-    if options.no_cache:
-        findings = run_passes(files, [one_pass for _, one_pass in named], options.max_k)
-    else:
-        config_key = f"max_k={options.max_k};manifest={manifest_digest};life_manifest={life_digest}"
-        findings, _stats = cache.run_cached(files, named, options.cache_path, config_key, options.max_k)
-        findings.extend(suppression_errors(files))
-        findings.sort(key=Finding.sort_key)
+    findings = run_passes(files, passes, options.max_k)
     findings = sorted(load_findings + findings, key=lambda f: f.sort_key())
     findings = apply_relaxations(findings, relaxations)
     if only_families is not None:

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "one run per seed")
     parser.add_argument("--policy", action="store_true",
                         help="enable the adaptive recovery policy for every run "
-                             "(self-healing governor, proactive failover, strategy switching)")
+                             "(self-healing governor, detector tuning, strategy switching)")
     parser.add_argument("--max-minimize-runs", type=int, default=64,
                         help="ddmin re-run budget for minimization (default: 64)")
     parser.add_argument("--sabotage", default="", metavar="NAME",

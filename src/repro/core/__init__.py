@@ -14,10 +14,14 @@ Layout mirrors Figure 2 of the paper:
   display component.
 * :class:`OfttPair` (:mod:`~repro.core.cluster`) — assembles a
   primary/backup pair with an application, ready for fault injection.
-* :class:`ReplicationStrategy` (:mod:`~repro.core.strategy`) — pluggable
-  replication modes: the paper's cold-passive pair, LLFT-style
-  leader-follower streaming, and log-replay disaster recovery backed by
-  the remote :class:`DRSite` (:mod:`~repro.core.drsite`).
+* :class:`ColdPassiveStrategy` (:mod:`~repro.core.strategy`) — the
+  base of the pluggable replication modes: the paper's cold-passive
+  pair, LLFT-style leader-follower streaming, and log-replay disaster
+  recovery backed by the remote :class:`DRSite`
+  (:mod:`~repro.core.drsite`).
+
+:class:`OfttConfig` holds the settings a deployment chooses; the
+engine's fixed settings are constants beside the code that reads them.
 """
 
 from repro.core.config import (
@@ -44,7 +48,6 @@ from repro.core.strategy import (
     ColdPassiveStrategy,
     LeaderFollowerStrategy,
     LogReplayDRStrategy,
-    ReplicationStrategy,
     create_strategy,
 )
 from repro.core.drsite import DRSite
@@ -73,7 +76,6 @@ __all__ = [
     "RecoveryAction",
     "RecoveryManager",
     "RecoveryRule",
-    "ReplicationStrategy",
     "Role",
     "RoleNegotiator",
     "ServerFtim",

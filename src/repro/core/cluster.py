@@ -27,6 +27,17 @@ from repro.simnet.trace import TraceLog
 # app_factory() -> a fresh OfttApplication (or list of them) per node.
 AppFactory = Callable[[], object]
 
+# MSMQ store-and-forward retry of the pair's queue managers (§2.2.3
+# diverter redelivery).  The retry interval after attempt *n* is
+# ``min(MSQ_RETRY_INTERVAL * MSQ_RETRY_BACKOFF**(n-1), MSQ_RETRY_MAX_INTERVAL)``
+# plus uniform jitter in ``[0, MSQ_RETRY_JITTER]`` drawn from the sim
+# RNG (so replay determinism holds).  Managers built elsewhere (test
+# PCs, diverter clients, the DR site) keep QueueManager's fixed cadence.
+MSQ_RETRY_INTERVAL = 250.0
+MSQ_RETRY_BACKOFF = 2.0
+MSQ_RETRY_MAX_INTERVAL = 2_000.0
+MSQ_RETRY_JITTER = 25.0
+
 
 class OfttPair:
     """A primary/backup pair plus its application copies."""
@@ -77,10 +88,10 @@ class OfttPair:
             self.kernel,
             self.network,
             system.node,
-            retry_interval=self.config.msq_retry_interval,
-            backoff_factor=self.config.msq_retry_backoff,
-            max_retry_interval=self.config.msq_retry_max_interval,
-            retry_jitter=self.config.msq_retry_jitter,
+            retry_interval=MSQ_RETRY_INTERVAL,
+            backoff_factor=MSQ_RETRY_BACKOFF,
+            max_retry_interval=MSQ_RETRY_MAX_INTERVAL,
+            retry_jitter=MSQ_RETRY_JITTER,
         )
         qmgr.attach_to_system(system)
         context = NodeContext(

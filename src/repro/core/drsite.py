@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import Checkpoint, CheckpointStore
-from repro.core.config import OfttConfig
 from repro.msq.manager import QueueManager
 from repro.msq.queue import QueueMessage
 from repro.nt.memory import copy_value
@@ -56,7 +55,6 @@ class DRSite:
         kernel: SimKernel,
         system: NTSystem,
         qmgr: QueueManager,
-        config: OfttConfig,
         trace: TraceLog,
         app_name: str = "synthetic",
         apply_message: Optional[Callable[[Dict[str, Any], Any], bool]] = None,
@@ -67,7 +65,7 @@ class DRSite:
         self.node_name = system.node.name
         self.app_name = app_name
         self.apply_message = apply_message
-        self.store = CheckpointStore(config.checkpoint_history)
+        self.store = CheckpointStore()
         #: Message-log bodies in arrival order (replay input).
         self.message_log: List[Any] = []
         self.checkpoints_rx = 0

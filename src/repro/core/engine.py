@@ -23,7 +23,7 @@ from repro.com.interfaces import declare_interface
 from repro.com.object import ComObject
 from repro.core.appdriver import NodeContext, OfttApplication
 from repro.core.checkpoint import Checkpoint, CheckpointStore
-from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule
+from repro.core.config import PEER_HEARTBEAT_PERIOD, RecoveryAction, RecoveryRule
 from repro.core.heartbeat import HeartbeatMonitor
 from repro.core.policy import AdaptivePolicy
 from repro.core.recovery import RecoveryManager
@@ -142,10 +142,10 @@ class OfttEngine(ComObject):
             miss_threshold=self.config.heartbeat_miss_threshold,
         )
         self.recovery = RecoveryManager(self.kernel, self.config)
-        #: Replication strategy: owns checkpoint policy, the replication
-        #: stream and role-change reactions (see repro.core.strategy).
-        self.strategy = create_strategy(self.config.replication_strategy)
-        self.strategy.attach(self)
+        #: Replication strategy: owns the checkpoint policy, where a
+        #: checkpoint is shipped and the heartbeat side channel (see
+        #: repro.core.strategy).
+        self.strategy = create_strategy(self.config.replication_strategy, self)
         self.strategy_name = self.config.replication_strategy
         self.strategy_switch_count = 0
         #: Observation hooks: callbacks (engine, old_name, new_name, reason)
@@ -161,9 +161,9 @@ class OfttEngine(ComObject):
             AdaptivePolicy(self) if self.config.adaptive_policy else None
         )
         #: Checkpoints of the *local* application (for local restart).
-        self.local_store = CheckpointStore(self.config.checkpoint_history)
+        self.local_store = CheckpointStore()
         #: Checkpoints mirrored from the *peer's* application (for failover).
-        self.peer_store = CheckpointStore(self.config.checkpoint_history)
+        self.peer_store = CheckpointStore()
         self.components: Dict[str, _Component] = {}
         self.watchdogs: Dict[str, WatchdogTimer] = {}
         # Per-engine takeover ids: a class-level counter would carry over
@@ -203,14 +203,14 @@ class OfttEngine(ComObject):
     def start(self) -> None:
         """Begin operation: watch the peer, negotiate roles, report.
 
-        With ``heartbeat_period`` equal to ``peer_heartbeat_period`` and
+        With ``heartbeat_period`` equal to ``PEER_HEARTBEAT_PERIOD`` and
         an unskewed clock, the heartbeat sweep and the peer heartbeat
         share one timer (:meth:`_tick`); otherwise each has its own.
         """
         config = self.config
         self.monitor.watch(PEER, config.peer_heartbeat_timeout)
         self._cancel_timers()
-        if config.heartbeat_period == config.peer_heartbeat_period and self._system.clock_scale == 1.0:
+        if config.heartbeat_period == PEER_HEARTBEAT_PERIOD and self._system.clock_scale == 1.0:
             self.monitor.start(timer=False)
             self._hb_timer = self.kernel.schedule(config.heartbeat_period, self._tick)
             if self.alive:
@@ -287,7 +287,12 @@ class OfttEngine(ComObject):
         process: NTProcess,
         rule: Optional[RecoveryRule] = None,
     ) -> None:
-        """Start monitoring a component linked with an FTIM."""
+        """Start monitoring a component linked with an FTIM.
+
+        Its death is caught two ways: by the heartbeat timeout, and at
+        once by a process-exit hook (a hung process does not exit, so
+        only the heartbeat catches a hang).
+        """
         if not self.alive:
             raise OfttError(f"engine on {self.node_name} is not running")
         record = _Component(name, kind, process)
@@ -295,9 +300,8 @@ class OfttEngine(ComObject):
         self.monitor.watch(name, self.config.heartbeat_timeout)
         if rule is not None:
             self.recovery.set_rule(name, rule)
-        if self.config.use_exit_hooks:
-            record.exit_hook = lambda _p, n=name: self._on_component_exit(n)
-            process.on_exit.append(record.exit_hook)
+        record.exit_hook = lambda _p, n=name: self._on_component_exit(n)
+        process.on_exit.append(record.exit_hook)
         self.trace.emit("engine", self.node_name, "component-registered", target=name, kind=kind.value)
 
     def unregister_component(self, name: str) -> None:
@@ -379,7 +383,7 @@ class OfttEngine(ComObject):
         if not self.alive:
             return
         if component == PEER:
-            self._on_peer_lost(silence)
+            self.on_peer_lost(silence)
         else:
             self.trace.emit(
                 "engine", self.node_name, "heartbeat-timeout", target=component, silence=round(silence, 3)
@@ -420,7 +424,7 @@ class OfttEngine(ComObject):
             self.monitor.pause(component)
             self.kernel.schedule(decision.delay, self._local_restart, component)
         elif decision.action is RecoveryAction.FAILOVER:
-            self.strategy.on_failover_escalation(component, decision)
+            self._initiate_switchover(f"{component}: {decision.reason}")
         elif decision.action is RecoveryAction.REINSTALL:
             self._initiate_reinstall(component, decision.reason)
         else:
@@ -530,8 +534,7 @@ class OfttEngine(ComObject):
         if not self.alive or name == self.strategy_name:
             return
         old_name = self.strategy_name
-        new_strategy = create_strategy(name)
-        new_strategy.attach(self)
+        new_strategy = create_strategy(name, self)
         self.strategy = new_strategy
         self.strategy_name = name
         self.strategy_switch_count += 1
@@ -547,10 +550,16 @@ class OfttEngine(ComObject):
 
     # -- peer handling -----------------------------------------------------------------------
 
-    def _on_peer_lost(self, silence: float) -> None:
+    def on_peer_lost(self, silence: float) -> None:
+        """The peer engine's heartbeat went silent: a backup takes over, a primary runs degraded."""
         self.peer_present = False
-        self.trace.emit("engine", self.node_name, "peer-lost", silence=round(silence, 3), role=self.role.value)
-        self.strategy.on_peer_lost(silence)
+        role = self.role
+        self.trace.emit("engine", self.node_name, "peer-lost", silence=round(silence, 3), role=role.value)
+        if role is BACKUP:
+            self._promote("peer heartbeat loss")
+        elif role is PRIMARY:
+            self.degraded = True
+            self._report_now(PEER)
 
     def _promote(self, reason: str) -> None:
         self.negotiator.promote()
@@ -651,7 +660,7 @@ class OfttEngine(ComObject):
             return
         self._beat()
         self._hb_timer = self.kernel.schedule(
-            self.scaled(self.config.peer_heartbeat_period), self._peer_heartbeat_loop
+            self.scaled(PEER_HEARTBEAT_PERIOD), self._peer_heartbeat_loop
         )
 
     def _beat(self) -> None:
@@ -683,13 +692,13 @@ class OfttEngine(ComObject):
         elif kind == "role-announce":
             self.negotiator.on_peer_announce(payload)
         elif kind == "ckpt":
-            self._on_checkpoint(payload)
+            self.on_peer_checkpoint(payload)
         elif kind == "ckpt-ack":
             self._on_checkpoint_ack(payload)
         elif kind == "ckpt-resync":
-            self.strategy.on_resync_request(payload)
+            self.on_resync_request(payload)
         elif kind == "takeover":
-            self._on_takeover_request(payload)
+            self.on_takeover_request(payload)
 
     def _on_peer_heartbeat(self, payload: Dict[str, Any]) -> None:
         was_present = self.peer_present
@@ -727,8 +736,41 @@ class OfttEngine(ComObject):
         else:
             self._dual_backup_streak = 0
 
-    def _on_checkpoint(self, payload: Dict[str, Any]) -> None:
-        self.strategy.on_peer_checkpoint(payload)
+    def on_peer_checkpoint(self, payload: Dict[str, Any]) -> None:
+        """A ``ckpt`` wire message arrived from the peer: mirror it and ack."""
+        checkpoint = Checkpoint.from_wire(payload["data"])
+        peer_store = self.peer_store
+        if checkpoint.incremental:
+            base_sequence = peer_store.latest_sequence(checkpoint.app_name)
+            if base_sequence == 0 or checkpoint.sequence > base_sequence + 1:
+                # A delta we cannot soundly merge: this store has no base
+                # (fresh after a node reinstall) or intermediate deltas
+                # were lost in transit.  Merging onto a stale base would
+                # silently drop the variables only the missing deltas
+                # carried, so reject it and ask the sender for a full
+                # image instead.  (Sequences at or below the base are the
+                # ordinary stale-duplicate case store() already rejects.)
+                peer_store.rejected_count += 1
+                self._stats["checkpoints_rx"] += 1
+                self._send_to_peer({"kind": "ckpt-resync", "app": checkpoint.app_name})
+                return
+        stored = peer_store.store(checkpoint)
+        self._stats["checkpoints_rx"] += 1
+        if stored:
+            self._send_to_peer({"kind": "ckpt-ack", "app": checkpoint.app_name, "sequence": checkpoint.sequence})
+            for callback in list(self.on_checkpoint_stored):
+                callback(self, checkpoint)
+
+    def on_resync_request(self, payload: Dict[str, Any]) -> None:
+        """The peer cannot merge our incremental stream (``ckpt-resync``).
+
+        Resets the named application's FTIM so its next capture is a
+        full image, re-basing the peer's incremental chain.
+        """
+        app = self.applications.get(payload.get("app", ""))
+        ftim = getattr(getattr(app, "api", None), "ftim", None)
+        if ftim is not None:
+            ftim.force_full_capture()
 
     def _on_checkpoint_ack(self, payload: Dict[str, Any]) -> None:
         self._stats["acks_rx"] += 1
@@ -769,9 +811,15 @@ class OfttEngine(ComObject):
         self.kernel.schedule(deadline, give_up)
         return event
 
-    def _on_takeover_request(self, payload: Dict[str, Any]) -> None:
-        self.trace.emit("engine", self.node_name, "takeover-request", reason=payload.get("reason", ""))
-        self.strategy.on_takeover_request(payload)
+    def on_takeover_request(self, payload: Dict[str, Any]) -> None:
+        """The peer asked us to take over (deliberate switchover)."""
+        reason = payload.get("reason", "")
+        self.trace.emit("engine", self.node_name, "takeover-request", reason=reason)
+        if self.role is BACKUP:
+            self._promote(f"takeover request: {reason}")
+        elif self.role is PRIMARY:
+            # Already primary (e.g. raced with peer-loss promotion): fine.
+            self._broadcast_role_change()
 
     # -- status reporting ------------------------------------------------------------------------
 

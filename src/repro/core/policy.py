@@ -22,11 +22,10 @@ it leaves three failure shapes on the table:
    component early, an escalation ladder (local restart → switchover →
    middleware reinstall), and history clearing after sustained
    stability so an old incident never taxes a new one.
-2. *Anomaly-driven proactive failover* — :class:`FaultClassifier`
-   consumes the heartbeat stream (miss-rate drift, inter-arrival skew)
-   and :class:`~repro.nt.perfmon.PerfMon` counters to label the current
-   fault regime; the policy re-tunes watch sensitivity per regime and
-   can declare a component failed before its heartbeat timeout fires.
+2. *Anomaly-driven detector tuning* — :class:`FaultClassifier` labels
+   the current fault regime from the component failures the engine
+   handles and the peer heartbeat's inter-arrival skew; the policy
+   re-tunes watch sensitivity per regime.
 3. *Runtime strategy switching* — when the regime calls for a hotter
    standby the policy moves the live pair onto a different replication
    strategy through the engine's safe-handoff protocol, with a dwell
@@ -44,12 +43,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
-from repro.core.config import RecoveryAction
-from repro.core.recovery import RecoveryDecision
+from repro.core.config import PEER_HEARTBEAT_PERIOD, RecoveryAction
+from repro.core.recovery import DECISION_LOG_LIMIT, RecoveryDecision
 from repro.core.roles import Role
 from repro.core.status import ComponentStatus
 from repro.core.strategy import PEER
-from repro.nt.perfmon import PerfMon
 
 if TYPE_CHECKING:
     from repro.core.engine import OfttEngine
@@ -58,17 +56,25 @@ if TYPE_CHECKING:
 #: Restart governance: exponential back-off factor applied to the
 #: rule's ``restart_delay`` per consecutive local restart (attempt n
 #: waits ``restart_delay * backoff**(n-1)``, capped at
-#: ``OfttConfig.policy_cooldown_max``).
+#: :data:`POLICY_COOLDOWN_MAX`).
 POLICY_COOLDOWN_BACKOFF = 2.0
-#: Thrash detector window (ms): ``OfttConfig.policy_thrash_threshold``
+#: Restart governance: cap on the backed-off restart delay (ms).
+POLICY_COOLDOWN_MAX = 5_000.0
+#: Thrash detector window (ms): :data:`POLICY_THRASH_THRESHOLD`
 #: failures of one component inside it is a crash loop — stop burning
 #: local restarts and escalate immediately.
 POLICY_THRASH_WINDOW = 1_500.0
+POLICY_THRASH_THRESHOLD = 2
+#: A component stable this long (ms) has its failure history, backoff
+#: and escalation-ladder position cleared.
+POLICY_STABILITY_WINDOW = 2_500.0
+#: Classifier: evidence window (ms) for failure and gray-gap evidence.
+POLICY_ANOMALY_WINDOW = 3_000.0
 #: Classifier: component failures inside the anomaly window that mark
 #: the regime transient-crashy.
 POLICY_CRASHY_THRESHOLD = 2
 #: Classifier: a peer-heartbeat inter-arrival gap above this multiple of
-#: ``peer_heartbeat_period`` is a latency-skew anomaly (gray evidence).
+#: ``PEER_HEARTBEAT_PERIOD`` is a latency-skew anomaly (gray evidence).
 POLICY_GRAY_GAP_FACTOR = 3.0
 #: Detector tuning while gray evidence is live: the peer watch tolerates
 #: this many consecutive missed sweeps (instead of
@@ -81,17 +87,20 @@ POLICY_GRAY_MISS_TOLERANCE = 4
 POLICY_TIGHTEN_SCALE = 0.5
 #: Escalation gating: a failover is deferred to a local restart when the
 #: peer has been silent longer than this multiple of
-#: ``peer_heartbeat_period`` (handing off toward a possibly unreachable
+#: ``PEER_HEARTBEAT_PERIOD`` (handing off toward a possibly unreachable
 #: peer risks a demote-into-partition outage).
 POLICY_PEER_STALE_FACTOR = 2.0
+#: Minimum time (ms) between strategy switches on one engine (anti-flap
+#: dwell; the chaos flapping monitor enforces a looser bound).
+POLICY_SWITCH_DWELL = 8_000.0
 
 
 class FaultRegime(Enum):
     """Classifier verdict about the deployment's current fault shape."""
 
     HEALTHY = "healthy"
-    #: Components are crashing repeatedly (or perfmon corroborates a
-    #: vanished process): favour fast detection and hot standby.
+    #: Components are crashing repeatedly: favour fast detection and
+    #: hot standby.
     CRASHY = "transient-crashy"
     #: Peer heartbeats arrive but late/skewed — a gray node or link.
     #: Favour failover *suppression*: demand more evidence before
@@ -107,79 +116,53 @@ class PolicyDecision:
     """One entry in the policy's (ring-buffered) decision log."""
 
     time: float
-    kind: str  # "recovery" | "regime" | "proactive" | "switch" | "clear"
+    kind: str  # "recovery" | "regime" | "switch" | "clear"
     component: str
     detail: str
 
 
 class FaultClassifier:
-    """Labels the fault regime from heartbeat and perfmon evidence.
+    """Labels the fault regime from two evidence streams.
 
-    Heartbeats are the primary signal (the paper's only trustworthy
-    one); perfmon counters corroborate but never alone condemn — §3.1's
-    finding is that NT perfmon lies about *identity* (thread start
-    addresses all point into ntdll) yet its process/thread *counts* are
-    usable as a second opinion.
+    The streams are the component failures the engine handles and the
+    peer heartbeat's inter-arrival gaps: heartbeats are the paper's only
+    trustworthy liveness signal.  (§3.1's NT perfmon lies about thread
+    identity, and every component death already reaches the engine
+    through the process-exit hook.)
     """
 
     def __init__(self, engine: "OfttEngine") -> None:
         self.engine = engine
         self.kernel = engine.kernel
-        self.config = engine.config
-        self.perfmon = PerfMon(engine.context.system)
         self.regime = FaultRegime.HEALTHY
         self._crash_events: List[float] = []
         self._gray_evidence_at: Optional[float] = None
-        self._perfmon_anomaly_at: Optional[float] = None
 
     def note_component_failure(self, _component: str) -> None:
         """A component failure was handled; counts as crash evidence."""
         self._crash_events.append(self.kernel.now)
 
     def sample(self) -> None:
-        """Refresh evidence from the heartbeat and perfmon streams."""
+        """Refresh evidence from the heartbeat stream."""
         now = self.kernel.now
-        window = self.config.policy_anomaly_window
-        self._crash_events = [t for t in self._crash_events if t >= now - window]
+        self._crash_events = [t for t in self._crash_events if t >= now - POLICY_ANOMALY_WINDOW]
         # Latency skew: the largest recent beat-to-beat gap on the peer
         # channel.  A gap well past the send period with beats still
         # arriving is the gray-node signature — delay, not death.
         gap = self.engine.monitor.largest_gap(PEER)
-        if gap is not None and gap > POLICY_GRAY_GAP_FACTOR * self.config.peer_heartbeat_period:
+        if gap is not None and gap > POLICY_GRAY_GAP_FACTOR * PEER_HEARTBEAT_PERIOD:
             self._gray_evidence_at = now
-        if self.perfmon_missing():
-            self._perfmon_anomaly_at = now
-
-    def perfmon_missing(self) -> List[str]:
-        """Components the engine believes RUNNING whose process has
-        vanished from the perfmon process table (no exit hook fired)."""
-        names = set(self.perfmon.process_names())
-        missing = []
-        for name in sorted(self.engine.components):
-            record = self.engine.components[name]
-            app = self.engine.applications.get(name)
-            if app is None or record.status is not ComponentStatus.RUNNING:
-                continue
-            if not app.running and name not in names:
-                missing.append(name)
-        return missing
 
     def classify(self) -> FaultRegime:
         """Label the current regime (most constraining evidence wins)."""
-        now = self.kernel.now
-        window = self.config.policy_anomaly_window
-        fresh = lambda at: at is not None and now - at <= window  # noqa: E731
-        crashes = len(self._crash_events)
-        crashy = crashes >= POLICY_CRASHY_THRESHOLD or (
-            crashes >= 1 and fresh(self._perfmon_anomaly_at)
-        )
+        gray_at = self._gray_evidence_at
         if not self.engine.peer_present:
             # Peer silence dominates: whatever else is wrong, failover
             # has nowhere to go, so act conservatively.
             self.regime = FaultRegime.PARTITIONED
-        elif crashy:
+        elif len(self._crash_events) >= POLICY_CRASHY_THRESHOLD:
             self.regime = FaultRegime.CRASHY
-        elif fresh(self._gray_evidence_at):
+        elif gray_at is not None and self.kernel.now - gray_at <= POLICY_ANOMALY_WINDOW:
             self.regime = FaultRegime.GRAY
         else:
             self.regime = FaultRegime.HEALTHY
@@ -201,7 +184,7 @@ class AdaptivePolicy:
         self.config = engine.config
         self.classifier = FaultClassifier(engine)
         #: Ring-buffered audit log (same bound as RecoveryManager's).
-        self.decisions: Deque[PolicyDecision] = deque(maxlen=self.config.decision_log_limit)
+        self.decisions: Deque[PolicyDecision] = deque(maxlen=DECISION_LOG_LIMIT)
         #: Thrash/cooldown governor switch — chaos sabotage target
         #: ("disable-cooldown" proves the thrash monitor catches its loss).
         self.governor_enabled = True
@@ -221,7 +204,6 @@ class AdaptivePolicy:
         """Amend the static rule's decision for one failure event."""
         base = self.engine.recovery.on_failure(component, reason)
         now = self.kernel.now
-        cfg = self.config
         self.classifier.note_component_failure(component)
         self._last_failure_at[component] = now
         decision = base
@@ -229,7 +211,7 @@ class AdaptivePolicy:
             recent = self._recent.setdefault(component, [])
             recent[:] = [t for t in recent if t >= now - POLICY_THRASH_WINDOW]
             recent.append(now)
-            thrashing = len(recent) >= cfg.policy_thrash_threshold
+            thrashing = len(recent) >= POLICY_THRASH_THRESHOLD
             if base.action is RecoveryAction.LOCAL_RESTART:
                 if thrashing:
                     # Crash loop: stop burning restarts, climb the ladder.
@@ -242,7 +224,7 @@ class AdaptivePolicy:
                     # Exponential back-off between local attempts.
                     delay = min(
                         base.delay * POLICY_COOLDOWN_BACKOFF ** (base.restart_number - 1),
-                        cfg.policy_cooldown_max,
+                        POLICY_COOLDOWN_MAX,
                     )
                     decision = replace(base, delay=delay)
             elif base.action is RecoveryAction.FAILOVER:
@@ -253,7 +235,7 @@ class AdaptivePolicy:
         # multi-hundred-ms outage).  Restart locally instead; the ladder
         # stage is kept so the next failure can still escalate.
         if decision.action is RecoveryAction.FAILOVER and self._peer_stale():
-            rule = cfg.rule_for(component)
+            rule = self.config.rule_for(component)
             decision = replace(
                 decision,
                 action=RecoveryAction.LOCAL_RESTART,
@@ -284,10 +266,7 @@ class AdaptivePolicy:
         if not self.engine.peer_present:
             return True
         silence = self.engine.monitor.silence(PEER)
-        return (
-            silence is not None
-            and silence > POLICY_PEER_STALE_FACTOR * self.config.peer_heartbeat_period
-        )
+        return silence is not None and silence > POLICY_PEER_STALE_FACTOR * PEER_HEARTBEAT_PERIOD
 
     # -- periodic regime loop -----------------------------------------------------
 
@@ -316,9 +295,7 @@ class AdaptivePolicy:
         self.classifier.sample()
         regime = self.classifier.classify()
         self._apply_regime(regime)
-        self._proactive_check()
-        if self.config.policy_switch_strategies:
-            self._maybe_switch_strategy(regime)
+        self._maybe_switch_strategy(regime)
         self._stability_sweep()
         self._timer = self.kernel.schedule(
             self.engine.scaled(self.config.heartbeat_period), self._tick
@@ -344,17 +321,6 @@ class AdaptivePolicy:
         self.engine.trace.emit("engine", self.engine.node_name, "policy-regime", regime=regime.value)
         self._log("regime", "*", regime.value)
 
-    def _proactive_check(self) -> None:
-        """Act on perfmon evidence before the heartbeat timeout fires."""
-        for name in self.classifier.perfmon_missing():
-            if self.engine.monitor.is_suspected(name):
-                continue
-            self._log("proactive", name, "perfmon: process vanished")
-            self.engine.trace.emit(
-                "engine", self.engine.node_name, "policy-proactive", target=name
-            )
-            self.engine._handle_component_failure(name, "perfmon: process vanished")
-
     def _maybe_switch_strategy(self, regime: FaultRegime) -> None:
         if self.engine.role is not Role.PRIMARY:
             return  # the backup follows the primary via heartbeats
@@ -369,7 +335,7 @@ class AdaptivePolicy:
         if target == self.engine.strategy_name:
             return
         now = self.kernel.now
-        if self._last_switch_at is not None and now - self._last_switch_at < self.config.policy_switch_dwell:
+        if self._last_switch_at is not None and now - self._last_switch_at < POLICY_SWITCH_DWELL:
             return  # dwell: regime flicker must not become strategy flapping
         self._last_switch_at = now
         self._log("switch", "*", f"{self.engine.strategy_name} -> {target} ({regime.value})")
@@ -379,7 +345,7 @@ class AdaptivePolicy:
         """Forget old incidents after sustained stability."""
         now = self.kernel.now
         for component in sorted(self._last_failure_at):
-            if now - self._last_failure_at[component] < self.config.policy_stability_window:
+            if now - self._last_failure_at[component] < POLICY_STABILITY_WINDOW:
                 continue
             record = self.engine.components.get(component)
             if record is not None and record.status is not ComponentStatus.RUNNING:

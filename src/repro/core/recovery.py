@@ -21,6 +21,11 @@ from typing import Deque, Dict, List
 from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule
 from repro.simnet.kernel import SimKernel
 
+#: Ring-buffer capacity of the recovery decision log, and of the
+#: adaptive policy's (:mod:`repro.core.policy`).  Soak campaigns run for
+#: hours of simulated time, so both logs keep only the newest entries.
+DECISION_LOG_LIMIT = 256
+
 
 @dataclass
 class RecoveryDecision:
@@ -47,10 +52,8 @@ class RecoveryManager:
         self.kernel = kernel
         self.config = config
         self._history: Dict[str, _History] = {}
-        #: Ring buffer of recent decisions: soak campaigns run long enough
-        #: that an unbounded list is a real leak, and nothing needs more
-        #: history than the configured window.
-        self.decisions: Deque[RecoveryDecision] = deque(maxlen=config.decision_log_limit)
+        #: Ring buffer of recent decisions (see DECISION_LOG_LIMIT).
+        self.decisions: Deque[RecoveryDecision] = deque(maxlen=DECISION_LOG_LIMIT)
 
     def set_rule(self, component: str, rule: RecoveryRule) -> None:
         """Dynamic rule change (the paper's run-time option).

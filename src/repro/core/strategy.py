@@ -2,14 +2,16 @@
 
 The paper hard-codes one replication mode: the cold-passive
 primary/backup pair (§2.2.1 role negotiation, §2.2.2 periodic
-checkpoints, takeover on peer loss).  :class:`ReplicationStrategy`
-factors that behaviour out of :class:`~repro.core.engine.OfttEngine`
-into an overridable policy object so the same engine, FTIMs and
-diverter can run alternative modes.  Three built-ins:
+checkpoints, takeover on peer loss).  The strategies share all of that
+— role lifecycle, takeover, the peer's checkpoint store — which the
+:class:`~repro.core.engine.OfttEngine` owns.  They differ in three
+hooks only: the checkpoint policy, where a checkpoint is shipped, and
+a side channel on the heartbeat tick.  :class:`ColdPassiveStrategy`
+defines the three; the others override what they change.  Three
+built-ins:
 
-* :class:`ColdPassiveStrategy` — the paper's behaviour, extracted
-  verbatim.  Selecting it (the default) is byte-identical to the
-  pre-strategy engine on every scenario; the replay gate proves it.
+* :class:`ColdPassiveStrategy` — the paper's behaviour: periodic full
+  images mirrored to the peer, nothing extra on the heartbeat.
 * :class:`LeaderFollowerStrategy` — LLFT-style (arxiv 1004.1864):
   instead of full checkpoints every ``checkpoint_period``, the leader
   streams *incremental state updates* every ``LF_UPDATE_PERIOD`` (one
@@ -28,26 +30,24 @@ diverter can run alternative modes.  Three built-ins:
   the one failure the paper's pair cannot survive.
 
 The strategy is selected by ``OfttConfig.replication_strategy`` and
-instantiated per engine in ``OfttEngine.__init__``; the lifecycle hooks
-it owns are documented on the base class and in DESIGN.md.
+instantiated per engine in ``OfttEngine.__init__`` (and again on a
+runtime switch, :meth:`OfttEngine.switch_strategy`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.drsite import DR_PORT, DR_QUEUE
-from repro.core.roles import Role
 from repro.errors import OfttError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import OfttEngine
-    from repro.core.recovery import RecoveryDecision
 
 #: Monitor name used for the peer engine's heartbeat watch.  Lives here
-#: (not in engine.py) so strategies can reference it without an import
-#: cycle; the engine module re-exports it for existing importers.
+#: (not in engine.py) so the policy module can reference it without an
+#: import cycle; the engine module re-exports it for existing importers.
 PEER = "peer-engine"
 
 #: Leader-follower: period of the incremental state-update stream (ms);
@@ -55,144 +55,47 @@ PEER = "peer-engine"
 LF_UPDATE_PERIOD = 100.0
 
 
-class ReplicationStrategy:
-    """Policy object owning an engine's replication behaviour.
+class ColdPassiveStrategy:
+    """The paper's primary/backup pair: full checkpoints to the peer.
 
-    One instance per engine (strategies may keep per-node state).  The
-    engine calls :meth:`attach` once during construction, then drives
-    the hooks below; everything not overridden inherits the cold-passive
-    defaults documented per method.
+    One instance per engine, bound at construction.  The three methods
+    are the hooks strategies differ in; the subclasses below override
+    them.
     """
 
-    name = "replication"
+    name = "cold-passive"
 
-    def __init__(self) -> None:
-        self.engine: Optional["OfttEngine"] = None
-
-    def attach(self, engine: "OfttEngine") -> None:
-        """Bind to the owning engine (called once from ``__init__``)."""
+    def __init__(self, engine: "OfttEngine") -> None:
         self.engine = engine
-
-    # -- checkpoint policy ---------------------------------------------------------
 
     def checkpoint_policy(self, app_name: str, requested: Optional[float]) -> Tuple[float, bool]:
         """``(period, incremental)`` for a new FTIM of *app_name*.
 
         *requested* is the application's explicit ``checkpoint_period``
-        override (None = use the configured default).  The base policy
-        is the paper's: the requested or configured period, full images.
+        override (None = use the configured default).  The paper's
+        policy: the requested or configured period, full images.
         """
         period = requested if requested is not None else self.engine.config.checkpoint_period
         return period, False
 
-    # -- replication stream --------------------------------------------------------
-
     def replicate(self, checkpoint: Checkpoint) -> None:
         """Ship a locally submitted checkpoint to the replica(s)."""
-        raise NotImplementedError
-
-    def on_peer_checkpoint(self, payload: Dict[str, Any]) -> None:
-        """A ``ckpt`` wire message arrived from the peer."""
-        raise NotImplementedError
-
-    def on_resync_request(self, payload: Dict[str, Any]) -> None:
-        """The peer cannot merge our incremental stream (``ckpt-resync``)."""
-
-    # -- role lifecycle ------------------------------------------------------------
-
-    def on_peer_lost(self, silence: float) -> None:
-        """The peer engine's heartbeat went silent."""
-        raise NotImplementedError
-
-    def on_takeover_request(self, payload: Dict[str, Any]) -> None:
-        """The peer asked us to take over (deliberate switchover)."""
-        raise NotImplementedError
-
-    def on_failover_escalation(self, component: str, decision: "RecoveryDecision") -> None:
-        """The recovery manager escalated a component failure to failover."""
-        raise NotImplementedError
+        self.engine._send_to_peer({"kind": "ckpt", "data": checkpoint.as_wire()})
 
     def on_heartbeat_tick(self) -> None:
         """Called every peer-heartbeat period (extra liveness traffic)."""
 
 
-class ColdPassiveStrategy(ReplicationStrategy):
-    """The paper's primary/backup pair, extracted from the engine.
-
-    Periodic full checkpoints mirrored to the peer; the backup promotes
-    on peer heartbeat loss or an explicit takeover request; component
-    failures past the local-restart budget switch over to the peer.
-    """
-
-    name = "cold-passive"
-
-    def replicate(self, checkpoint: Checkpoint) -> None:
-        self.engine._send_to_peer({"kind": "ckpt", "data": checkpoint.as_wire()})
-
-    def on_peer_checkpoint(self, payload: Dict[str, Any]) -> None:
-        engine = self.engine
-        checkpoint = Checkpoint.from_wire(payload["data"])
-        if checkpoint.incremental:
-            base_sequence = engine.peer_store.latest_sequence(checkpoint.app_name)
-            if base_sequence == 0 or checkpoint.sequence > base_sequence + 1:
-                # A delta we cannot soundly merge: this store has no base
-                # (fresh after a node reinstall) or intermediate deltas
-                # were lost in transit.  Merging onto a stale base would
-                # silently drop the variables only the missing deltas
-                # carried, so reject it and ask the sender for a full
-                # image instead.  (Sequences at or below the base are the
-                # ordinary stale-duplicate case store() already rejects.)
-                engine.peer_store.rejected_count += 1
-                engine._stats["checkpoints_rx"] += 1
-                engine._send_to_peer({"kind": "ckpt-resync", "app": checkpoint.app_name})
-                return
-        stored = engine.peer_store.store(checkpoint)
-        engine._stats["checkpoints_rx"] += 1
-        if stored:
-            engine._send_to_peer(
-                {"kind": "ckpt-ack", "app": checkpoint.app_name, "sequence": checkpoint.sequence}
-            )
-            for callback in list(engine.on_checkpoint_stored):
-                callback(engine, checkpoint)
-
-    def on_resync_request(self, payload: Dict[str, Any]) -> None:
-        # Reset the named application's FTIM so its next capture is a
-        # full image, re-basing the peer's incremental chain.
-        app = self.engine.applications.get(payload.get("app", ""))
-        ftim = getattr(getattr(app, "api", None), "ftim", None)
-        if ftim is not None:
-            ftim.force_full_capture()
-
-    def on_peer_lost(self, silence: float) -> None:
-        engine = self.engine
-        if engine.role is Role.BACKUP:
-            engine._promote("peer heartbeat loss")
-        elif engine.role is Role.PRIMARY:
-            engine.degraded = True
-            engine._report_now(PEER)
-
-    def on_takeover_request(self, payload: Dict[str, Any]) -> None:
-        engine = self.engine
-        if engine.role is Role.BACKUP:
-            engine._promote(f"takeover request: {payload.get('reason', '')}")
-        elif engine.role is Role.PRIMARY:
-            # Already primary (e.g. raced with peer-loss promotion): fine.
-            engine._broadcast_role_change()
-
-    def on_failover_escalation(self, component: str, decision: "RecoveryDecision") -> None:
-        self.engine._initiate_switchover(f"{component}: {decision.reason}")
-
-
 class LeaderFollowerStrategy(ColdPassiveStrategy):
     """LLFT-style leader-follower replication (arxiv 1004.1864).
 
-    Role lifecycle and takeover are inherited from cold-passive; what
-    changes is the replication stream.  The checkpoint policy forces
-    every FTIM onto ``LF_UPDATE_PERIOD`` with *incremental*
-    capture, so the leader ships one small state delta per update period
-    (per workload message, at matching rates) instead of a full image
-    every ``checkpoint_period``.  The follower's store merges each delta
-    onto its latest image at insertion, so its newest mirrored image is
+    Role lifecycle, takeover and the replication stream are
+    cold-passive's; what changes is the checkpoint policy.  It forces
+    every FTIM onto ``LF_UPDATE_PERIOD`` with *incremental* capture, so
+    the leader ships one small state delta per update period (per
+    workload message, at matching rates) instead of a full image every
+    ``checkpoint_period``.  The follower's store merges each delta onto
+    its latest image at insertion, so its newest mirrored image is
     always a full, near-fresh replica — promotion restarts the
     application without the checkpoint gap a cold-passive takeover
     replays into.
@@ -200,16 +103,8 @@ class LeaderFollowerStrategy(ColdPassiveStrategy):
 
     name = "leader-follower"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.updates_replicated = 0
-
     def checkpoint_policy(self, app_name: str, requested: Optional[float]) -> Tuple[float, bool]:
         return LF_UPDATE_PERIOD, True
-
-    def replicate(self, checkpoint: Checkpoint) -> None:
-        self.updates_replicated += 1
-        super().replicate(checkpoint)
 
 
 class LogReplayDRStrategy(ColdPassiveStrategy):
@@ -259,9 +154,9 @@ STRATEGIES: Dict[str, type] = {
 }
 
 
-def create_strategy(name: str) -> ReplicationStrategy:
-    """Instantiate the strategy registered under *name*."""
+def create_strategy(name: str, engine: "OfttEngine") -> ColdPassiveStrategy:
+    """Instantiate the strategy registered under *name* for *engine*."""
     cls = STRATEGIES.get(name)
     if cls is None:
         raise OfttError(f"unknown replication strategy {name!r}; available: {sorted(STRATEGIES)}")
-    return cls()
+    return cls(engine)

@@ -749,11 +749,7 @@ def exp_ablation_heartbeat_loss(
     rows: List[Dict[str, Any]] = []
     for loss in loss_rates:
         for timeout in timeouts:
-            config = replace_config(
-                OfttConfig(),
-                peer_heartbeat_timeout=timeout,
-                peer_heartbeat_period=100.0,
-            )
+            config = replace_config(OfttConfig(), peer_heartbeat_timeout=timeout)
             scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
             scenario.start()
             scenario.network.links["lan0"].loss = loss

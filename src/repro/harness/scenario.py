@@ -343,14 +343,13 @@ class ChaosScenario(Scenario):
     redirect path at once, and the invariant monitors have live signals
     (checkpoint hooks, queue conservation counters) to watch.
 
-    The replication strategy comes from ``config.replication_strategy``
-    (or the ``strategy`` shortcut).  Non-default strategies make the
-    workload *message-driven* — the app consumes the diverter inbox and
-    folds ``applied``/``last_n`` into checkpointed state — and
-    ``log-replay-dr`` additionally wires a fourth ``dr-site`` node
-    (checkpoint mirror target + sender-side message log + the
-    :class:`~repro.core.drsite.DRSite` watcher).  The default
-    cold-passive testbed is structurally unchanged.
+    The replication strategy comes from ``config.replication_strategy``.
+    Non-default strategies make the workload *message-driven* — the app
+    consumes the diverter inbox and folds ``applied``/``last_n`` into
+    checkpointed state — and ``log-replay-dr`` additionally wires a
+    fourth ``dr-site`` node (checkpoint mirror target + sender-side
+    message log + the :class:`~repro.core.drsite.DRSite` watcher).  The
+    default cold-passive testbed is structurally unchanged.
     """
 
     PAIR_NODES = ("alpha", "beta")
@@ -365,16 +364,10 @@ class ChaosScenario(Scenario):
         dual_lan: bool = False,
         workload_period: float = 200.0,
         checkpoint_period: float = 500.0,
-        strategy: Optional[str] = None,
         message_driven: Optional[bool] = None,
-        adaptive: Optional[bool] = None,
     ) -> None:
         super().__init__(seed, dual_lan)
         self.config = config or OfttConfig()
-        if strategy is not None and strategy != self.config.replication_strategy:
-            self.config = replace_config(self.config, replication_strategy=strategy)
-        if adaptive is not None and adaptive != self.config.adaptive_policy:
-            self.config = replace_config(self.config, adaptive_policy=adaptive)
         if self.config.replication_strategy == "log-replay-dr" and not self.config.dr_node:
             self.config = replace_config(self.config, dr_node=self.DR_NODE)
         self.strategy_name = self.config.replication_strategy
@@ -420,7 +413,6 @@ class ChaosScenario(Scenario):
                 kernel=self.kernel,
                 system=dr_system,
                 qmgr=self.dr_qmgr,
-                config=self.config,
                 trace=self.trace,
                 app_name=self.APP_NAME,
                 apply_message=SyntheticStateApp.apply_message,

@@ -16,9 +16,9 @@ Retry cadence: each outgoing message backs off exponentially —
 ``min(retry_interval * backoff**(attempts-1), max_retry_interval)`` plus
 uniform seeded jitter — so a sustained partition does not hammer the wire
 at a fixed rate.  ``backoff_factor=1.0`` with zero jitter reproduces the
-original fixed cadence.  Jitter draws come from the sim RNG (the network
-stream by default) and only happen when jitter is enabled, keeping seed
-replay intact either way.
+original fixed cadence.  Jitter draws come from the network's sim RNG
+stream and only happen when jitter is enabled, keeping seed replay
+intact either way.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ MSQ_PORT = "msq.transport"
 
 #: Name of the per-node dead-letter queue (always present).
 DEAD_LETTER_QUEUE = "system$deadletter"
+
+#: Time to live (ms) of a remote send that names no ``ttl``: past it the
+#: unacknowledged message is dead-lettered.
+MESSAGE_TTL = 60_000.0
 
 
 @dataclass(slots=True)
@@ -59,11 +63,9 @@ class QueueManager:
         network: Network,
         node: NetNode,
         retry_interval: float = 250.0,
-        message_ttl: float = 60_000.0,
         backoff_factor: float = 1.0,
         max_retry_interval: Optional[float] = None,
         retry_jitter: float = 0.0,
-        rng=None,
     ) -> None:
         if backoff_factor < 1.0:
             raise MsqError(f"backoff_factor must be at least 1.0, got {backoff_factor}")
@@ -78,8 +80,6 @@ class QueueManager:
         if self.max_retry_interval < retry_interval:
             raise MsqError("max_retry_interval must be at least retry_interval")
         self.retry_jitter = retry_jitter
-        self.rng = rng if rng is not None else network.rng
-        self.message_ttl = message_ttl
         self.queues: Dict[str, MsmqQueue] = {}
         self.outgoing: Dict[str, _OutgoingEntry] = {}
         # Message ids must be unique per sending node even across a node
@@ -165,7 +165,7 @@ class QueueManager:
             return message_id
         # message, dest_node, dest_queue, attempts, next_retry_at, expires_at
         entry = _OutgoingEntry(
-            message, dest_node, dest_queue, 0, now, now + (ttl if ttl is not None else self.message_ttl)
+            message, dest_node, dest_queue, 0, now, now + (ttl if ttl is not None else MESSAGE_TTL)
         )
         self.outgoing[message_id] = entry
         self._transmit(entry)
@@ -218,7 +218,7 @@ class QueueManager:
         if self.backoff_factor > 1.0:
             delay = min(delay * self.backoff_factor ** (attempts - 1), self.max_retry_interval)
         if self.retry_jitter > 0.0:
-            delay += self.rng.uniform(0.0, self.retry_jitter)
+            delay += self.network.rng.uniform(0.0, self.retry_jitter)
         return delay
 
     # -- receive path ---------------------------------------------------------------

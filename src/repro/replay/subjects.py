@@ -113,7 +113,7 @@ def _chaos_policy_trace(seed: int):
     """The mixed drifting fault-mix under the adaptive policy.
 
     The policy layer's whole decision loop — regime classification,
-    backoff governor, proactive failover, runtime strategy switching —
+    backoff governor, detector tuning, runtime strategy switching —
     runs inside the simulation kernel, so it must be exactly as
     deterministic as everything else.  Same gate as ``chaos``: trace
     stream plus the ``RunResult`` wire payload, run twice and diffed.

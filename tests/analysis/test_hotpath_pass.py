@@ -202,7 +202,6 @@ def test_cli_hotpath_flag_runs_the_pass(tmp_path, capsys):
             "--hotpath",
             "--hot-manifest", str(manifest),
             "--strict",
-            "--no-cache",
         ]
     )
     out = capsys.readouterr().out

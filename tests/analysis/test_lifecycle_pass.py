@@ -425,7 +425,7 @@ LEAKY_CLI_SOURCE = (
 def test_cli_lifecycle_flag_runs_the_pass(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text(LEAKY_CLI_SOURCE, encoding="utf-8")
-    code = cli.main([str(target), "--passes", "life", "--strict", "--no-cache"])
+    code = cli.main([str(target), "--passes", "life", "--strict"])
     out = capsys.readouterr().out
     assert code == 1  # warnings gate under --strict
     assert "LIFE001" in out
@@ -435,7 +435,7 @@ def test_cli_only_family_selector(tmp_path, capsys):
     target = tmp_path / "mod.py"
     # wall-clock import (DET001 territory) + lifecycle leak in one file.
     target.write_text("import time\n\n\n" + LEAKY_CLI_SOURCE, encoding="utf-8")
-    code = cli.main([str(target), "--only", "LIFE", "--strict", "--no-cache"])
+    code = cli.main([str(target), "--only", "LIFE", "--strict"])
     out = capsys.readouterr().out
     assert code == 1
     assert "LIFE001" in out
@@ -445,7 +445,7 @@ def test_cli_only_family_selector(tmp_path, capsys):
 def test_cli_only_rejects_unknown_family(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text("x = 1\n", encoding="utf-8")
-    assert cli.main([str(target), "--only", "BOGUS", "--no-cache"]) == 2
+    assert cli.main([str(target), "--only", "BOGUS"]) == 2
 
 
 def test_list_rules_is_grouped_by_family(capsys):

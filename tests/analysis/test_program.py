@@ -70,7 +70,7 @@ def _lint(tmp_path, monkeypatch, *extra):
     monkeypatch.setattr(summaries, "direct_effects", direct)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main([str(tmp_path), "--format", "json", "--no-cache", *extra])
+        cli.main([str(tmp_path), "--format", "json", *extra])
     rules = sorted(f["rule"] for f in json.loads(out.getvalue())["findings"])
     return rules, builds, directs
 

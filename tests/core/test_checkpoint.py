@@ -9,6 +9,7 @@ import repro.core.checkpoint as checkpoint_module
 import repro.nt.memory as memory_module
 from repro.apps.synthetic import SyntheticStateApp
 from repro.core.checkpoint import Checkpoint, CheckpointStore, canonical_image_bytes
+from repro.core.config import OfttConfig
 from repro.errors import CheckpointError
 from repro.harness.scenario import ChaosScenario, build_demo, build_pair_env, build_remote_monitoring
 
@@ -183,7 +184,11 @@ def test_checkpoint_built_outside_a_capture_is_priced_on_demand():
 
 def test_leader_follower_deltas_are_priced_as_the_walk_of_their_image():
     scenario = ChaosScenario(
-        seed=0, strategy="leader-follower", workload_period=100.0, checkpoint_period=2_000.0, message_driven=True
+        seed=0,
+        config=OfttConfig(replication_strategy="leader-follower"),
+        workload_period=100.0,
+        checkpoint_period=2_000.0,
+        message_driven=True,
     )
     submitted = []
     for engine in scenario.pair.engines.values():

@@ -39,8 +39,6 @@ def test_other_validations():
         replace_config(OfttConfig(), checkpoint_period=0.0)
     with pytest.raises(ValueError):
         replace_config(OfttConfig(), startup_retries=-1)
-    with pytest.raises(ValueError):
-        replace_config(OfttConfig(), checkpoint_history=0)
 
 
 def test_rule_lookup_falls_back_to_default():

@@ -10,6 +10,7 @@ from repro.core.config import OfttConfig, RecoveryRule, replace_config
 from repro.core.roles import Role
 from repro.core.status import ComponentStatus
 from repro.errors import OfttError, WatchdogError
+from repro.faults.faultlib import AppHang
 
 from tests.core.util import make_pair_world
 
@@ -282,17 +283,40 @@ def test_com_surface():
     assert info["local_latest"] >= 1
 
 
-def test_heartbeat_only_detection_when_exit_hooks_disabled():
-    config = replace_config(OfttConfig(), use_exit_hooks=False)
-    world = started(config=config)
+def _engine_event(world, event, since):
+    return world.trace.first(category="engine", component=world.primary, event=event, since=since)
+
+
+def test_hang_is_detected_by_the_heartbeat_timeout_alone():
+    # A hung process does not exit, so no exit hook fires: only the
+    # heartbeat timeout can catch it.
+    world = started()
     world.run_for(3_000.0)
-    primary = world.primary
-    app = world.pair.apps[primary]
+    app = world.pair.apps[world.primary]
+    launches = app.launch_count
+    fault_time = world.kernel.now
+    AppHang(world.primary, app.name).apply(world)
+    world.run_for(world.config.heartbeat_timeout * 3)
+    assert app.launch_count == launches + 1
+    assert _engine_event(world, "component-exit", fault_time) is None
+    assert _engine_event(world, "heartbeat-timeout", fault_time) is not None
+    restart = _engine_event(world, "local-restart", fault_time)
+    assert restart is not None
+    assert restart.time - fault_time >= world.config.heartbeat_timeout
+
+
+def test_kill_is_detected_by_the_exit_hook_at_the_kill_instant():
+    world = started()
+    world.run_for(3_000.0)
+    app = world.pair.apps[world.primary]
     launches = app.launch_count
     fault_time = world.kernel.now
     app.process.kill()
+    exited = _engine_event(world, "component-exit", fault_time)
+    assert exited is not None and exited.time == fault_time
     world.run_for(world.config.heartbeat_timeout * 3)
     assert app.launch_count == launches + 1
-    restart = world.trace.first(category="engine", component=primary, event="local-restart", since=fault_time)
+    assert _engine_event(world, "heartbeat-timeout", fault_time) is None
+    restart = _engine_event(world, "local-restart", fault_time)
     assert restart is not None
-    assert restart.time - fault_time >= world.config.heartbeat_timeout
+    assert restart.time - fault_time < world.config.heartbeat_timeout

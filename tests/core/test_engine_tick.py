@@ -1,6 +1,6 @@
 """The engine's heartbeat timers: one tick per period, or two timers.
 
-With ``heartbeat_period == peer_heartbeat_period`` and an unskewed clock
+With ``heartbeat_period == PEER_HEARTBEAT_PERIOD`` and an unskewed clock
 the engine arms one timer per period, and each tick runs the heartbeat
 sweep directly before the peer heartbeat.  Unequal periods, or a
 ``ClockSkew`` that moves the clock scale off 1, give the sweep and the
@@ -116,14 +116,14 @@ def test_clock_skew_splits_the_timers_for_good(monkeypatch):
 
 
 def test_unequal_periods_keep_two_timers(monkeypatch):
-    config = OfttConfig(peer_heartbeat_period=50.0)
+    config = OfttConfig(heartbeat_period=50.0)
     world = started_world(config)
     calls = record_schedules(monkeypatch, world.kernel)
     world.run_for(1_000.0)
     for engine in world.pair.engines.values():
         owned = [name for name, owner in calls if owner is engine or owner is engine.monitor]
         assert "_tick" not in owned
-        assert owned.count("_sweep") == 10 and owned.count("_peer_heartbeat_loop") == 20
+        assert owned.count("_sweep") == 20 and owned.count("_peer_heartbeat_loop") == 10
         assert engine._hb_timer[0] == engine._peer_heartbeat_loop
         assert engine.monitor._timer[0] == engine.monitor._sweep
 

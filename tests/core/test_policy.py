@@ -1,10 +1,19 @@
 """Unit and pair-level tests for the adaptive recovery policy layer."""
 
-from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule, replace_config
-from repro.core.policy import POLICY_GRAY_MISS_TOLERANCE, POLICY_TIGHTEN_SCALE, FaultRegime
+import repro.core.policy as policy_module
+from repro.core.config import PEER_HEARTBEAT_PERIOD, OfttConfig, RecoveryAction, RecoveryRule, replace_config
+from repro.core.policy import (
+    POLICY_ANOMALY_WINDOW,
+    POLICY_COOLDOWN_MAX,
+    POLICY_GRAY_MISS_TOLERANCE,
+    POLICY_STABILITY_WINDOW,
+    POLICY_SWITCH_DWELL,
+    POLICY_TIGHTEN_SCALE,
+    FaultRegime,
+)
+from repro.core.recovery import DECISION_LOG_LIMIT
 from repro.core.roles import Role
 from repro.core.strategy import LF_UPDATE_PERIOD, PEER
-from repro.faults.faultlib import AppCrash
 
 from tests.core.util import make_pair_world
 
@@ -57,18 +66,17 @@ def test_backoff_grows_exponentially_between_spaced_restarts():
     assert third.delay == 400.0
 
 
-def test_backoff_is_capped():
-    world = policy_world(
-        default_rule=RecoveryRule(max_local_restarts=50),
-        policy_cooldown_max=500.0,
-        policy_thrash_threshold=100,  # keep the thrash detector out of the way
-    )
+def test_backoff_is_capped(monkeypatch):
+    # Keep the thrash detector out of the way.
+    monkeypatch.setattr(policy_module, "POLICY_THRASH_THRESHOLD", 100)
+    world = policy_world(default_rule=RecoveryRule(max_local_restarts=50))
     policy = primary_engine(world).policy
     delays = []
-    for _ in range(6):
+    for _ in range(8):
         delays.append(policy.decide(APP, "crash").delay)
         world.run_for(10.0)
-    assert max(delays) == 500.0
+    # 100ms doubling per attempt reaches the cap at the seventh.
+    assert delays == [100.0, 200.0, 400.0, 800.0, 1_600.0, 3_200.0, POLICY_COOLDOWN_MAX, POLICY_COOLDOWN_MAX]
 
 
 def test_thrash_detector_escalates_rapid_failures():
@@ -116,30 +124,30 @@ def test_failover_deferred_while_peer_stale():
 
 
 def test_stability_sweep_clears_history_and_ladder_stage():
-    world = policy_world(
-        default_rule=RecoveryRule(max_local_restarts=10),
-        policy_stability_window=1_000.0,
-    )
+    world = policy_world(default_rule=RecoveryRule(max_local_restarts=10))
     engine = primary_engine(world)
     policy = engine.policy
     policy.decide(APP, "crash")
     policy.decide(APP, "crash")  # escalates: stage 1
     assert policy._stage[APP] == 1
     assert engine.recovery.failure_count(APP) >= 1
-    world.run_for(2_000.0)
+    world.run_for(POLICY_STABILITY_WINDOW - 500.0)
+    assert policy._stage[APP] == 1  # not yet stable long enough
+    world.run_for(1_000.0)
     assert APP not in policy._stage
     assert engine.recovery.failure_count(APP) == 0
     assert any(d.kind == "clear" for d in policy.decisions)
 
 
 def test_decision_log_is_ring_buffered():
-    world = policy_world(decision_log_limit=4, default_rule=RecoveryRule.local_only())
+    world = policy_world(default_rule=RecoveryRule.local_only())
     policy = primary_engine(world).policy
     policy.governor_enabled = False
-    for index in range(10):
+    for index in range(DECISION_LOG_LIMIT + 10):
         policy.decide(APP, f"crash-{index}")
-    assert len(policy.decisions) == 4
-    assert policy.decisions[-1].detail.endswith("crash-9")
+    assert len(policy.decisions) == DECISION_LOG_LIMIT
+    assert policy.decisions[0].detail.endswith("crash-10")
+    assert policy.decisions[-1].detail.endswith(f"crash-{DECISION_LOG_LIMIT + 9}")
 
 
 # -- classifier --------------------------------------------------------------
@@ -161,11 +169,14 @@ def test_classifier_crashy_after_repeated_failures():
 
 
 def test_classifier_crash_evidence_expires():
-    world = policy_world(policy_anomaly_window=1_000.0)
+    world = policy_world()
     classifier = primary_engine(world).policy.classifier
     classifier.note_component_failure(APP)
     classifier.note_component_failure(APP)
-    world.run_for(1_500.0)
+    world.run_for(POLICY_ANOMALY_WINDOW - 500.0)
+    classifier.sample()
+    assert classifier.classify() is FaultRegime.CRASHY
+    world.run_for(1_000.0)
     classifier.sample()
     assert classifier.classify() is FaultRegime.HEALTHY
 
@@ -189,7 +200,7 @@ def test_classifier_gray_on_heartbeat_gap_skew():
     # Simulate a delayed-but-alive peer: a beat-to-beat gap far past the
     # send period, injected at the monitor level.
     watch = engine.monitor._watches[PEER]
-    watch.last_gap = 4 * world.config.peer_heartbeat_period
+    watch.last_gap = 4 * PEER_HEARTBEAT_PERIOD
     watch.last_gap_at = world.kernel.now
     classifier.sample()
     assert classifier.classify() is FaultRegime.GRAY
@@ -208,18 +219,6 @@ def test_gray_regime_desensitises_peer_watch_only():
     policy._apply_regime(FaultRegime.HEALTHY)
     assert peer_watch.miss_tolerance is None
     assert app_watch.timeout == app_watch.base_timeout
-
-
-# -- proactive failover ------------------------------------------------------
-
-
-def test_proactive_failover_catches_silent_process_death():
-    world = policy_world(use_exit_hooks=False)
-    engine = primary_engine(world)
-    AppCrash(world.primary, APP).apply(world)
-    world.run_for(250.0)  # two policy ticks; well under the 500ms timeout
-    assert world.trace.select(event="policy-proactive", component=world.primary)
-    assert any(d.kind == "proactive" for d in engine.policy.decisions)
 
 
 # -- runtime strategy switching ----------------------------------------------
@@ -251,19 +250,21 @@ def test_switch_back_restores_requested_checkpoint_policy():
 
 
 def test_backup_follows_primary_strategy():
-    # policy_switch_strategies off: the regime loop must not revert the
-    # manual switch; following the primary is independent of it.
-    world = policy_world(policy_switch_strategies=False)
+    # The primary's policy switches; its dwell keeps the healthy regime
+    # loop from reverting the switch while the backup follows.
+    world = policy_world()
     engine = primary_engine(world)
     backup = world.pair.engines[world.backup]
-    engine.switch_strategy("leader-follower", "test")
+    engine.policy._maybe_switch_strategy(FaultRegime.CRASHY)
+    assert engine.strategy_name == "leader-follower"
     world.run_for(500.0)  # a few peer heartbeats
+    assert engine.strategy_name == "leader-follower"
     assert backup.strategy_name == "leader-follower"
     assert backup.role is Role.BACKUP
 
 
 def test_crashy_regime_switches_to_hot_standby_with_dwell():
-    world = policy_world(policy_switch_dwell=5_000.0)
+    world = policy_world()
     engine = primary_engine(world)
     policy = engine.policy
     policy._maybe_switch_strategy(FaultRegime.CRASHY)
@@ -271,7 +272,10 @@ def test_crashy_regime_switches_to_hot_standby_with_dwell():
     # Back to healthy immediately: inside the dwell, no flap.
     policy._maybe_switch_strategy(FaultRegime.HEALTHY)
     assert engine.strategy_name == "leader-follower"
-    world.run_for(6_000.0)
+    world.run_for(POLICY_SWITCH_DWELL - 500.0)
+    policy._maybe_switch_strategy(FaultRegime.HEALTHY)
+    assert engine.strategy_name == "leader-follower"
+    world.run_for(1_000.0)
     policy._maybe_switch_strategy(FaultRegime.HEALTHY)
     assert engine.strategy_name == "cold-passive"
 

@@ -43,8 +43,9 @@ def test_registry_matches_config_strategy_names():
 
 
 def test_create_strategy_rejects_unknown_name():
+    world = make_pair_world()
     with pytest.raises(OfttError):
-        create_strategy("hot-active")
+        create_strategy("hot-active", world.pair.engines["alpha"])
 
 
 def test_config_rejects_unknown_strategy():
@@ -65,16 +66,14 @@ def test_engines_get_strategy_from_config():
     assert isinstance(lf_world.pair.engines["alpha"].strategy, LeaderFollowerStrategy)
 
 
-def _message_driven_scenario(strategy, **kwargs):
-    scenario = ChaosScenario(
+def _message_driven_scenario(strategy):
+    return ChaosScenario(
         seed=0,
-        strategy=strategy,
+        config=OfttConfig(replication_strategy=strategy),
         workload_period=100.0,
         checkpoint_period=2_000.0,
         message_driven=True,
-        **kwargs,
     )
-    return scenario
 
 
 # -- leader-follower ---------------------------------------------------------------
@@ -91,10 +90,10 @@ def test_leader_follower_streams_incremental_updates():
     assert ftim.incremental
     assert ftim.checkpoint_period == LF_UPDATE_PERIOD
 
-    strategy = scenario.pair.engines[primary].strategy
-    assert isinstance(strategy, LeaderFollowerStrategy)
+    leader = scenario.pair.engines[primary]
+    assert isinstance(leader.strategy, LeaderFollowerStrategy)
     # ~100ms update period over ~10s: a stream, not periodic images.
-    assert strategy.updates_replicated > 50
+    assert len(leader.checkpoint_sizes) > 50
 
     # The follower's merged mirror is near-fresh: within a couple of
     # update periods of the leader's live message counter.

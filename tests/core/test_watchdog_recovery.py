@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule
-from repro.core.recovery import RecoveryManager
+from repro.core.recovery import DECISION_LOG_LIMIT, RecoveryManager
 from repro.core.watchdog import WatchdogTimer
 from repro.errors import WatchdogError
 from repro.simnet.kernel import SimKernel
@@ -141,12 +141,13 @@ def test_decisions_recorded():
 
 def test_decisions_log_is_ring_buffered():
     kernel = SimKernel()
-    config = OfttConfig(decision_log_limit=3).with_rule("app", RecoveryRule.local_only())
+    config = OfttConfig().with_rule("app", RecoveryRule.local_only())
     recovery = RecoveryManager(kernel, config)
-    for index in range(8):
+    for index in range(DECISION_LOG_LIMIT + 5):
         recovery.on_failure("app", f"crash-{index}")
-    assert len(recovery.decisions) == 3
-    assert recovery.decisions[-1].reason == "crash-7"
+    assert len(recovery.decisions) == DECISION_LOG_LIMIT
+    assert recovery.decisions[0].reason == "crash-5"
+    assert recovery.decisions[-1].reason == f"crash-{DECISION_LOG_LIMIT + 4}"
 
 
 def test_failure_exactly_at_window_boundary_still_counts():

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.config import OfttConfig
+from repro.core import cluster
 from repro.errors import MsqError
 from repro.msq.manager import QueueManager
-from repro.simnet.random import RngStreams
 
 from tests.conftest import make_world
 from tests.core.util import make_pair_world
@@ -50,7 +49,6 @@ def test_jitter_is_bounded_and_seed_deterministic():
             backoff_factor=2.0,
             max_retry_interval=2_000.0,
             retry_jitter=50.0,
-            rng=RngStreams(seed).stream("test.backoff"),
         )
         return [sender._retry_delay(attempt) for attempt in range(1, 6)]
 
@@ -72,32 +70,18 @@ def test_constructor_validation():
         make_sender(world, retry_interval=500.0, max_retry_interval=250.0)
 
 
-def test_config_validation():
-    OfttConfig().validate()  # defaults are coherent
-    with pytest.raises(ValueError):
-        OfttConfig(msq_retry_backoff=0.9).validate()
-    with pytest.raises(ValueError):
-        OfttConfig(msq_retry_jitter=-5.0).validate()
-    with pytest.raises(ValueError):
-        OfttConfig(msq_retry_interval=250.0, msq_retry_max_interval=100.0).validate()
-    with pytest.raises(ValueError):
-        OfttConfig(msq_retry_interval=0.0).validate()
-
-
-def test_pair_wires_config_into_queue_managers():
-    config = OfttConfig(
-        msq_retry_interval=111.0,
-        msq_retry_backoff=3.0,
-        msq_retry_max_interval=999.0,
-        msq_retry_jitter=7.0,
-    )
-    world = make_pair_world(config=config)
+def test_pair_managers_back_off_and_a_client_manager_keeps_the_fixed_cadence():
+    world = make_pair_world()
     for name in ("alpha", "beta"):
         qmgr = world.pair.contexts[name].qmgr
-        assert qmgr.retry_interval == 111.0
-        assert qmgr.backoff_factor == 3.0
-        assert qmgr.max_retry_interval == 999.0
-        assert qmgr.retry_jitter == 7.0
+        assert qmgr.retry_interval == cluster.MSQ_RETRY_INTERVAL
+        assert qmgr.backoff_factor == cluster.MSQ_RETRY_BACKOFF
+        assert qmgr.max_retry_interval == cluster.MSQ_RETRY_MAX_INTERVAL
+        assert qmgr.retry_jitter == cluster.MSQ_RETRY_JITTER
+        assert qmgr._retry_delay(1) < qmgr._retry_delay(3)
+    client = QueueManager(world.kernel, world.network, world.add_machine("client").node)
+    assert (client.backoff_factor, client.retry_jitter) == (1.0, 0.0)
+    assert [client._retry_delay(attempt) for attempt in (1, 5, 50)] == [client.retry_interval] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +96,6 @@ def transmits_under_partition(backoff_factor, max_retry_interval, jitter=0.0):
         backoff_factor=backoff_factor,
         max_retry_interval=max_retry_interval,
         retry_jitter=jitter,
-        message_ttl=120_000.0,
     )
     QueueManager(
         world.kernel, world.network, world.network.nodes["receiver"]
