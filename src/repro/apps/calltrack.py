@@ -22,6 +22,7 @@ itself part of the checkpointed state so it survives failover too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional
 
 from repro.core.api import OfttApi
@@ -137,11 +138,16 @@ class CallTrackApp(OfttApplication):
             # In order with no gap pending: the floor moves and the
             # window stays empty, what the compaction below would leave.
             space.write("seen_floor", sequence)
-        elif sequence <= seen_floor or sequence in seen_recent:
-            space.write("duplicates_dropped", space.read("duplicates_dropped") + 1)
-            return False
         else:
-            seen_recent = sorted(set(seen_recent) | {sequence})
+            # The window is sorted: bisect finds a duplicate and the place.
+            at = bisect_left(seen_recent, sequence)
+            if sequence <= seen_floor or (at < len(seen_recent) and seen_recent[at] == sequence):
+                space.write("duplicates_dropped", space.read("duplicates_dropped") + 1)
+                return False
+            # A new list, so that no window handed out earlier (a
+            # checkpoint image, a caller's read) changes.
+            seen_recent = seen_recent.copy()
+            seen_recent.insert(at, sequence)
             # Compact: advance the floor across any contiguous prefix.
             while seen_recent and seen_recent[0] == seen_floor + 1:
                 seen_floor += 1

@@ -35,7 +35,7 @@ from repro.com.interfaces import IUNKNOWN, InterfaceDecl, declare_interface
 from repro.com.object import ComObject
 from repro.com.factory import ClassFactory
 from repro.com.runtime import ComRuntime
-from repro.com.marshal import ObjRef, unmarshal_value
+from repro.com.marshal import ObjRef
 from repro.com.dcom import DcomExporter, Proxy, RpcResult
 
 __all__ = [
@@ -64,5 +64,4 @@ __all__ = [
     "guid_from_name",
     "hresult_name",
     "succeeded",
-    "unmarshal_value",
 ]

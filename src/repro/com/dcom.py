@@ -34,7 +34,7 @@ from repro.com.hresult import (
     S_OK,
     hresult_name,
 )
-from repro.com.marshal import ObjRef, estimate_wire_size, marshal, unmarshal_value
+from repro.com.marshal import ObjRef, estimate_wire_size, marshal
 from repro.com.object import ComObject
 from repro.errors import RpcError
 from repro.nt.process import NTProcess
@@ -235,10 +235,15 @@ class DcomExporter:
             self._handle_reply(payload)
 
     def _serve_request(self, message: Message) -> None:
+        """Call the exported method and reply.
+
+        The method gets the delivered ``args`` uncopied, as
+        :meth:`_handle_reply` takes a reply's value: :func:`marshal`
+        copied them at the sender (see :mod:`repro.com.marshal`).
+        """
         payload = message.payload
         oid = payload["oid"]
         method = payload["method"]
-        args = unmarshal_value(payload["args"])
         export = self.exports.get(oid)
         if export is None:
             self._reply(message, RpcResult(False, hresult=RPC_E_DISCONNECTED, detail=f"no object {oid}"))
@@ -255,7 +260,7 @@ class DcomExporter:
             return
         size = None
         try:
-            value = getattr(export.obj, method)(*args)
+            value = getattr(export.obj, method)(*payload["args"])
             self.calls_served += 1
             value, size = marshal(value)
             result = RpcResult(True, value=value)

@@ -22,8 +22,12 @@ subtree fall back to the general path:
 The general path is :func:`_check`, then a deep copy sharing the walk's
 memo, then :func:`estimate_wire_size`.  Either way the result, or the
 :class:`~repro.errors.ComError` raised, is the one that path would give
-for the whole value.  Receipt copies with
-:func:`~repro.nt.memory.copy_value`.
+for the whole value.
+
+A crossing copies once, at the sender: the receiver uses the delivered
+request arguments or reply value as they are.  Nothing else holds the
+sender's copy, and a duplicated frame carries a copy of its own (see
+:mod:`repro.simnet.network`), so no object is shared across a crossing.
 """
 
 from __future__ import annotations
@@ -163,11 +167,6 @@ def _marshal(value: Any, depth: int, memo: Dict[int, Any]) -> Tuple[Any, int]:
     # non-plain value to copy.deepcopy with the walk's memo.
     _check(value, depth)
     return copy_value(value, memo)[0], estimate_wire_size(value)
-
-
-def unmarshal_value(value: Any) -> Any:
-    """Deep-copy *value* on receipt (equal to ``copy.deepcopy``)."""
-    return copy_value(value, {})[0]
 
 
 def estimate_wire_size(value: Any) -> int:

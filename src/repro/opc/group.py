@@ -34,8 +34,8 @@ IOPC_DATA_CALLBACK = declare_interface(
     "IOPCDataCallback", ("OnDataChange", "OnReadComplete", "OnWriteComplete")
 )
 
-# A local sink: callback(group_name, [(client_handle, item_id, wire_value), ...])
-LocalSink = Callable[[str, List[Tuple[int, str, dict]]], None]
+# A local sink: callback(group_name, [[client_handle, item_id, wire_value], ...])
+LocalSink = Callable[[str, List[List[Any]]], None]
 
 
 class OpcGroup(ComObject):
@@ -164,8 +164,8 @@ class OpcGroup(ComObject):
             item_id = self.items.get(handle)
             if item_id is None:
                 continue  # removed while the read was in flight
-            batch.append((handle, item_id, self.server.namespace.read(item_id).as_wire()))
-        self._dispatch("OnReadComplete", (self.name, transaction_id, [list(entry) for entry in batch]))
+            batch.append([handle, item_id, self.server.namespace.read(item_id).as_wire()])
+        self._dispatch("OnReadComplete", (self.name, transaction_id, batch))
 
     def _complete_write(self, writes: List[Any], transaction_id: int) -> None:
         if self.collected:
@@ -290,18 +290,18 @@ class OpcGroup(ComObject):
         self._flush_armed = False
         if not self._pending:
             return
+        # Each entry is built once in its wire form, [handle, item_id,
+        # wire value]; a remote sink's batch is marshalled from it as is.
         batch = []
         for handle, value in sorted(self._pending.items()):
             self._last_sent[handle] = value
-            batch.append((handle, self.items.get(handle, ""), value.as_wire()))
+            batch.append([handle, self.items.get(handle, ""), value.as_wire()])
         self._pending.clear()
         self.notifications_sent += 1
         if self._sink_local is not None:
             self._sink_local(self.name, batch)
         elif self._sink_remote is not None:
-            self.server.runtime.exporter.invoke_oneway(
-                self._sink_remote, "OnDataChange", (self.name, [list(entry) for entry in batch])
-            )
+            self.server.runtime.exporter.invoke_oneway(self._sink_remote, "OnDataChange", (self.name, batch))
 
     def __repr__(self) -> str:
         return f"OpcGroup({self.name}, items={len(self.items)}, rate={self.update_rate})"

@@ -20,7 +20,10 @@ Chaos extensions (used by :mod:`repro.faults` / :mod:`repro.chaos`):
 * *frame corruption* — per-link probability that a frame fails its
   checksum on delivery and is discarded (detected corruption);
 * *frame duplication* — per-link probability that a frame is delivered
-  twice (retry races at the switch level);
+  twice (retry races at the switch level).  The duplicate is a distinct
+  frame: it draws its own delay and carries its own deep copy of the
+  payload, taken at send time, so the two deliveries share no object
+  and an unduplicated frame is never copied;
 * *egress delay* — per-node extra latency on every outgoing frame,
   modelling fail-slow ("gray") hosts and inter-node clock skew as seen
   from the wire.
@@ -51,6 +54,7 @@ itself went down, or a partition or directional block cut the pair.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -434,13 +438,15 @@ class Network:
             dup_prob = self.dup_prob.get(link.name, 0.0)
             if dup_prob > 0 and rng.random() < dup_prob:
                 # The duplicate is a distinct frame with its own delay draw,
-                # clamped to the channel clock so per-channel FIFO still holds.
+                # clamped to the channel clock so per-channel FIFO still holds,
+                # and its own copy of the payload.
                 self.duplicated_count += 1
                 self.trace.emit("net", source, "frame-duplicated", dest=dest, port=port, link=link.name)
                 dup_at = max(now + (link.delay_for(size, rng) + egress), clock[channel])
                 clock[channel] = dup_at
+                twin = copy.deepcopy(payload)  # oftt-lint: ok[hot-unmemoized-heavy] -- duplicated frames only
                 self.kernel.schedule(
-                    dup_at - now, self._deliver, Message(source, dest, port, payload, size, link.name, now)
+                    dup_at - now, self._deliver, Message(source, dest, port, twin, size, link.name, now)
                 )
         return True
 

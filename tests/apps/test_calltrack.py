@@ -1,5 +1,9 @@
 """Unit tests for the Call Track application."""
 
+import hashlib
+import json
+import random
+
 from repro.apps.calltrack import STATE_VARS, CallTrackApp
 from repro.core.cluster import OfttPair
 from repro.core.config import OfttConfig
@@ -197,6 +201,45 @@ def test_dedupe_window_is_pinned():
         assert (space.read("seen_floor"), space.read("seen_recent")) == (floor, recent)
     assert space.read("duplicates_dropped") == 2
     assert space.read("events_processed") == 8
+
+
+def test_dedupe_window_past_a_permanent_gap_is_pinned():
+    """500 events past a sequence that never arrives, with local swaps and
+    resent duplicates: every step's floor and window size, pinned with the
+    values the sorted-set rebuild produced."""
+    world, app = make_calltrack(save_on_end=False)
+    space = app.process.address_space
+    rng = random.Random(28)
+    for sequence in range(1, 11):
+        app.process_event(event(sequence))
+    sequences = list(range(12, 512))  # 11 is lost for good
+    for index in range(len(sequences) - 1):
+        if rng.random() < 0.1:
+            sequences[index], sequences[index + 1] = sequences[index + 1], sequences[index]
+    steps, fed = [], []
+    for sequence in sequences:
+        fed.append(sequence)
+        steps.append([sequence, app.process_event(event(sequence)),
+                      space.read("seen_floor"), len(space.read("seen_recent"))])
+        if rng.random() < 0.1:
+            resent = rng.choice(fed[-20:])
+            steps.append([resent, app.process_event(event(resent)),
+                          space.read("seen_floor"), len(space.read("seen_recent"))])
+    assert len(steps) == 537
+    assert hashlib.sha256(json.dumps(steps).encode()).hexdigest() == (
+        "a246b088fc3c7465cd61f16e95533ff9ede12bb4cb860f7271137325bfb0120b"
+    )
+    assert space.read("seen_floor") == 10
+    assert space.read("seen_recent") == list(range(12, 512))
+    assert (space.read("duplicates_dropped"), space.read("events_processed")) == (37, 510)
+    window = space.read("seen_recent")
+    # The lost event turns up after all: the whole window compacts.
+    assert app.process_event(event(11))
+    assert (space.read("seen_floor"), space.read("seen_recent")) == (511, [])
+    assert window == list(range(12, 512))  # a window read earlier is not changed
+    assert not app.process_event(event(300))
+    assert app.process_event(event(512))
+    assert (space.read("seen_floor"), space.read("seen_recent")) == (512, [])
 
 
 def test_state_vars_all_designated():

@@ -154,9 +154,9 @@ def test_oneway_call_delivers_without_reply():
 
 
 def test_duplicated_oneway_call_gets_a_fresh_copy_of_its_args_each_time():
-    # A duplicated frame shares its payload with the original, so only
-    # the receive-side copy keeps the first delivery's mutation out of
-    # the second.
+    # The network gives a duplicated frame its own deep copy of the
+    # payload, taken at send time, so the first delivery's mutation
+    # never reaches the second.
     world, _ss, _cs, server_rt, client_rt = make_pair()
     collector = Collector()
     proxy = client_rt.proxy_for(server_rt.export(collector))
@@ -165,6 +165,39 @@ def test_duplicated_oneway_call_gets_a_fresh_copy_of_its_args_each_time():
     world.run_for(100.0)
     assert world.network.duplicated_count == 1
     assert collector.received == [[1, "two", [3.0]], [1, "two", [3.0]]]
+
+
+def test_caller_mutating_its_args_after_the_call_does_not_reach_the_server():
+    # marshal copies at the sender; receipt uses the delivered args.
+    world, _ss, _cs, server_rt, client_rt = make_pair()
+    collector = Collector()
+    proxy = client_rt.proxy_for(server_rt.export(collector))
+    oneway_args = [1, {"k": [2]}]
+    assert proxy.call_oneway("Collect", oneway_args)
+    oneway_args.append("late")
+    oneway_args[1]["k"].append("late")
+    twoway_args = ["x", [3.0]]
+    done = proxy.call("Collect", twoway_args)
+    twoway_args[1].append("late")
+    world.run_for(100.0)
+    assert done.fired and done.value.ok
+    assert collector.received == [[1, {"k": [2]}], ["x", [3.0]]]
+
+
+def test_duplicated_two_way_call_serves_private_args_and_answers_once():
+    world, _ss, _cs, server_rt, client_rt = make_pair()
+    collector = Collector()
+    proxy = client_rt.proxy_for(server_rt.export(collector))
+    world.network.set_duplication("lan0", 1.0)
+    results = []
+    done = proxy.call("Collect", [1, "two", [3.0]])
+    done.add_callback(lambda event: results.append(event.value))
+    world.run_for(100.0)
+    # The request and both replies were duplicated.
+    assert world.network.duplicated_count == 3
+    assert collector.received == [[1, "two", [3.0]], [1, "two", [3.0]]]
+    assert len(results) == 1 and results[0].ok and results[0].value is None
+    assert not client_rt.exporter._pending
 
 
 def test_proxy_attribute_sugar():

@@ -9,7 +9,7 @@ import pytest
 from repro.com.factory import ClassFactory
 from repro.com.guids import GUID, guid_from_name
 from repro.com.interfaces import declare_interface
-from repro.com.marshal import ObjRef, _check, estimate_wire_size, marshal, unmarshal_value
+from repro.com.marshal import ObjRef, _check, estimate_wire_size, marshal
 from repro.com.object import ComObject
 from repro.com.runtime import ComRuntime
 from repro.errors import ComError
@@ -153,13 +153,6 @@ def test_wire_size_grows_with_payload():
     small = estimate_wire_size({"a": 1})
     large = estimate_wire_size({"a": "x" * 10_000})
     assert large > small + 9_000
-
-
-def test_unmarshal_is_deep_copy():
-    original = {"k": [1]}
-    received = unmarshal_value(original)
-    original["k"].append(2)
-    assert received == {"k": [1]}
 
 
 # -- marshal against the check -> deepcopy -> size path ------------------------------

@@ -1,8 +1,12 @@
 """Integration tests: the paper's reference configurations (F1a/F1b/F2/F3)."""
 
+import hashlib
+import json
+
 from repro.core.status import ComponentStatus
 from repro.harness.experiments import exp_architecture, exp_demo_config, exp_reference_configs
 from repro.harness.scenario import build_demo, build_integrated, build_remote_monitoring
+from repro.opc.client import DataCallbackSink
 
 
 def test_f1a_remote_monitoring_data_flow_and_failover():
@@ -73,6 +77,30 @@ def test_demo_monitor_display_tracks_roles():
     rendered = demo.monitor.render()
     assert "node1" in rendered and "node2" in rendered
     assert demo.monitor.current_primary() == demo.pair.primary_node()
+
+
+def test_f1a_ondatachange_batches_at_the_remote_sink_are_pinned(monkeypatch):
+    """Every OnDataChange batch the SCADA pair's DCOM sink receives over a
+    short run with a station failover, as the sink sees its arguments,
+    digested; the digest was taken when receipt still copied a request."""
+    received = []
+    original = DataCallbackSink.OnDataChange
+
+    def recording(sink, group_name, batch):
+        received.append([scenario.kernel.now, group_name, batch])
+        return original(sink, group_name, batch)
+
+    monkeypatch.setattr(DataCallbackSink, "OnDataChange", recording)
+    scenario = build_remote_monitoring(seed=4)
+    scenario.start()
+    scenario.run_for(4_000.0)
+    scenario.systems[scenario.pair.primary_node()].power_off()
+    scenario.run_for(4_000.0)
+    assert (len(received), sum(len(batch) for _now, _group, batch in received)) == (35, 140)
+    blob = json.dumps(received, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "0ae77657aff2549228859e87c09e4b31c2d4256bde9aa1e736ab3978e1af1e26"
+    )
 
 
 def test_f1a_fieldbus_failure_degrades_quality_not_availability():

@@ -171,3 +171,44 @@ def test_bandwidth_adds_serialisation_delay():
     network.send("a", "b", "svc", "x", size=1000)
     kernel.run()
     assert times == [1.0 + 10.0]
+
+
+def test_unduplicated_frame_delivers_the_payload_object_sent():
+    kernel, network = build()
+    payload = {"rows": [[1, 2.0], [3, 4.0]], "tag": ("a", [5])}
+    received = []
+    network.nodes["b"].bind("svc", lambda m: received.append(m.payload))
+    network.send("a", "b", "svc", payload)
+    kernel.run()
+    assert network.duplicated_count == 0
+    assert len(received) == 1 and received[0] is payload
+
+
+def test_duplicated_frame_carries_its_own_copy_of_the_payload():
+    kernel, network = build()
+    network.set_duplication("lan0", 1.0)
+    payload = {"rows": [[1, 2.0], [3, 4.0]], "tag": ("a", [5])}
+    received = []
+    network.nodes["b"].bind("svc", lambda m: received.append(m.payload))
+    network.send("a", "b", "svc", payload)
+    kernel.run()
+    assert network.duplicated_count == 1
+    original, duplicate = received
+    assert original is payload
+    assert duplicate == original and duplicate is not original
+    for key in ("rows", "tag"):
+        assert duplicate[key] is not original[key]
+    assert duplicate["rows"][1] is not original["rows"][1]
+    assert duplicate["tag"][1] is not original["tag"][1]
+
+
+def test_duplicate_payload_is_copied_at_send_time():
+    kernel, network = build()
+    network.set_duplication("lan0", 1.0)
+    payload = {"rows": [[1, 2.0]]}
+    received = []
+    network.nodes["b"].bind("svc", lambda m: received.append(m.payload))
+    network.send("a", "b", "svc", payload)
+    payload["rows"][0].append("after send")
+    kernel.run()
+    assert received[1] == {"rows": [[1, 2.0]]}
