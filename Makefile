@@ -12,17 +12,15 @@ PY := PYTHONPATH=src python
 test:
 	$(PY) -m pytest -x -q
 
-# The interprocedural effects pass (--effects: call-graph race
-# propagation + parallel_map purity) and the hot-path pass (--hotpath:
-# HOT001-HOT006 over the roots in src/repro/analysis/hotpath.manifest)
-# are on for the lint gates; the planted-defect corpora that prove they
-# work are gated by tests/analysis/test_effects_corpus.py and
-# tests/analysis/test_hotpath_corpus.py under `make test`.  The examples
-# are linted in the same invocation as the library: their applications
-# subclass OfttApplication, whose teardown balances create_process, so
-# linted alone they would raise false LIFE003 leaks.
+# Every oftt-lint invocation runs all six passes (det, com, race,
+# effects, hot, life) and gates on warnings as well as errors; the
+# planted-defect corpora that prove the whole-program passes work are
+# gated by tests/analysis/test_*_corpus.py under `make test`.  The
+# examples are linted in the same invocation as the library: their
+# applications subclass OfttApplication, whose teardown balances
+# create_process, so linted alone they would raise false LIFE003 leaks.
 lint:
-	$(PY) -m repro.analysis src/repro examples --strict --effects --hotpath --lifecycle
+	$(PY) -m repro.analysis src/repro examples
 
 # Tests are linted with the per-directory profile: the ambient DET rules
 # (unseeded randomness, entropy, environment reads) are relaxed because
@@ -32,12 +30,12 @@ lint:
 # six lifecycle rules by design (the default lifecycle manifest matches
 # by method name, so the planted corpus classes trip it directly).
 lint-tests:
-	$(PY) -m repro.analysis tests --strict --effects --hotpath --lifecycle \
+	$(PY) -m repro.analysis tests \
 		--relax tests=DET002,DET003,DET006,PURE001,PURE002,PURE003,PURE004 \
 		--relax tests/analysis/corpus=RACE001,RACE002,RACE003,RACE101,RACE102,RACE103,LIFE001,LIFE002,LIFE003,LIFE004,LIFE005,LIFE006
 
 lint-json:
-	$(PY) -m repro.analysis src/repro --strict --effects --hotpath --lifecycle --format json
+	$(PY) -m repro.analysis src/repro --format json
 
 replay:
 	$(PY) -m repro.replay --gate

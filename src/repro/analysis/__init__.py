@@ -9,9 +9,8 @@ replay or the marshalling contract.  This package machine-checks both,
 plus a third hazard class — same-timestamp event handlers whose relative
 order is fixed only by the kernel's sequence-number tiebreak.
 
-Six passes run over the source tree (``python -m repro.analysis
-src/repro``), the last three — whole-program — on request
-(``--effects``/``--hotpath``/``--lifecycle``, all on for ``make lint``):
+Six passes run over the source tree on every invocation (``python -m
+repro.analysis src/repro``); the last three are whole-program passes:
 
 * :mod:`repro.analysis.determinism` — seed-replay hazards (``DET*``).
 * :mod:`repro.analysis.comcheck` — ``ComObject`` subclasses against their

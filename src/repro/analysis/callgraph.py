@@ -26,7 +26,8 @@ the callee's positional parameters; the summary propagation needs both.
 
 :meth:`CallGraph.reach` is the one k-bounded propagation every
 whole-program pass shares: effect summaries, hotness and the lifecycle
-release searches all see exactly ``max_k`` call hops, no further.
+release searches all see exactly :data:`DEFAULT_MAX_K` call hops, no
+further.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ Slot = Tuple[str, str]
 #: A propagation route: function keys from a root to the reached key.
 Route = Tuple[str, ...]
 
-#: Default propagation depth: effects, hotness and release searches
-#: travel at most this many call hops (``--max-k``).
+#: Propagation depth: effects, hotness and release searches travel at
+#: most this many call hops.
 DEFAULT_MAX_K = 2
 
 
@@ -105,17 +106,17 @@ class CallGraph:
 
     # -- resolution --------------------------------------------------------
 
-    def reach(self, roots: Sequence[str], max_k: int) -> Dict[str, Route]:
+    def reach(self, roots: Sequence[str]) -> Dict[str, Route]:
         """Breadth-first reach: key -> route of keys from a root.
 
         Edges are followed in their deterministic order for at most
-        *max_k* hops, so a function buried deeper is — by design — not
-        reached.  Cycles are handled by the visited set: a function keeps
-        the first shortest route that reached it.
+        :data:`DEFAULT_MAX_K` hops, so a function buried deeper is — by
+        design — not reached.  Cycles are handled by the visited set: a
+        function keeps the first shortest route that reached it.
         """
         reached: Dict[str, Route] = {key: (key,) for key in roots}
         frontier = list(roots)
-        for _ in range(max_k):
+        for _ in range(DEFAULT_MAX_K):
             if not frontier:
                 break
             next_frontier: List[str] = []

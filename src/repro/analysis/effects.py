@@ -10,7 +10,7 @@ propagated bottom-up with k-bounded inlining
   conflict routed through a private helper (``OpcGroup._dispatch``,
   ``self._collect()``) is invisible to them.  Here each same-tick
   handler's read/write/mutate/iterate sets include everything reachable
-  through up to ``max_k`` ``self.method()`` hops, and findings carry the
+  through up to ``DEFAULT_MAX_K`` ``self.method()`` hops, and findings carry the
   full call chain (``_on_ping_result -> _collect -> clear_callback``).
   Conflicts whose sides are all direct (chain ``()``) are *not*
   re-reported: those entries are the same direct summaries RACE001–003
@@ -341,7 +341,7 @@ def _check_parallel_map_sites(
 
 
 def run(program: Program) -> List[Finding]:
-    """Pass entry point: RACE101-103 and PURE001-004 with inlining depth ``program.max_k``."""
+    """Pass entry point: RACE101-103 and PURE001-004 with inlining depth ``DEFAULT_MAX_K``."""
     graph = program.graph
     summaries = program.summaries
     findings: List[Finding] = []

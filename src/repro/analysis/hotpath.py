@@ -8,13 +8,13 @@ event count) multiplies into the top line of ``oftt-bench``.  This pass
 makes hotness a checked property instead of tribal knowledge:
 
 * Hot **roots** are declared in a checked-in manifest
-  (``repro/analysis/hotpath.manifest``; override with ``--hot-manifest``).
-  Each line is ``MODULE:QUALNAME`` — the module may be a dotted suffix so
-  the same manifest works regardless of the invocation directory.
+  (``repro/analysis/hotpath.manifest``).  Each line is
+  ``MODULE:QUALNAME`` — the module may be a dotted suffix so the same
+  manifest works regardless of the invocation directory.
 * Hotness propagates through :meth:`CallGraph.reach
   <repro.analysis.callgraph.CallGraph.reach>`, bounded by the same
-  ``--max-k`` budget as the effects pass: any function reachable from a
-  root within ``max_k`` call hops is hot.
+  ``DEFAULT_MAX_K`` budget as the effects pass: any function reachable
+  from a root within that many call hops is hot.
   Roots that match nothing in the analysed file set are inert (the
   manifest describes the whole project; a partial lint sees a subset).
 * Over hot functions only, six rules flag per-event waste (HOT001-006
@@ -82,7 +82,7 @@ HOT_AMBIENT_RELOOKUP = rule(
     "Invariant module attribute or self attribute re-looked-up per event in a hot function; bind it to a local.",
 )
 
-#: Default manifest shipped next to the pass.
+#: The manifest shipped next to the pass; :func:`run` reads it.
 DEFAULT_MANIFEST = os.path.join(os.path.dirname(__file__), "hotpath.manifest")
 
 #: Fully-resolved callables HOT004 treats as heavy per-event work.
@@ -741,9 +741,9 @@ def _plain_module_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def run(program: Program, manifest_path: Optional[str] = None) -> List[Finding]:
-    """Pass entry point: HOT001-006 under *manifest_path* (default: the shipped one)."""
-    return run_with_roots(program, load_manifest(manifest_path or DEFAULT_MANIFEST))
+def run(program: Program) -> List[Finding]:
+    """Pass entry point: HOT001-006 under the shipped manifest."""
+    return run_with_roots(program, load_manifest(DEFAULT_MANIFEST))
 
 
 def run_with_roots(program: Program, specs: Sequence[RootSpec]) -> List[Finding]:
@@ -752,7 +752,7 @@ def run_with_roots(program: Program, specs: Sequence[RootSpec]) -> List[Finding]
     roots = resolve_roots(graph, specs)
     if not roots:
         return []
-    hot = graph.reach(roots, program.max_k)
+    hot = graph.reach(roots)
     trees = {source_file.path: source_file.tree for source_file in program.files}
     plain_by_path: Dict[str, Set[str]] = {}  # only the files hot functions live in
     findings: List[Finding] = []

@@ -2,21 +2,20 @@
 
 OFTT's middleware lives or dies by disciplined lifecycle management:
 watchdogs deleted, heartbeat watches removed, reliable processes reaped
-(§3).  A single leaked timer is invisible in a three-node scenario, but
-the fleet testbed (ROADMAP item 1) multiplies every long-lived engine
-object by hundreds of FT pairs — N leaked timers drag the kernel queue
-and trace volume for the whole run.  This pass proves statically that
-every *acquire* has a matching *release* on a teardown path:
+(§3).  A single leaked timer is invisible in one short scenario, but a
+long chaos run fails over, restarts and tears down engines many times
+in one kernel — N leaked timers drag the kernel queue and trace volume
+for the rest of the run.  This pass proves statically that every
+*acquire* has a matching *release* on a teardown path:
 
 * Acquire→release **pairs** are declared in a checked-in manifest
-  (``repro/analysis/lifecycle.manifest``; override with
-  ``--life-manifest``).  Each pair names a resource kind (``timer``,
-  ``watch``, ``process``, ``subscription``), the acquiring call and the
-  release call(s) that balance it.
+  (``repro/analysis/lifecycle.manifest``).  Each pair names a resource
+  kind (``timer``, ``watch``, ``process``, ``subscription``), the
+  acquiring call and the release call(s) that balance it.
 * Matching is per **owning class**: an acquisition made by a method of
   class ``C`` must have a release reachable — through
   :meth:`CallGraph.reach <repro.analysis.callgraph.CallGraph.reach>`,
-  bounded by the same ``--max-k`` hop budget as the effects and hot
+  bounded by the same ``DEFAULT_MAX_K`` hop budget as the effects and hot
   passes — from one of ``C``'s declared *teardown methods*
   (``stop``/``shutdown``/``close``/``delete`` by default; the manifest
   can extend the set).
@@ -38,8 +37,8 @@ Rules:
   handle's own callback is exempt: that handle has already fired).
 * LIFE006 ``unbounded-growth`` — a long-lived ``self`` container
   appended on a handler path (``on_*``/``_on_*`` methods, methods
-  registered as callbacks, and their ``--max-k``-bounded callees) with
-  no prune/clear/reassignment anywhere in the class.
+  registered as callbacks, and their ``DEFAULT_MAX_K``-bounded callees)
+  with no prune/clear/reassignment anywhere in the class.
 
 Like every pass, findings respect ``# oftt-lint: ok[slug]`` suppressions
 and reviewed-benign annotations double as documentation.  Known
@@ -56,7 +55,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, Route
+from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, Route
 from repro.analysis.findings import AnalysisError, Finding, Severity, rule
 from repro.analysis.program import Program
 from repro.analysis.walker import GROWTH_CALLS, dotted_name, manifest_lines, parent_map, self_attr
@@ -104,7 +103,7 @@ LIFE_UNBOUNDED_GROWTH = rule(
     "Long-lived self container appended on a handler path with no prune/clear anywhere in the class.",
 )
 
-#: Default manifest shipped next to the pass.
+#: The manifest shipped next to the pass; :func:`run` reads it.
 DEFAULT_MANIFEST = os.path.join(os.path.dirname(__file__), "lifecycle.manifest")
 
 #: kind -> (rule, style).  Handle-style resources are tracked by where
@@ -324,7 +323,6 @@ class _ClassContext:
         module: str,
         class_name: str,
         method_keys: List[str],
-        max_k: int,
     ) -> None:
         self.graph = graph
         self.facts = facts
@@ -332,7 +330,6 @@ class _ClassContext:
         self.module = module
         self.class_name = class_name
         self.method_keys = method_keys  # own methods, source order
-        self.max_k = max_k
         #: Teardown methods (own or one level of bases), name -> key.
         self.teardowns: Dict[str, str] = {}
         #: Base-class methods entered via ``super().name()`` from a
@@ -354,7 +351,7 @@ class _ClassContext:
         if self._teardown_reach is None:
             roots = [self.teardowns[name] for name in sorted(self.teardowns)]
             roots.extend(key for key in sorted(self._super_roots) if key not in roots)
-            self._teardown_reach = self.graph.reach(roots, self.max_k)
+            self._teardown_reach = self.graph.reach(roots)
         return self._teardown_reach
 
     def scan_summary(self) -> str:
@@ -365,7 +362,7 @@ class _ClassContext:
                 f"({'/'.join(self.spec.teardowns)})"
             )
         names = ", ".join(sorted(self.teardowns))
-        return f"searched teardown {names} and callees within k={self.max_k}"
+        return f"searched teardown {names} and callees within k={DEFAULT_MAX_K}"
 
     def _release_route(self, matches) -> Optional[Route]:
         for key in sorted(self.teardown_reach):
@@ -433,7 +430,7 @@ def _handler_keys(ctx: _ClassContext) -> Dict[str, str]:
         info = ctx.graph.functions[key]
         if key not in roots and info.short_name in registered:
             roots[key] = f"callback {info.short_name}() registered in {ctx.class_name}"
-    reach = ctx.graph.reach(sorted(roots), ctx.max_k)
+    reach = ctx.graph.reach(sorted(roots))
     out: Dict[str, str] = {}
     for key, route in reach.items():
         if key in roots:
@@ -629,7 +626,7 @@ def _check_rearm(ctx, findings, info, method_name, call, pair, attr) -> None:
         return  # first arming; nothing to cancel yet
     if method_name in _callback_args(call):
         return  # re-arm from inside the expired handle's own callback
-    reach = ctx.graph.reach([info.key], ctx.max_k)
+    reach = ctx.graph.reach([info.key])
     for key in sorted(reach):
         facts = ctx.facts(key)
         if attr in facts.attrs and any(name in facts.call_names for name in pair.releases):
@@ -643,7 +640,7 @@ def _check_rearm(ctx, findings, info, method_name, call, pair, attr) -> None:
             call.col_offset,
             f"{method_name}() reassigns self.{attr} from {pair.acquire}() without "
             f"{releases} of the previous handle (none referencing self.{attr} in "
-            f"{method_name}() or its callees within k={ctx.max_k})",
+            f"{method_name}() or its callees within k={DEFAULT_MAX_K})",
         )
     )
 
@@ -712,9 +709,9 @@ def _class_method_keys(graph: CallGraph) -> Dict[Tuple[str, str, str], List[str]
     return grouped
 
 
-def run(program: Program, manifest_path: Optional[str] = None) -> List[Finding]:
-    """Pass entry point: LIFE001-006 under *manifest_path* (default: the shipped one)."""
-    return run_with_spec(program, load_manifest(manifest_path or DEFAULT_MANIFEST))
+def run(program: Program) -> List[Finding]:
+    """Pass entry point: LIFE001-006 under the shipped manifest."""
+    return run_with_spec(program, load_manifest(DEFAULT_MANIFEST))
 
 
 def run_with_spec(program: Program, spec: LifecycleSpec) -> List[Finding]:
@@ -724,8 +721,6 @@ def run_with_spec(program: Program, spec: LifecycleSpec) -> List[Finding]:
     findings: List[Finding] = []
     grouped = _class_method_keys(graph)
     for path, module, class_name in sorted(grouped):
-        ctx = _ClassContext(
-            graph, facts, spec, module, class_name, grouped[(path, module, class_name)], program.max_k
-        )
+        ctx = _ClassContext(graph, facts, spec, module, class_name, grouped[(path, module, class_name)])
         _check_class(ctx, findings)
     return findings

@@ -1,14 +1,13 @@
 """The analysis context of one ``oftt-lint`` invocation, and pass orchestration.
 
-Every pass takes a :class:`Program`: the analysed files, the ``--max-k``
-budget, and the whole-program facts passes share — the call graph, the
-handler models (:func:`repro.analysis.races.collect_models`), one direct
-(k = 0) effect summary per function (the records RACE001–003 compare and
-propagation starts from), the propagated summaries and the top-level
-class table.  Each is built on first use and kept, so an invocation
-builds none of them twice, and the default ``det,com,race`` run never
-builds the call graph.  ANALYSIS.md ("The shared propagation core") has
-the details.
+Every pass takes a :class:`Program`: the analysed files and the
+whole-program facts passes share — the call graph, the handler models
+(:func:`repro.analysis.races.collect_models`), one direct (k = 0) effect
+summary per function (the records RACE001–003 compare and propagation
+starts from), the summaries propagated ``DEFAULT_MAX_K`` hops and the
+top-level class table.  Each is built on first use and kept, so an
+invocation builds none of them twice.  ANALYSIS.md ("The shared
+propagation core") has the details.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 # Called through their modules, so a test can count how often each runs.
 from repro.analysis import callgraph, races, summaries
-from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, FunctionInfo
+from repro.analysis.callgraph import CallGraph, FunctionInfo
 from repro.analysis.findings import Finding
 from repro.analysis.summaries import EffectSummary
 from repro.analysis.walker import SourceFile, apply_suppressions, suppression_errors
@@ -28,9 +27,8 @@ from repro.analysis.walker import SourceFile, apply_suppressions, suppression_er
 class Program:
     """The files of one invocation plus what is built from them once."""
 
-    def __init__(self, files: Sequence[SourceFile], max_k: int = DEFAULT_MAX_K) -> None:
+    def __init__(self, files: Sequence[SourceFile]) -> None:
         self.files = list(files)
-        self.max_k = max_k
         # module -> file, later files winning as in the call graph's alias table.
         self._by_module = {f.module_name: f for f in self.files if f.tree is not None}
         self._globals: Dict[str, Set[str]] = {}
@@ -50,7 +48,7 @@ class Program:
     def summaries(self) -> Dict[str, EffectSummary]:
         graph = self.graph
         direct = {key: self.direct(info) for key, info in graph.functions.items()}
-        return summaries.propagate(graph, direct, max_k=self.max_k)
+        return summaries.propagate(graph, direct)
 
     @cached_property
     def classes(self) -> Dict[Tuple[str, str], ast.ClassDef]:
@@ -79,11 +77,9 @@ class Program:
 Pass = Callable[[Program], List[Finding]]
 
 
-def run_passes(
-    files: Sequence[SourceFile], passes: Sequence[Pass], max_k: int = DEFAULT_MAX_K
-) -> List[Finding]:
+def run_passes(files: Sequence[SourceFile], passes: Sequence[Pass]) -> List[Finding]:
     """Run *passes* over one Program, apply per-file suppressions, and sort the survivors."""
-    program = Program(files, max_k)
+    program = Program(files)
     findings: List[Finding] = []
     for one_pass in passes:
         findings.extend(one_pass(program))

@@ -19,7 +19,7 @@ effect model under both race families (RACE001–003 read it per handler;
 :class:`~repro.analysis.program.Program` memoizes it per function).
 :func:`propagate` folds callee summaries into callers
 over the call graph with k-bounded inlining (an effect travels at most
-``max_k`` call hops, default 2) and cycle-safe fixpoint iteration — the
+``DEFAULT_MAX_K`` call hops) and cycle-safe fixpoint iteration — the
 chain-length bound makes the lattice finite, so iteration terminates on
 recursive cycles without special casing.
 
@@ -38,7 +38,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, Edge, FunctionInfo, positional_params
+from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, Edge, FunctionInfo, positional_params
 from repro.analysis.determinism import (
     _ENTROPY_CALLS,
     _RANDOM_DRAWS,
@@ -271,14 +271,12 @@ def _iterated_self_attr(node: ast.AST) -> Optional[str]:
 # -- propagation -----------------------------------------------------------
 
 
-def _merge_chained(
-    dst: Dict[str, Chain], src: Dict[str, Chain], hop: str, caller_key: str, max_k: int
-) -> bool:
+def _merge_chained(dst: Dict[str, Chain], src: Dict[str, Chain], hop: str, caller_key: str) -> bool:
     """Fold *src* entries into *dst* through one call hop; True if grown."""
     changed = False
     for name in sorted(src):
         chain = (hop,) + src[name]
-        if len(chain) > max_k or caller_key in chain:
+        if len(chain) > DEFAULT_MAX_K or caller_key in chain:
             continue
         if name not in dst:
             dst[name] = chain
@@ -292,24 +290,23 @@ def _merge_edge(
     caller_params: Set[str],
     edge: Edge,
     callee: EffectSummary,
-    max_k: int,
 ) -> bool:
     changed = False
     key = caller.key
     if edge.via_self:
-        changed |= _merge_chained(merged.self_reads, callee.self_reads, edge.callee, key, max_k)
-        changed |= _merge_chained(merged.self_writes, callee.self_writes, edge.callee, key, max_k)
-        changed |= _merge_chained(merged.self_mutates, callee.self_mutates, edge.callee, key, max_k)
-        changed |= _merge_chained(merged.self_iterates, callee.self_iterates, edge.callee, key, max_k)
-    changed |= _merge_chained(merged.global_writes, callee.global_writes, edge.callee, key, max_k)
-    changed |= _merge_chained(merged.ambient, callee.ambient, edge.callee, key, max_k)
+        changed |= _merge_chained(merged.self_reads, callee.self_reads, edge.callee, key)
+        changed |= _merge_chained(merged.self_writes, callee.self_writes, edge.callee, key)
+        changed |= _merge_chained(merged.self_mutates, callee.self_mutates, edge.callee, key)
+        changed |= _merge_chained(merged.self_iterates, callee.self_iterates, edge.callee, key)
+    changed |= _merge_chained(merged.global_writes, callee.global_writes, edge.callee, key)
+    changed |= _merge_chained(merged.ambient, callee.ambient, edge.callee, key)
     # A callee that mutates its parameter mutates whatever we passed it.
     for callee_param, slot in edge.arg_slots:
         chain_tail = callee.param_mutations.get(callee_param)
         if chain_tail is None:
             continue
         chain = (edge.callee,) + chain_tail
-        if len(chain) > max_k or key in chain:
+        if len(chain) > DEFAULT_MAX_K or key in chain:
             continue
         kind, name = slot
         if kind == "param" and name in caller_params:
@@ -326,16 +323,12 @@ def _merge_edge(
     return changed
 
 
-def propagate(
-    graph: CallGraph,
-    direct: Dict[str, EffectSummary],
-    max_k: int = 2,
-) -> Dict[str, EffectSummary]:
-    """Fixpoint of callee-into-caller folding, chains bounded by *max_k*.
+def propagate(graph: CallGraph, direct: Dict[str, EffectSummary]) -> Dict[str, EffectSummary]:
+    """Fixpoint of callee-into-caller folding, chains bounded by ``DEFAULT_MAX_K``.
 
     Each round extends every caller with its callees' summaries from the
     previous round (Jacobi-style, so the result is independent of
-    iteration order); entries whose chain would exceed ``max_k`` hops are
+    iteration order); entries whose chain would exceed the bound are
     dropped, which both implements the k-bound and guarantees
     termination on recursive call cycles.
     """
@@ -344,7 +337,7 @@ def propagate(
         for key, info in graph.functions.items()
     }
     current = {key: summary.copy() for key, summary in direct.items()}
-    for _ in range(max(0, max_k)):
+    for _ in range(DEFAULT_MAX_K):
         changed = False
         nxt: Dict[str, EffectSummary] = {}
         for key in sorted(graph.functions):
@@ -353,7 +346,7 @@ def propagate(
             for edge in graph.callees(key):
                 callee_summary = current.get(edge.callee)
                 if callee_summary is not None:
-                    changed |= _merge_edge(merged, info, params_of[key], edge, callee_summary, max_k)
+                    changed |= _merge_edge(merged, info, params_of[key], edge, callee_summary)
             nxt[key] = merged
         current = nxt
         if not changed:

@@ -13,7 +13,7 @@ Examples::
     python -m repro.chaos --smoke                 # the make-verify gate
     oftt-chaos --seeds 10 --schedules 8           # a bigger campaign
     oftt-chaos --self-test                        # prove the monitors fire
-    oftt-chaos --smoke --json --out report.json
+    oftt-chaos --smoke --format json --out report.json
 """
 
 from __future__ import annotations
@@ -123,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs_argument(parser)
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default: text)")
-    parser.add_argument("--json", action="store_const", const="json", dest="format",
-                        help="shorthand for --format json")
     parser.add_argument("--out", default="",
                         help="also write the report to this file")
     return parser

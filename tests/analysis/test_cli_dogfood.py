@@ -3,21 +3,25 @@
 The dogfood gate is the point of the whole subsystem: the analyzer must
 pass over its own repository (``python -m repro.analysis src/repro``
 exits 0), and must fail loudly the moment a violation is introduced.
+Every invocation runs the one configuration the lint gates run, and the
+gate tests below take their arguments from the Makefile's own recipes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from repro.analysis.cli import main
+from repro.analysis.cli import PASSES, build_parser, main
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
+ALL_PASSES = "passes: det, com, race, effects, hot, life"
 
 
 def run_cli(args, capsys):
@@ -26,13 +30,26 @@ def run_cli(args, capsys):
     return code, captured.out
 
 
+def recipe_args(target):
+    """The ``oftt-lint`` arguments of the Makefile's *target* recipe."""
+    # oftt-lint: ok[ambient-io] -- the gate's own recipe is the test's input
+    with open(os.path.join(REPO_ROOT, "Makefile"), encoding="utf-8") as handle:
+        makefile = handle.read()
+    recipe = makefile.split(f"\n{target}:\n", 1)[1].split("\n\n", 1)[0]
+    return shlex.split(recipe.replace("\\\n", " ").split("-m repro.analysis", 1)[1])
+
+
 # -- dogfood gate --------------------------------------------------------
 
 
-def test_repo_is_clean_in_strict_mode(capsys):
-    code, out = run_cli([SRC_REPRO, "--strict"], capsys)
+def test_repo_is_clean_in_strict_mode(capsys, monkeypatch):
+    # `make lint` in-process: src/repro and examples, all six passes,
+    # warnings gating.
+    monkeypatch.chdir(REPO_ROOT)
+    code, out = run_cli(recipe_args("lint"), capsys)
     assert code == 0, f"analysis found violations:\n{out}"
-    assert "0 finding(s)" in out
+    assert out.startswith("0 finding(s)")
+    assert out.rstrip().endswith(ALL_PASSES)
 
 
 def test_repo_is_clean_via_module_invocation():
@@ -44,16 +61,18 @@ def test_repo_is_clean_via_module_invocation():
         env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert "passes: det, com, race" in completed.stdout
+    assert ALL_PASSES in completed.stdout
 
 
 def test_seeded_violation_flips_the_gate(tmp_path, capsys):
+    (tmp_path / "clean.py").write_text("def stamp(kernel):\n    return kernel.now\n", encoding="utf-8")
+    assert run_cli([str(tmp_path)], capsys)[0] == 0
     bad = tmp_path / "bad.py"
     bad.write_text(
         "import time\n\n\ndef stamp(kernel):\n    kernel.schedule(time.time(), stamp)\n",
         encoding="utf-8",
     )
-    code, out = run_cli([SRC_REPRO, str(bad)], capsys)
+    code, out = run_cli([str(tmp_path)], capsys)
     assert code == 1
     assert "DET001" in out
 
@@ -61,16 +80,16 @@ def test_seeded_violation_flips_the_gate(tmp_path, capsys):
 # -- CLI contract --------------------------------------------------------
 
 
-def test_pass_selection_runs_only_requested_pass(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\n\n\ndef f():\n    return time.time()\n", encoding="utf-8")
-    code, out = run_cli([str(bad), "--passes", "com,race"], capsys)
-    assert code == 0  # determinism pass not selected
-    assert "passes: com, race" in out
-
-
-def test_unknown_pass_is_a_usage_error(capsys):
-    assert main([SRC_REPRO, "--passes", "nope"]) == 2
+def test_removed_options_are_usage_errors(capsys):
+    assert sorted(vars(build_parser().parse_args([]))) == ["format", "list_rules", "paths", "relax"]
+    assert list(PASSES) == ["det", "com", "race", "effects", "hot", "life"]
+    for removed in (
+        "--passes=det", "--effects", "--hotpath", "--lifecycle", "--strict",
+        "--only=LIFE", "--max-k=1", "--hot-manifest=x", "--life-manifest=x", "--json",
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([SRC_REPRO, removed])
+        assert exit_info.value.code == 2, removed
 
 
 def test_missing_path_is_a_usage_error(capsys):
@@ -80,15 +99,17 @@ def test_missing_path_is_a_usage_error(capsys):
 def test_json_output_round_trips(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import os\n\nTOKEN = os.urandom(4)\n", encoding="utf-8")
-    code, out = run_cli([str(bad), "--json"], capsys)
+    code, out = run_cli([str(bad), "--format", "json"], capsys)
     assert code == 1
     document = json.loads(out)
     assert document["schema"] == "repro.analysis/v1"
+    assert document["passes"] == list(PASSES)
     assert document["counts"]["error"] == 1
     assert document["findings"][0]["rule"] == "DET003"
 
 
 def test_strict_gates_on_warnings(tmp_path, capsys):
+    # A warning alone fails the gate, exactly as an error does.
     racy = tmp_path / "racy.py"
     racy.write_text(
         "class Pump:\n"
@@ -103,11 +124,10 @@ def test_strict_gates_on_warnings(tmp_path, capsys):
         "        self.valve = 2\n",
         encoding="utf-8",
     )
-    lenient, _ = run_cli([str(racy)], capsys)
-    strict, out = run_cli([str(racy), "--strict"], capsys)
-    assert lenient == 0  # warnings do not gate by default
-    assert strict == 1
+    code, out = run_cli([str(racy)], capsys)
+    assert code == 1
     assert "RACE001" in out
+    assert "(0 error, 1 warning, 0 info)" in out
 
 
 def test_list_rules_catalogue(capsys):
@@ -124,58 +144,6 @@ def test_list_rules_catalogue(capsys):
         assert rule_id in out
     # The catalogue is grouped by family for scanability.
     assert "# LIFE" in out
-
-
-def test_effects_flag_appends_the_effects_pass(tmp_path, capsys):
-    bad = tmp_path / "impure.py"
-    bad.write_text(
-        "from repro.perf.executor import parallel_map\n"
-        "\n"
-        "SEEN = []\n"
-        "\n"
-        "\n"
-        "def record(v):\n"
-        "    SEEN.append(v)\n"
-        "    return v\n"
-        "\n"
-        "\n"
-        "def main(vs):\n"
-        "    return parallel_map(record, vs)\n",
-        encoding="utf-8",
-    )
-    default_code, default_out = run_cli([str(bad)], capsys)
-    effects_code, effects_out = run_cli([str(bad), "--effects"], capsys)
-    assert default_code == 0 and "PURE001" not in default_out
-    assert effects_code == 1 and "PURE001" in effects_out
-    assert "passes: det, com, race, effects" in effects_out
-
-
-def test_max_k_zero_disables_propagation(tmp_path, capsys):
-    racy = tmp_path / "chained.py"
-    racy.write_text(
-        "class Widget:\n"
-        "    def start(self):\n"
-        "        self.kernel.schedule(1.0, self.on_a)\n"
-        "        self.kernel.schedule(1.0, self.on_b)\n"
-        "\n"
-        "    def on_a(self):\n"
-        "        self._set()\n"
-        "\n"
-        "    def _set(self):\n"
-        "        self.state = 1\n"
-        "\n"
-        "    def on_b(self):\n"
-        "        self.state = 2\n",
-        encoding="utf-8",
-    )
-    deep, deep_out = run_cli([str(racy), "--passes", "effects", "--strict"], capsys)
-    shallow, _ = run_cli([str(racy), "--passes", "effects", "--strict", "--max-k", "0"], capsys)
-    assert deep == 1 and "RACE101" in deep_out
-    assert shallow == 0
-
-
-def test_negative_max_k_is_a_usage_error(capsys):
-    assert main([SRC_REPRO, "--effects", "--max-k", "-1"]) == 2
 
 
 def test_syntax_error_is_reported_not_crashed(tmp_path, capsys):
@@ -197,7 +165,7 @@ def _entropy_file(root, name="gen.py"):
 
 def test_relax_downgrades_matching_rules_to_info(tmp_path, capsys):
     _entropy_file(tmp_path)
-    code, out = run_cli([str(tmp_path), "--strict", "--relax", f"{tmp_path}=DET003"], capsys)
+    code, out = run_cli([str(tmp_path), "--relax", f"{tmp_path}=DET003"], capsys)
     assert code == 0
     assert "info DET003" in out  # still reported, no longer gating
 
@@ -233,17 +201,13 @@ def test_relax_bad_spec_and_unknown_rule_are_usage_errors(capsys):
     assert main([SRC_REPRO, "--relax", "src=NOPE999"]) == 2
 
 
-def test_tests_tree_is_clean_under_the_test_profile(capsys):
-    # Mirrors `make lint-tests`: the planted-defect corpus legitimately
-    # violates the race and purity rules, so those are relaxed for it.
-    tests_dir = os.path.join(REPO_ROOT, "tests")
-    corpus_dir = os.path.join(tests_dir, "analysis", "corpus")
-    code, out = run_cli(
-        [
-            tests_dir, "--strict", "--effects",
-            "--relax", f"{tests_dir}=DET002,DET003,DET006,PURE001,PURE002,PURE003,PURE004",
-            "--relax", f"{corpus_dir}=RACE001,RACE002,RACE003,RACE101,RACE102,RACE103",
-        ],
-        capsys,
-    )
+def test_tests_tree_is_clean_under_the_test_profile(capsys, monkeypatch):
+    # `make lint-tests` in-process: the recipe's own paths and --relax
+    # specs (the ambient DET and PURE rules for tests/, the race and
+    # lifecycle families for the planted-defect corpus).
+    args = recipe_args("lint-tests")
+    assert args[0] == "tests" and args.count("--relax") == 2
+    monkeypatch.chdir(REPO_ROOT)
+    code, out = run_cli(args, capsys)
     assert code == 0, f"tests/ lint failed under the relaxed profile:\n{out}"
+    assert out.rstrip().endswith(ALL_PASSES)

@@ -6,11 +6,11 @@ from repro.analysis import effects
 from repro.analysis.callgraph import DEFAULT_MAX_K
 from repro.analysis.findings import Severity
 
-from tests.analysis.util import analyze, rule_ids
+from tests.analysis.util import analyze, method_chain, rule_ids
 
 
-def run(source: str, max_k: int = DEFAULT_MAX_K, path: str = "pkg/mod.py"):
-    return analyze(source, effects.run, path=path, max_k=max_k)
+def run(source: str, path: str = "pkg/mod.py"):
+    return analyze(source, effects.run, path=path)
 
 
 # -- RACE101 interprocedural write/write ----------------------------------
@@ -42,10 +42,26 @@ def test_write_write_through_two_hop_helper_chain():
     assert findings[0].severity == Severity.WARNING
 
 
+def _write_write_through(hops: int) -> str:
+    """on_tick reaches its write of ``state`` through *hops* call hops."""
+    return (
+        "class Widget:\n"
+        "    def start(self):\n"
+        "        self.kernel.schedule(1.0, self.on_tick)\n"
+        "        self.kernel.schedule(1.0, self.on_poll)\n"
+        "\n"
+        "    def on_tick(self):\n"
+        "        self._hop1()\n"
+        "\n"
+        "    def on_poll(self):\n"
+        "        self.state = 2\n"
+        "\n" + method_chain(hops, "self.state += 1")
+    )
+
+
 def test_max_k_bounds_the_chain_depth():
-    assert run(TWO_HOP_WW, max_k=1) == []
-    assert run(TWO_HOP_WW, max_k=0) == []
-    assert rule_ids(run(TWO_HOP_WW, max_k=3)) == ["RACE101"]
+    assert rule_ids(run(_write_write_through(DEFAULT_MAX_K))) == ["RACE101"]
+    assert run(_write_write_through(DEFAULT_MAX_K + 1)) == []
 
 
 def test_direct_direct_conflicts_are_left_to_race001():

@@ -2,23 +2,24 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.analysis import cli, hotpath
+from repro.analysis.callgraph import DEFAULT_MAX_K
 from repro.analysis.findings import AnalysisError
 from repro.analysis.hotpath import RootSpec
 from repro.analysis.program import Program, run_passes
 from repro.analysis.walker import load_sources
 
+from tests.analysis.util import method_chain, package_program
 
-def _lint(tmp_path, source, roots, max_k=2, name="mod.py"):
+
+def _lint(tmp_path, source, roots, name="mod.py"):
     path = tmp_path / name
     path.write_text(source, encoding="utf-8")
     files, load_findings = load_sources([str(path)])
     assert load_findings == []
-    return hotpath.run_with_roots(Program(files, max_k), roots)
+    return hotpath.run_with_roots(Program(files), roots)
 
 
 PROPAGATION_SOURCE = '''
@@ -59,9 +60,17 @@ def test_same_code_outside_any_hot_root_is_not_flagged(tmp_path):
 
 
 def test_max_k_bounds_the_propagation(tmp_path):
-    # With k=1 the leaf (two hops down) is outside the budget.
-    findings = _lint(tmp_path, PROPAGATION_SOURCE, [RootSpec("mod", "Widget.entry")], max_k=1)
-    assert findings == []
+    # A leaf DEFAULT_MAX_K hops below the root is hot; one hop deeper it is
+    # outside the budget.
+    def chain(hops):
+        source = "import math\n\n\nclass Widget:\n    def entry(self):\n        self._hop1()\n\n"
+        return source + method_chain(hops, "return math.sqrt(2.0)")
+
+    roots = [RootSpec("mod", "Widget.entry")]
+    findings = _lint(tmp_path, chain(DEFAULT_MAX_K), roots)
+    assert [f.rule.rule_id for f in findings] == ["HOT006"]
+    assert f"-> Widget._hop{DEFAULT_MAX_K}" in findings[0].message
+    assert _lint(tmp_path, chain(DEFAULT_MAX_K + 1), roots) == []
 
 
 def test_declared_root_itself_is_checked(tmp_path):
@@ -176,10 +185,7 @@ def test_default_manifest_is_checked_in_and_parses():
     # resolve_roots skips a root that matches nothing, because a partial
     # lint sees a subset of the tree; over the whole package every root
     # must name a function, or a deleted function's root goes unnoticed.
-    package = os.path.dirname(os.path.dirname(hotpath.__file__))
-    files, load_findings = load_sources([package])
-    assert load_findings == []
-    graph = Program(files, 0).graph
+    graph = package_program().graph
     stale = [spec for spec in specs if not hotpath.resolve_roots(graph, [spec])]
     assert stale == []
 
@@ -188,31 +194,15 @@ def test_default_manifest_is_checked_in_and_parses():
 
 
 def test_cli_hotpath_flag_runs_the_pass(tmp_path, capsys):
-    target = tmp_path / "mod.py"
+    # Every invocation runs the hot pass under the shipped manifest: a
+    # module at a shipped root's dotted path is hot.
+    target = tmp_path / "repro" / "simnet" / "kernel.py"
+    target.parent.mkdir(parents=True)
     target.write_text(
-        "import math\n\n\nclass Hot:\n    def run(self):\n        return math.sqrt(2.0)\n",
+        "import math\n\n\nclass SimKernel:\n    def run(self):\n        return math.sqrt(2.0)\n",
         encoding="utf-8",
     )
-    manifest = tmp_path / "roots.manifest"
-    manifest.write_text("mod:Hot.run\n", encoding="utf-8")
-    code = cli.main(
-        [
-            str(target),
-            "--passes", "hot",
-            "--hotpath",
-            "--hot-manifest", str(manifest),
-            "--strict",
-        ]
-    )
+    code = cli.main([str(target)])
     out = capsys.readouterr().out
-    assert code == 1  # warnings gate under --strict
+    assert code == 1  # warnings gate
     assert "HOT006" in out
-
-
-def test_cli_dogfood_hotpath_is_clean_over_src():
-    # The acceptance bar: the shipped manifest over src/repro yields
-    # zero unsuppressed hot findings (fixed or annotated reviewed-benign).
-    files, load_findings = load_sources([os.path.join("src", "repro")])
-    assert load_findings == []
-    findings = run_passes(files, [hotpath.run])
-    assert findings == []

@@ -46,7 +46,7 @@ def double(item):
 """
 
 
-def _lint(tmp_path, monkeypatch, *extra):
+def _lint(tmp_path, monkeypatch):
     """Lint a two-module tree; returns (rule ids, build counts, direct-summary counts)."""
     (tmp_path / "plant.py").write_text(PLANT, encoding="utf-8")
     (tmp_path / "tasks.py").write_text(TASKS, encoding="utf-8")
@@ -70,25 +70,16 @@ def _lint(tmp_path, monkeypatch, *extra):
     monkeypatch.setattr(summaries, "direct_effects", direct)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main([str(tmp_path), "--format", "json", *extra])
+        cli.main([str(tmp_path), "--format", "json"])
     rules = sorted(f["rule"] for f in json.loads(out.getvalue())["findings"])
     return rules, builds, directs
 
 
 def test_all_six_passes_build_graph_models_and_summaries_once(tmp_path, monkeypatch):
-    rules, builds, directs = _lint(
-        tmp_path, monkeypatch, "--passes", "det,com,race,effects,hot,life"
-    )
+    rules, builds, directs = _lint(tmp_path, monkeypatch)
     assert rules == ["PURE001", "RACE101"]
     assert builds == {"graph": 1, "models": 1}
     # Every function summarised (the handlers for RACE001-003 and the
     # whole graph for propagation), none of them twice.
     assert len(directs) == 8
     assert set(directs.values()) == {1}
-
-
-def test_default_passes_summarise_only_the_handlers(tmp_path, monkeypatch):
-    rules, builds, directs = _lint(tmp_path, monkeypatch)
-    assert rules == []
-    assert builds == {"models": 1}  # no call graph
-    assert sorted(qualname for _, qualname, _ in directs) == ["Pump._close", "Pump._open"]

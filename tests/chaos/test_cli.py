@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.chaos.cli import main
 from repro.chaos.report import JSON_SCHEMA
 
@@ -18,7 +20,7 @@ def test_small_campaign_passes(capsys):
 
 
 def test_json_report_schema(capsys):
-    code, out = run_cli(capsys, "--seeds", "1", "--schedules", "1", "--json")
+    code, out = run_cli(capsys, "--seeds", "1", "--schedules", "1", "--format", "json")
     assert code == 0
     document = json.loads(out)
     assert document["schema"] == JSON_SCHEMA
@@ -31,7 +33,7 @@ def test_json_report_schema(capsys):
 
 
 def test_self_test_catches_sabotage_and_minimizes(capsys):
-    code, out = run_cli(capsys, "--self-test", "--json")
+    code, out = run_cli(capsys, "--self-test", "--format", "json")
     assert code == 1
     document = json.loads(out)
     assert document["mode"] == "self-test"
@@ -50,7 +52,7 @@ def test_self_test_catches_sabotage_and_minimizes(capsys):
 def test_drift_campaign_green_with_and_without_policy(capsys):
     code, out = run_cli(capsys, "--drift", "crashy", "--seeds", "1")
     assert code == 0
-    code, out = run_cli(capsys, "--drift", "crashy", "--policy", "--seeds", "1", "--json")
+    code, out = run_cli(capsys, "--drift", "crashy", "--policy", "--seeds", "1", "--format", "json")
     assert code == 0
     document = json.loads(out)
     assert document["mode"] == "drift:crashy"
@@ -77,17 +79,21 @@ def test_governed_thrash_schedule_is_green_without_sabotage():
 
 
 def test_same_invocation_is_byte_identical(capsys):
-    _, first = run_cli(capsys, "--seeds", "1", "--schedules", "2", "--json")
-    _, second = run_cli(capsys, "--seeds", "1", "--schedules", "2", "--json")
+    _, first = run_cli(capsys, "--seeds", "1", "--schedules", "2", "--format", "json")
+    _, second = run_cli(capsys, "--seeds", "1", "--schedules", "2", "--format", "json")
     assert first == second
 
 
 def test_usage_error_exit_code(capsys):
     assert main(["--seeds", "0"]) == 2
+    # JSON output has one spelling, --format json.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--json"])
+    assert exit_info.value.code == 2
 
 
 def test_out_writes_report_file(tmp_path, capsys):
     target = tmp_path / "report.json"
-    code, out = run_cli(capsys, "--seeds", "1", "--schedules", "1", "--json", "--out", str(target))
+    code, out = run_cli(capsys, "--seeds", "1", "--schedules", "1", "--format", "json", "--out", str(target))
     assert code == 0
     assert target.read_text(encoding="utf-8") == out

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 
+import pytest
+
 from repro.replay import cli
 from repro.replay.report import JSON_SCHEMA, outcome_counts, render_json, render_text
 from repro.replay.runner import run_twice_and_diff
@@ -44,6 +46,10 @@ def test_unknown_subject_is_usage_error(capsys):
     code, out = run_cli(["no-such-subject"], capsys)
     assert code == 2
     assert "unknown subject" in out
+    # JSON output has one spelling, --format json.
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--json"])
+    assert exit_info.value.code == 2
 
 
 def test_diverging_subject_gates_and_names_the_fork(monkeypatch, capsys):
