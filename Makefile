@@ -1,13 +1,16 @@
 # Developer entry points.  `make verify` is the CI gate: tier-1 tests
-# (which include the parallel-equivalence tests of tests/perf, see
-# PERF.md), the static-analysis toolkit (see ANALYSIS.md), the dynamic
-# replay-divergence gate (see REPLAY.md), the chaos smoke campaign
-# (see CHAOS.md), and the paper-claim checks of every experiment (see
-# EXPERIMENTS.md).
+# (which run every registered experiment once against its golden digest
+# and paper claim, see EXPERIMENTS.md, and include the
+# parallel-equivalence tests of tests/perf, see PERF.md), the
+# static-analysis toolkit over src and tests (see ANALYSIS.md), the
+# dynamic replay-divergence gate (see REPLAY.md), the chaos smoke
+# campaign under every replication strategy, the adaptive-policy drift
+# campaign and the sabotage self-test (see CHAOS.md), the bench-report
+# diff (see PERF.md), and the end-to-end benchmark's self-tests.
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix bench bench-diff e2e-selftest experiments verify
+.PHONY: test lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix bench bench-diff e2e-selftest verify
 
 test:
 	$(PY) -m pytest -x -q
@@ -68,8 +71,8 @@ strategy-matrix: chaos
 # violation-free under the adaptive policy (runtime strategy switches
 # included, flapping/thrash monitors live).  The dominance half of the
 # gate (adaptive beats every static policy on mean recovery latency at
-# an equal-or-lower spurious-failover count) runs as S3's check under
-# `make experiments`.
+# an equal-or-lower spurious-failover count) is S3's check, which the
+# tier-1 tests run (`make test`).
 policy-matrix:
 	$(PY) -m repro.chaos --drift mixed --policy --seeds 3 --jobs 2
 
@@ -95,10 +98,4 @@ bench-diff:
 e2e-selftest:
 	python3 -m pytest e2ebench -q
 
-# Every registered experiment run once and checked against its paper
-# claim, plus the availability and parallel-campaign benches (~15 s).
-# The tables land in .bench_build/experiment_tables.txt.
-experiments:
-	$(PY) -m pytest benchmarks -q --benchmark-disable
-
-verify: test lint lint-tests replay strategy-matrix policy-matrix chaos-selftest bench-diff e2e-selftest experiments
+verify: test lint lint-tests replay strategy-matrix policy-matrix chaos-selftest bench-diff e2e-selftest

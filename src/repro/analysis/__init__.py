@@ -43,6 +43,8 @@ from repro.analysis.walker import SourceFile, load_sources
 from repro.analysis import comcheck as _comcheck  # noqa: F401  (registers COM*)
 from repro.analysis import determinism as _determinism  # noqa: F401  (registers DET*)
 from repro.analysis import effects as _effects  # noqa: F401  (registers RACE1xx/PURE*)
+from repro.analysis import hotpath as _hotpath  # noqa: F401  (registers HOT*)
+from repro.analysis import lifecycle as _lifecycle  # noqa: F401  (registers LIFE*)
 from repro.analysis import races as _races  # noqa: F401  (registers RACE00x)
 
 __all__ = [

@@ -26,7 +26,6 @@ from repro.chaos.cli import campaign
 from repro.chaos.report import render_json as chaos_render_json
 from repro.apps.synthetic import SyntheticStateApp
 from repro.harness.scenario import build_pair_env
-from repro.perf.executor import warm_pool
 from repro.replay.runner import checkpoint_roundtrip
 from repro.replay.subjects import run_subject
 from repro.simnet.kernel import SimKernel
@@ -202,25 +201,16 @@ def bench_chaos_campaign(profile: str, jobs: int) -> Dict[str, Any]:
     byte-for-byte or the bench itself reports ``byte_identical: false``.
     """
     seeds, schedules = CAMPAIGN_SHAPE[profile]
+    # Both halves record best-of-two: a one-shot wall time on a busy
+    # host gates the diff on scheduler noise, not on the code.  Each
+    # parallel campaign spawns its own pool, so its wall time includes
+    # worker startup.
     serial, serial_a = _timed(lambda: campaign(seeds, schedules, 0, jobs=1))
     _, serial_b = _timed(lambda: campaign(seeds, schedules, 0, jobs=1))
+    first, parallel_a = _timed(lambda: campaign(seeds, schedules, 0, jobs=jobs))
+    parallel, parallel_b = _timed(lambda: campaign(seeds, schedules, 0, jobs=jobs))
     serial_seconds = min(serial_a, serial_b)
-    # Spawn-overhead attribution: worker startup is a one-time cost of
-    # the *process*, not of any particular campaign (the persistent pool
-    # amortizes it across every later fan-out), so it is measured and
-    # reported separately instead of being silently folded into — or
-    # silently excluded from — the parallel wall time.
-    _, spawn_seconds = _timed(lambda: warm_pool(jobs))
-    # The first dispatch additionally pays each worker's module imports
-    # (the task function is pickled by reference, so workers import the
-    # repro package on first use).  With a persistent pool both costs
-    # are paid once per process, so they are attributed separately and
-    # the steady-state parallel wall is measured on a later campaign.
-    # Both halves record best-of-two: a one-shot wall time on a busy
-    # host gates the diff on scheduler noise, not on the code.
-    first, first_seconds = _timed(lambda: campaign(seeds, schedules, 0, jobs=jobs))
-    parallel, second_seconds = _timed(lambda: campaign(seeds, schedules, 0, jobs=jobs))
-    parallel_seconds = min(first_seconds, second_seconds)
+    parallel_seconds = min(parallel_a, parallel_b)
     serial_json = chaos_render_json(serial)
     return {
         "name": "chaos-campaign",
@@ -234,12 +224,6 @@ def bench_chaos_campaign(profile: str, jobs: int) -> Dict[str, Any]:
         "measured": {
             "serial_wall_s": round(serial_seconds, 4),
             "parallel_wall_s": round(parallel_seconds, 4),
-            # Neutral keys on purpose (no ``_s`` suffix): attribution
-            # info for the one-time spawn and first-dispatch worker
-            # imports, in seconds — interpreter startup variance should
-            # not gate the diff.
-            "pool_spawn_overhead": round(spawn_seconds, 4),
-            "worker_import_overhead": round(max(first_seconds - second_seconds, 0.0), 4),
             "speedup": round(serial_seconds / parallel_seconds, 2) if parallel_seconds > 0 else 0.0,
         },
     }

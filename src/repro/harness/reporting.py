@@ -1,8 +1,7 @@
 """Plain-text rendering of experiment results.
 
-``run_experiments`` and the benchmarks both print through
-:func:`format_result`, so either one regenerates the tables recorded in
-EXPERIMENTS.md.
+``run_experiments`` prints through :func:`format_result`, which renders
+the tables recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

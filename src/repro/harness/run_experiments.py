@@ -32,7 +32,8 @@ from repro.perf.executor import add_jobs_argument, parallel_map
 from repro.simnet.trace import canonical_value
 
 #: The one definition of every experiment: id -> (title, runner).  The
-#: benchmarks and the golden test parametrize over these ids.
+#: tier-1 test ``tests/integration/test_experiments.py`` runs each id
+#: once and checks its golden digest and its paper claim.
 EXPERIMENTS: Dict[str, Tuple[str, Callable[[], Any]]] = {
     "F1": ("F1a/F1b: reference configurations under node failure", lambda: E.exp_reference_configs(seed=3)),
     "F2": ("F2: Figure 2 architecture — live component counters", lambda: E.exp_architecture(seed=7)),
@@ -48,6 +49,7 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable[[], Any]]] = {
     "A1": ("A1: NIC failure with single vs dual Ethernet", lambda: E.exp_ablation_dual_lan(seed=51)),
     "A2": ("A2: false takeovers vs heartbeat timeout on lossy links", lambda: E.exp_ablation_heartbeat_loss(seed=53)),
     "A3": ("A3: checkpoint period vs traffic vs staleness bound", lambda: E.exp_ablation_checkpoint_period(seed=55)),
+    "A4": ("A4: availability over 12 mixed §4 faults with repairs", lambda: E.exp_availability(seed=71, rounds=3)),
     "BL": ("BL: monitoring blackout across a station power-off (F1a)", lambda: E.exp_scada_blackout(seed=9)),
     "S1": ("S1: detector sensitivity, miss threshold x heartbeat timeout", lambda: E.exp_detector_sweep(seeds=4, schedules=3)),
     "S2": ("S2: replication strategies under primary and total pair loss", lambda: E.exp_strategy_comparison(seeds=3)),

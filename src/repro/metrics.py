@@ -1,4 +1,4 @@
-"""Measurement helpers shared by tests and benchmarks.
+"""Measurement helpers shared by tests and experiment runners.
 
 Everything works off the structured :class:`~repro.simnet.trace.TraceLog`
 the whole stack emits into, plus direct sampling of pair state, so the

@@ -17,30 +17,21 @@ The executor adds the remaining guarantees:
   :mod:`multiprocessing` at all; it is a plain in-process loop, so the
   existing single-core gates behave exactly as before.
 
-The worker pool is **persistent**: the first parallel call spawns it,
-and every later call with the same worker count reuses it, so a command
-that fans out many times (campaign then replay check, the bench suite)
-pays the spawn cost once instead of per call.  Reuse is sound
-*because* of the purity contract above — the oftt-lint PURE001–004
-pass rejects tasks that write module state, so a worker that already ran
-ten tasks is indistinguishable from a fresh one.  (A task that mutated
-its worker would already diverge from the serial run; pooling adds no
-new failure mode, it just makes the existing contract load-bearing.)
+Each parallel call opens its own pool and shuts it down before
+returning, so no worker outlives the call that spawned it and no call
+sees another's workers.  The CLIs fan out once per campaign they run,
+so a pool kept between calls would only save repeat spawns.
 
 Task functions must be module-level (pickled by reference) and their
 arguments and results must be picklable.  Exceptions raised in a worker
-propagate out of :func:`parallel_map` in the parent; a worker *crash*
-(:class:`BrokenProcessPool`) tears the pool down so the next call starts
-clean.
+propagate out of :func:`parallel_map` in the parent.
 """
 
 from __future__ import annotations
 
 import argparse
-import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable, List, Optional, TypeVar
 
@@ -50,17 +41,13 @@ R = TypeVar("R")
 #: Start method used for worker processes.  ``spawn`` (not ``fork``)
 #: is deliberate: a forked worker would inherit the parent's entire
 #: address space — exactly the ambient state the determinism contract
-#: forbids.  The cost is one interpreter start per worker, paid once
-#: per process thanks to the persistent pool.
+#: forbids.  The cost is one interpreter start per worker per call.
 START_METHOD = "spawn"
 
-#: Target chunks per worker when the caller lets chunksize default.
-#: Larger chunks amortize IPC per task; a few chunks per worker keeps
-#: the tail balanced when task durations vary.
+#: Target chunks per worker.  Larger chunks amortize IPC per task; a
+#: few chunks per worker keeps the tail balanced when task durations
+#: vary.
 _CHUNKS_PER_WORKER = 4
-
-_pool: Optional[ProcessPoolExecutor] = None
-_pool_workers = 0
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -77,89 +64,21 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    """The shared pool, (re)spawned only when the worker count changes."""
-    global _pool, _pool_workers
-    if _pool is not None and _pool_workers != workers:
-        _pool.shutdown(wait=True)
-        _pool = None
-    if _pool is None:
-        _pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context(START_METHOD)
-        )
-        _pool_workers = workers
-    return _pool
-
-
-def shutdown_pool() -> None:
-    """Tear down the persistent pool (idempotent; next call respawns).
-
-    Registered via :mod:`atexit` so interpreter shutdown never leaves
-    spawn workers behind; tests and benchmarks may also call it directly
-    to measure or isolate cold-start behaviour.
-    """
-    global _pool, _pool_workers
-    if _pool is not None:
-        _pool.shutdown(wait=True)
-        _pool = None
-        _pool_workers = 0
-
-
-atexit.register(shutdown_pool)
-
-
-def warm_pool(jobs: Optional[int]) -> int:
-    """Pre-spawn the pool for *jobs* workers; returns the worker count.
-
-    Spawning interpreters is the executor's only non-amortized cost, so
-    latency-sensitive callers (and honest benchmarks, which must not
-    blame steady-state throughput for one-time startup) can front-load
-    it.  A no-op for the serial path.
-    """
-    workers = resolve_jobs(jobs)
-    if workers > 1:
-        pool = _get_pool(workers)
-        list(pool.map(_noop_task, range(workers)))
-    return workers
-
-
-def _noop_task(_: int) -> None:
-    """Minimal picklable task used to force worker startup."""
-    return None
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-) -> List[R]:
+def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> List[R]:
     """Apply *fn* to every item, fanning out over *jobs* worker processes.
 
     Results are returned in input order regardless of completion order
     or chunking, which is what makes the merged output independent of
-    worker count.  With ``jobs=1`` (the default) this is a plain serial
-    loop.  *chunksize* defaults to a few chunks per worker; any value
-    yields the same results in the same order.
+    worker count.  With ``jobs=1`` (the default), or fewer than two
+    items, this is a plain serial loop and no pool is built.
     """
     tasks: List[T] = list(items)
     workers = resolve_jobs(jobs)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    if chunksize is None:
-        chunksize = max(1, len(tasks) // (workers * _CHUNKS_PER_WORKER))
-    # The pool is sized by *jobs*, not by this call's task count: a
-    # short task list leaves workers idle rather than respawning a
-    # smaller pool (pool identity is what makes reuse pay).
-    pool = _get_pool(workers)
-    try:
+    chunksize = max(1, len(tasks) // (workers * _CHUNKS_PER_WORKER))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context(START_METHOD)) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
-    except BrokenProcessPool:
-        # A worker died mid-task (OOM-kill, segfaulting C extension, …).
-        # The pool object is unusable from here on; drop it so the next
-        # parallel_map starts from a clean spawn instead of failing.
-        shutdown_pool()
-        raise
 
 
 def _jobs_value(text: str) -> int:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.analysis import determinism, races
 from repro.analysis.findings import Severity
@@ -10,6 +13,8 @@ from repro.analysis.report import JSON_SCHEMA, render_json, render_text, severit
 from repro.analysis.walker import load_sources
 
 from tests.analysis.util import analyze, make_file, rule_ids
+
+REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 VIOLATION = """
 import time
@@ -199,3 +204,19 @@ def test_severity_counts_cover_warnings():
     )
     assert [f.severity for f in findings] == [Severity.WARNING]
     assert severity_counts(findings) == {"error": 0, "warning": 1, "info": 0}
+
+
+def test_library_caller_knows_every_rule_slug():
+    # A fresh interpreter that imports only the package and one pass must
+    # still know the hot/life slugs that src/repro's suppressions name;
+    # an unknown slug would surface as a GEN002 bad-suppression error.
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, 'src')\n"
+        "from repro.analysis import determinism, load_sources, run_passes\n"
+        "files, _ = load_sources(['src/repro'])\n"
+        "print(sorted({f.rule.rule_id for f in run_passes(files, [determinism.run])}))\n"
+    )
+    completed = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "[]\n"
