@@ -8,8 +8,7 @@ Three forms, all anchored on ``# oftt-lint:``:
   keeps long statements readable.  ``ok`` with no bracket suppresses
   every rule on the line (use sparingly).
 * ``# oftt-lint: file-ok[slug,...]`` — anywhere in the file: suppress the
-  named rules for the whole file (e.g. the experiment harness is allowed
-  ``ambient-io``).
+  named rules for the whole file.
 * ``# oftt-lint: skip-file`` — exclude the file from analysis entirely.
 
 Unknown rule names in a suppression are themselves reported (GEN002), so
@@ -68,9 +67,13 @@ def parse_suppressions(path: str, source: str) -> Suppressions:
 
     Using :mod:`tokenize` (not a regex over raw lines) means directives
     inside string literals are ignored, so fixture snippets embedded in
-    test files do not suppress anything in the host file.
+    test files do not suppress anything in the host file.  Every
+    directive contains the text ``oftt-lint``, so a source without it is
+    not tokenized at all.
     """
     result = Suppressions()
+    if "oftt-lint" not in source:
+        return result
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):

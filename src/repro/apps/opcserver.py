@@ -26,11 +26,12 @@ class OpcServerApp(OfttApplication):
     """Runs an OPC server (plus PLC bridge) under OFTT protection."""
 
     name = "opc-server"
+    #: How often the bridge polls the PLC into the server (ms).
+    poll_period = 100.0
 
-    def __init__(self, plc: PLC, poll_period: float = 100.0, server_name: str = "OPC.Device.1") -> None:
+    def __init__(self, plc: PLC, server_name: str = "OPC.Device.1") -> None:
         super().__init__()
         self.plc = plc
-        self.poll_period = poll_period
         self.server_name = server_name
         self.api: Optional[OfttApi] = None
         self.server: Optional[OpcServer] = None

@@ -42,6 +42,8 @@ class ScadaMonitorApp(OfttApplication):
     """OFTT-protected SCADA monitoring/control OPC client."""
 
     name = "scada-monitor"
+    #: Samples kept per item in the checkpointed trend.
+    trend_depth = 50
 
     def __init__(
         self,
@@ -49,17 +51,14 @@ class ScadaMonitorApp(OfttApplication):
         items: Optional[List[str]] = None,
         alarms: Optional[List[AlarmRule]] = None,
         update_rate: float = 200.0,
-        trend_depth: int = 50,
     ) -> None:
         super().__init__()
         self.server_ref = server_ref
         self.items = list(items or [])
         self.alarms = {rule.item_id: rule for rule in (alarms or [])}
         self.update_rate = update_rate
-        self.trend_depth = trend_depth
         self.api: Optional[OfttApi] = None
         self.client: Optional[OpcClient] = None
-        self.connect_failures = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -116,7 +115,6 @@ class ScadaMonitorApp(OfttApplication):
                 yield from self.client.connect_remote(self.server_ref)
                 break
             except Exception:  # noqa: BLE001 - RPC failures, retried
-                self.connect_failures += 1
                 yield Timeout(1_000.0)
         if self.items:
             # Group names must be unique server-wide; a failover peer (or a

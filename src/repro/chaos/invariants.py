@@ -407,10 +407,11 @@ class ReplicaFreshnessMonitor(InvariantMonitor):
     """
 
     name = "replica-freshness"
+    #: How long the follower may stall on one target sequence (ms).
+    grace = 5_000.0
 
-    def __init__(self, grace: float = 5_000.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.grace = grace
         self._enabled = False
         self._submitted: Dict[str, int] = {}  # node -> last submitted seq
         self._stored: Dict[str, int] = {}  # node -> max peer seq stored

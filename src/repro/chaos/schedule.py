@@ -261,59 +261,52 @@ _TEMPLATES: List[Any] = [
 ]
 
 
+#: Faults are injected in ``[WINDOW_START, WINDOW_START + WINDOW]`` (ms).
+WINDOW_START = 2_000.0
+WINDOW = 18_000.0
+#: A destructive entry's repair lands up to this long after it (ms).
+REPAIR_DELAY = 4_000.0
+#: Chance that the next fault lands within ``BURST_GAP`` ms of the last.
+BURST_PROB = 0.3
+BURST_GAP = 500.0
+#: Faults per schedule, inclusive bounds.
+MIN_FAULTS = 2
+MAX_FAULTS = 4
+
+
 class ScheduleGenerator:
     """Samples randomized fault schedules for one testbed topology.
 
     All randomness comes from the seeded ``random.Random`` passed in, so
     (seed, index) fully determines each schedule.  Burst behaviour: with
-    probability ``burst_prob`` the next fault lands within ``burst_gap``
+    probability ``BURST_PROB`` the next fault lands within ``BURST_GAP``
     of the previous one (correlated failures); otherwise injection times
     are independent uniform draws over the fault window.
     """
 
-    def __init__(
-        self,
-        nodes: List[str],
-        links: List[str],
-        process: str,
-        rng: random.Random,
-        window: float = 18_000.0,
-        window_start: float = 2_000.0,
-        repair_delay: float = 4_000.0,
-        burst_prob: float = 0.3,
-        burst_gap: float = 500.0,
-        min_faults: int = 2,
-        max_faults: int = 4,
-    ) -> None:
+    def __init__(self, nodes: List[str], links: List[str], process: str, rng: random.Random) -> None:
         self.nodes = list(nodes)
         self.links = list(links)
         self.process = process
         self.rng = rng
-        self.window = window
-        self.window_start = window_start
-        self.repair_delay = repair_delay
-        self.burst_prob = burst_prob
-        self.burst_gap = burst_gap
-        self.min_faults = min_faults
-        self.max_faults = max_faults
 
     def generate(self) -> ChaosSchedule:
         """Sample one schedule (advances the RNG)."""
-        count = self.rng.randint(self.min_faults, self.max_faults)
+        count = self.rng.randint(MIN_FAULTS, MAX_FAULTS)
         entries: List[FaultEntry] = []
-        previous_at = self.window_start
+        previous_at = WINDOW_START
         for _ in range(count):
-            if entries and self.rng.random() < self.burst_prob:
-                at = min(previous_at + self.rng.uniform(0.0, self.burst_gap), self.window_start + self.window)
+            if entries and self.rng.random() < BURST_PROB:
+                at = min(previous_at + self.rng.uniform(0.0, BURST_GAP), WINDOW_START + WINDOW)
             else:
-                at = self.rng.uniform(self.window_start, self.window_start + self.window)
+                at = self.rng.uniform(WINDOW_START, WINDOW_START + WINDOW)
             at = round(at, 1)
             previous_at = at
             entries.extend(self._emit(at))
-        # Settle budget: repairs land at most repair_delay after the last
+        # Settle budget: repairs land at most REPAIR_DELAY after the last
         # fault; leave a recovery tail beyond that before the horizon.
         last = max(entry.at for entry in entries)
-        horizon = round(last + self.repair_delay + 12_000.0, 1)
+        horizon = round(last + REPAIR_DELAY + 12_000.0, 1)
         return ChaosSchedule(entries=entries, horizon=horizon)
 
     # -- template emission -------------------------------------------------------
@@ -330,7 +323,7 @@ class ScheduleGenerator:
                 break
         node = self.rng.choice(self.nodes)
         link = self.rng.choice(self.links)
-        repair_at = round(at + self.rng.uniform(self.repair_delay / 2.0, self.repair_delay), 1)
+        repair_at = round(at + self.rng.uniform(REPAIR_DELAY / 2.0, REPAIR_DELAY), 1)
         if name == "app-crash":
             return [FaultEntry(at, "app-crash", {"node": node, "process": self.process})]
         if name == "app-hang":

@@ -10,7 +10,7 @@ that DCOM's "RPC service does not behave well in the presence of
 failures"):
 
 * Target **node dead / partitioned** — no response at all; the caller
-  waits out the full ``rpc_timeout`` (default 2000 ms, DCOM-like) before
+  waits out the full :data:`RPC_TIMEOUT` (2000 ms, DCOM-like) before
   seeing ``RPC_E_TIMEOUT``.  This is why OFTT needs its own fast
   heartbeat-based failure detection.
 * Target **process dead but node alive** — the service answers quickly
@@ -43,6 +43,11 @@ from repro.simnet.kernel import SimKernel
 from repro.simnet.network import Message, NetNode, Network
 
 ORPC_PORT = "dcom.orpc"
+#: How long a call or an activation waits for its reply before
+#: ``RPC_E_TIMEOUT`` (ms).
+RPC_TIMEOUT = 2000.0
+#: How long a liveness ping waits for its answer (ms).
+PING_TIMEOUT = 500.0
 
 
 @dataclass(slots=True)
@@ -80,11 +85,10 @@ class _Export:
 class DcomExporter:
     """The per-node ORPC service (RPCSS stand-in)."""
 
-    def __init__(self, kernel: SimKernel, network: Network, node: NetNode, rpc_timeout: float = 2000.0) -> None:
+    def __init__(self, kernel: SimKernel, network: Network, node: NetNode) -> None:
         self.kernel = kernel
         self.network = network
         self.node = node
-        self.rpc_timeout = rpc_timeout
         # oids and call ids are seeded from the exporter's creation time:
         # a replacement exporter (node reinstall rebinds the ORPC port)
         # must never mint an oid that aliases an ObjRef still held by a
@@ -151,7 +155,7 @@ class DcomExporter:
             "args": wire_args,
         }
         timer = self.kernel.schedule(
-            timeout if timeout is not None else self.rpc_timeout, self._on_timeout, call_id
+            timeout if timeout is not None else RPC_TIMEOUT, self._on_timeout, call_id
         )
         self._pending[call_id] = (done, timer)
         sent = self.network.send(self.node.name, objref.node, ORPC_PORT, request, size=64 + size)
@@ -174,17 +178,17 @@ class DcomExporter:
         }
         return self.network.send(self.node.name, objref.node, ORPC_PORT, request, size=64 + size)
 
-    def check_liveness(self, objref: ObjRef, timeout: float = 500.0) -> Event:
+    def check_liveness(self, objref: ObjRef) -> Event:
         """DCOM-style ping: is the exported object still served?
 
         Fires an :class:`RpcResult` whose value is True/False; an
         unanswered ping (dead node, partition) resolves to a *failed*
-        result after *timeout*.  This is the distributed-GC ping
+        result after :data:`PING_TIMEOUT`.  This is the distributed-GC ping
         machinery real DCOM runs to collect references to dead clients.
         """
         call_id = next(self._call_counter)
         done = Event(name=f"ping:{objref.label}:{call_id}")
-        timer = self.kernel.schedule(timeout, self._on_timeout, call_id)
+        timer = self.kernel.schedule(PING_TIMEOUT, self._on_timeout, call_id)
         self._pending[call_id] = (done, timer)
         self.network.send(
             self.node.name,
@@ -209,7 +213,7 @@ class DcomExporter:
             "progid": progid,
         }
         timer = self.kernel.schedule(
-            timeout if timeout is not None else self.rpc_timeout, self._on_timeout, call_id
+            timeout if timeout is not None else RPC_TIMEOUT, self._on_timeout, call_id
         )
         self._pending[call_id] = (done, timer)
         self.network.send(self.node.name, node_name, ORPC_PORT, request, size=96)

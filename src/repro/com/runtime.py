@@ -26,10 +26,10 @@ from repro.simnet.network import Network
 class ComRuntime:
     """COM library services for one node."""
 
-    def __init__(self, system: NTSystem, network: Network, rpc_timeout: float = 2000.0) -> None:
+    def __init__(self, system: NTSystem, network: Network) -> None:
         self.system = system
         self.network = network
-        self.exporter = DcomExporter(system.kernel, network, system.node, rpc_timeout=rpc_timeout)
+        self.exporter = DcomExporter(system.kernel, network, system.node)
         self.exporter.activation_handler = self._activate
         self._classes: Dict[GUID, ClassFactory] = {}
         self._progids: Dict[str, GUID] = {}

@@ -88,7 +88,6 @@ class DiverterClient:
         self.sent_count = 0
         self.mirrored_count = 0
         self.redirect_count = 0
-        self.role_changes_seen = 0
         self._listeners: List[Callable[[str], None]] = []
         node.bind(DIVERTER_PORT, self._on_notice)
 
@@ -100,7 +99,6 @@ class DiverterClient:
             return
         if payload["node"] not in self.pair_nodes:
             return
-        self.role_changes_seen += 1
         if payload["role"] == "primary":
             self._set_primary(payload["node"])
         elif payload["role"] == "backup" and self.primary == payload["node"]:

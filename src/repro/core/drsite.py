@@ -73,8 +73,6 @@ class DRSite:
         self.last_pair_signal: Optional[float] = None
         self.active = False
         self.activations = 0
-        self.activated_at: Optional[float] = None
-        self.recovered_image: Optional[Dict[str, Dict[str, Any]]] = None
         # Armed on standdown: the pair came back, possibly rebooted with
         # fresh checkpoint sequences, so its next full checkpoint starts a
         # new chain instead of being rejected as stale.
@@ -144,9 +142,7 @@ class DRSite:
     def _activate(self, silence: float) -> None:
         self.active = True
         self.activations += 1
-        self.activated_at = self.kernel.now
-        image, replayed = self.reconstruct()
-        self.recovered_image = image
+        _image, replayed = self.reconstruct()
         self.trace.emit(
             "drsite",
             self.node_name,
@@ -158,7 +154,6 @@ class DRSite:
 
     def _stand_down(self) -> None:
         self.active = False
-        self.activated_at = None
         self._rebase_pending = True
         self.trace.emit("drsite", self.node_name, "dr-standdown")
 

@@ -177,7 +177,6 @@ class OfttEngine(ComObject):
         self.degraded = False
         self.switchover_count = 0
         self.local_restart_count = 0
-        self._pending_takeover: Optional[int] = None
         self._dual_backup_streak = 0
         #: Wire size of every checkpoint submitted (pre-merge, so
         #: incremental deltas report their actual transfer cost).
@@ -472,7 +471,6 @@ class OfttEngine(ComObject):
             return
         self.switchover_count += 1
         takeover_id = next(self._takeover_ids)
-        self._pending_takeover = takeover_id
         self.trace.emit("engine", self.node_name, "switchover-initiated", reason=reason, takeover_id=takeover_id)
         # Stop the local copies FIRST (single-primary safety), then hand off.
         self._stop_all_applications()

@@ -1,4 +1,4 @@
-"""Field devices: sensors, actuators, valves."""
+"""Field devices: sensors and actuators."""
 
 from __future__ import annotations
 
@@ -61,47 +61,3 @@ class Actuator(Device):
             raise IOError(f"actuator {self.name} failed")
         self.commanded = float(value)
         self.write_count += 1
-
-
-class Valve(Device):
-    """A discrete valve with travel time between open and closed.
-
-    ``position`` ramps between 0.0 (closed) and 1.0 (open); callers advance
-    it by polling :meth:`position_at` during PLC scans.
-    """
-
-    def __init__(self, name: str, travel_time: float = 2000.0, initially_open: bool = False) -> None:
-        super().__init__(name)
-        self.travel_time = max(travel_time, 1e-9)
-        self.target = 1.0 if initially_open else 0.0
-        self._position = self.target
-        self._last_update = 0.0
-
-    def command(self, open_valve: bool, time: float) -> None:
-        """Start moving towards open/closed."""
-        if not self.healthy:
-            raise IOError(f"valve {self.name} failed")
-        self.position_at(time)  # settle position up to now
-        self.target = 1.0 if open_valve else 0.0
-
-    def position_at(self, time: float) -> float:
-        """Valve position in [0, 1] at *time* (advances internal state)."""
-        elapsed = max(0.0, time - self._last_update)
-        self._last_update = time
-        max_travel = elapsed / self.travel_time
-        delta = self.target - self._position
-        if abs(delta) <= max_travel:
-            self._position = self.target
-        else:
-            self._position += max_travel if delta > 0 else -max_travel
-        return self._position
-
-    @property
-    def fully_open(self) -> bool:
-        """Whether the valve has reached the open position."""
-        return self._position >= 1.0 - 1e-9
-
-    @property
-    def fully_closed(self) -> bool:
-        """Whether the valve has reached the closed position."""
-        return self._position <= 1e-9

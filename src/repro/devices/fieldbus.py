@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.devices.device import Actuator, Device, Sensor, Valve
+from repro.devices.device import Actuator, Device, Sensor
 
 
 class Fieldbus:
@@ -68,16 +68,6 @@ class Fieldbus:
         if not isinstance(device, Actuator):
             raise TypeError(f"{name} is not an actuator")
         device.write(value)
-
-    def command_valve(self, name: str, open_valve: bool, time: float) -> None:
-        """Command a valve through the bus."""
-        if not self.up:
-            raise IOError(f"fieldbus {self.name} down")
-        self.write_count += 1
-        device = self.device(name)
-        if not isinstance(device, Valve):
-            raise TypeError(f"{name} is not a valve")
-        device.command(open_valve, time)
 
     def fail(self) -> None:
         """Take the bus down (comm failure)."""

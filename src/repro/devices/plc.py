@@ -59,9 +59,9 @@ class PLC:
         """Append a rung of user logic to the scan."""
         self.logic.append(logic)
 
-    def map_output(self, point: str, initial: float = 0.0) -> None:
-        """Declare an output point (named after its actuator)."""
-        self.outputs[point] = initial
+    def map_output(self, point: str) -> None:
+        """Declare an output point (named after its actuator), initially 0."""
+        self.outputs[point] = 0.0
 
     # -- scan loop -----------------------------------------------------------
 

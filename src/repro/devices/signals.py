@@ -29,32 +29,17 @@ class Constant(SignalModel):
 
 
 class Sine(SignalModel):
-    """Sinusoid: offset + amplitude * sin(2*pi*time/period + phase)."""
+    """Sinusoid: offset + amplitude * sin(2*pi*time/period)."""
 
-    def __init__(self, offset: float = 0.0, amplitude: float = 1.0, period: float = 10_000.0, phase: float = 0.0) -> None:
+    def __init__(self, offset: float = 0.0, amplitude: float = 1.0, period: float = 10_000.0) -> None:
         if period <= 0:
             raise ValueError("period must be positive")
         self.offset = offset
         self.amplitude = amplitude
         self.period = period
-        self.phase = phase
 
     def sample(self, time: float, rng) -> float:
-        return self.offset + self.amplitude * math.sin(2.0 * math.pi * time / self.period + self.phase)
-
-
-class Square(SignalModel):
-    """Square wave between *low* and *high*."""
-
-    def __init__(self, low: float = 0.0, high: float = 1.0, period: float = 10_000.0) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.low = low
-        self.high = high
-        self.period = period
-
-    def sample(self, time: float, rng) -> float:
-        return self.high if (time % self.period) < self.period / 2.0 else self.low
+        return self.offset + self.amplitude * math.sin(2.0 * math.pi * time / self.period)
 
 
 class Step(SignalModel):

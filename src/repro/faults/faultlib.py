@@ -247,10 +247,9 @@ class NodeReboot(Fault):
     the NT services restart, and the node rejoins the pair as backup.
     """
 
-    def __init__(self, node: str, reinstall: bool = True, extra_delay: float = 0.0) -> None:
+    def __init__(self, node: str, reinstall: bool = True) -> None:
         self.node = node
         self.reinstall = reinstall
-        self.extra_delay = extra_delay
 
     def apply(self, env: Any) -> None:
         system = self._system(env, self.node)
@@ -260,7 +259,7 @@ class NodeReboot(Fault):
             return
         if system.state is SystemState.UP:
             system.power_off()
-        system.reboot(extra_delay=self.extra_delay)
+        system.reboot()
         if self.reinstall and getattr(env, "pair", None) is not None:
             node = self.node
 

@@ -31,7 +31,7 @@ S3        adaptive recovery policy vs static rules
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.apps.synthetic import SyntheticStateApp
 from repro.chaos.cli import campaign_tasks
@@ -51,7 +51,6 @@ from repro.core.config import (
     replace_config,
 )
 from repro.core.roles import Role
-from repro.errors import OfttError
 from repro.faults.campaign import Campaign
 from repro.faults.faultlib import AppHang, TransientAppCrash
 from repro.faults.injector import FaultInjector
@@ -74,13 +73,13 @@ from repro.nt.system import NTSystem
 # F1a / F1b — reference configurations
 # ---------------------------------------------------------------------------
 
-def exp_reference_configs(seed: int = 0, warmup: float = 20_000.0) -> List[Dict[str, Any]]:
+def exp_reference_configs(seed: int) -> List[Dict[str, Any]]:
     """Both Figure 1 configurations: data flows, and failover preserves it."""
     rows: List[Dict[str, Any]] = []
 
     remote = build_remote_monitoring(seed=seed)
     remote.start()
-    remote.run_for(warmup)
+    remote.run_for(20_000.0)
     app = remote.primary_app()
     updates_before = app.updates_seen()
     primary_before = remote.pair.primary_node()
@@ -100,7 +99,7 @@ def exp_reference_configs(seed: int = 0, warmup: float = 20_000.0) -> List[Dict[
 
     integrated = build_integrated(seed=seed)
     integrated.start()
-    integrated.run_for(warmup)
+    integrated.run_for(20_000.0)
     primary_before = integrated.pair.primary_node()
     _server, client = integrated.pair.all_apps[primary_before]
     updates_before = client.updates_seen()
@@ -125,11 +124,11 @@ def exp_reference_configs(seed: int = 0, warmup: float = 20_000.0) -> List[Dict[
 # F2 — the Figure 2 architecture inventory
 # ---------------------------------------------------------------------------
 
-def exp_architecture(seed: int = 0, warmup: float = 15_000.0) -> Dict[str, Any]:
+def exp_architecture(seed: int) -> Dict[str, Any]:
     """Verify every Figure 2 component exists and exchanges data."""
     demo = build_demo(seed=seed)
     demo.start()
-    demo.run_for(warmup)
+    demo.run_for(15_000.0)
     primary = demo.pair.primary_node()
     backup = demo.pair.backup_node()
     primary_engine = demo.pair.engines[primary]
@@ -155,11 +154,11 @@ def exp_architecture(seed: int = 0, warmup: float = 15_000.0) -> Dict[str, Any]:
 # F3 / T1 — the demonstration configuration
 # ---------------------------------------------------------------------------
 
-def exp_demo_config(seed: int = 0, warmup: float = 10_000.0) -> List[Dict[str, Any]]:
+def exp_demo_config(seed: int) -> List[Dict[str, Any]]:
     """Regenerate Table 1: software elements per node, verified live."""
     demo = build_demo(seed=seed)
     demo.start()
-    demo.run_for(warmup)
+    demo.run_for(10_000.0)
     primary = demo.pair.primary_node()
     rows = []
     for node in DEMO_NODES:
@@ -192,16 +191,17 @@ def exp_demo_config(seed: int = 0, warmup: float = 10_000.0) -> List[Dict[str, A
 # D-a .. D-d — the four failure demonstrations
 # ---------------------------------------------------------------------------
 
-def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_000.0) -> List[Dict[str, Any]]:
+def exp_failover_demos(seed: int) -> List[Dict[str, Any]]:
     """Run demos (a)-(d) sequentially on one testbed, measuring each.
 
     After each failover the failed node is rebooted and rejoins as
     backup, so every demo starts from a healthy pair — mirroring how the
-    original demonstration would be reset between cases.
+    original demonstration would be reset between cases.  Each demo is
+    followed by 10 s of service before the repair and 10 s after it.
     """
     demo = build_demo(seed=seed)
     demo.start()
-    demo.run_for(warmup)
+    demo.run_for(20_000.0)
     campaign = Campaign(demo.kernel, demo, settle_timeout=30_000.0)
     rows: List[Dict[str, Any]] = []
     for make_fault in DEMO_FAULTS:
@@ -212,7 +212,7 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
         record = campaign.run_fault(make_fault(primary))
         surviving = demo.pair.primary_node()
         timing = failover_timing(demo.trace, fault_time, surviving) if surviving else None
-        demo.run_for(gap)
+        demo.run_for(10_000.0)
         app_after = demo.primary_app()
         rows.append(
             {
@@ -229,7 +229,7 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
             }
         )
         campaign.repair(primary)
-        demo.run_for(gap)
+        demo.run_for(10_000.0)
     return rows
 
 
@@ -237,15 +237,10 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
 # X1 — checkpoint cost
 # ---------------------------------------------------------------------------
 
-def exp_checkpoint_cost(
-    seed: int = 0,
-    cold_sizes_kb: Optional[List[int]] = None,
-    run_time: float = 20_000.0,
-) -> List[Dict[str, Any]]:
+def exp_checkpoint_cost(seed: int) -> List[Dict[str, Any]]:
     """X1: bytes per checkpoint for full/selective/incremental capture."""
-    cold_sizes_kb = cold_sizes_kb or [16, 64, 256]
     rows: List[Dict[str, Any]] = []
-    for cold_kb in cold_sizes_kb:
+    for cold_kb in (16, 64, 256):
         for mode in ("full", "selective", "incremental"):
             scenario = build_pair_env(
                 seed,
@@ -253,7 +248,7 @@ def exp_checkpoint_cost(
                 lambda m=mode, c=cold_kb: SyntheticStateApp(cold_kb=c, mode=m),
             )
             scenario.start()
-            scenario.run_for(run_time)
+            scenario.run_for(20_000.0)
             primary = scenario.pair.primary_node()
             engine = scenario.pair.engines[primary]
             app = scenario.pair.apps[primary]
@@ -276,38 +271,24 @@ def exp_checkpoint_cost(
 # X2 — detection latency vs heartbeat settings
 # ---------------------------------------------------------------------------
 
-def exp_detection_latency(
-    seed: int = 0,
-    settings: Optional[List[Dict[str, float]]] = None,
-    warmup: float = 10_000.0,
-) -> List[Dict[str, Any]]:
+def exp_detection_latency(seed: int) -> List[Dict[str, Any]]:
     """X2: how fast a hang is detected for each (period, timeout) pair.
 
     Uses an application *hang* so only the heartbeat path (not the exit
     hook) can detect it.
     """
-    settings = settings or [
-        {"period": 50.0, "timeout": 200.0},
-        {"period": 100.0, "timeout": 500.0},
-        {"period": 250.0, "timeout": 1_000.0},
-        {"period": 500.0, "timeout": 2_000.0},
-    ]
     rows: List[Dict[str, Any]] = []
-    for setting in settings:
-        config = replace_config(
-            OfttConfig(),
-            heartbeat_period=setting["period"],
-            heartbeat_timeout=setting["timeout"],
-        )
+    for period, timeout in ((50.0, 200.0), (100.0, 500.0), (250.0, 1_000.0), (500.0, 2_000.0)):
+        config = replace_config(OfttConfig(), heartbeat_period=period, heartbeat_timeout=timeout)
         scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=4, mode="selective"))
         scenario.start()
-        scenario.run_for(warmup)
+        scenario.run_for(10_000.0)
         primary = scenario.pair.primary_node()
         fault_time = scenario.kernel.now
         FaultInjector(scenario.kernel, scenario).inject_now(AppHang(primary, "synthetic"))
         # Run until the engine notices.
         detected = None
-        deadline = fault_time + setting["timeout"] * 4 + 5_000.0
+        deadline = fault_time + timeout * 4 + 5_000.0
         while scenario.kernel.now < deadline:
             scenario.run_for(10.0)
             record = scenario.trace.first(
@@ -318,8 +299,8 @@ def exp_detection_latency(
                 break
         rows.append(
             {
-                "heartbeat_period_ms": setting["period"],
-                "timeout_ms": setting["timeout"],
+                "heartbeat_period_ms": period,
+                "timeout_ms": timeout,
                 "detection_ms": (detected - fault_time) if detected is not None else None,
                 "detected": detected is not None,
             }
@@ -331,32 +312,27 @@ def exp_detection_latency(
 # X3 — startup non-determinism vs retry logic
 # ---------------------------------------------------------------------------
 
-def exp_startup(
-    seeds: Optional[List[int]] = None,
-    retry_settings: Optional[List[int]] = None,
-    startup_wait: float = 300.0,
-    boot_jitter: float = 1_500.0,
-) -> List[Dict[str, Any]]:
+def exp_startup(seeds: List[int]) -> List[Dict[str, Any]]:
     """X3: rate of false shutdowns with the original vs the retry logic.
 
     Reproduces §3.2: nodes boot with large random skew; under the
     original logic (no retries, give-up = SHUTDOWN) "the first node that
-    starts up would frequently shut down"; retries fix it.
+    starts up would frequently shut down"; retries fix it.  Each node
+    boots in 100 ms plus up to 1.5 s of skew and negotiates for 300 ms
+    per attempt.
     """
-    seeds = seeds if seeds is not None else list(range(20))
-    retry_settings = retry_settings if retry_settings is not None else [0, 1, 3, 5]
     rows: List[Dict[str, Any]] = []
-    for retries in retry_settings:
+    for retries in (0, 1, 3, 5):
         shutdowns = 0
         stable = 0
         for seed in seeds:
             config = replace_config(
                 OfttConfig(),
-                startup_wait=startup_wait,
+                startup_wait=300.0,
                 startup_retries=retries,
                 give_up_policy=GiveUpPolicy.SHUTDOWN,
             )
-            outcome = _run_startup_once(seed, config, boot_jitter)
+            outcome = _run_startup_once(seed, config)
             if outcome == "shutdown":
                 shutdowns += 1
             elif outcome == "stable":
@@ -373,12 +349,12 @@ def exp_startup(
     return rows
 
 
-def _run_startup_once(seed: int, config: OfttConfig, boot_jitter: float) -> str:
+def _run_startup_once(seed: int, config: OfttConfig) -> str:
     world = Scenario(seed, dual_lan=False)
     for name in ("alpha", "beta"):
         system = world._add_machine(name)
         system.boot_time = 100.0
-        system.boot_jitter = boot_jitter
+        system.boot_jitter = 1_500.0
 
     # Engines start as soon as each machine finishes its (skewed) boot —
     # the §3.2 situation: the early node negotiates against silence.
@@ -427,35 +403,29 @@ def _run_startup_once(seed: int, config: OfttConfig, boot_jitter: float) -> str:
 # X4 — diverter vs naive sender
 # ---------------------------------------------------------------------------
 
-def exp_diverter(
-    seeds: Optional[List[int]] = None,
-    warmup: float = 15_000.0,
-    run_after: float = 20_000.0,
-    mean_idle: float = 800.0,
-    mean_call: float = 600.0,
-) -> List[Dict[str, Any]]:
+def exp_diverter(seeds: List[int]) -> List[Dict[str, Any]]:
     """X4: events lost across a switchover, with and without the diverter.
 
     The diverter run uses the full MSMQ store-and-forward + redirect
     machinery.  The naive run sends raw datagrams straight at the node it
     last believed was primary — what an application without the Message
     Diverter would do — and only re-learns the primary when the engines'
-    role-change notice arrives.  A busy telephone system (short idle and
-    call times) keeps events flowing through the switchover window.
+    role-change notice arrives.  A busy telephone system (800 ms mean
+    idle, 600 ms mean call) keeps events flowing through the switchover
+    window.
     """
-    seeds = seeds if seeds is not None else [0, 1, 2, 3, 4]
     rows: List[Dict[str, Any]] = []
     for variant in ("diverter", "naive"):
         generated = processed = duplicates = 0
         for seed in seeds:
-            demo = build_demo(seed=seed, mean_idle=mean_idle, mean_call=mean_call)
+            demo = build_demo(seed=seed, mean_idle=800.0, mean_call=600.0)
             if variant == "naive":
                 _make_naive_sender(demo)
             demo.start()
-            demo.run_for(warmup)
+            demo.run_for(15_000.0)
             primary = demo.pair.primary_node()
             demo.systems[primary].power_off()
-            demo.run_for(run_after)
+            demo.run_for(20_000.0)
             app = demo.primary_app()
             generated += demo.history.event_count
             processed += app.events_processed() if app else 0
@@ -514,7 +484,7 @@ def _make_naive_sender(demo: DemoScenario) -> None:
 # X5 — recovery rules
 # ---------------------------------------------------------------------------
 
-def exp_recovery_rules(seed: int = 0, warmup: float = 15_000.0) -> List[Dict[str, Any]]:
+def exp_recovery_rules(seed: int) -> List[Dict[str, Any]]:
     """X5: local restart vs failover for transient application faults."""
     rows: List[Dict[str, Any]] = []
     for rule_name, rule in (
@@ -524,7 +494,7 @@ def exp_recovery_rules(seed: int = 0, warmup: float = 15_000.0) -> List[Dict[str
         config = OfttConfig().with_rule("synthetic", rule)
         scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=8, mode="selective"))
         scenario.start()
-        scenario.run_for(warmup)
+        scenario.run_for(15_000.0)
         primary_before = scenario.pair.primary_node()
         fault_time = scenario.kernel.now
         campaign = Campaign(scenario.kernel, scenario, settle_timeout=20_000.0)
@@ -545,7 +515,7 @@ def exp_recovery_rules(seed: int = 0, warmup: float = 15_000.0) -> List[Dict[str
 # X6 — DCOM failure behaviour
 # ---------------------------------------------------------------------------
 
-def exp_dcom(seed: int = 0) -> Dict[str, Any]:
+def exp_dcom(seed: int) -> Dict[str, Any]:
     """X6: time for a client to learn its server died, three ways.
 
     1. Raw DCOM call against a dead *node*: silence until the RPC timeout.
@@ -554,6 +524,7 @@ def exp_dcom(seed: int = 0) -> Dict[str, Any]:
     3. OFTT heartbeat detection of the same node death: the engine knows
        within its (much shorter) heartbeat timeout.
     """
+    from repro.com.dcom import RPC_TIMEOUT
     from repro.com.interfaces import declare_interface
     from repro.com.object import ComObject
     from repro.com.runtime import ComRuntime
@@ -616,7 +587,7 @@ def exp_dcom(seed: int = 0) -> Dict[str, Any]:
     results["dead_node_rpc_error"] = rpc_result2.detail or hex(rpc_result2.hresult)
     results["oftt_detection_latency_ms"] = timing.detection_latency
     results["oftt_failover_latency_ms"] = timing.failover_latency
-    results["rpc_timeout_config_ms"] = primary_ctx.runtime.exporter.rpc_timeout
+    results["rpc_timeout_config_ms"] = RPC_TIMEOUT
     results["heartbeat_timeout_config_ms"] = config.peer_heartbeat_timeout
     return results
 
@@ -625,7 +596,7 @@ def exp_dcom(seed: int = 0) -> Dict[str, Any]:
 # X7 — API transparency levels
 # ---------------------------------------------------------------------------
 
-def exp_api_levels(seed: int = 0, warmup: float = 30_000.0) -> List[Dict[str, Any]]:
+def exp_api_levels(seed: int) -> List[Dict[str, Any]]:
     """X7: integration level vs checkpoint bytes and failover staleness.
 
     Levels: (1) init-only full periodic checkpoints, (2) +OFTTSelSave
@@ -644,7 +615,7 @@ def exp_api_levels(seed: int = 0, warmup: float = 30_000.0) -> List[Dict[str, An
             # Undo the app's OFTTSelSave: monkey-patch via clear at launch.
             _force_full_checkpoints(demo)
         demo.start()
-        demo.run_for(warmup)
+        demo.run_for(30_000.0)
         primary = demo.pair.primary_node()
         engine = demo.pair.engines[primary]
         checkpoints = engine.local_store.all_for("calltrack")
@@ -686,13 +657,14 @@ def _force_full_checkpoints(demo: DemoScenario) -> None:
 # Ablations — design choices DESIGN.md calls out
 # ---------------------------------------------------------------------------
 
-def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float = 10_000.0) -> List[Dict[str, Any]]:
+def exp_ablation_dual_lan(seed: int) -> List[Dict[str, Any]]:
     """Dual vs single Ethernet (§2.1): NIC failure on the pair's link.
 
     With a redundant segment, heartbeats reroute and nothing happens.
     With a single segment, both sides lose the peer: the backup promotes
     while the primary keeps running — a split brain that persists until
-    the link heals and the incarnation rule demotes one side.
+    the link heals and the incarnation rule demotes one side.  The NIC
+    stays down for 10 s.
     """
     rows: List[Dict[str, Any]] = []
     for lans in (1, 2):
@@ -700,14 +672,14 @@ def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float
             seed, OfttConfig(), lambda: SyntheticStateApp(cold_kb=2, mode="selective"), dual_lan=lans > 1
         )
         scenario.start()
-        scenario.run_for(warmup)
+        scenario.run_for(5_000.0)
         primary = scenario.pair.primary_node()
         # Cut the primary's NIC on lan0 only.
         scenario.network.nodes[primary].nic_down("lan0")
         dual_primary_window = 0.0
         step = 50.0
         elapsed = 0.0
-        while elapsed < observe:
+        while elapsed < 10_000.0:
             scenario.run_for(step)
             elapsed += step
             roles = [
@@ -737,28 +709,22 @@ def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float
     return rows
 
 
-def exp_ablation_heartbeat_loss(
-    seed: int = 0,
-    loss_rates: Optional[List[float]] = None,
-    timeouts: Optional[List[float]] = None,
-    observe: float = 60_000.0,
-) -> List[Dict[str, Any]]:
+def exp_ablation_heartbeat_loss(seed: int) -> List[Dict[str, Any]]:
     """Heartbeat timeout vs false positives on a lossy single link.
 
     No fault is ever injected: every takeover observed is a false
     positive caused by heartbeat loss.  Aggressive timeouts on lossy
-    links destabilise the pair; generous ones ride the loss out.
+    links destabilise the pair; generous ones ride the loss out.  Each
+    setting runs for 60 s.
     """
-    loss_rates = loss_rates if loss_rates is not None else [0.05, 0.2]
-    timeouts = timeouts if timeouts is not None else [300.0, 1_000.0, 3_000.0]
     rows: List[Dict[str, Any]] = []
-    for loss in loss_rates:
-        for timeout in timeouts:
+    for loss in (0.05, 0.2):
+        for timeout in (300.0, 1_000.0, 3_000.0):
             config = replace_config(OfttConfig(), peer_heartbeat_timeout=timeout)
             scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
             scenario.start()
             scenario.network.links["lan0"].loss = loss
-            scenario.run_for(observe)
+            scenario.run_for(60_000.0)
             false_takeovers = scenario.trace.count(category="engine", event="takeover")
             dual_resolutions = scenario.trace.count(category="role", event="dual-primary-demote")
             rows.append(
@@ -773,26 +739,21 @@ def exp_ablation_heartbeat_loss(
     return rows
 
 
-def exp_ablation_checkpoint_period(
-    seed: int = 0,
-    periods: Optional[List[float]] = None,
-    run_time: float = 20_000.0,
-) -> List[Dict[str, Any]]:
+def exp_ablation_checkpoint_period(seed: int) -> List[Dict[str, Any]]:
     """Checkpoint period vs staleness at failover vs checkpoint traffic.
 
     The tradeoff `OFTTSave` exists to escape: long periods mean little
     traffic but more work re-lost at failover; short periods invert it.
     """
-    periods = periods if periods is not None else [250.0, 1_000.0, 4_000.0]
     rows: List[Dict[str, Any]] = []
-    for period in periods:
+    for period in (250.0, 1_000.0, 4_000.0):
         scenario = build_pair_env(
             seed,
             OfttConfig(),
             lambda p=period: SyntheticStateApp(cold_kb=4, mode="selective", tick_period=50.0, checkpoint_period=p),
         )
         scenario.start()
-        scenario.run_for(run_time)
+        scenario.run_for(20_000.0)
         primary = scenario.pair.primary_node()
         app = scenario.pair.apps[primary]
         engine = scenario.pair.engines[primary]
@@ -815,7 +776,7 @@ def exp_ablation_checkpoint_period(
     return rows
 
 
-def exp_availability(seed: int = 0, rounds: int = 3) -> Dict[str, Any]:
+def exp_availability(seed: int, rounds: int) -> Dict[str, Any]:
     """Availability over a sustained campaign of the four §4 faults.
 
     Not a single paper artifact but the quantity the whole §4
@@ -851,7 +812,7 @@ def exp_availability(seed: int = 0, rounds: int = 3) -> Dict[str, Any]:
     }
 
 
-def exp_scada_blackout(seed: int = 0, warmup: float = 20_000.0, after: float = 30_000.0) -> Dict[str, Any]:
+def exp_scada_blackout(seed: int) -> Dict[str, Any]:
     """Monitoring blackout: the operator-facing cost of a station failover.
 
     In the Figure 1(a) configuration, measures the longest stretch during
@@ -859,6 +820,8 @@ def exp_scada_blackout(seed: int = 0, warmup: float = 20_000.0, after: float = 3
     primary power-off.  The gap decomposes into failure detection + app
     relaunch + DCOM reconnect + resubscription + first batch — the
     end-to-end number an operator staring at the screen experiences.
+    Progress is sampled every 10 ms, for 20 s before the power-off and
+    30 s after it.
     """
     scenario = build_remote_monitoring(seed=seed)
     scenario.start()
@@ -878,13 +841,13 @@ def exp_scada_blackout(seed: int = 0, warmup: float = 20_000.0, after: float = 3
         samples.append((scenario.kernel.now, cumulative["count"]))
 
     step = 10.0
-    for _ in range(int(warmup / step)):
+    for _ in range(int(20_000.0 / step)):
         scenario.run_for(step)
         sample()
     primary = scenario.pair.primary_node()
     fault_time = scenario.kernel.now
     scenario.systems[primary].power_off()
-    for _ in range(int(after / step)):
+    for _ in range(int(30_000.0 / step)):
         scenario.run_for(step)
         sample()
 
@@ -928,12 +891,7 @@ HEARTBEAT_ONLY_KINDS = frozenset({
 ATTRIBUTION_GRACE = 5_000.0
 
 
-def exp_detector_sweep(
-    thresholds: Optional[List[int]] = None,
-    timeouts: Optional[List[float]] = None,
-    seeds: int = 4,
-    schedules: int = 3,
-) -> List[Dict[str, Any]]:
+def exp_detector_sweep(seeds: int, schedules: int) -> List[Dict[str, Any]]:
     """S1: detection latency and false positives per detector setting.
 
     §2.2.1 leaves the heartbeat timeout (and the consecutive-miss
@@ -944,8 +902,8 @@ def exp_detector_sweep(
     """
     runs = [(seed, schedule) for seed, schedule, _ in campaign_tasks(seeds, schedules, 0)]
     rows: List[Dict[str, Any]] = []
-    for threshold in thresholds or [1, 2, 3]:
-        for timeout in timeouts or [300.0, 500.0, 1_000.0]:
+    for threshold in (1, 2, 3):
+        for timeout in (300.0, 500.0, 1_000.0):
             outcomes = [_detector_run(seed, schedule, threshold, timeout) for seed, schedule in runs]
             latencies = sorted(latency for outcome in outcomes for latency in outcome["latencies"])
             detected = len(latencies)
@@ -1032,7 +990,7 @@ STRATEGY_HORIZON = 30_000.0
 STRATEGY_WORKLOAD_STOP = 20_000.0
 
 
-def exp_strategy_comparison(seeds: int = 3) -> List[Dict[str, Any]]:
+def exp_strategy_comparison(seeds: int) -> List[Dict[str, Any]]:
     """S2: who recovers, how fast, and what is lost, per strategy and story.
 
     A message-driven chaos testbed (100 ms workload through the
@@ -1144,7 +1102,7 @@ POLICY_SAMPLE_PERIOD = 25.0
 POLICY_FP_WINDOW = 2_500.0
 
 
-def exp_policy_comparison(profiles: Optional[List[str]] = None, seeds: int = 3) -> List[Dict[str, Any]]:
+def exp_policy_comparison(seeds: int) -> List[Dict[str, Any]]:
     """S3: mean recovery latency and spurious failovers per policy and drift.
 
     The same deterministic drifting fault mixes (every destructive motif
@@ -1156,10 +1114,10 @@ def exp_policy_comparison(profiles: Optional[List[str]] = None, seeds: int = 3) 
     is still down.  *Spurious failovers* are unilateral promotions (peer
     heartbeat loss, dual-backup resolution) with no destructive entry in
     the preceding ``POLICY_FP_WINDOW``; coordinated switchovers never
-    count.  One row per (profile, policy).
+    count.  One row per (profile, policy), profiles in name order.
     """
     rows: List[Dict[str, Any]] = []
-    for profile in profiles if profiles is not None else sorted(DRIFT_PROFILES):
+    for profile in sorted(DRIFT_PROFILES):
         for policy, overrides in POLICY_CONFIGS:
             outcomes = [_policy_run(overrides, profile, seed) for seed in range(seeds)]
             faults = sum(o["destructive"] for o in outcomes)
@@ -1190,16 +1148,10 @@ def _policy_run(overrides: Dict[str, Any], profile: str, seed: int) -> Dict[str,
 
     unstable = {"ms": 0.0}
 
-    def stable_now() -> bool:
-        try:
-            return scenario.pair.is_stable()
-        except OfttError:  # dual primary
-            return False
-
     def sample() -> None:
         if scenario.kernel.now >= schedule.horizon:
             return
-        if not stable_now():
+        if not scenario.pair.is_stable():  # False on a dual primary too
             unstable["ms"] += POLICY_SAMPLE_PERIOD
         scenario.kernel.schedule(POLICY_SAMPLE_PERIOD, sample)
 

@@ -6,7 +6,7 @@ the tables recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:
@@ -22,13 +22,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: s
     for row in rows:
         lines.append("  ".join(_fmt(cell).ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(name: str, points: Sequence[Any], unit: str = "") -> str:
-    """Render a one-line data series (for EXPERIMENTS.md snippets)."""
-    rendered = ", ".join(_fmt(point) for point in points)
-    suffix = f" {unit}" if unit else ""
-    return f"{name}: [{rendered}]{suffix}"
 
 
 def format_dict(title: str, data: Dict[str, Any]) -> str:
@@ -48,10 +41,13 @@ def format_result(title: str, result: Any) -> str:
 
 
 def _fmt(value: Any) -> str:
+    """A cell's text: floats print with two decimals (none from 1,000 up)
+    unless that would change the value at four decimals, in which case
+    they print as that rounded value in full."""
     if isinstance(value, float):
         if value != value:  # NaN
             return "nan"
-        if abs(value) >= 1000:
-            return f"{value:.0f}"
-        return f"{value:.2f}"
+        text = f"{value:.0f}" if abs(value) >= 1000 else f"{value:.2f}"
+        rounded = round(value, 4)
+        return text if float(text) == rounded else repr(rounded)
     return str(value)

@@ -22,8 +22,6 @@ byte-identical for any worker count::
 from __future__ import annotations
 
 import argparse
-
-# oftt-lint: file-ok[ambient-io] -- the experiment runner is the host-side CLI.
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import experiments as E

@@ -338,7 +338,7 @@ class ChaosScenario(Scenario):
 
     A pair (``alpha``/``beta``) runs the synthetic stateful application
     (hot counters + checkpoints) while an external ``client`` node feeds
-    a steady diverter workload — so every chaos run exercises role
+    a steady diverter workload, all on one LAN — so every chaos run exercises role
     negotiation, checkpointing, MSMQ store-and-forward and the diverter
     redirect path at once, and the invariant monitors have live signals
     (checkpoint hooks, queue conservation counters) to watch.
@@ -361,12 +361,11 @@ class ChaosScenario(Scenario):
         self,
         seed: int = 0,
         config: Optional[OfttConfig] = None,
-        dual_lan: bool = False,
         workload_period: float = 200.0,
         checkpoint_period: float = 500.0,
         message_driven: Optional[bool] = None,
     ) -> None:
-        super().__init__(seed, dual_lan)
+        super().__init__(seed, dual_lan=False)
         self.config = config or OfttConfig()
         if self.config.replication_strategy == "log-replay-dr" and not self.config.dr_node:
             self.config = replace_config(self.config, dr_node=self.DR_NODE)

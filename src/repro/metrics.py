@@ -1,16 +1,15 @@
 """Measurement helpers shared by tests and experiment runners.
 
 Everything works off the structured :class:`~repro.simnet.trace.TraceLog`
-the whole stack emits into, plus direct sampling of pair state, so the
-numbers reported by EXPERIMENTS.md come from observable behaviour, not
-from the components' own claims.
+the whole stack emits into, so the numbers reported by EXPERIMENTS.md
+come from observable behaviour, not from the components' own claims.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.simnet.trace import TraceLog
 
@@ -53,12 +52,6 @@ def failover_timing(trace: TraceLog, fault_at: float, promoting_node: str) -> Fa
     )
 
 
-def histogram_distance(a: Dict[int, int], b: Dict[int, int]) -> int:
-    """L1 distance between two busy-line histograms (events of difference)."""
-    keys = set(a) | set(b)
-    return sum(abs(a.get(k, 0) - b.get(k, 0)) for k in keys)
-
-
 def summarize(values: Sequence[float]) -> Dict[str, float]:
     """min/mean/p50/p95/max summary of a sample."""
     if not values:
@@ -77,45 +70,3 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
         "p95": percentile(0.95),
         "max": ordered[-1],
     }
-
-
-class AvailabilitySampler:
-    """Samples whether the pair is delivering service over time.
-
-    Drive with :meth:`sample` at a fixed period; at the end,
-    :meth:`availability` is the fraction of samples in which some node was
-    primary with its application running.
-    """
-
-    def __init__(self) -> None:
-        self.samples: List[Tuple[float, bool]] = []
-
-    def sample(self, time: float, up: bool) -> None:
-        """Record one observation."""
-        self.samples.append((time, up))
-
-    @property
-    def availability(self) -> float:
-        """Fraction of samples with service up (1.0 when no samples)."""
-        if not self.samples:
-            return 1.0
-        return sum(1 for _t, up in self.samples if up) / len(self.samples)
-
-    def downtime_windows(self) -> List[Tuple[float, float]]:
-        """(start, end) intervals during which service was down."""
-        windows: List[Tuple[float, float]] = []
-        start: Optional[float] = None
-        for time, up in self.samples:
-            if not up and start is None:
-                start = time
-            elif up and start is not None:
-                windows.append((start, time))
-                start = None
-        if start is not None:
-            windows.append((start, self.samples[-1][0]))
-        return windows
-
-    @property
-    def total_downtime(self) -> float:
-        """Sum of downtime window lengths."""
-        return sum(end - start for start, end in self.downtime_windows())

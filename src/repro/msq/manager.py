@@ -125,14 +125,6 @@ class QueueManager:
             raise QueueNotFound(f"{self.node.name} has no queue {name}")
         return self.queues[name]
 
-    def delete_queue(self, name: str) -> None:
-        """Remove a queue; the dead-letter queue cannot be deleted."""
-        if name == DEAD_LETTER_QUEUE:
-            raise MsqError("cannot delete the dead-letter queue")
-        if name not in self.queues:
-            raise QueueNotFound(f"{self.node.name} has no queue {name}")
-        del self.queues[name]
-
     # -- sending ----------------------------------------------------------------
 
     def send(

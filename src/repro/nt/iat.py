@@ -39,12 +39,6 @@ class ImportAddressTable:
             raise NTError(f"cannot patch unknown import {api_name}")
         self._hooks.setdefault(api_name, []).append(hook)
 
-    def unpatch(self, api_name: str, hook: Hook) -> None:
-        """Remove a previously installed hook (idempotent)."""
-        hooks = self._hooks.get(api_name, [])
-        if hook in hooks:
-            hooks.remove(hook)
-
     def call(self, api_name: str, *args: Any) -> Any:
         """Invoke an API through the table, firing hooks."""
         implementation = self._entries.get(api_name)
@@ -58,10 +52,6 @@ class ImportAddressTable:
             for hook in hooks:
                 hook(api_name, args, result)
         return result
-
-    def is_patched(self, api_name: str) -> bool:
-        """Whether any hook is installed on *api_name*."""
-        return bool(self._hooks.get(api_name))
 
     def imports(self) -> List[str]:
         """Registered API names, sorted."""

@@ -196,8 +196,9 @@ class MemoryRegion:
     """A named region of a process address space.
 
     Variables are stored by name; values must be plain picklable Python
-    data.  Snapshots and restores copy them with :func:`copy_variables`,
-    so a checkpoint never shares a mutable value with live memory.
+    data.  Snapshots copy them with :func:`copy_variables`, as
+    applications do when they restore an image, so a checkpoint never
+    shares a mutable value with live memory.
     """
 
     def __init__(self, name: str, kind: str = GLOBAL) -> None:
@@ -240,10 +241,6 @@ class MemoryRegion:
         :func:`copy_variables`."""
         return copy_variables(self._data, names, sizes)
 
-    def restore(self, data: Dict[str, Any]) -> None:
-        """Replace the region's contents with a copy of *data*."""
-        self._data = copy_variables(data)
-
     def __contains__(self, var: str) -> bool:
         return var in self._data
 
@@ -272,12 +269,6 @@ class AddressSpace:
         self._regions[name] = region
         return region
 
-    def unmap_region(self, name: str) -> None:
-        """Destroy a region; subsequent access faults."""
-        if name not in self._regions:
-            raise AccessViolation(f"unmap of unknown region {name}")
-        del self._regions[name]
-
     def region(self, name: str) -> MemoryRegion:
         """Fetch a region by name or fault."""
         if name not in self._regions:
@@ -288,12 +279,10 @@ class AddressSpace:
         """Whether *name* is mapped."""
         return name in self._regions
 
-    def regions(self, kind: Optional[str] = None) -> Iterator[MemoryRegion]:
-        """Iterate regions (optionally of one kind), sorted by name."""
+    def regions(self) -> Iterator[MemoryRegion]:
+        """Iterate regions, sorted by name."""
         for name in sorted(self._regions):
-            region = self._regions[name]
-            if kind is None or region.kind == kind:
-                yield region
+            yield self._regions[name]
 
     # -- convenience global access ------------------------------------------
 
@@ -342,13 +331,6 @@ class AddressSpace:
                 region_sizes = None if sizes is None else sizes.setdefault(region.name, {})
                 image[region.name] = region.snapshot(sizes=region_sizes)
         return image
-
-    def restore_walkthrough(self, image: Dict[str, Dict[str, Any]]) -> None:
-        """Load a walkthrough image, creating missing regions as heap."""
-        for region_name, data in image.items():
-            if not self.has_region(region_name):
-                self.map_region(region_name, HEAP)
-            self.region(region_name).restore(data)
 
     def __repr__(self) -> str:
         return f"AddressSpace({self.owner_name}, regions={sorted(self._regions)})"

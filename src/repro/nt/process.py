@@ -156,16 +156,6 @@ class NTProcess:
             thread.suspend()
         self.system.trace.emit("nt", self.qualified_name, "process-hung")
 
-    def unhang(self) -> None:
-        """Recover from a hang: restart suspended threads."""
-        if self.state is not ProcessState.HUNG:
-            return
-        self.state = ProcessState.RUNNING
-        for thread in self.threads.values():
-            if thread.state is ThreadState.SUSPENDED:
-                thread.resume()
-        self.system.trace.emit("nt", self.qualified_name, "process-unhung")
-
     def _teardown(self) -> None:
         for thread in list(self.threads.values()):
             if thread.state is not ThreadState.TERMINATED:

@@ -7,7 +7,7 @@ stored under ``SOFTWARE\\SoHaR\\OFTT``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import NTError
 
@@ -38,10 +38,6 @@ class NTRegistry:
             node = child
         return node
 
-    def create_key(self, path: str) -> None:
-        """Create a key (and intermediate keys) if absent."""
-        self._descend(self._split(path), create=True)
-
     def set_value(self, path: str, name: str, value: Any) -> None:
         """Set a named value under *path*, creating the key if needed."""
         key = self._descend(self._split(path), create=True)
@@ -70,16 +66,6 @@ class NTRegistry:
         if parts[-1] not in parent:
             raise NTError(f"registry key not found: {path}")
         del parent[parts[-1]]
-
-    def subkeys(self, path: str) -> List[str]:
-        """Child key names under *path*, sorted."""
-        key = self._descend(self._split(path), create=False)
-        return sorted(name for name, value in key.items() if isinstance(value, dict))
-
-    def values(self, path: str) -> Dict[str, Any]:
-        """Named values stored directly under *path*."""
-        key = self._descend(self._split(path), create=False)
-        return {name[1:]: value for name, value in key.items() if name.startswith("$")}
 
     def __repr__(self) -> str:
         return f"NTRegistry(top={sorted(self._root)})"

@@ -50,15 +50,15 @@ class NTSystem:
         node: NetNode,
         rng: Optional[RngStreams] = None,
         trace: Optional[TraceLog] = None,
-        boot_time: float = 200.0,
-        boot_jitter: float = 150.0,
     ) -> None:
         self.kernel = kernel
         self.node = node
         self.rng = (rng or RngStreams(0)).stream(f"nt:{node.name}")
         self.trace = trace if trace is not None else TraceLog(clock=lambda: kernel.now)
-        self.boot_time = boot_time
-        self.boot_jitter = boot_jitter
+        #: A boot takes ``boot_time + U(0, boot_jitter)`` ms (see
+        #: :meth:`boot`); X3 widens the jitter to reproduce §3.2's skew.
+        self.boot_time = 200.0
+        self.boot_jitter = 150.0
         #: Relative speed of this machine's clock (1.0 = nominal).  A
         #: value above 1.0 stretches the periods of OFTT timers driven
         #: from this machine — the observable effect of clock skew/drift
@@ -84,18 +84,17 @@ class NTSystem:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def boot(self, extra_delay: float = 0.0) -> float:
+    def boot(self) -> float:
         """Start the machine; returns the time at which it will be UP.
 
-        The actual boot duration is ``boot_time + U(0, boot_jitter) +
-        extra_delay`` — the jitter is the paper's §3.2 start-up
-        non-determinism.
+        The actual boot duration is ``boot_time + U(0, boot_jitter)`` —
+        the jitter is the paper's §3.2 start-up non-determinism.
         """
         if self.state in (SystemState.BOOTING, SystemState.UP):
             raise NTError(f"{self.node.name} already {self.state.value}")
         self.state = SystemState.BOOTING
         self.node.powered = True
-        duration = self.boot_time + self.rng.uniform(0.0, self.boot_jitter) + extra_delay
+        duration = self.boot_time + self.rng.uniform(0.0, self.boot_jitter)
         self.trace.emit("nt", self.node.name, "booting", eta=self.kernel.now + duration)
         self.kernel.schedule(duration, self._finish_boot)
         return self.kernel.now + duration
@@ -140,12 +139,12 @@ class NTSystem:
         self.trace.emit("nt", self.node.name, "bluescreen")
         self._notify_crash()
 
-    def reboot(self, extra_delay: float = 0.0) -> float:
+    def reboot(self) -> float:
         """Power-cycle (valid from OFF or BLUESCREEN)."""
         if self.state in (SystemState.BOOTING, SystemState.UP):
             raise NTError(f"reboot of machine in state {self.state.value}")
         self.state = SystemState.OFF
-        return self.boot(extra_delay=extra_delay)
+        return self.boot()
 
     def _notify_crash(self) -> None:
         for callback in list(self.on_crash):

@@ -60,15 +60,6 @@ class ThreadContext:
             "registers": self.registers,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ThreadContext":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            program_counter=data["program_counter"],
-            stack_pointer=data["stack_pointer"],
-            registers=dict(data["registers"]),
-        )
-
 
 # Bound once: ``ThreadState.TERMINATED`` takes ``EnumType``'s slow
 # attribute path on CPython 3.11 (see :mod:`repro.core.roles`), and

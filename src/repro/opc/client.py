@@ -46,7 +46,6 @@ class DataCallbackSink(ComObject):
         self._routes: Dict[str, ChangeCallback] = {}
         self._read_waiters: Dict[Tuple[str, int], Callable] = {}
         self._write_waiters: Dict[Tuple[str, int], Callable] = {}
-        self.batches_received = 0
 
     def route(self, group_name: str, callback: ChangeCallback) -> None:
         """Register the handler for one group's notifications."""
@@ -62,7 +61,6 @@ class DataCallbackSink(ComObject):
 
     def OnDataChange(self, group_name: str, batch: List[Any]) -> None:
         """DCOM entry point: decode the wire batch and dispatch."""
-        self.batches_received += 1
         callback = self._routes.get(group_name)
         if callback is None:
             return

@@ -56,9 +56,9 @@ class ItemNamespace:
         self._defs[item_def.item_id] = item_def
         self._values[item_def.item_id] = initial or OpcValue(None, Quality.BAD_NOT_CONNECTED, 0.0)
 
-    def define_simple(self, item_id: str, initial_value: Any, access: str = READ, eu: str = "") -> ItemDef:
+    def define_simple(self, item_id: str, initial_value: Any, access: str = READ) -> ItemDef:
         """Shorthand: infer the VARIANT tag from *initial_value*."""
-        item_def = ItemDef(item_id=item_id, vt=canonical_vt(initial_value), access=access, eu=eu)
+        item_def = ItemDef(item_id=item_id, vt=canonical_vt(initial_value), access=access)
         self.define(item_def, initial=OpcValue(initial_value, Quality.GOOD, 0.0))
         return item_def
 
@@ -101,11 +101,6 @@ class ItemNamespace:
         handler = self._write_handlers.get(item_id)
         if handler is not None:
             handler(item_id, value)
-
-    def mark_all(self, quality: Quality, timestamp: float) -> None:
-        """Stamp every item with *quality* (e.g. comm failure)."""
-        for item_id, current in self._values.items():
-            self._values[item_id] = OpcValue(current.value, quality, timestamp)
 
     # -- browsing ----------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from the devices — which is why it gets the non-checkpointing server FTIM.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.com.interfaces import declare_interface
 from repro.com.object import ComObject
@@ -78,15 +78,6 @@ class OpcServer(ComObject):
         for group in self.groups.values():
             group._on_item_update(item_id, new_value)
         return new_value
-
-    def mark_comm_failure(self) -> None:
-        """Stamp every item BAD (fieldbus lost) and flag the server."""
-        self.namespace.mark_all(Quality.BAD_COMM_FAILURE, self.kernel.now)
-        self.state = ServerState.FAILED
-
-    def resume(self) -> None:
-        """Return to RUNNING after a comm failure."""
-        self.state = ServerState.RUNNING
 
     # -- IOPCServer ----------------------------------------------------------------
 

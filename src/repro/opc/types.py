@@ -47,11 +47,6 @@ class Quality(enum.Enum):
         """Major status is GOOD."""
         return self._value_.startswith("good")
 
-    @property
-    def is_bad(self) -> bool:
-        """Major status is BAD."""
-        return self._value_.startswith("bad")
-
 
 # The members the plant-to-screen path uses, bound once: ``Quality.GOOD``
 # takes ``EnumType``'s slow attribute path on CPython 3.11, and
@@ -80,10 +75,6 @@ class OpcValue:
     value: Any
     quality: Quality = GOOD
     timestamp: float = 0.0
-
-    def with_quality(self, quality: Quality) -> "OpcValue":
-        """Copy with a different quality flag."""
-        return OpcValue(self.value, quality, self.timestamp)
 
     def as_wire(self) -> dict:
         """Marshalable form for DCOM callbacks."""

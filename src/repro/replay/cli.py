@@ -21,7 +21,6 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-# oftt-lint: file-ok[ambient-io] -- the replay checker is a host-side CLI.
 from repro.perf.executor import add_jobs_argument, parallel_map
 from repro.replay.report import render_json, render_text
 from repro.replay.subjects import SUBJECTS, check_subject_task

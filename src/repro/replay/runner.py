@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.checkpoint import canonical_image_bytes
 from repro.core.status import ComponentStatus
 from repro.replay.canonical import CanonicalEvent, canonicalize_trace
-from repro.replay.diff import DEFAULT_CONTEXT, Divergence, first_divergence
+from repro.replay.diff import Divergence, first_divergence
 from repro.simnet.trace import TraceLog
 
 #: A factory that builds and drives one run, returning its TraceLog.
@@ -76,7 +76,6 @@ def run_twice_and_diff(
     factory: RunFactory,
     seed: int = 0,
     subject: str = "",
-    context: int = DEFAULT_CONTEXT,
 ) -> ReplayResult:
     """Run *factory* twice with *seed* and diff the canonical traces.
 
@@ -89,7 +88,7 @@ def run_twice_and_diff(
     trace_b, payload_b = _split(factory(seed))
     events_a = canonicalize_trace(trace_a)
     events_b = canonicalize_trace(trace_b)
-    divergence = first_divergence(events_a, events_b, context=context)
+    divergence = first_divergence(events_a, events_b)
     payload_mismatch = None
     if divergence is None and payload_a != payload_b:
         payload_mismatch = {"first": payload_a, "second": payload_b}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from repro.apps.synthetic import SyntheticStateApp
 from repro.chaos.runner import ChaosRun
@@ -200,8 +200,3 @@ def check_subject_task(task: Tuple[str, int]) -> CheckResult:
     """
     name, seed = task
     return SUBJECTS[name].check(seed)
-
-
-def subject_names(kind: str = "") -> List[str]:
-    """Registered subject names, optionally filtered by kind."""
-    return [name for name, subject in SUBJECTS.items() if not kind or subject.kind == kind]

@@ -308,10 +308,6 @@ class Network:
         """Drop every frame travelling *source* -> *dest* (one-way)."""
         self.blocked_pairs.add((source, dest))
 
-    def unblock_direction(self, source: str, dest: str) -> None:
-        """Lift a directional block (idempotent)."""
-        self.blocked_pairs.discard((source, dest))
-
     def clear_blocks(self) -> None:
         """Lift every directional block."""
         self.blocked_pairs.clear()

@@ -3,24 +3,21 @@
 The paper's startup logic (§3.2) exists to "minimize the impact of network
 failures (i.e., both nodes becomes the primary)".  Experiments exercising
 that logic need controlled partitions; this controller applies and heals
-them, optionally on a schedule.
+them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable
 
-from repro.simnet.kernel import SimKernel
 from repro.simnet.network import Network
 
 
 class PartitionController:
-    """Creates, schedules and heals partitions on a :class:`Network`."""
+    """Creates and heals partitions on a :class:`Network`."""
 
-    def __init__(self, network: Network, kernel: Optional[SimKernel] = None) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.kernel = kernel or network.kernel
-        self.history: List[Tuple[float, str, str]] = []  # (time, link, action)
 
     def split(self, link_name: str, side_a: Iterable[str], side_b: Iterable[str]) -> None:
         """Partition *link_name* so side_a and side_b cannot communicate."""
@@ -30,21 +27,11 @@ class PartitionController:
         for node in side_b:
             groups[node] = 1
         self.network.set_partition(link_name, groups)
-        # Append-only by design (see heal): bounded by the chaos schedule.
-        self.history.append((self.kernel.now, link_name, "split"))  # oftt-lint: ok[unbounded-growth]
         self.network.trace.emit("net", link_name, "partition", groups=groups)
 
-    def isolate(self, link_name: str, lonely: str) -> None:
-        """Cut *lonely* off from every other member of the segment."""
-        others = [m for m in self.network.links[link_name].members if m != lonely]
-        self.split(link_name, [lonely], others)
-
-    # A split and a heal scheduled for the same instant resolve in
-    # schedule order by design; the shared history log is append-only.
-    def heal(self, link_name: str) -> None:  # oftt-lint: ok[race-write-write]
+    def heal(self, link_name: str) -> None:
         """Remove any partition on *link_name*."""
         self.network.set_partition(link_name, {})
-        self.history.append((self.kernel.now, link_name, "heal"))  # oftt-lint: ok[unbounded-growth]
         self.network.trace.emit("net", link_name, "partition-healed")
 
     def split_all(self, side_a: Iterable[str], side_b: Iterable[str]) -> None:
@@ -58,13 +45,3 @@ class PartitionController:
         """Heal every segment."""
         for link_name in self.network.links:
             self.heal(link_name)
-
-    def schedule_split(self, at: float, link_name: str, side_a: Iterable[str], side_b: Iterable[str]) -> None:
-        """Apply :meth:`split` at absolute simulated time *at*."""
-        delay = max(0.0, at - self.kernel.now)
-        self.kernel.schedule(delay, self.split, link_name, list(side_a), list(side_b))
-
-    def schedule_heal(self, at: float, link_name: str) -> None:
-        """Apply :meth:`heal` at absolute simulated time *at*."""
-        delay = max(0.0, at - self.kernel.now)
-        self.kernel.schedule(delay, self.heal, link_name)

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 
-from repro.analysis import determinism, races
+from repro.analysis import determinism, races, suppress
 from repro.analysis.findings import Severity
 from repro.analysis.report import JSON_SCHEMA, render_json, render_text, severity_counts
 from repro.analysis.walker import load_sources
@@ -158,6 +158,22 @@ def test_directive_inside_string_literal_is_inert():
         determinism.run,
     )
     assert rule_ids(findings) == ["DET001"]
+
+
+def test_source_without_the_directive_text_is_not_tokenized(monkeypatch):
+    calls = []
+    generate_tokens = suppress.tokenize.generate_tokens
+
+    def counting(readline):
+        calls.append(readline)
+        return generate_tokens(readline)
+
+    monkeypatch.setattr(suppress.tokenize, "generate_tokens", counting)
+    assert suppress.parse_suppressions("plain.py", VIOLATION) == suppress.Suppressions()
+    assert calls == []
+    marked = suppress.parse_suppressions("marked.py", VIOLATION + "# oftt-lint: skip-file\n")
+    assert marked.skip_file
+    assert len(calls) == 1
 
 
 # -- reporters -----------------------------------------------------------

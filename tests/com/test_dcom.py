@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.com.dcom import RPC_TIMEOUT
 from repro.com.hresult import E_NOINTERFACE, RPC_E_DISCONNECTED, RPC_E_TIMEOUT
 from repro.com.interfaces import declare_interface
 from repro.com.object import ComObject
@@ -111,7 +112,7 @@ def test_dead_node_call_burns_full_rpc_timeout():
     server_sys.power_off()
     result, elapsed = timed_call(world, proxy, "Add", 1, 1)
     assert result.hresult == RPC_E_TIMEOUT
-    assert elapsed >= client_rt.exporter.rpc_timeout
+    assert elapsed >= RPC_TIMEOUT
 
 
 def test_dead_process_answers_disconnected_quickly():

@@ -152,11 +152,11 @@ def test_scheduled_partition_and_heal():
     world = make_pair_world(seed=75)
     world.start()
     world.run_for(1_000.0)
-    now = world.kernel.now
-    world.partitions.schedule_split(now + 1_000.0, "lan0", ["alpha"], ["beta"])
-    world.partitions.schedule_heal(now + 3_000.0, "lan0")
+    world.kernel.schedule(1_000.0, world.partitions.split, "lan0", ["alpha"], ["beta"])
+    world.kernel.schedule(3_000.0, world.partitions.heal, "lan0")
     world.run_for(1_500.0)
     assert world.network.usable_path("alpha", "beta") is None
     world.run_for(2_000.0)
     assert world.network.usable_path("alpha", "beta") is not None
-    assert [action for _t, _l, action in world.partitions.history] == ["split", "heal"]
+    events = [record.event for record in world.trace.select(category="net", component="lan0")]
+    assert [event for event in events if event.startswith("partition")] == ["partition", "partition-healed"]

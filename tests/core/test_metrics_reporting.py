@@ -4,14 +4,8 @@ import math
 
 import pytest
 
-from repro.harness.reporting import format_dict, format_result, format_series, format_table
-from repro.metrics import (
-    AvailabilitySampler,
-    FailoverTiming,
-    failover_timing,
-    histogram_distance,
-    summarize,
-)
+from repro.harness.reporting import format_dict, format_result, format_table
+from repro.metrics import failover_timing, summarize
 from repro.simnet.kernel import SimKernel
 from repro.simnet.trace import TraceLog
 
@@ -40,17 +34,6 @@ def test_summarize_p95_near_tail():
     assert 90 <= stats["p95"] <= 99
 
 
-# -- histogram distance ------------------------------------------------------------
-
-
-def test_histogram_distance_zero_for_equal():
-    assert histogram_distance({0: 3, 1: 5}, {1: 5, 0: 3}) == 0
-
-
-def test_histogram_distance_counts_differences():
-    assert histogram_distance({0: 3, 1: 5}, {0: 1, 2: 4}) == 2 + 5 + 4
-
-
 # -- failover timing -----------------------------------------------------------------
 
 
@@ -72,30 +55,6 @@ def test_failover_timing_missing_events():
     assert timing.failover_latency is None
 
 
-# -- availability sampler ---------------------------------------------------------------
-
-
-def test_availability_fraction_and_windows():
-    sampler = AvailabilitySampler()
-    for time, up in [(0, True), (1, True), (2, False), (3, False), (4, True), (5, True)]:
-        sampler.sample(float(time), up)
-    assert sampler.availability == pytest.approx(4 / 6)
-    assert sampler.downtime_windows() == [(2.0, 4.0)]
-    assert sampler.total_downtime == 2.0
-
-
-def test_availability_open_ended_downtime():
-    sampler = AvailabilitySampler()
-    sampler.sample(0.0, True)
-    sampler.sample(1.0, False)
-    sampler.sample(2.0, False)
-    assert sampler.downtime_windows() == [(1.0, 2.0)]
-
-
-def test_availability_empty_defaults_up():
-    assert AvailabilitySampler().availability == 1.0
-
-
 # -- reporting --------------------------------------------------------------------------
 
 
@@ -112,8 +71,7 @@ def test_format_table_empty_rows():
     assert "a" in text and "b" in text
 
 
-def test_format_series_and_dict():
-    assert format_series("lat", [1.0, 2.5], unit="ms") == "lat: [1.00, 2.50] ms"
+def test_format_dict_block():
     block = format_dict("B", {"key": 1, "longer_key": "v"})
     assert "== B ==" in block and "longer_key" in block
 
@@ -127,7 +85,30 @@ def test_format_result_renders_dicts_as_blocks_and_rows_as_tables():
 def test_format_handles_nan_and_large_floats():
     text = format_table(["x"], [[float("nan")], [123456.789]])
     assert "nan" in text
-    assert "123457" in text
+    assert "123456.789" in text
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        # Two decimals below 1,000 and none from 1,000 up, where that
+        # text is the value at four decimals...
+        (0.5, "0.50"),
+        (425.8, "425.80"),
+        (2000.0, "2000"),
+        (264797.0, "264797"),
+        (-3.25, "-3.25"),
+        # ...and the value at four decimals where it would not be.
+        (0.9622, "0.9622"),
+        (0.0013192612137203166, "0.0013"),
+        (1.0349854967389547, "1.035"),
+        (553.4951254942207, "553.4951"),
+        (1114.6, "1114.6"),
+        (1041.5, "1041.5"),
+    ],
+)
+def test_format_prints_floats_as_the_result_holds_them(value, text):
+    assert format_dict("B", {"x": value}).splitlines()[1] == f"x : {text}"
 
 
 # -- run_experiments CLI -------------------------------------------------------------------

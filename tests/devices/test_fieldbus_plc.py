@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.com.runtime import ComRuntime
-from repro.devices.device import Actuator, Sensor, Valve
+from repro.devices.device import Actuator, Device, Sensor
 from repro.devices.fieldbus import Fieldbus
 from repro.devices.plc import PLC, PlcOpcBridge
 from repro.devices.signals import Constant, Step
@@ -124,7 +124,7 @@ def test_fieldbus_views_are_name_sorted_whatever_the_attach_order():
     for device in (
         Actuator("zeta_pump"),
         Sensor("temp", Constant(1.0)),
-        Valve("drain"),
+        Device("drain"),
         Actuator("alpha_fan"),
         Sensor("flow", Constant(2.0)),
         Sensor("level", Constant(3.0)),
@@ -140,22 +140,18 @@ def test_fieldbus_unknown_and_wrong_kind_names_raise():
     bus = Fieldbus("bus")
     bus.attach(Sensor("temp", Constant(1.0)))
     bus.attach(Actuator("pump"))
-    bus.attach(Valve("drain"))
+    bus.attach(Device("drain"))
     rng = random.Random(0)
     with pytest.raises(KeyError, match="no device ghost on bus"):
         bus.read_sensor("ghost", 0.0, rng)
     with pytest.raises(KeyError, match="no device ghost on bus"):
         bus.write_actuator("ghost", 1.0)
-    with pytest.raises(KeyError, match="no device ghost on bus"):
-        bus.command_valve("ghost", True, 0.0)
     with pytest.raises(TypeError, match="pump is not a sensor"):
         bus.read_sensor("pump", 0.0, rng)
     with pytest.raises(TypeError, match="drain is not a sensor"):
         bus.read_sensor("drain", 0.0, rng)
     with pytest.raises(TypeError, match="temp is not an actuator"):
         bus.write_actuator("temp", 1.0)
-    with pytest.raises(TypeError, match="pump is not a valve"):
-        bus.command_valve("pump", True, 0.0)
     assert bus.read_sensor("temp", 0.0, rng) == 1.0
     bus.write_actuator("pump", 2.0)
     assert bus.device("pump").commanded == 2.0

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.devices.device import Actuator, Sensor, Valve
-from repro.devices.signals import Constant, RandomWalk, Sine, Square, Step
+from repro.devices.device import Actuator, Sensor
+from repro.devices.signals import Constant, RandomWalk, Sine, Step
 
 
 def rng():
@@ -27,13 +27,6 @@ def test_sine_period_and_offset():
 def test_sine_invalid_period():
     with pytest.raises(ValueError):
         Sine(period=0.0)
-
-
-def test_square_wave():
-    signal = Square(low=0.0, high=1.0, period=10.0)
-    r = rng()
-    assert signal.sample(1.0, r) == 1.0
-    assert signal.sample(6.0, r) == 0.0
 
 
 def test_step():
@@ -77,28 +70,3 @@ def test_actuator_holds_command():
     actuator.fail()
     with pytest.raises(IOError):
         actuator.write(5.0)
-
-
-def test_valve_travel_takes_time():
-    valve = Valve("v", travel_time=100.0, initially_open=False)
-    valve.command(True, time=0.0)
-    assert valve.position_at(50.0) == pytest.approx(0.5)
-    assert not valve.fully_open
-    assert valve.position_at(100.0) == pytest.approx(1.0)
-    assert valve.fully_open
-
-
-def test_valve_reversal_mid_travel():
-    valve = Valve("v", travel_time=100.0)
-    valve.command(True, time=0.0)
-    valve.position_at(50.0)
-    valve.command(False, time=50.0)
-    assert valve.position_at(100.0) == pytest.approx(0.0)
-    assert valve.fully_closed
-
-
-def test_failed_valve_rejects_commands():
-    valve = Valve("v")
-    valve.fail()
-    with pytest.raises(IOError):
-        valve.command(True, time=0.0)

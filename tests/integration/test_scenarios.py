@@ -1,28 +1,16 @@
-"""Integration tests: the paper's reference configurations (F1a/F1b/F2/F3)."""
+"""Integration tests: the paper's reference configurations (F1a/F1b/F3).
+
+The registry's F1, F2 and F3 results are checked by ``CHECKS`` in
+``test_experiments.py``; these tests cover what those runs do not.
+"""
 
 import hashlib
 import json
 
 from repro.core.status import ComponentStatus
-from repro.harness.experiments import exp_architecture, exp_demo_config, exp_reference_configs
 from repro.harness.scenario import build_demo, build_integrated, build_remote_monitoring
 from repro.opc.client import DataCallbackSink
-
-
-def test_f1a_remote_monitoring_data_flow_and_failover():
-    rows = exp_reference_configs(seed=21)
-    f1a = rows[0]
-    assert f1a["config"].startswith("F1a")
-    assert f1a["survived"]
-    assert f1a["primary_after"] != f1a["primary_before"]
-    assert f1a["updates_before"] > 100
-
-
-def test_f1b_integrated_survives_failover():
-    rows = exp_reference_configs(seed=21)
-    f1b = rows[1]
-    assert f1b["survived"]
-    assert f1b["primary_after"] != f1b["primary_before"]
+from repro.opc.types import Quality
 
 
 def test_f1b_opc_server_rebuilds_cache_from_devices():
@@ -41,33 +29,6 @@ def test_f1b_opc_server_rebuilds_cache_from_devices():
     assert status["update_count"] > 0
     # The new server is a fresh instance (no checkpoint restore happened).
     assert server_app.api.ftim.GetStats()["checkpoints"] == 0
-
-
-def test_f2_architecture_fully_wired():
-    result = exp_architecture(seed=23)
-    assert result["engine_processes_alive"]
-    assert result["ftim_linked"]
-    assert result["ftim_heartbeats"] > 50
-    assert result["checkpoints_sent"] > 5
-    assert result["checkpoints_mirrored"] > 5
-    assert result["checkpoint_acked_seq"] >= 1
-    assert result["diverter_messages"] >= 0
-    assert result["monitor_reports"] > 10
-    assert result["monitor_sees_primary"]
-    assert not result["app_running_on_backup"]
-
-
-def test_f3_table1_software_configuration():
-    rows = exp_demo_config(seed=24)
-    by_node = {row["node"]: row for row in rows}
-    assert set(by_node) == {"node1", "node2", "test-pc"}
-    # Exactly one of the pair runs the app; both run engines.
-    pair_rows = [by_node["node1"], by_node["node2"]]
-    assert all(row["engine_alive"] for row in pair_rows)
-    assert sorted(row["role"] for row in pair_rows) == ["backup", "primary"]
-    assert sum(row["app_running"] for row in pair_rows) == 1
-    assert all(row["app_running"] == row["expected_app_running"] for row in rows)
-    assert by_node["test-pc"]["app_running"]  # telephone simulator running
 
 
 def test_demo_monitor_display_tracks_roles():
@@ -114,7 +75,7 @@ def test_f1a_fieldbus_failure_degrades_quality_not_availability():
     scenario.run_for(5_000.0)
     assert scenario.pair.primary_node() == primary_before  # no failover
     quality = scenario.opc_server.namespace.read("plc1.temp").quality
-    assert quality.is_bad
+    assert quality is Quality.BAD_DEVICE_FAILURE
     scenario.fieldbuses["devicenet0"].repair()
     scenario.run_for(5_000.0)
     assert scenario.opc_server.namespace.read("plc1.temp").quality.is_good

@@ -145,12 +145,6 @@ def test_open_missing_queue_rejected():
         sender.open_queue("ghost")
 
 
-def test_dead_letter_queue_protected():
-    world, sender, _receiver = make_managers()
-    with pytest.raises(MsqError):
-        sender.delete_queue(DEAD_LETTER_QUEUE)
-
-
 def test_create_queue_idempotent():
     world, sender, _receiver = make_managers()
     first = sender.create_queue("q")

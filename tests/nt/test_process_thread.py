@@ -121,20 +121,6 @@ def test_hang_keeps_memory_but_stops_threads():
     assert process.address_space.read("value") == 7
 
 
-def test_unhang_resumes_execution():
-    world, system = make_machine()
-    ticks = []
-    process = system.create_process("app")
-    process.create_thread("main", body=ticker(ticks), dynamic=False)
-    process.start()
-    world.run(25.0)
-    process.hang()
-    world.run(50.0)
-    process.unhang()
-    world.run(85.0)
-    assert len(ticks) > 2
-
-
 def test_operations_on_dead_process_fail():
     world, system = make_machine()
     process = system.create_process("app")

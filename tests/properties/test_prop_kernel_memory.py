@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.nt.memory import AddressSpace, HEAP, STACK
+from repro.nt.memory import AddressSpace, HEAP, STACK, copy_variables
 from repro.simnet.kernel import SimKernel
 
 
@@ -84,8 +84,14 @@ def test_walkthrough_restore_roundtrip(regions):
             source.write(variable, value, region=region_name)
     image = source.walkthrough()
 
+    # Restore the way an application's launch does: copy the image's
+    # variables and write them into a fresh address space.
     target = AddressSpace("dst")
-    target.restore_walkthrough(image)
+    for region_name, data in image.items():
+        if not target.has_region(region_name):
+            target.map_region(region_name, HEAP)
+        for variable, value in copy_variables(data).items():
+            target.write(variable, value, region=region_name)
     assert target.walkthrough() == image
 
 

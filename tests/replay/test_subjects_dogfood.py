@@ -10,12 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.replay.runner import ReplayResult, RoundTripResult
-from repro.replay.subjects import SUBJECTS, run_subject, subject_names
+from repro.replay.subjects import SUBJECTS, run_subject
 
 
 def test_registry_covers_scenarios_and_a_campaign():
-    traces = subject_names(kind="trace")
-    roundtrips = subject_names(kind="roundtrip")
+    traces = [name for name, subject in SUBJECTS.items() if subject.kind == "trace"]
+    roundtrips = [name for name, subject in SUBJECTS.items() if subject.kind == "roundtrip"]
     assert len(traces) >= 3  # >=2 plain scenarios + the fault campaign
     assert "demo-campaign" in traces
     assert len(roundtrips) >= 2

@@ -92,7 +92,7 @@ def run_golden():
     # Phase 1: faults raised and lifted while frames are in flight.
     schedule_sends(kernel, network, 320)
     kernel.schedule(10.0, network.block_direction, "b", "a")
-    kernel.schedule(22.0, network.unblock_direction, "b", "a")
+    kernel.schedule(22.0, network.clear_blocks)
     kernel.schedule(15.0, controller.split, "lan0", ["a"], ["b", "c", "d"])
     kernel.schedule(31.0, controller.heal, "lan0")
     kernel.schedule(26.0, network.nodes["c"].nic_down, "lan1")
@@ -101,7 +101,7 @@ def run_golden():
     kernel.schedule(52.0, setattr, network.nodes["d"], "powered", True)
     kernel.schedule(47.0, network.set_corruption, "lan1", 0.1)
     kernel.schedule(63.0, network.set_corruption, "lan1", 0.0)
-    kernel.schedule(58.0, controller.isolate, "lan1", "b")
+    kernel.schedule(58.0, controller.split, "lan1", ["b"], ["a", "c"])  # isolate b
     kernel.schedule(70.0, controller.heal_all)
     kernel.run()
 

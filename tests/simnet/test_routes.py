@@ -121,7 +121,8 @@ def random_step(rng, network, controller, counter):
         link = rng.choice(links)
         if not network.links[link].members:
             return "isolate-skip"
-        controller.isolate(link, rng.choice(network.links[link].members))
+        lonely = rng.choice(network.links[link].members)
+        controller.split(link, [lonely], [member for member in network.links[link].members if member != lonely])
     elif kind == "heal":
         controller.heal(rng.choice(sorted(network.partition_of) or links))
     elif kind == "heal-all":
@@ -142,10 +143,8 @@ def random_step(rng, network, controller, counter):
         network.attach(*rng.choice(free))
     else:
         source, dest = rng.choice(nodes), rng.choice(nodes)
-        if rng.random() < 0.15:
+        if rng.random() < 0.15 or (source, dest) in network.blocked_pairs:
             network.clear_blocks()
-        elif (source, dest) in network.blocked_pairs:
-            network.unblock_direction(source, dest)
         else:
             network.block_direction(source, dest)
     return kind
