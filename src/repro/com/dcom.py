@@ -141,8 +141,9 @@ class DcomExporter:
         """Build a proxy through which this node can call *objref*."""
         return Proxy(self, objref)
 
-    def invoke(self, objref: ObjRef, method: str, args: Tuple[Any, ...], timeout: Optional[float] = None) -> Event:
-        """Start a remote call; returns an :class:`Event` firing RpcResult."""
+    def invoke(self, objref: ObjRef, method: str, args: Tuple[Any, ...]) -> Event:
+        """Start a remote call; returns an :class:`Event` firing RpcResult
+        (a failed ``RPC_E_TIMEOUT`` one after :data:`RPC_TIMEOUT`)."""
         call_id = next(self._call_counter)
         done = Event(name=f"rpc:{objref.label}.{method}:{call_id}")
         wire_args, size = marshal(list(args))
@@ -154,9 +155,7 @@ class DcomExporter:
             "method": method,
             "args": wire_args,
         }
-        timer = self.kernel.schedule(
-            timeout if timeout is not None else RPC_TIMEOUT, self._on_timeout, call_id
-        )
+        timer = self.kernel.schedule(RPC_TIMEOUT, self._on_timeout, call_id)
         self._pending[call_id] = (done, timer)
         sent = self.network.send(self.node.name, objref.node, ORPC_PORT, request, size=64 + size)
         if not sent:
@@ -346,9 +345,9 @@ class Proxy:
         self._exporter = exporter
         self.objref = objref
 
-    def call(self, method: str, *args: Any, timeout: Optional[float] = None) -> Event:
+    def call(self, method: str, *args: Any) -> Event:
         """Start a two-way remote call."""
-        return self._exporter.invoke(self.objref, method, args, timeout=timeout)
+        return self._exporter.invoke(self.objref, method, args)
 
     def call_oneway(self, method: str, *args: Any) -> bool:
         """Start a one-way (no reply) remote call."""
@@ -358,8 +357,8 @@ class Proxy:
         if method.startswith("_"):
             raise AttributeError(method)
 
-        def _remote(*args: Any, **kwargs: Any) -> Event:
-            return self.call(method, *args, **kwargs)
+        def _remote(*args: Any) -> Event:
+            return self.call(method, *args)
 
         return _remote
 

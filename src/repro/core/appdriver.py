@@ -14,7 +14,7 @@ shared trace/config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from repro.core.config import OfttConfig
@@ -38,7 +38,6 @@ class NodeContext:
     config: OfttConfig
     trace: TraceLog
     engine: Optional["OfttEngine"] = None
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def kernel(self):

@@ -2,10 +2,12 @@
 
 "Two redundant computers are paired up via one or dual Ethernet networks
 and form a single logic execution unit" (§2.1).  :class:`OfttPair` builds
-exactly that: given two booted NT machines and an application factory, it
+exactly that: given two NT machines and an application factory, it
 installs a :class:`NodeContext`, an engine and an application copy on each
 node, starts negotiation, and exposes the queries fault-injection
 harnesses need (who is primary, switchover timing, state of both copies).
+A machine that is not up yet gets its stack, and its engine starts, when
+its boot completes (§3.2's skewed start-up, experiment X3).
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ MSQ_RETRY_BACKOFF = 2.0
 MSQ_RETRY_MAX_INTERVAL = 2_000.0
 MSQ_RETRY_JITTER = 25.0
 
+#: :meth:`OfttPair.settle` checks for a stable pair every SETTLE_STEP
+#: simulated ms and gives up after SETTLE_TIMEOUT.
+SETTLE_TIMEOUT = 30_000.0
+SETTLE_STEP = 50.0
+
 
 class OfttPair:
     """A primary/backup pair plus its application copies."""
@@ -64,6 +71,8 @@ class OfttPair:
         self.trace = trace if trace is not None else network.trace
         self.node_names = sorted(systems)
         self.systems = systems
+        # Per-node maps, filled as nodes are installed: in node order at
+        # assembly, in boot order for nodes installed when they boot.
         self.contexts: Dict[str, NodeContext] = {}
         self.engines: Dict[str, OfttEngine] = {}
         #: First (primary) application per node — the common single-app case.
@@ -76,12 +85,19 @@ class OfttPair:
         self._subscriber_nodes = list(subscriber_nodes or [])
         self._preferred_primary = preferred_primary
         for name in self.node_names:
-            self._install_node(name)
+            if systems[name].is_up:
+                self._install_node(name)
+            else:
+                systems[name].on_boot.append(self._install_on_boot)
+
+    def _install_on_boot(self, system: NTSystem) -> None:
+        """One-shot boot hook for a node that was not up at assembly."""
+        system.on_boot.remove(self._install_on_boot)
+        self._install_node(system.node.name)
+        self.engines[system.node.name].start()
 
     def _install_node(self, name: str) -> None:
         system = self.systems[name]
-        if not system.is_up:
-            raise OfttError(f"node {name} must be booted before pair assembly")
         peer = self.node_names[1] if name == self.node_names[0] else self.node_names[0]
         runtime = ComRuntime(system, self.network)
         qmgr = QueueManager(
@@ -123,9 +139,10 @@ class OfttPair:
     # -- lifecycle -------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start both engines (they negotiate roles among themselves)."""
-        for name in self.node_names:
-            self.engines[name].start()
+        """Start the installed engines (they negotiate roles among
+        themselves); a node still booting starts when its boot completes."""
+        for engine in self.engines.values():
+            engine.start()
 
     def reinstall_node(self, name: str) -> None:
         """Rebuild one node's stack after its machine was rebooted.
@@ -167,10 +184,8 @@ class OfttPair:
     def primary_node(self) -> Optional[str]:
         """The node whose live engine currently holds PRIMARY (None if
         none, which happens transiently during negotiation/switchover)."""
-        engines = self.engines
         primary = None
-        for name in self.node_names:
-            engine = engines[name]
+        for name, engine in self.engines.items():
             if engine.alive and engine.role is PRIMARY:
                 if primary is not None:
                     raise OfttError(f"dual primary: {[primary, name]}")
@@ -179,16 +194,14 @@ class OfttPair:
 
     def backup_node(self) -> Optional[str]:
         """The node whose live engine currently holds BACKUP."""
-        backups = [
-            name
-            for name in self.node_names
-            if self.engines[name].alive and self.engines[name].role is BACKUP
-        ]
-        return backups[0] if backups else None
+        for name, engine in self.engines.items():
+            if engine.alive and engine.role is BACKUP:
+                return name
+        return None
 
     def running_app_nodes(self) -> List[str]:
         """Nodes where any application copy is currently executing."""
-        return [name for name in self.node_names if any(app.running for app in self.all_apps[name])]
+        return [name for name, apps in self.all_apps.items() if any(app.running for app in apps)]
 
     def is_stable(self) -> bool:
         """One live primary running the app (the pair's steady state)."""
@@ -203,21 +216,21 @@ class OfttPair:
                 return False
         return True
 
-    def settle(self, max_time: float = 30_000.0, step: float = 50.0) -> float:
+    def settle(self) -> float:
         """Run the simulation until :meth:`is_stable` (returns the time).
 
         Raises :class:`OfttError` if the pair does not stabilise within
-        *max_time* simulated ms.
+        :data:`SETTLE_TIMEOUT` simulated ms.
         """
-        deadline = self.kernel.now + max_time
+        deadline = self.kernel.now + SETTLE_TIMEOUT
         while self.kernel.now < deadline:
             if self.is_stable():
                 return self.kernel.now
-            self.kernel.run(until=self.kernel.now + step)
+            self.kernel.run(until=self.kernel.now + SETTLE_STEP)
         if self.is_stable():
             return self.kernel.now
-        raise OfttError(f"pair {self.unit} did not stabilise within {max_time}ms")
+        raise OfttError(f"pair {self.unit} did not stabilise within {SETTLE_TIMEOUT}ms")
 
     def __repr__(self) -> str:
-        roles = {name: self.engines[name].role.value for name in self.node_names}
+        roles = {name: engine.role.value for name, engine in self.engines.items()}
         return f"OfttPair({self.unit}, roles={roles})"

@@ -1,7 +1,7 @@
-"""Fault campaigns: timed schedules of faults with outcome measurement.
+"""Fault campaigns: faults injected one at a time, with outcome measurement.
 
-A :class:`Campaign` runs a schedule of faults against an environment
-exposing an ``OfttPair`` and records, per injection:
+A :class:`Campaign` runs faults against an environment exposing an
+``OfttPair`` and records, per injection:
 
 * whether the fault was *detected* (a recovery decision, peer-loss, or
   takeover followed it),
@@ -69,14 +69,12 @@ class Campaign:
         kernel: SimKernel,
         env: Any,
         settle_timeout: float = 30_000.0,
-        inter_fault_gap: float = 5_000.0,
         poll_step: float = 10.0,
     ) -> None:
         self.kernel = kernel
         self.env = env
         self.injector = FaultInjector(kernel, env)
         self.settle_timeout = settle_timeout
-        self.inter_fault_gap = inter_fault_gap
         self.poll_step = poll_step
         self.records: List[InjectionRecord] = []
 
@@ -117,13 +115,6 @@ class Campaign:
             self.injector.inject_now(NodeReboot(node, reinstall=True))
         elif not self.env.pair.engines[node].alive:
             self.env.pair.reinstall_node(node)
-
-    def run_schedule(self, faults: List[Fault]) -> List[InjectionRecord]:
-        """Run faults sequentially with a stabilisation gap between them."""
-        for fault in faults:
-            self.run_fault(fault)
-            self.kernel.run(until=self.kernel.now + self.inter_fault_gap)
-        return self.records
 
     def _safe_primary(self) -> Optional[str]:
         try:

@@ -66,7 +66,6 @@ from repro.harness.scenario import (
     build_remote_monitoring,
 )
 from repro.metrics import failover_timing, summarize
-from repro.nt.system import NTSystem
 
 
 # ---------------------------------------------------------------------------
@@ -350,53 +349,24 @@ def exp_startup(seeds: List[int]) -> List[Dict[str, Any]]:
 
 
 def _run_startup_once(seed: int, config: OfttConfig) -> str:
-    world = Scenario(seed, dual_lan=False)
+    world = Scenario(seed, dual_lan=False, config=config)
     for name in ("alpha", "beta"):
-        system = world._add_machine(name)
+        system = world.add_machine(name, boot=False)
         system.boot_time = 100.0
         system.boot_jitter = 1_500.0
-
-    # Engines start as soon as each machine finishes its (skewed) boot —
-    # the §3.2 situation: the early node negotiates against silence.
-    # OfttPair wants both systems up, so each engine is installed by a
-    # boot hook instead.
-    from repro.com.runtime import ComRuntime
-    from repro.core.appdriver import NodeContext
-    from repro.core.engine import OfttEngine
-    from repro.msq.manager import QueueManager
-
-    engines: Dict[str, OfttEngine] = {}
-
-    def install(system: NTSystem) -> None:
-        name = system.node.name
-        peer = "beta" if name == "alpha" else "alpha"
-        context = NodeContext(
-            system=system,
-            runtime=ComRuntime(system, world.network),
-            qmgr=QueueManager(world.kernel, world.network, system.node),
-            config=config,
-            trace=world.trace,
-        )
-        engine = OfttEngine(
-            context=context,
-            peer_node=peer,
-            application=SyntheticStateApp(cold_kb=1, mode="selective"),
-        )
-        engine.application.install(context)
-        engines[name] = engine
-        engine.start()
-
+    # Each engine starts as soon as its machine finishes its (skewed)
+    # boot — the §3.2 situation: the early node negotiates against silence.
+    pair = world.add_pair(("alpha", "beta"), lambda: SyntheticStateApp(cold_kb=1, mode="selective"), unit="startup")
     for system in world.systems.values():
-        system.on_boot.append(install)
         system.boot()
 
     world.run(60_000.0)
-    roles = {name: engine.role for name, engine in engines.items()}
-    if any(role is Role.SHUTDOWN for role in roles.values()):
+    roles = [engine.role for engine in pair.engines.values()]
+    if Role.SHUTDOWN in roles:
         return "shutdown"
-    if sorted(role.value for role in roles.values()) == ["backup", "primary"]:
+    if sorted(role.value for role in roles) == ["backup", "primary"]:
         return "stable"
-    return "other:" + ",".join(sorted(role.value for role in roles.values()))
+    return "other:" + ",".join(sorted(role.value for role in roles))
 
 
 # ---------------------------------------------------------------------------

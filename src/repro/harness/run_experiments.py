@@ -5,13 +5,6 @@ This is how EXPERIMENTS.md's "measured" columns are produced::
     python -m repro.harness.run_experiments            # everything
     python -m repro.harness.run_experiments X1 X3      # a subset
 
-``--replay-check`` runs each selected experiment **twice** and compares
-the canonicalized result payloads — the experiment-level counterpart of
-``oftt-replay``'s trace-level diff.  A mismatch means the experiment's
-published numbers are not reproducible from its seed::
-
-    python -m repro.harness.run_experiments --replay-check X2 X5
-
 ``--jobs N`` fans independent experiments out over a process pool;
 tables are printed in the requested order either way, so the output is
 byte-identical for any worker count::
@@ -27,7 +20,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.harness import experiments as E
 from repro.harness.reporting import format_result
 from repro.perf.executor import add_jobs_argument, parallel_map
-from repro.simnet.trace import canonical_value
 
 #: The one definition of every experiment: id -> (title, runner).  The
 #: tier-1 test ``tests/integration/test_experiments.py`` runs each id
@@ -79,36 +71,6 @@ def run(ids: List[str], jobs: int = 1) -> None:
         print(format_result(title, result))
 
 
-def replay_check_experiment(experiment_id: str) -> Tuple[bool, Any, Any]:
-    """Run one experiment twice; return (match, first, second) canonical payloads.
-
-    Canonicalization reuses the trace policy (:func:`canonical_value`):
-    sorted dict keys and quantized floats, so a reorder or a sub-ULP
-    float wobble does not count as a divergence but any real numeric or
-    structural change does.
-    """
-    _, runner = EXPERIMENTS[experiment_id]
-    first = canonical_value(runner())
-    second = canonical_value(runner())
-    return first == second, first, second
-
-
-def replay_check(ids: List[str], jobs: int = 1) -> int:
-    """Run each experiment twice and report reproducibility; exit-style int."""
-    failures = 0
-    checks = parallel_map(replay_check_experiment, ids, jobs=jobs)
-    for experiment_id, (match, first, second) in zip(ids, checks):
-        if match:
-            print(f"[ok] {experiment_id}: two runs agree")
-            continue
-        failures += 1
-        print(f"[DIVERGED] {experiment_id}: runs disagree")
-        print(f"  run 1: {first!r}")
-        print(f"  run 2: {second!r}")
-    print(f"{len(ids)} experiment(s): {len(ids) - failures} ok, {failures} diverged")
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="run_experiments",
@@ -116,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("ids", nargs="*", metavar="ID",
                         help="experiment ids to run (default: all)")
-    parser.add_argument("--replay-check", action="store_true",
-                        help="run each experiment twice and compare the canonical results")
     add_jobs_argument(parser)
     return parser
 
@@ -130,8 +90,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if unknown:
         print(f"unknown experiment ids: {unknown}; available: {sorted(EXPERIMENTS)}")
         return 2
-    if options.replay_check:
-        return replay_check(requested, jobs=options.jobs)
     run(requested, jobs=options.jobs)
     return 0
 

@@ -15,18 +15,20 @@
 Every scenario is a :class:`Scenario`: it owns its kernel/network/trace,
 is deterministic for a given seed, and exposes the attribute set
 :mod:`repro.faults` expects (``systems``, ``network``, ``partitions``,
-``pair``, ``fieldbuses``).
+``pair``, ``fieldbuses``).  Every world is built with the same three
+steps: :meth:`Scenario.add_machine`, :meth:`Scenario.add_pair` and
+:meth:`Scenario.add_client`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.calltrack import CallTrackApp
 from repro.apps.history import CallingHistoryGenerator
 from repro.apps.opcserver import OpcServerApp
 from repro.apps.scada import AlarmRule, ScadaMonitorApp
-from repro.core.cluster import OfttPair
+from repro.core.cluster import AppFactory, OfttPair
 from repro.core.config import OfttConfig, replace_config
 from repro.core.diverter import DiverterClient, inbox_queue_name
 from repro.core.drsite import DRSite, DR_QUEUE
@@ -67,8 +69,9 @@ class Scenario:
     instance is a world with LANs and no machines yet.
     """
 
-    def __init__(self, seed: int, dual_lan: bool) -> None:
+    def __init__(self, seed: int, dual_lan: bool, config: Optional[OfttConfig] = None) -> None:
         self.seed = seed
+        self.config = config or OfttConfig()
         self.kernel = SimKernel()
         self.rngs = RngStreams(seed)
         self.trace = TraceLog(clock=lambda: self.kernel.now)
@@ -81,13 +84,48 @@ class Scenario:
         for lan in self.lans:
             self.network.add_link(lan, latency=0.5, jitter=0.1)
 
-    def _add_machine(self, name: str, lans: Optional[List[str]] = None) -> NTSystem:
+    def add_machine(self, name: str, lans: Optional[List[str]] = None, boot: bool = True) -> NTSystem:
+        """Add node *name* on *lans* (default: every LAN) with its NT
+        machine, booted at once unless *boot* is false."""
         self.network.add_node(name)
         for lan in lans if lans is not None else self.lans:
             self.network.attach(name, lan)
         system = NTSystem(self.kernel, self.network.nodes[name], self.rngs, self.trace)
         self.systems[name] = system
+        if boot:
+            system.boot_immediately()
         return system
+
+    def add_pair(self, nodes: Sequence[str], app_factory: AppFactory, unit: str, **roles) -> OfttPair:
+        """Assemble the scenario's OFTT pair on machines *nodes* (booted or
+        still booting); *roles* are :class:`OfttPair`'s ``monitor_nodes``,
+        ``subscriber_nodes`` and ``preferred_primary``."""
+        self.pair = OfttPair(
+            network=self.network,
+            systems={name: self.systems[name] for name in nodes},
+            config=self.config,
+            app_factory=app_factory,
+            unit=unit,
+            **roles,
+        )
+        return self.pair
+
+    def add_client(self, name: str, mirror: Optional[Tuple[str, str]] = None) -> DiverterClient:
+        """A diverter client of the pair on machine *name*, sending through
+        its own queue manager (``client.qmgr``)."""
+        return DiverterClient(
+            node=self.network.nodes[name],
+            qmgr=self._queue_manager(name),
+            unit=self.pair.unit,
+            pair_nodes=self.pair.node_names,
+            trace=self.trace,
+            mirror=mirror,
+        )
+
+    def _queue_manager(self, name: str) -> QueueManager:
+        qmgr = QueueManager(self.kernel, self.network, self.network.nodes[name])
+        qmgr.attach_to_system(self.systems[name])
+        return qmgr
 
     def start(self, settle: bool = True) -> None:
         """Start the pair and, with *settle*, run until its roles are decided."""
@@ -123,38 +161,25 @@ class DemoScenario(Scenario):
         mean_call: float = 4_000.0,
         save_on_end: bool = True,
     ) -> None:
-        super().__init__(seed, dual_lan)
-        self.config = config or OfttConfig()
-
+        super().__init__(seed, dual_lan, config)
         for name in DEMO_NODES:
-            self._add_machine(name).boot_immediately()
+            self.add_machine(name)
         # The test PC needs only one network path in the paper's figure.
-        self._add_machine(TEST_PC, lans=[self.lans[0]]).boot_immediately()
+        self.add_machine(TEST_PC, lans=[self.lans[0]])
 
         # The redundant pair runs the Call Track application.
-        self.pair = OfttPair(
-            network=self.network,
-            systems={name: self.systems[name] for name in DEMO_NODES},
-            config=self.config,
-            app_factory=lambda: CallTrackApp(unit="calltrack", lines=lines, save_on_end=save_on_end),
+        self.add_pair(
+            DEMO_NODES,
+            lambda: CallTrackApp(unit="calltrack", lines=lines, save_on_end=save_on_end),
             unit="calltrack",
             monitor_nodes=[TEST_PC],
             subscriber_nodes=[TEST_PC],
-            trace=self.trace,
         )
 
         # Test/interface PC: monitor + telephone simulator + history.
-        test_node = self.network.nodes[TEST_PC]
-        self.monitor = SystemMonitor(self.kernel, test_node)
-        self.test_qmgr = QueueManager(self.kernel, self.network, test_node)
-        self.test_qmgr.attach_to_system(self.systems[TEST_PC])
-        self.diverter_client = DiverterClient(
-            node=test_node,
-            qmgr=self.test_qmgr,
-            unit="calltrack",
-            pair_nodes=list(DEMO_NODES),
-            trace=self.trace,
-        )
+        self.monitor = SystemMonitor(self.kernel, self.network.nodes[TEST_PC])
+        self.diverter_client = self.add_client(TEST_PC)
+        self.test_qmgr = self.diverter_client.qmgr
         self.telephone = TelephoneSystem(
             self.kernel,
             self.rngs.stream("telephone"),
@@ -189,8 +214,7 @@ class RemoteMonitoringScenario(Scenario):
         scan_period: float = 50.0,
         update_rate: float = 200.0,
     ) -> None:
-        super().__init__(seed, dual_lan)
-        self.config = config or OfttConfig()
+        super().__init__(seed, dual_lan, config)
 
         # Plant floor: fieldbus, devices, PLC.
         bus = Fieldbus("devicenet0")
@@ -208,8 +232,7 @@ class RemoteMonitoringScenario(Scenario):
         self.plc.add_logic(interlock)
 
         # Industrial PC: hosts the (unprotected) OPC server for the PLC.
-        industrial = self._add_machine(self.INDUSTRIAL_PC)
-        industrial.boot_immediately()
+        industrial = self.add_machine(self.INDUSTRIAL_PC)
         self.industrial_runtime = ComRuntime(industrial, self.network)
         self.opc_server = OpcServer(self.industrial_runtime, "OPC.Plant.1")
         self.bridge = PlcOpcBridge(self.kernel, self.plc, self.opc_server, poll_period=update_rate / 2.0)
@@ -217,18 +240,13 @@ class RemoteMonitoringScenario(Scenario):
 
         # Monitor/control PC pair with the protected SCADA client.
         for name in self.PAIR_NODES:
-            self._add_machine(name).boot_immediately()
+            self.add_machine(name)
         items = ["plc1.temp", "plc1.pressure", "plc1.flow", "plc1.cooling_pump"]
         alarms = [AlarmRule("plc1.temp", high_limit=80.0, control_write=("plc1.cooling_pump", 1.0))]
-        self.pair = OfttPair(
-            network=self.network,
-            systems={name: self.systems[name] for name in self.PAIR_NODES},
-            config=self.config,
-            app_factory=lambda: ScadaMonitorApp(
-                server_ref=self.server_ref, items=items, alarms=alarms, update_rate=update_rate
-            ),
+        self.add_pair(
+            self.PAIR_NODES,
+            lambda: ScadaMonitorApp(server_ref=self.server_ref, items=items, alarms=alarms, update_rate=update_rate),
             unit="scada",
-            trace=self.trace,
         )
 
     def start(self, settle: bool = True) -> None:
@@ -255,8 +273,7 @@ class IntegratedScenario(Scenario):
         dual_lan: bool = True,
         scan_period: float = 50.0,
     ) -> None:
-        super().__init__(seed, dual_lan)
-        self.config = config or OfttConfig()
+        super().__init__(seed, dual_lan, config)
 
         bus = Fieldbus("fieldbus0")
         bus.attach(Sensor("level", RandomWalk(start=50.0, step=0.5, mean=50.0, minimum=0.0, maximum=100.0)))
@@ -272,7 +289,7 @@ class IntegratedScenario(Scenario):
         self.plc.add_logic(level_control)
 
         for name in self.PAIR_NODES:
-            self._add_machine(name).boot_immediately()
+            self.add_machine(name)
 
         def make_apps():
             server_app = OpcServerApp(self.plc, server_name="OPC.Integrated.1")
@@ -286,14 +303,7 @@ class IntegratedScenario(Scenario):
             server_app.on_export.append(lambda ref: setattr(client_app, "server_ref", ref))
             return [server_app, client_app]
 
-        self.pair = OfttPair(
-            network=self.network,
-            systems={name: self.systems[name] for name in self.PAIR_NODES},
-            config=self.config,
-            app_factory=make_apps,
-            unit="integrated",
-            trace=self.trace,
-        )
+        self.add_pair(self.PAIR_NODES, make_apps, unit="integrated")
 
     def start(self, settle: bool = True) -> None:
         """Start plant and pair."""
@@ -319,18 +329,10 @@ class PairEnvScenario(Scenario):
         unit: str = "bench",
         dual_lan: bool = False,
     ) -> None:
-        super().__init__(seed, dual_lan)
-        self.config = config or OfttConfig()
+        super().__init__(seed, dual_lan, config)
         for name in self.NODES:
-            self._add_machine(name).boot_immediately()
-        self.pair = OfttPair(
-            network=self.network,
-            systems={name: self.systems[name] for name in self.NODES},
-            config=self.config,
-            app_factory=app_factory,
-            unit=unit,
-            trace=self.trace,
-        )
+            self.add_machine(name)
+        self.add_pair(self.NODES, app_factory, unit=unit)
 
 
 class ChaosScenario(Scenario):
@@ -365,8 +367,7 @@ class ChaosScenario(Scenario):
         checkpoint_period: float = 500.0,
         message_driven: Optional[bool] = None,
     ) -> None:
-        super().__init__(seed, dual_lan=False)
-        self.config = config or OfttConfig()
+        super().__init__(seed, dual_lan=False, config=config)
         if self.config.replication_strategy == "log-replay-dr" and not self.config.dr_node:
             self.config = replace_config(self.config, dr_node=self.DR_NODE)
         self.strategy_name = self.config.replication_strategy
@@ -381,15 +382,13 @@ class ChaosScenario(Scenario):
         from repro.apps.synthetic import SyntheticStateApp
 
         for name in self.PAIR_NODES:
-            self._add_machine(name).boot_immediately()
-        self._add_machine(self.CLIENT).boot_immediately()
+            self.add_machine(name)
+        self.add_machine(self.CLIENT)
 
         inbox = inbox_queue_name("chaos") if self.message_driven else None
-        self.pair = OfttPair(
-            network=self.network,
-            systems={name: self.systems[name] for name in self.PAIR_NODES},
-            config=self.config,
-            app_factory=lambda: SyntheticStateApp(
+        self.add_pair(
+            self.PAIR_NODES,
+            lambda: SyntheticStateApp(
                 cold_kb=4,
                 hot_vars=4,
                 tick_period=100.0,
@@ -398,37 +397,24 @@ class ChaosScenario(Scenario):
             ),
             unit="chaos",
             subscriber_nodes=[self.CLIENT],
-            trace=self.trace,
         )
 
         self.dr_site: Optional[DRSite] = None
         mirror = None
         if self.strategy_name == "log-replay-dr":
-            dr_system = self._add_machine(self.config.dr_node)
-            dr_system.boot_immediately()
-            self.dr_qmgr = QueueManager(self.kernel, self.network, self.network.nodes[self.config.dr_node])
-            self.dr_qmgr.attach_to_system(dr_system)
+            dr_system = self.add_machine(self.config.dr_node)
             self.dr_site = DRSite(
                 kernel=self.kernel,
                 system=dr_system,
-                qmgr=self.dr_qmgr,
+                qmgr=self._queue_manager(self.config.dr_node),
                 trace=self.trace,
                 app_name=self.APP_NAME,
                 apply_message=SyntheticStateApp.apply_message,
             )
             mirror = (self.config.dr_node, DR_QUEUE)
 
-        client_node = self.network.nodes[self.CLIENT]
-        self.client_qmgr = QueueManager(self.kernel, self.network, client_node)
-        self.client_qmgr.attach_to_system(self.systems[self.CLIENT])
-        self.diverter_client = DiverterClient(
-            node=client_node,
-            qmgr=self.client_qmgr,
-            unit="chaos",
-            pair_nodes=list(self.PAIR_NODES),
-            trace=self.trace,
-            mirror=mirror,
-        )
+        self.diverter_client = self.add_client(self.CLIENT, mirror=mirror)
+        self.client_qmgr = self.diverter_client.qmgr
 
     def start(self, settle: bool = True) -> None:
         """Start the pair and the client workload."""

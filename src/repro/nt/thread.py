@@ -163,18 +163,6 @@ class NTThread:
             self._sim_process.kill()
             self._sim_process = None
 
-    def resume(self) -> None:
-        """Restart the body after a suspend (fresh generator, same memory).
-
-        The real OFTT restarts the application entry point and relies on
-        the restored checkpoint for state, so a fresh generator over the
-        preserved address space is the faithful model.
-        """
-        if self.state is not ThreadState.SUSPENDED:
-            raise ThreadDead(f"resume of non-suspended thread {self.name}")
-        self.state = ThreadState.READY
-        self.start()
-
     # -- checkpointing hooks -----------------------------------------------
 
     def capture_context(self) -> ThreadContext:

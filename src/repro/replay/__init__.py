@@ -14,8 +14,6 @@ Entry points:
 * ``python -m repro.replay`` / ``oftt-replay`` — CLI with text and JSON
   (``repro.replay/v1``) reporters; ``--gate`` is the ``make verify``
   hook.
-* ``python -m repro.harness.run_experiments --replay-check`` — the same
-  idea applied to experiment *results* instead of traces.
 """
 
 from repro.replay.canonical import CanonicalEvent, canonicalize_trace

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple, Union
 
 from repro.apps.synthetic import SyntheticStateApp
+from repro.chaos.cli import campaign_tasks
 from repro.chaos.runner import ChaosRun
-from repro.chaos.schedule import ScheduleGenerator
 from repro.faults.campaign import Campaign
 from repro.harness.scenario import (
     DEMO_FAULTS,
@@ -31,7 +31,6 @@ from repro.harness.scenario import (
     build_pair_env,
     build_remote_monitoring,
 )
-from repro.simnet.random import RngStreams
 from repro.replay.runner import (
     ReplayResult,
     RoundTripResult,
@@ -81,7 +80,7 @@ def _demo_campaign_trace(seed: int):
     scenario = build_demo(seed=seed)
     scenario.start()
     scenario.run_for(DEFAULT_WARMUP)
-    campaign = Campaign(scenario.kernel, scenario, settle_timeout=30_000.0, inter_fault_gap=5_000.0)
+    campaign = Campaign(scenario.kernel, scenario, settle_timeout=30_000.0)
     for make_fault in DEMO_FAULTS:
         primary = scenario.pair.primary_node()
         campaign.run_fault(make_fault(primary))
@@ -98,13 +97,8 @@ def _chaos_trace(seed: int):
     full event stream *and* the report payload (violations, stats) —
     the byte-identity the ``repro.chaos/v1`` JSON contract promises.
     """
-    generator = ScheduleGenerator(
-        nodes=list(ChaosScenario.PAIR_NODES),
-        links=["lan0"],
-        process=ChaosScenario.APP_NAME,
-        rng=RngStreams(seed).stream("chaos.schedule"),
-    )
-    run = ChaosRun(seed=seed, schedule=generator.generate())
+    [(_, schedule, _)] = campaign_tasks(1, 1, seed)
+    run = ChaosRun(seed=seed, schedule=schedule)
     result = run.execute()
     return run.scenario.trace, result.as_wire()
 

@@ -5,28 +5,14 @@ import json
 import random
 
 from repro.apps.calltrack import STATE_VARS, CallTrackApp
-from repro.core.cluster import OfttPair
-from repro.core.config import OfttConfig
 
-from tests.conftest import make_world
+from tests.core.util import make_pair_world
 
 
 def make_calltrack(save_on_end=True):
-    world = make_world()
-    for name in ("alpha", "beta"):
-        world.add_machine(name)
-    pair = OfttPair(
-        network=world.network,
-        systems=dict(world.systems),
-        config=OfttConfig(),
-        app_factory=lambda: CallTrackApp(unit="test", save_on_end=save_on_end),
-        unit="test",
-        trace=world.trace,
-    )
-    pair.start()
-    pair.settle()
-    world.pair = pair
-    return world, pair.apps[pair.primary_node()]
+    world = make_pair_world(app_factory=lambda: CallTrackApp(unit="test", save_on_end=save_on_end))
+    world.start()
+    return world, world.primary_app()
 
 
 def event(sequence, kind="start", busy=2, line=1, caller=0, time=0.0):

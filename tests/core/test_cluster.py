@@ -1,10 +1,11 @@
 """Unit tests for pair assembly (OfttPair)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.apps.synthetic import SyntheticStateApp
-from repro.core.cluster import OfttPair
-from repro.core.config import OfttConfig
 from repro.core.roles import Role
 from repro.errors import OfttError
 
@@ -16,15 +17,45 @@ def test_pair_requires_exactly_two_systems():
     world = make_world()
     world.add_machine("only")
     with pytest.raises(OfttError):
-        OfttPair(world.network, dict(world.systems), OfttConfig(), SyntheticStateApp)
+        world.add_pair(("only",), SyntheticStateApp, unit="test")
 
 
-def test_pair_requires_booted_machines():
+def test_pair_installs_a_node_when_its_machine_boots():
     world = make_world()
     world.add_machine("a")
-    world.add_machine("b", boot=False)
-    with pytest.raises(OfttError):
-        OfttPair(world.network, dict(world.systems), OfttConfig(), SyntheticStateApp)
+    late = world.add_machine("b", boot=False)
+    pair = world.add_pair(("a", "b"), SyntheticStateApp, unit="test")
+    pair.start()
+    assert list(pair.engines) == ["a"]
+    assert pair.primary_node() is None and pair.backup_node() is None
+    late.boot()
+    world.run_for(late.boot_time + late.boot_jitter)
+    assert list(pair.engines) == ["a", "b"]
+    pair.settle()
+    # Both engines negotiated, so the late node's engine was started.
+    assert {pair.primary_node(), pair.backup_node()} == {"a", "b"}
+    # The hook is one-shot: a later reboot does not rebuild the stack.
+    engine = pair.engines["b"]
+    late.power_off()
+    late.reboot()
+    world.run_for(late.boot_time + late.boot_jitter)
+    assert late.is_up and pair.engines["b"] is engine
+
+
+def test_only_the_pair_builds_node_stacks():
+    """Every NodeContext and OfttEngine is constructed in core/cluster.py."""
+    root = Path(__file__).resolve().parents[2]
+    sites = []
+    for top in ("src", "tests", "examples", "e2ebench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("NodeContext", "OfttEngine"):
+                        sites.append(f"{path.relative_to(root).as_posix()}:{node.lineno}")
+    assert sites, "the scan found no construction at all"
+    assert all(site.startswith("src/repro/core/cluster.py:") for site in sites), sites
 
 
 def test_settle_reaches_stable_state():
@@ -39,7 +70,7 @@ def test_settle_times_out_when_unstable():
     world = make_pair_world()
     # Never started: can't stabilise.
     with pytest.raises(OfttError):
-        world.pair.settle(max_time=1_000.0)
+        world.pair.settle()
 
 
 def test_queries():

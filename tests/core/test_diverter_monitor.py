@@ -1,10 +1,9 @@
 """Unit tests for the Message Diverter and the System Monitor."""
 
-from repro.core.diverter import DiverterClient, MessageDiverter, inbox_queue_name
+from repro.core.diverter import MessageDiverter, inbox_queue_name
 from repro.core.engine import STATUS_REPORT_PERIOD
 from repro.core.monitor import SystemMonitor
 from repro.core.status import ComponentStatus
-from repro.msq.manager import QueueManager
 
 from tests.core.util import make_pair_world
 
@@ -17,14 +16,7 @@ def with_test_pc(seed=0):
         monitor_nodes=["testpc"],
     )
     world.add_machine("testpc")
-    qmgr = QueueManager(world.kernel, world.network, world.network.nodes["testpc"])
-    client = DiverterClient(
-        node=world.network.nodes["testpc"],
-        qmgr=qmgr,
-        unit="test",
-        pair_nodes=["alpha", "beta"],
-        trace=world.trace,
-    )
+    client = world.add_client("testpc")
     monitor = SystemMonitor(world.kernel, world.network.nodes["testpc"])
     return world, client, monitor
 

@@ -88,18 +88,9 @@ def test_checkpoints_stop_flowing_when_backup_dies_and_resume_on_rejoin():
 # -- diverter demotion window --------------------------------------------------------
 
 def test_diverter_buffers_during_demotion_window():
-    from repro.core.diverter import DiverterClient
-    from repro.msq.manager import QueueManager
-
     world = make_pair_world(seed=74, subscriber_nodes=["ext"])
     world.add_machine("ext")
-    qmgr = QueueManager(world.kernel, world.network, world.network.nodes["ext"])
-    client = DiverterClient(
-        node=world.network.nodes["ext"],
-        qmgr=qmgr,
-        unit="test",
-        pair_nodes=["alpha", "beta"],
-    )
+    client = world.add_client("ext")
     world.start()
     world.run_for(2_000.0)
     assert client.primary is not None

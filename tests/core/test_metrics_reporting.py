@@ -127,26 +127,3 @@ def test_run_experiments_single_id(capsys):
     assert main(["X5"]) == 0
     out = capsys.readouterr().out
     assert "X5" in out and "local-restart" in out
-
-
-def test_run_experiments_replay_check_passes_for_deterministic_experiment(capsys):
-    from repro.harness.run_experiments import main
-
-    assert main(["--replay-check", "X5"]) == 0
-    out = capsys.readouterr().out
-    assert "[ok] X5: two runs agree" in out
-    assert "1 experiment(s): 1 ok, 0 diverged" in out
-
-
-def test_run_experiments_replay_check_flags_divergence(capsys, monkeypatch):
-    import itertools
-
-    from repro.harness import run_experiments
-
-    rows = itertools.cycle([[{"n": 1}], [{"n": 2}]])
-    monkeypatch.setitem(
-        run_experiments.EXPERIMENTS, "SCRATCH", ("scratch", lambda: next(rows))
-    )
-    assert run_experiments.main(["--replay-check", "SCRATCH"]) == 1
-    out = capsys.readouterr().out
-    assert "[DIVERGED] SCRATCH" in out

@@ -5,30 +5,19 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps.synthetic import SyntheticStateApp
-from repro.core.cluster import OfttPair
 from repro.core.config import OfttConfig
+from repro.harness.scenario import Scenario
 
-from tests.conftest import World, make_world
 
+class PairWorld(Scenario):
+    """A one-LAN world + an assembled OfttPair, the common core-test environment."""
 
-class PairWorld(World):
-    """World + an assembled OfttPair, the common core-test environment."""
-
-    def __init__(self, seed: int = 0, config: Optional[OfttConfig] = None, app_factory=None, **pair_kwargs):
-        super().__init__(seed, dual_lan=False)
+    def __init__(self, seed: int = 0, config: Optional[OfttConfig] = None, app_factory=None, **roles):
+        super().__init__(seed, dual_lan=False, config=config)
         for name in ("alpha", "beta"):
             self.add_machine(name)
-        self.config = config or OfttConfig()
         factory = app_factory or (lambda: SyntheticStateApp(cold_kb=2, mode="selective", tick_period=50.0))
-        self.pair = OfttPair(
-            network=self.network,
-            systems=dict(self.systems),
-            config=self.config,
-            app_factory=factory,
-            unit="test",
-            trace=self.trace,
-            **pair_kwargs,
-        )
+        self.add_pair(("alpha", "beta"), factory, unit="test", **roles)
 
     @property
     def primary(self) -> str:

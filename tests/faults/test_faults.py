@@ -162,16 +162,12 @@ def test_campaign_measures_recovery():
 def test_campaign_schedule_runs_multiple():
     world = started_world()
     world.run_for(2_000.0)
-    campaign = Campaign(world.kernel, world, settle_timeout=15_000.0, inter_fault_gap=2_000.0)
+    campaign = Campaign(world.kernel, world, settle_timeout=15_000.0)
     primary = world.primary
-    records = campaign.run_schedule(
-        [
-            AppCrash(primary, "synthetic"),  # local restart
-        ]
-    )
-    assert len(records) == 1
-    assert records[0].recovered
-    assert not records[0].switched_over  # default rule restarts locally first
+    record = campaign.run_fault(AppCrash(primary, "synthetic"))  # local restart
+    assert campaign.records == [record]
+    assert record.recovered
+    assert not record.switched_over  # default rule restarts locally first
 
 
 def test_fault_descriptions_and_demo_ids():

@@ -49,15 +49,11 @@ def test_stopped_status_visible_on_monitor_after_switchover():
 
 
 def test_diverter_message_labels_preserved():
-    from repro.core.diverter import DiverterClient, inbox_queue_name
-    from repro.msq.manager import QueueManager
+    from repro.core.diverter import inbox_queue_name
 
     world = make_pair_world(seed=122, subscriber_nodes=["ext"])
     world.add_machine("ext")
-    qmgr = QueueManager(world.kernel, world.network, world.network.nodes["ext"])
-    client = DiverterClient(
-        node=world.network.nodes["ext"], qmgr=qmgr, unit="test", pair_nodes=["alpha", "beta"]
-    )
+    client = world.add_client("ext")
     world.start()
     world.run_for(2_000.0)
     client.send({"n": 1}, label="important")

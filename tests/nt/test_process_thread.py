@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import NTError, ProcessDead, ThreadDead
 from repro.nt.process import ProcessState
-from repro.nt.thread import ThreadState
 from repro.simnet.events import Timeout
 
 from tests.conftest import make_world
@@ -152,38 +151,3 @@ def test_capture_context_on_dead_thread_faults():
     thread.terminate()
     with pytest.raises(ThreadDead):
         thread.capture_context()
-
-
-def test_thread_suspend_resume_uses_fresh_generator_same_memory():
-    world, system = make_machine()
-    process = system.create_process("app")
-    process.address_space.write("count", 0)
-
-    def body(thread):
-        def loop():
-            while True:
-                yield Timeout(10.0)
-                space = process.address_space
-                space.write("count", space.read("count") + 1)
-
-        return loop()
-
-    thread = process.create_thread("main", body=body, dynamic=False)
-    process.start()
-    world.run(35.0)
-    thread.suspend()
-    assert thread.state is ThreadState.SUSPENDED
-    count_at_suspend = process.address_space.read("count")
-    world.run(100.0)
-    thread.resume()
-    world.run(140.0)
-    assert process.address_space.read("count") > count_at_suspend
-
-
-def test_resume_non_suspended_thread_rejected():
-    world, system = make_machine()
-    process = system.create_process("app")
-    thread = process.create_thread("main", dynamic=False)
-    process.start()
-    with pytest.raises(ThreadDead):
-        thread.resume()
