@@ -160,7 +160,6 @@ def main() -> None:
         config=OfttConfig(checkpoint_period=2_000.0),
         app_factory=lambda: EnvironmentalAggregator(site_refs),
         unit="environment",
-        trace=trace,
     )
     pair.start()
     pair.settle()

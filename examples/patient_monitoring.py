@@ -68,7 +68,6 @@ def build(seed=99):
             server_ref=server_ref, items=VITALS, alarms=ALARMS, update_rate=500.0
         ),
         unit="patient-monitor",
-        trace=trace,
     )
     return kernel, systems, controller, bridge, pair
 

@@ -66,7 +66,7 @@ def main() -> None:
         systems[name].boot_immediately()
 
     # -- the OFTT pair -------------------------------------------------------
-    pair = OfttPair(network, systems, OfttConfig(), CounterApp, unit="quickstart", trace=trace)
+    pair = OfttPair(network, systems, OfttConfig(), CounterApp, unit="quickstart")
     pair.start()
     pair.settle()
     print(f"pair formed: primary={pair.primary_node()}, backup={pair.backup_node()}")

@@ -6,6 +6,14 @@ a control setpoint when a measured value breaches its limit.  Its state —
 alarm history, trend tails, counters — is what operators would lose on a
 PC failure, hence the OFTT protection.
 
+Each trend point ``(timestamp, value)``, alarm entry ``(timestamp,
+item_id, value)`` and latest reading ``(value, quality, timestamp)`` is
+a tuple of scalars that the app never changes once recorded.  The
+containers that hold them (each item's trend list, ``alarm_log``,
+``latest``, ``alarm_counts``) are mutable and copied into every
+checkpoint, but the records are shared with it, as ``copy.deepcopy``
+shares them (see :func:`repro.nt.memory.copy_value`).
+
 Unlike :class:`CallTrackApp` (which is fed through the diverter), this
 app pulls its inputs through OPC data-change subscriptions, exercising
 the DCOM callback path during failovers.
@@ -140,9 +148,9 @@ class ScadaMonitorApp(OfttApplication):
         for _handle, item_id, value in batch:
             quality = value.quality
             # ``_value_`` is the member's value without Enum's descriptor.
-            latest[item_id] = [value.value, quality._value_, value.timestamp]
+            latest[item_id] = (value.value, quality._value_, value.timestamp)
             tail = trend.setdefault(item_id, [])
-            tail.append([value.timestamp, value.value])
+            tail.append((value.timestamp, value.value))
             if len(tail) > trend_depth:
                 del tail[: len(tail) - trend_depth]
             updates += 1
@@ -163,7 +171,7 @@ class ScadaMonitorApp(OfttApplication):
         counts[item_id] = counts.get(item_id, 0) + 1
         space.write("alarm_counts", counts)
         log = space.read("alarm_log")
-        log.append([value.timestamp, item_id, value.value])
+        log.append((value.timestamp, item_id, value.value))
         if len(log) > 500:
             del log[: len(log) - 500]
         space.write("alarm_log", log)

@@ -24,7 +24,6 @@ from repro.errors import OfttError
 from repro.msq.manager import QueueManager
 from repro.nt.system import NTSystem
 from repro.simnet.network import Network
-from repro.simnet.trace import TraceLog
 
 # app_factory() -> a fresh OfttApplication (or list of them) per node.
 AppFactory = Callable[[], object]
@@ -59,7 +58,6 @@ class OfttPair:
         monitor_nodes: Optional[List[str]] = None,
         subscriber_nodes: Optional[List[str]] = None,
         preferred_primary: str = "",
-        trace: Optional[TraceLog] = None,
     ) -> None:
         if len(systems) != 2:
             raise OfttError("an OFTT pair needs exactly two systems")
@@ -68,7 +66,6 @@ class OfttPair:
         self.kernel = network.kernel
         self.config = config
         self.unit = unit
-        self.trace = trace if trace is not None else network.trace
         self.node_names = sorted(systems)
         self.systems = systems
         # Per-node maps, filled as nodes are installed: in node order at
@@ -115,7 +112,7 @@ class OfttPair:
             runtime=runtime,
             qmgr=qmgr,
             config=self.config,
-            trace=self.trace,
+            trace=self.network.trace,
         )
         produced = self._app_factory()
         applications = list(produced) if isinstance(produced, (list, tuple)) else [produced]

@@ -83,12 +83,13 @@ class StatusReport:
     detail: Dict[str, Any] = field(default_factory=dict)
 
     def as_wire(self) -> dict:
-        """Marshalable form for the monitor link."""
+        """Marshalable form for the monitor link (``_value_`` is the
+        member's value without Enum's descriptor)."""
         return {
             "node": self.node,
             "component": self.component,
-            "kind": self.kind.value,
-            "status": self.status.value,
+            "kind": self.kind._value_,
+            "status": self.status._value_,
             "role": self.role,
             "time": self.time,
             "detail": dict(self.detail),

@@ -36,17 +36,18 @@ def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
     """Return ``(copy, size)`` from one walk: what ``copy.deepcopy(value,
     memo)`` returns and what :func:`estimate_size` returns for *value*.
 
-    * An immutable scalar (exact type) is shared.
+    * An immutable scalar (exact type) is shared, and so is an exact
+      ``tuple`` of numbers, None, ``str`` and ``bytes`` (a record: a
+      trend point, an alarm entry), which ``deepcopy`` shares too and
+      does not memoize.
     * An exact ``list`` or ``dict`` goes into *memo* before its items, as
       in ``deepcopy``, so aliases and cycles copy the same way.  One that
       holds only numbers and None (a dict: keyed by strings) is copied by
       a C-level slice or ``dict()`` and priced from its length; any other
-      is copied and priced item by item.  Inside a list or dict, an
-      exact list met for the first time whose items are all numbers,
-      None, ``str`` or ``bytes`` (a trend point, an alarm entry) is
-      priced and sliced in line, without a recursive call.
-    * An exact ``tuple`` is rebuilt (and memoized) only when one of its
-      items copied to a new object; otherwise it is shared, as in
+      is copied and priced item by item, and a record among its items is
+      priced in line and shared, without a recursive call.
+    * Any other exact ``tuple`` is rebuilt (and memoized) only when one
+      of its items copied to a new object; otherwise it is shared, as in
       ``deepcopy``.
     * Any other type goes to ``copy.deepcopy`` with the same *memo*, and
       to :func:`estimate_size`.
@@ -80,7 +81,8 @@ def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
                 total += 8
             elif item_kind is str or item_kind is bytes:
                 total += len(item)
-            elif item_kind is list and id(item) not in memo:
+            elif item_kind is tuple:
+                # A record is priced in line and shared, as deepcopy shares it.
                 size = 16
                 for scalar in item:
                     scalar_kind = type(scalar)
@@ -91,9 +93,6 @@ def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
                     else:
                         item, size = copy_value(item, memo)
                         break
-                else:
-                    # Keyed by the source's id: the copy is bound last.
-                    memo[id(item)] = item = item[:]
                 total += size
             else:
                 item, size = copy_value(item, memo)
@@ -113,8 +112,8 @@ def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
                 total += 8
             elif item_kind is str or item_kind is bytes:
                 total += len(item)
-            elif item_kind is list and id(item) not in memo:
-                # The short scalar list in line, as in the list loop above.
+            elif item_kind is tuple:
+                # A record in line, as in the list loop above.
                 size = 16
                 for scalar in item:
                     scalar_kind = type(scalar)
@@ -125,8 +124,6 @@ def copy_value(value: Any, memo: Dict[int, Any]) -> Tuple[Any, int]:
                     else:
                         item, size = copy_value(item, memo)
                         break
-                else:
-                    memo[id(item)] = item = item[:]
                 total += size
             else:
                 item, size = copy_value(item, memo)

@@ -1,12 +1,15 @@
 """Unit tests for the SCADA monitor app and the synthetic state app."""
 
+import operator
+
 import pytest
 
-from repro.apps.scada import AlarmRule, ScadaMonitorApp
+from repro.apps.scada import STATE_VARS, AlarmRule, ScadaMonitorApp
 from repro.apps.synthetic import SyntheticStateApp
 from repro.harness.scenario import build_remote_monitoring
 
 from tests.core.util import make_pair_world
+from tests.nt.test_memory import is_record, mutables, tuples
 
 
 def test_scada_tracks_latest_values_and_trends():
@@ -47,6 +50,58 @@ def test_scada_control_write_reaches_actuator():
     scenario.run_for(60_000.0)
     app = scenario.primary_app()
     assert app.state()["writes_issued"] > 0
+
+
+def _shares_records_only(copied, source):
+    """Whether *copied* holds *source*'s tuples, position by position, and
+    none of its lists or dicts."""
+    copied_records, source_records = tuples(copied, []), tuples(source, [])
+    return (
+        len(copied_records) == len(source_records)
+        and all(map(operator.is_, copied_records, source_records))
+        and not {id(item) for item in mutables(copied, [])} & {id(item) for item in mutables(source, [])}
+    )
+
+
+def _state_of(image):
+    """An image's SCADA variables in :meth:`ScadaMonitorApp.state` order."""
+    return {var: image["globals"][var] for var in STATE_VARS}
+
+
+def test_scada_checkpoints_share_the_records_and_copy_their_containers():
+    scenario = build_remote_monitoring(seed=2)
+    scenario.start()
+    scenario.run_for(20_000.0)
+    primary, backup = scenario.pair.primary_node(), scenario.pair.backup_node()
+    app = scenario.pair.apps[primary]
+    state = app.state()
+    points = [point for tail in state["trend"].values() for point in tail]
+    readings = list(state["latest"].values())
+    assert points and readings and state["alarm_log"]
+    assert all(map(is_record, points + readings + state["alarm_log"]))
+
+    # A checkpoint taken now (the OFTTSave path) is the latest local image.
+    app.api.ftim.TakeCheckpoint()
+    image = scenario.pair.engines[primary].latest_local_image(app.name)
+    assert _shares_records_only(state, _state_of(image))
+
+    # The relaunched copy restores from the peer image through the same copy.
+    survivor = scenario.pair.apps[backup]
+    survivor_engine = scenario.pair.engines[backup]
+    launch = survivor.launch
+    launches = []
+
+    def recording_launch(image):
+        process = launch(image)
+        peer_image = survivor_engine.latest_peer_image(survivor.name)
+        launches.append((image is peer_image, _shares_records_only(survivor.state(), _state_of(image))))
+        return process
+
+    survivor.launch = recording_launch
+    scenario.systems[primary].power_off()
+    scenario.run_for(5_000.0)
+    assert scenario.pair.primary_node() == backup
+    assert launches == [(True, True)]
 
 
 def test_scada_alarm_rule_dataclass():

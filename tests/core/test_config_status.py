@@ -98,6 +98,21 @@ def test_status_maps_return_the_enum_member_for_every_value():
     assert status_of(ComponentStatus.FAILED) is ComponentStatus(ComponentStatus.FAILED)
 
 
+def test_status_report_wire_carries_the_member_values():
+    for kind in ComponentKind:
+        for status in ComponentStatus:
+            # The members' values, not the members (which compare unequal to them).
+            assert StatusReport("n", "c", kind, status, "backup", 1.0, {"k": 1}).as_wire() == {
+                "node": "n",
+                "component": "c",
+                "kind": kind.value,
+                "status": status.value,
+                "role": "backup",
+                "time": 1.0,
+                "detail": {"k": 1},
+            }
+
+
 @pytest.mark.parametrize("value", ["RUNNING", "app", "", None, ["running"]])
 def test_status_maps_reject_unknown_values_like_the_enum(value):
     for enum_class, convert in ((ComponentKind, kind_of), (ComponentStatus, status_of)):

@@ -2,6 +2,7 @@
 
 import copy
 import enum
+import operator
 import random
 
 import pytest
@@ -152,6 +153,10 @@ class SubList(list):
     pass
 
 
+class SubTuple(tuple):
+    pass
+
+
 class Level(enum.IntEnum):
     LOW = 1
 
@@ -211,17 +216,27 @@ def typed(value, _path=()):
     return (type(value), repr(value))
 
 
-def mutables(value, out, _path=()):
-    """Every mutable container under *value*, in traversal order (a
+def _containers(value, kinds, out, _path=()):
+    """Every container of *kinds* under *value*, in traversal order (a
     container met again inside itself is listed but not re-entered)."""
-    if isinstance(value, (dict, list)):
+    if isinstance(value, kinds):
         out.append(value)
     if _on_path(value, _path):
         return out
     items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else ()
     for item in items:
-        mutables(item, out, _path + (value,))
+        _containers(item, kinds, out, _path + (value,))
     return out
+
+
+def mutables(value, out):
+    """Every list and dict under *value*, in traversal order."""
+    return _containers(value, (dict, list), out)
+
+
+def tuples(value, out):
+    """Every tuple under *value*, in traversal order."""
+    return _containers(value, tuple, out)
 
 
 def alias_pattern(value):
@@ -231,12 +246,28 @@ def alias_pattern(value):
     return [ids.index(ident) for ident in ids]
 
 
+SCALAR_TYPES = (int, float, bool, type(None), str, bytes)
+
+
+def is_record(value):
+    """An exact tuple of exact scalars, which deepcopy shares."""
+    return type(value) is tuple and all(type(item) in SCALAR_TYPES for item in value)
+
+
 def assert_copy_matches_deepcopy(data, copied, oracle):
-    """Typed equal, nothing mutable shared with *data*, same aliasing."""
+    """Typed equal, nothing mutable shared with *data*, same aliasing, and
+    each tuple shared with *data* exactly where deepcopy shares it (every
+    tuple of scalars among them)."""
     assert typed(copied) == typed(oracle)
     source_ids = {id(item) for item in mutables(data, [])}
     assert not any(id(item) in source_ids for item in mutables(copied, []))
     assert alias_pattern(copied) == alias_pattern(oracle) == alias_pattern(data)
+    sources, twins, references = tuples(data, []), tuples(copied, []), tuples(oracle, [])
+    assert len(sources) == len(twins) == len(references)
+    for source, twin, reference in zip(sources, twins, references):
+        assert (twin is source) == (reference is source)
+        if is_record(source):
+            assert twin is source
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -268,15 +299,22 @@ def nested_variables(seed):
     flat lists, dicts of lists of lists, tuples holding lists, and one
     container aliased from two variables and from inside a third.
 
-    Three short scalar lists (copied in line where they are nested) are
-    each met again on later paths: ``point`` first inside a dict,
-    ``sample`` first inside a list, and ``reading`` first as a variable
-    of its own, then nested (the reverse order)."""
+    Three short scalar lists are each met again on later paths:
+    ``point`` first inside a dict, ``sample`` first inside a list, and
+    ``reading`` first as a variable of its own, then nested (the reverse
+    order).
+
+    Records — tuples of scalars, as the SCADA app keeps its trend points,
+    alarm entries and readings — come as lists of them (``points``,
+    ``entries``), an empty tuple, a list mixing them with scalar lists,
+    a tuple holding a list and a tuple subclass inside lists, and one
+    ``record`` met from two variables."""
     rng = random.Random(seed)
     point = [rng.random(), f"tag{rng.randint(0, 9)}", None]
     sample = [rng.randint(0, 9), b"raw", 2.5]
     reading = [rng.random(), "good"]
     shared = [rng.randint(0, 9), "shared", [rng.random()]]
+    record = (rng.random(), "record", rng.randint(0, 99))
     entries = [
         ("alarm_log", [[rng.random(), f"tag{i}", rng.randint(0, 99)] for i in range(rng.randint(0, 6))]),
         (
@@ -288,12 +326,23 @@ def nested_variables(seed):
         ("alias_a", shared),
         ("alias_b", shared),
         ("holder", {"inner": [shared, (shared,)], "n": _scalar(rng)}),
+        ("points", [(rng.random(), rng.random()) for _ in range(rng.randint(1, 6))]),
+        (
+            "entries",
+            [(rng.random(), f"tag{i}", rng.randint(0, 99)) for i in range(rng.randint(0, 4))]
+            + [(float("nan"), b"raw", 0), (-0.0, "", True)],
+        ),
+        ("empty", ()),
+        ("mixed", [(rng.random(), "t"), [rng.random(), "l"], (), [], (None,), record]),
+        ("holding", [(rng.random(), "ok"), (rng.random(), [rng.randint(0, 9)])]),
+        ("subclassed", [SubTuple((rng.random(), "sub")), (rng.random(), "plain")]),
+        ("latest", {"a": record, "b": (rng.random(), "good", rng.random())}),
     ]
     rng.shuffle(entries)
     # Fixed around the shuffled middle, so the first meeting of each short
     # list is the same in dict order and in sorted-name order.
-    first = [("inline_a", {"pt": point}), ("inline_b", [sample, 1.5]), ("inline_c", reading)]
-    again = [("inline_d", [reading, point]), ("inline_e", {"s": sample, "p": point, "r": reading})]
+    first = [("short_a", {"pt": point}), ("short_b", [sample, 1.5]), ("short_c", reading)]
+    again = [("short_d", [reading, point]), ("short_e", {"s": sample, "p": point, "r": reading})]
     return dict(first + entries + again)
 
 
@@ -307,13 +356,27 @@ def test_copy_variables_of_nested_values_matches_deepcopy(seed):
     assert_copy_matches_deepcopy(data, copied, oracle)
     assert copied["alias_a"] is copied["alias_b"] is copied["holder"]["inner"][0]
     assert copied["holder"]["inner"][1][0] is copied["alias_a"]
-    point, sample, reading = data["inline_a"]["pt"], data["inline_b"][0], data["inline_c"]
-    assert copied["inline_a"]["pt"] is copied["inline_d"][1] is copied["inline_e"]["p"] is not point
-    assert copied["inline_b"][0] is copied["inline_e"]["s"] is not sample
-    assert copied["inline_c"] is copied["inline_d"][0] is copied["inline_e"]["r"] is not reading
+    point, sample, reading = data["short_a"]["pt"], data["short_b"][0], data["short_c"]
+    assert copied["short_a"]["pt"] is copied["short_d"][1] is copied["short_e"]["p"] is not point
+    assert copied["short_b"][0] is copied["short_e"]["s"] is not sample
+    assert copied["short_c"] is copied["short_d"][0] is copied["short_e"]["r"] is not reading
     # An all-immutable tuple is shared, one holding a list is rebuilt.
     assert copied["frozen"] is data["frozen"] and oracle["frozen"] is data["frozen"]
     assert copied["pairs"] is not data["pairs"]
+    # Records are shared inside their copied lists; a tuple holding a list
+    # and a tuple subclass are not, as in deepcopy.
+    assert copied["points"] is not data["points"]
+    assert all(map(operator.is_, copied["points"], data["points"]))
+    assert all(map(operator.is_, copied["entries"], data["entries"]))
+    assert copied["empty"] is data["empty"]
+    assert copied["mixed"][-1] is copied["latest"]["a"] is data["latest"]["a"]
+    assert copied["holding"][0] is data["holding"][0]
+    assert copied["holding"][1] is not data["holding"][1] and oracle["holding"][1] is not data["holding"][1]
+    assert copied["holding"][1][1] is not data["holding"][1][1]
+    assert type(copied["subclassed"][0]) is SubTuple
+    assert copied["subclassed"][0] is not data["subclassed"][0]
+    assert oracle["subclassed"][0] is not data["subclassed"][0]
+    assert copied["subclassed"][1] is data["subclassed"][1]
 
 
 def test_copy_value_of_self_referencing_list_matches_deepcopy():
