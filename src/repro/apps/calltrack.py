@@ -92,7 +92,7 @@ class CallTrackApp(OfttApplication):
         self.api = api
 
         # Consume the diverter inbox for our logical unit.
-        queue = context.qmgr.create_queue(inbox_queue_name(self.unit), journal=True)
+        queue = context.qmgr.create_queue(inbox_queue_name(self.unit))
         # Released by the process-exit hook on the next line — a dynamic
         # unsubscribe path the static release search cannot see.
         queue.subscribe(self._on_queue_message)  # oftt-lint: ok[leaked-subscription]

@@ -34,15 +34,6 @@ class CallingHistoryGenerator:
             result[event.busy_lines] = result.get(event.busy_lines, 0) + 1
         return result
 
-    def counts(self) -> Dict[str, int]:
-        """Ground-truth call statistics."""
-        return {
-            "total_calls": sum(1 for e in self.history if e.kind == "start"),
-            "blocked_calls": sum(1 for e in self.history if e.kind == "blocked"),
-            "completed_calls": sum(1 for e in self.history if e.kind == "end"),
-            "events": len(self.history),
-        }
-
     def replay_into(self, app) -> int:
         """Replay the full history into a Call Track copy.
 

@@ -95,7 +95,7 @@ class SyntheticStateApp(OfttApplication):
         if self.inbox_queue is not None:
             space.write("applied", restored.get("applied", 0))
             space.write("last_n", restored.get("last_n", 0))
-            queue = context.qmgr.create_queue(self.inbox_queue, journal=True)
+            queue = context.qmgr.create_queue(self.inbox_queue)
 
             def on_workload(qmsg, queue=queue, space=space, process=process):
                 if not process.alive:

@@ -114,10 +114,12 @@ class SplitBrainMonitor(InvariantMonitor):
     """
 
     name = "split-brain"
+    #: How long a dual primary, or an active DR site, may outlast the
+    #: connectivity that should resolve it (ms).
+    grace = 2_000.0
 
-    def __init__(self, grace: float = 2_000.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.grace = grace
         self._since: float = -1.0
         self._reported = False
         self._dr_since: float = -1.0
@@ -286,10 +288,11 @@ class RecoveryLatencyMonitor(InvariantMonitor):
     """
 
     name = "recovery-latency"
+    #: Recoverable outage one outage may accrue (ms).
+    bound = 10_000.0
 
-    def __init__(self, bound: float = 10_000.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.bound = bound
         self._outage_accrued = 0.0
         self._last_tick: float = -1.0
         self._reported = False
@@ -355,10 +358,11 @@ class HeartbeatLivenessMonitor(InvariantMonitor):
     """
 
     name = "heartbeat-liveness"
+    #: How long a suspicion may persist on a healthy network (ms).
+    grace = 3_000.0
 
-    def __init__(self, grace: float = 3_000.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.grace = grace
         self._healthy_since: float = -1.0
         self._suspect_since: Dict[str, float] = {}
         self._reported = False
@@ -498,11 +502,12 @@ class StrategyFlappingMonitor(InvariantMonitor):
     """
 
     name = "strategy-flapping"
+    #: Switches one engine may make inside ``window`` ms.
+    bound = 3
+    window = 10_000.0
 
-    def __init__(self, bound: int = 3, window: float = 10_000.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.bound = bound
-        self.window = window
         self._switches: Dict[int, List[float]] = {}  # id(engine) -> switch times
         self._reported: Dict[int, bool] = {}
 
@@ -541,11 +546,12 @@ class RestartThrashMonitor(InvariantMonitor):
     """
 
     name = "restart-thrash"
+    #: Local restarts one engine may make inside ``window`` ms.
+    bound = 5
+    window = 4_000.0
 
-    def __init__(self, bound: int = 5, window: float = 4_000.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.bound = bound
-        self.window = window
         self._last_counts: Dict[int, int] = {}  # id(engine) -> local_restart_count
         self._bursts: Dict[int, List[Tuple[float, int]]] = {}  # (time, restarts)
         self._engines: Dict[int, Any] = {}

@@ -154,7 +154,7 @@ class ChaosRun:
         for monitor in self.monitors:
             monitor.attach(scenario)
         self._scan_engines(scenario)
-        injector = FaultInjector(scenario.kernel, scenario, trace=scenario.trace)
+        injector = FaultInjector(scenario.kernel, scenario)
         for entry in self.schedule.sorted_entries():
             injector.inject_at(entry.at, entry.build())
         scenario.start(settle=True)

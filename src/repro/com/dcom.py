@@ -102,7 +102,6 @@ class DcomExporter:
         self._call_counter = itertools.count(epoch_base + 1)
         self.exports: Dict[int, _Export] = {}
         self._pending: Dict[int, Tuple[Event, Any]] = {}  # call_id -> (event, timer)
-        self.calls_served = 0
         self.activation_handler: Optional[Callable[[str], ObjRef]] = None
         node.bind(ORPC_PORT, self._on_message)
 
@@ -264,7 +263,6 @@ class DcomExporter:
         size = None
         try:
             value = getattr(export.obj, method)(*payload["args"])
-            self.calls_served += 1
             value, size = marshal(value)
             result = RpcResult(True, value=value)
         except Exception as exc:  # noqa: BLE001 - marshaled back to caller

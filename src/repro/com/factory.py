@@ -30,7 +30,6 @@ class ClassFactory(ComObject):
         self.producer = producer
         self.server_name = server_name
         self.locked = False
-        self.instances_created = 0
 
     def CreateInstance(self, *args: Any, **kwargs: Any) -> ComObject:
         """Produce a new instance (IClassFactory::CreateInstance)."""
@@ -39,7 +38,6 @@ class ClassFactory(ComObject):
         instance = self.producer(*args, **kwargs)
         if not isinstance(instance, ComObject):
             raise ComError(CLASS_E_CLASSNOTAVAILABLE, f"producer for {self.clsid} returned non-COM object")
-        self.instances_created += 1
         return instance
 
     def LockServer(self, lock: bool) -> None:
@@ -47,4 +45,4 @@ class ClassFactory(ComObject):
         self.locked = bool(lock)
 
     def __repr__(self) -> str:
-        return f"ClassFactory({self.server_name or self.clsid}, created={self.instances_created})"
+        return f"ClassFactory({self.server_name or self.clsid})"

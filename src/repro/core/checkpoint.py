@@ -157,13 +157,11 @@ class CheckpointStore:
             raise CheckpointError("history must be at least 1")
         self.history = history
         self._by_app: Dict[str, List[Checkpoint]] = {}
-        self.rejected_count = 0
 
     def store(self, checkpoint: Checkpoint) -> bool:
         """Insert a checkpoint.  Returns False for stale sequences."""
         chain = self._by_app.setdefault(checkpoint.app_name, [])
         if chain and checkpoint.sequence <= chain[-1].sequence:
-            self.rejected_count += 1
             return False
         resolved = checkpoint.merged_onto(chain[-1] if chain else None)
         chain.append(resolved)

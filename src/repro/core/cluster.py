@@ -57,7 +57,6 @@ class OfttPair:
         unit: str = "unit",
         monitor_nodes: Optional[List[str]] = None,
         subscriber_nodes: Optional[List[str]] = None,
-        preferred_primary: str = "",
     ) -> None:
         if len(systems) != 2:
             raise OfttError("an OFTT pair needs exactly two systems")
@@ -80,7 +79,6 @@ class OfttPair:
         self._app_factory = app_factory
         self._monitor_nodes = list(monitor_nodes or [])
         self._subscriber_nodes = list(subscriber_nodes or [])
-        self._preferred_primary = preferred_primary
         for name in self.node_names:
             if systems[name].is_up:
                 self._install_node(name)
@@ -124,7 +122,6 @@ class OfttPair:
             application=applications,
             monitor_nodes=self._monitor_nodes,
             subscriber_nodes=self._subscriber_nodes,
-            preferred_primary=self._preferred_primary,
         )
         engine.reinstall_hook = lambda node=name: self._policy_reinstall(node)
         self.diverter.open_inbox(qmgr)
@@ -169,14 +166,6 @@ class OfttPair:
         self.engines[name].start()
 
     # -- queries ------------------------------------------------------------------------
-
-    def engine(self, name: str) -> OfttEngine:
-        """The engine on node *name*."""
-        return self.engines[name]
-
-    def app(self, name: str) -> OfttApplication:
-        """The application copy on node *name*."""
-        return self.apps[name]
 
     def primary_node(self) -> Optional[str]:
         """The node whose live engine currently holds PRIMARY (None if

@@ -43,7 +43,7 @@ class MessageDiverter:
 
     def open_inbox(self, qmgr: QueueManager) -> MsmqQueue:
         """Create/open this unit's inbox on a member node."""
-        return qmgr.create_queue(self.queue_name, journal=True)
+        return qmgr.create_queue(self.queue_name)
 
     def __repr__(self) -> str:
         return f"MessageDiverter({self.unit}, nodes={self.nodes})"
@@ -61,7 +61,7 @@ class DiverterClient:
 
     With ``mirror=(node, queue)`` set, every message is *also* logged to
     that queue at send time (sender-based message logging, arxiv
-    0911.3092): unlike the pair-side inbox journal, the mirror survives
+    0911.3092): unlike the pair-side inbox, the mirror survives
     total pair loss, so a disaster-recovery site can replay it.  Mirror
     copies go out immediately even while the primary is unknown and the
     original sits in the buffer.
@@ -86,7 +86,6 @@ class DiverterClient:
         self.mirror = mirror
         self._buffer: List[Any] = []
         self.sent_count = 0
-        self.mirrored_count = 0
         self.redirect_count = 0
         self._listeners: List[Callable[[str], None]] = []
         node.bind(DIVERTER_PORT, self._on_notice)
@@ -134,7 +133,6 @@ class DiverterClient:
             self.qmgr.send(
                 mirror_node, mirror_queue, {"kind": "msg", "body": body}, persistent=True, label="dr-log"
             )
-            self.mirrored_count += 1
         if self.primary is None:
             self._buffer.append((body, label))
             return
@@ -148,11 +146,6 @@ class DiverterClient:
         for body, label in buffered:
             self.qmgr.send(self.primary, self.queue_name, body, persistent=True, label=label)
             self.sent_count += 1
-
-    @property
-    def buffered_count(self) -> int:
-        """Messages waiting for a known primary."""
-        return len(self._buffer)
 
     def __repr__(self) -> str:
         return f"DiverterClient({self.unit} from {self.node.name}, primary={self.primary})"

@@ -1,8 +1,8 @@
 """The disaster-recovery site for :class:`LogReplayDRStrategy`.
 
 A third, remote node outside the primary/backup pair.  It never runs
-the application; it accumulates two durable streams into one journaled
-MSMQ queue (``oftt.dr.journal``) and watches the pair's liveness:
+the application; it accumulates two durable streams from one MSMQ queue
+(``oftt.dr.journal``) and watches the pair's liveness:
 
 * ``ckpt`` records — checkpoints mirrored by the pair's primary
   (:meth:`LogReplayDRStrategy.replicate`), kept in a local
@@ -11,7 +11,7 @@ MSMQ queue (``oftt.dr.journal``) and watches the pair's liveness:
 * ``msg`` records — the sender-side message log: external clients
   mirror every workload message here at send time (the
   ``DiverterClient`` ``mirror`` option), so the log survives the pair
-  (the pair-side inbox journal dies with its node).
+  (the pair-side inbox dies with its node).
 
 When *both* pair engines go silent for ``DR_ACTIVATION_TIMEOUT``
 (no DR heartbeats on ``oftt.dr``, no checkpoint arrivals), the site
@@ -68,16 +68,13 @@ class DRSite:
         self.store = CheckpointStore()
         #: Message-log bodies in arrival order (replay input).
         self.message_log: List[Any] = []
-        self.checkpoints_rx = 0
-        self.messages_rx = 0
         self.last_pair_signal: Optional[float] = None
         self.active = False
-        self.activations = 0
         # Armed on standdown: the pair came back, possibly rebooted with
         # fresh checkpoint sequences, so its next full checkpoint starts a
         # new chain instead of being rejected as stale.
         self._rebase_pending = False
-        self.queue = qmgr.create_queue(DR_QUEUE, journal=True)
+        self.queue = qmgr.create_queue(DR_QUEUE)
         self.queue.subscribe(self._on_record)
         system.node.bind(DR_PORT, self._on_pair_heartbeat)
         # Poll well inside the activation timeout so activation latency
@@ -107,7 +104,6 @@ class DRSite:
         body = message.body
         kind = body.get("kind") if isinstance(body, dict) else None
         if kind == "ckpt":
-            self.checkpoints_rx += 1
             checkpoint = Checkpoint.from_wire(body["data"])
             if self._rebase_pending and not checkpoint.incremental:
                 self._rebase_pending = False
@@ -116,7 +112,6 @@ class DRSite:
             # Checkpoints come from the pair's primary: proof of life.
             self.last_pair_signal = self.kernel.now
         elif kind == "msg":
-            self.messages_rx += 1
             # The journal IS the recovery state: reconstruct() replays it
             # verbatim, so it must not be pruned here.  Runs are short enough
             # that its growth does not matter, so it is not compacted.
@@ -141,7 +136,6 @@ class DRSite:
 
     def _activate(self, silence: float) -> None:
         self.active = True
-        self.activations += 1
         _image, replayed = self.reconstruct()
         self.trace.emit(
             "drsite",
@@ -178,7 +172,4 @@ class DRSite:
 
     def __repr__(self) -> str:
         state = "ACTIVE" if self.active else "standby"
-        return (
-            f"DRSite({self.node_name}, {state}, ckpts={self.checkpoints_rx}, "
-            f"msgs={self.messages_rx})"
-        )
+        return f"DRSite({self.node_name}, {state}, msgs={len(self.message_log)})"

@@ -87,7 +87,6 @@ class OfttEngine(ComObject):
         application: Union[OfttApplication, List[OfttApplication], None] = None,
         monitor_nodes: Optional[List[str]] = None,
         subscriber_nodes: Optional[List[str]] = None,
-        preferred_primary: str = "",
     ) -> None:
         super().__init__()
         self.context = context
@@ -132,7 +131,6 @@ class OfttEngine(ComObject):
             on_decided=self._on_role_decided,
             on_shutdown=self._on_startup_shutdown,
             on_demoted=self._on_demoted,
-            preferred_primary=preferred_primary,
             trace=self.trace,
         )
         self.monitor = HeartbeatMonitor(
@@ -181,6 +179,8 @@ class OfttEngine(ComObject):
         #: Wire size of every checkpoint submitted (pre-merge, so
         #: incremental deltas report their actual transfer cost).
         self.checkpoint_sizes: List[int] = []
+        #: Peer checkpoints received, stored or not.
+        self.checkpoints_received = 0
         #: Waiters for peer acknowledgement of a sequence (durable saves).
         self._ack_waiters: List = []  # (sequence, Event) pairs
         #: Handles of the heartbeat timer (the tick, or the peer
@@ -189,7 +189,6 @@ class OfttEngine(ComObject):
         #: nothing in the kernel.
         self._hb_timer: Optional[ScheduleHandle] = None
         self._report_timer: Optional[ScheduleHandle] = None
-        self._stats = {"heartbeats_rx": 0, "checkpoints_tx": 0, "checkpoints_rx": 0, "acks_rx": 0}
         #: Observation hooks for invariant monitors and fault triggers
         #: (repro.chaos): fired after a local checkpoint is submitted /
         #: after a peer checkpoint is stored.  Callbacks must not mutate
@@ -325,7 +324,6 @@ class OfttEngine(ComObject):
         """Receive a local component heartbeat (direct same-node call)."""
         if not self.alive:
             return
-        self._stats["heartbeats_rx"] += 1
         self.monitor.beat(name)
 
     def set_recovery_rule(self, component: str, rule: RecoveryRule) -> None:
@@ -361,7 +359,6 @@ class OfttEngine(ComObject):
             return
         self.checkpoint_sizes.append(checkpoint.size_bytes())
         self.local_store.store(checkpoint)
-        self._stats["checkpoints_tx"] += 1
         self.strategy.replicate(checkpoint)
         for callback in list(self.on_checkpoint_submit):
             callback(self, checkpoint)
@@ -736,6 +733,7 @@ class OfttEngine(ComObject):
 
     def on_peer_checkpoint(self, payload: Dict[str, Any]) -> None:
         """A ``ckpt`` wire message arrived from the peer: mirror it and ack."""
+        self.checkpoints_received += 1
         checkpoint = Checkpoint.from_wire(payload["data"])
         peer_store = self.peer_store
         if checkpoint.incremental:
@@ -748,12 +746,9 @@ class OfttEngine(ComObject):
                 # carried, so reject it and ask the sender for a full
                 # image instead.  (Sequences at or below the base are the
                 # ordinary stale-duplicate case store() already rejects.)
-                peer_store.rejected_count += 1
-                self._stats["checkpoints_rx"] += 1
                 self._send_to_peer({"kind": "ckpt-resync", "app": checkpoint.app_name})
                 return
         stored = peer_store.store(checkpoint)
-        self._stats["checkpoints_rx"] += 1
         if stored:
             self._send_to_peer({"kind": "ckpt-ack", "app": checkpoint.app_name, "sequence": checkpoint.sequence})
             for callback in list(self.on_checkpoint_stored):
@@ -771,7 +766,6 @@ class OfttEngine(ComObject):
             ftim.force_full_capture()
 
     def _on_checkpoint_ack(self, payload: Dict[str, Any]) -> None:
-        self._stats["acks_rx"] += 1
         self.acked_sequence = max(self.acked_sequence, payload["sequence"])
         still_waiting = []
         # Only the durable saves still awaiting an ack: each ack drops the
@@ -918,10 +912,6 @@ class OfttEngine(ComObject):
             "local_latest": self.local_store.latest_sequence(app) if app else 0,
             "peer_latest": self.peer_store.latest_sequence(app) if app else 0,
         }
-
-    def stats(self) -> Dict[str, int]:
-        """Engine counters (for benches and the monitor)."""
-        return dict(self._stats)
 
     def __repr__(self) -> str:
         return f"OfttEngine({self.node_name}, {self.role.value}, alive={self.alive})"

@@ -8,16 +8,16 @@ the operation of the OFTT fault tolerance provisions."
 
 It listens on the status port for the engines' periodic
 :class:`~repro.core.status.StatusReport` streams and keeps the latest
-state per (node, component) plus a bounded history, with a plain-text
-``render()`` standing in for the GUI.
+state per (node, component), with a plain-text ``render()`` standing in
+for the GUI.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.engine import STATUS_PORT
-from repro.core.status import ComponentStatus, StatusReport
+from repro.core.status import StatusReport
 from repro.simnet.kernel import SimKernel
 from repro.simnet.network import Message, NetNode
 
@@ -25,46 +25,19 @@ from repro.simnet.network import Message, NetNode
 class SystemMonitor:
     """Status collector + display for one OFTT installation."""
 
-    def __init__(self, kernel: SimKernel, node: NetNode, history_limit: int = 10_000) -> None:
+    def __init__(self, kernel: SimKernel, node: NetNode) -> None:
         self.kernel = kernel
         self.node = node
-        self.history_limit = history_limit
         self.latest: Dict[Tuple[str, str], StatusReport] = {}
-        self.history: List[StatusReport] = []
         self.reports_received = 0
-        self._subscribers: List[Callable[[StatusReport], None]] = []
         node.bind(STATUS_PORT, self._on_report)
 
     def _on_report(self, message: Message) -> None:
         report = StatusReport.from_wire(message.payload)
         self.reports_received += 1
         self.latest[(report.node, report.component)] = report
-        self.history.append(report)
-        if len(self.history) > self.history_limit:
-            del self.history[: len(self.history) - self.history_limit]
-        for subscriber in self._subscribers:
-            subscriber(report)
-
-    def subscribe(self, callback: Callable[[StatusReport], None]) -> None:
-        """Live-stream every incoming report to *callback*."""
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[StatusReport], None]) -> None:
-        """Stop streaming to *callback* (idempotent)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
 
     # -- queries --------------------------------------------------------------------
-
-    def status_of(self, node: str, component: str) -> Optional[ComponentStatus]:
-        """Latest known status of one component (None if never seen)."""
-        report = self.latest.get((node, component))
-        return report.status if report is not None else None
-
-    def role_of(self, node: str) -> Optional[str]:
-        """Latest role reported by a node's engine."""
-        report = self.latest.get((node, "oftt-engine"))
-        return report.role if report is not None else None
 
     def current_primary(self) -> Optional[str]:
         """The node whose engine most recently reported PRIMARY."""
@@ -74,27 +47,6 @@ class SystemMonitor:
                 if best is None or report.time > best.time:
                     best = report
         return best.node if best is not None else None
-
-    def unhealthy(self) -> List[StatusReport]:
-        """Latest reports whose status is not healthy."""
-        return sorted(
-            (report for report in self.latest.values() if not report.status.is_healthy),
-            key=lambda report: (report.node, report.component),
-        )
-
-    def staleness(self, node: str, component: str) -> Optional[float]:
-        """Time since that component last reported."""
-        report = self.latest.get((node, component))
-        return self.kernel.now - report.time if report is not None else None
-
-    def transitions(self, node: str, component: str) -> List[Tuple[float, ComponentStatus]]:
-        """Status changes over time for one component."""
-        result: List[Tuple[float, ComponentStatus]] = []
-        for report in self.history:
-            if report.node == node and report.component == component:
-                if not result or result[-1][1] is not report.status:
-                    result.append((report.time, report.status))
-        return result
 
     # -- display ---------------------------------------------------------------------
 

@@ -38,13 +38,12 @@ are byte-identical to the static-rule build.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import PEER_HEARTBEAT_PERIOD, RecoveryAction
-from repro.core.recovery import DECISION_LOG_LIMIT, RecoveryDecision
+from repro.core.recovery import RecoveryDecision
 from repro.core.roles import Role
 from repro.core.status import ComponentStatus
 from repro.core.strategy import PEER
@@ -111,16 +110,6 @@ class FaultRegime(Enum):
     PARTITIONED = "partitioned"
 
 
-@dataclass
-class PolicyDecision:
-    """One entry in the policy's (ring-buffered) decision log."""
-
-    time: float
-    kind: str  # "recovery" | "regime" | "switch" | "clear"
-    component: str
-    detail: str
-
-
 class FaultClassifier:
     """Labels the fault regime from two evidence streams.
 
@@ -183,8 +172,6 @@ class AdaptivePolicy:
         self.kernel = engine.kernel
         self.config = engine.config
         self.classifier = FaultClassifier(engine)
-        #: Ring-buffered audit log (same bound as RecoveryManager's).
-        self.decisions: Deque[PolicyDecision] = deque(maxlen=DECISION_LOG_LIMIT)
         #: Thrash/cooldown governor switch — chaos sabotage target
         #: ("disable-cooldown" proves the thrash monitor catches its loss).
         self.governor_enabled = True
@@ -243,7 +230,6 @@ class AdaptivePolicy:
                 delay=rule.restart_delay,
                 reason=f"{decision.reason} (deferred: peer stale)",
             )
-        self._log("recovery", component, f"{decision.action.value}: {decision.reason}")
         return decision
 
     def _escalate(self, base: RecoveryDecision, reason: str) -> RecoveryDecision:
@@ -319,7 +305,6 @@ class AdaptivePolicy:
             monitor.tune(PEER)
         self._tuned_regime = regime
         self.engine.trace.emit("engine", self.engine.node_name, "policy-regime", regime=regime.value)
-        self._log("regime", "*", regime.value)
 
     def _maybe_switch_strategy(self, regime: FaultRegime) -> None:
         if self.engine.role is not Role.PRIMARY:
@@ -338,7 +323,6 @@ class AdaptivePolicy:
         if self._last_switch_at is not None and now - self._last_switch_at < POLICY_SWITCH_DWELL:
             return  # dwell: regime flicker must not become strategy flapping
         self._last_switch_at = now
-        self._log("switch", "*", f"{self.engine.strategy_name} -> {target} ({regime.value})")
         self.engine.switch_strategy(target, f"regime {regime.value}")
 
     def _stability_sweep(self) -> None:
@@ -354,12 +338,6 @@ class AdaptivePolicy:
             self._stage.pop(component, None)
             self._recent.pop(component, None)
             self.engine.recovery.clear(component)
-            self._log("clear", component, "stable; history cleared")
-
-    def _log(self, kind: str, component: str, detail: str) -> None:
-        self.decisions.append(
-            PolicyDecision(time=self.kernel.now, kind=kind, component=component, detail=detail)
-        )
 
     def __repr__(self) -> str:
-        return f"AdaptivePolicy(regime={self.classifier.regime.value}, decisions={len(self.decisions)})"
+        return f"AdaptivePolicy(regime={self.classifier.regime.value})"

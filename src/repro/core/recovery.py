@@ -14,17 +14,11 @@ escalates (normally to failover).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List
+from typing import Dict, List
 
 from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule
 from repro.simnet.kernel import SimKernel
-
-#: Ring-buffer capacity of the recovery decision log, and of the
-#: adaptive policy's (:mod:`repro.core.policy`).  Soak campaigns run for
-#: hours of simulated time, so both logs keep only the newest entries.
-DECISION_LOG_LIMIT = 256
 
 
 @dataclass
@@ -52,8 +46,6 @@ class RecoveryManager:
         self.kernel = kernel
         self.config = config
         self._history: Dict[str, _History] = {}
-        #: Ring buffer of recent decisions (see DECISION_LOG_LIMIT).
-        self.decisions: Deque[RecoveryDecision] = deque(maxlen=DECISION_LOG_LIMIT)
 
     def set_rule(self, component: str, rule: RecoveryRule) -> None:
         """Dynamic rule change (the paper's run-time option).
@@ -78,41 +70,21 @@ class RecoveryManager:
         history.failures.append(now)
         recent = len(history.failures)
         if recent <= rule.max_local_restarts:
-            decision = RecoveryDecision(
+            return RecoveryDecision(
                 component=component,
                 action=RecoveryAction.LOCAL_RESTART,
                 restart_number=recent,
                 delay=rule.restart_delay,
                 reason=reason,
             )
-        else:
-            decision = RecoveryDecision(
-                component=component,
-                action=rule.escalation,
-                restart_number=0,
-                delay=0.0,
-                reason=f"{reason} (local restarts exhausted: {recent - 1} in window)",
-            )
-        self.decisions.append(decision)
-        return decision
+        return RecoveryDecision(
+            component=component,
+            action=rule.escalation,
+            restart_number=0,
+            delay=0.0,
+            reason=f"{reason} (local restarts exhausted: {recent - 1} in window)",
+        )
 
     def clear(self, component: str) -> None:
         """Forget a component's failure history (after stable recovery)."""
         self._history.pop(component, None)
-
-    def failure_count(self, component: str) -> int:
-        """Failures currently inside the component's window.
-
-        Prunes with the same ``t >= cutoff`` predicate as
-        :meth:`on_failure`; without this, callers polling between events
-        saw phantom failures that had already aged out of the window.
-        """
-        history = self._history.get(component)
-        if history is None:
-            return 0
-        cutoff = self.kernel.now - self.config.rule_for(component).transient_window
-        history.failures = [t for t in history.failures if t >= cutoff]
-        return len(history.failures)
-
-    def __repr__(self) -> str:
-        return f"RecoveryManager(decisions={len(self.decisions)})"

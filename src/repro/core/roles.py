@@ -10,7 +10,7 @@ retry count are configuration.
 
 Dual-primary resolution: when two primaries meet (e.g. after a partition
 heals), the one with the *higher* incarnation — the most recent
-legitimate promotion — keeps the role; ties break towards the preferred
+legitimate promotion — keeps the role; ties break towards the lower
 node name.  The loser demotes.
 """
 
@@ -80,7 +80,6 @@ class RoleNegotiator:
         on_decided: Callable[[Role], None],
         on_shutdown: Callable[[], None],
         on_demoted: Callable[[], None],
-        preferred_primary: str = "",
         trace: Optional[TraceLog] = None,
     ) -> None:
         self.kernel = kernel
@@ -91,7 +90,6 @@ class RoleNegotiator:
         self.on_decided = on_decided
         self.on_shutdown = on_shutdown
         self.on_demoted = on_demoted
-        self.preferred_primary = preferred_primary
         self.trace = trace if trace is not None else TraceLog(clock=lambda: kernel.now)
         self.role = UNDECIDED
         self.incarnation = 0
@@ -204,8 +202,6 @@ class RoleNegotiator:
                 self._decide(BACKUP)
 
     def _wins_tiebreak(self) -> bool:
-        if self.preferred_primary:
-            return self.node_name == self.preferred_primary
         return self.node_name < self.peer_name
 
     def _resolve_dual_primary(self, peer_incarnation: int) -> None:

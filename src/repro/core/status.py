@@ -32,11 +32,6 @@ class ComponentStatus(enum.Enum):
     RECOVERING = "recovering"
     STOPPED = "stopped"
 
-    @property
-    def is_healthy(self) -> bool:
-        """RUNNING or on its way there."""
-        return self in (ComponentStatus.STARTING, ComponentStatus.RUNNING, ComponentStatus.RECOVERING)
-
 
 # The members the per-period report paths use, bound once, and the wire
 # value maps: on CPython 3.11 ``ComponentStatus.RUNNING`` takes

@@ -27,8 +27,6 @@ class WatchdogTimer:
         self.period: Optional[float] = None
         self.armed = False
         self.deleted = False
-        self.expirations = 0
-        self.resets = 0
         self._timer = None
 
     def set(self, period: float) -> None:
@@ -45,7 +43,6 @@ class WatchdogTimer:
         self._ensure_usable()
         if not self.armed or self.period is None:
             raise WatchdogError(f"watchdog {self.name}: reset before set")
-        self.resets += 1
         self._restart()
 
     def stop(self) -> None:
@@ -73,7 +70,6 @@ class WatchdogTimer:
     def _expired(self) -> None:
         if self.deleted or not self.armed:
             return
-        self.expirations += 1
         self.armed = False
         self._timer = None
         self.on_expire(self)

@@ -53,11 +53,9 @@ class Actuator(Device):
     def __init__(self, name: str, initial: float = 0.0) -> None:
         super().__init__(name)
         self.commanded = initial
-        self.write_count = 0
 
     def write(self, value: float) -> None:
         """Command a new output (raises if failed)."""
         if not self.healthy:
             raise IOError(f"actuator {self.name} failed")
         self.commanded = float(value)
-        self.write_count += 1

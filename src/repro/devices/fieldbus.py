@@ -20,7 +20,6 @@ class Fieldbus:
         self.name = name
         self.up = True
         self.devices: Dict[str, Device] = {}
-        self.write_count = 0
         # Name-sorted views the PLC scans every period; attach, the only
         # writer of ``devices``, rebuilds them.
         self._sensors: Tuple[Sensor, ...] = ()
@@ -63,7 +62,6 @@ class Fieldbus:
         """Write through the bus (raises when the bus is down)."""
         if not self.up:
             raise IOError(f"fieldbus {self.name} down")
-        self.write_count += 1
         device = self.device(name)
         if not isinstance(device, Actuator):
             raise TypeError(f"{name} is not an actuator")

@@ -52,7 +52,6 @@ class PLC:
         self.outputs: Dict[str, float] = {}
         self.logic: List[ScanLogic] = []
         self.running = False
-        self.scan_count = 0
         self._timer: Optional[ScheduleHandle] = None
 
     def add_logic(self, logic: ScanLogic) -> None:
@@ -119,11 +118,10 @@ class PLC:
                     write_actuator(name, outputs[name])
                 except IOError:
                     pass  # surfaced via input quality on the next scan
-        self.scan_count += 1
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"
-        return f"PLC({self.name}, {state}, scans={self.scan_count})"
+        return f"PLC({self.name}, {state})"
 
 
 class PlcOpcBridge:
@@ -139,7 +137,6 @@ class PlcOpcBridge:
         self.server = server
         self.poll_period = poll_period
         self.running = False
-        self.poll_count = 0
         self._timer: Optional[ScheduleHandle] = None
         #: Point -> item id, for every point already defined in the namespace.
         self._item_ids: Dict[str, str] = {}
@@ -179,7 +176,6 @@ class PlcOpcBridge:
             publish(point, float(value), input_quality.get(point, GOOD), False)
         for point, value in sorted(plc.outputs.items()):
             publish(point, float(value), GOOD, True)
-        self.poll_count += 1
 
     def _publish(self, point: str, value: float, quality: Quality, writable: bool) -> None:
         item_id = self._item_ids.get(point)
@@ -198,4 +194,4 @@ class PlcOpcBridge:
         self.server.update_item(item_id, value, quality)
 
     def __repr__(self) -> str:
-        return f"PlcOpcBridge({self.plc.name} -> {self.server.name}, polls={self.poll_count})"
+        return f"PlcOpcBridge({self.plc.name} -> {self.server.name})"

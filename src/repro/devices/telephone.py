@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.simnet.kernel import SimKernel
 
@@ -82,10 +82,7 @@ class TelephoneSystem:
         #: Number of currently busy lines, kept by seize and release.
         self.busy_lines = 0
         self.listeners: List[Callable[[CallEvent], None]] = []
-        self.events: List[CallEvent] = []
         self.running = False
-        self.blocked_count = 0
-        self.completed_count = 0
         self._sequence = itertools.count(1)
         # Every tick carries the epoch it was armed in; ``stop`` bumps
         # the epoch, which retires every tick armed before it.
@@ -139,7 +136,6 @@ class TelephoneSystem:
         if epoch != self._epoch:
             return
         if self.busy_lines == self.line_count:
-            self.blocked_count += 1
             self._emit("blocked", caller, -1)
             self._idle(caller, epoch)
             return
@@ -157,31 +153,15 @@ class TelephoneSystem:
             return
         self.line_busy[line] = False
         self.busy_lines -= 1
-        self.completed_count += 1
         self._emit("end", caller, line)
         self._idle(caller, epoch)
 
     def _emit(self, kind: str, caller: int, line: int) -> None:
         event = CallEvent(kind, caller, line, self.kernel.now, self.busy_lines, next(self._sequence))
-        # The simulator's own event log: the ground truth tests and
-        # busy_histogram read, one entry per event of a bounded run.
-        self.events.append(event)  # oftt-lint: ok[unbounded-growth]
         # Listeners are registered while the scenario is built (two in the
         # §4 demo), never per event.
         for listener in self.listeners:  # oftt-lint: ok[hot-linear-scan]
             listener(event)
 
-    # -- reference statistics (ground truth for recovery checks) -----------------
-
-    def busy_histogram(self) -> Dict[int, int]:
-        """Distribution of busy-line counts over emitted events."""
-        histogram: Dict[int, int] = {k: 0 for k in range(self.line_count + 1)}
-        for event in self.events:
-            histogram[event.busy_lines] += 1
-        return histogram
-
     def __repr__(self) -> str:
-        return (
-            f"TelephoneSystem(lines={self.line_count}, callers={self.caller_count}, "
-            f"busy={self.busy_lines}, events={len(self.events)})"
-        )
+        return f"TelephoneSystem(lines={self.line_count}, callers={self.caller_count}, busy={self.busy_lines})"

@@ -2,21 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any
 
 from repro.faults.faultlib import Fault
 from repro.simnet.kernel import SimKernel
-from repro.simnet.trace import TraceLog
-
-
-@dataclass
-class InjectedFault:
-    """Book-keeping for one injected fault."""
-
-    fault: Fault
-    at: float
-    applied: bool = False
 
 
 class FaultInjector:
@@ -24,42 +13,23 @@ class FaultInjector:
 
     The environment is duck-typed; see :mod:`repro.faults.faultlib` for
     the attributes faults expect (``systems``, ``network``, ``partitions``,
-    ``pair``, ``fieldbuses``).
+    ``pair``, ``fieldbuses``).  Each applied fault is recorded as a
+    ``fault``/``inject`` record in the environment's ``trace``.
     """
 
-    def __init__(self, kernel: SimKernel, env: Any, trace: Optional[TraceLog] = None) -> None:
+    def __init__(self, kernel: SimKernel, env: Any) -> None:
         self.kernel = kernel
         self.env = env
-        env_trace = getattr(env, "trace", None)
-        self.trace = trace if trace is not None else (env_trace if env_trace is not None else TraceLog(clock=lambda: kernel.now))
-        self.injected: List[InjectedFault] = []
+        self.trace = env.trace
 
-    def inject_now(self, fault: Fault) -> InjectedFault:
+    def inject_now(self, fault: Fault) -> None:
         """Apply *fault* immediately."""
-        record = InjectedFault(fault=fault, at=self.kernel.now)
-        self._apply(record)
-        return record
+        self._apply(fault)
 
-    def inject_at(self, at: float, fault: Fault) -> InjectedFault:
+    def inject_at(self, at: float, fault: Fault) -> None:
         """Apply *fault* at absolute simulated time *at*."""
-        record = InjectedFault(fault=fault, at=at)
-        delay = max(0.0, at - self.kernel.now)
-        self.kernel.schedule(delay, self._apply, record)
-        self.injected.append(record)
-        return record
+        self.kernel.schedule(max(0.0, at - self.kernel.now), self._apply, fault)
 
-    def _apply(self, record: InjectedFault) -> None:
-        self.trace.emit("fault", "injector", "inject", fault=record.fault.describe(), demo=record.fault.demo_id)
-        record.fault.apply(self.env)
-        record.applied = True
-        if record not in self.injected:
-            # Campaign-lifetime fault record, bounded by the schedule;
-            # reports and ddmin read it back after the run.
-            self.injected.append(record)  # oftt-lint: ok[unbounded-growth]
-
-    def applied_faults(self) -> List[InjectedFault]:
-        """Faults that have actually fired so far."""
-        return [record for record in self.injected if record.applied]
-
-    def __repr__(self) -> str:
-        return f"FaultInjector({len(self.injected)} scheduled, {len(self.applied_faults())} applied)"
+    def _apply(self, fault: Fault) -> None:
+        self.trace.emit("fault", "injector", "inject", fault=fault.describe(), demo=fault.demo_id)
+        fault.apply(self.env)

@@ -139,8 +139,8 @@ def exp_architecture(seed: int) -> Dict[str, Any]:
         "engine_processes_alive": primary_engine.alive and backup_engine.alive,
         "ftim_linked": app.api is not None and app.api.ftim is not None,
         "ftim_heartbeats": app.api.ftim.heartbeats_sent,
-        "checkpoints_sent": primary_engine.stats()["checkpoints_tx"],
-        "checkpoints_mirrored": backup_engine.stats()["checkpoints_rx"],
+        "checkpoints_sent": len(primary_engine.checkpoint_sizes),
+        "checkpoints_mirrored": backup_engine.checkpoints_received,
         "checkpoint_acked_seq": primary_engine.acked_sequence,
         "diverter_messages": demo.diverter_client.sent_count,
         "monitor_reports": demo.monitor.reports_received,
@@ -1003,7 +1003,7 @@ def _strategy_run(strategy: str, entries: List[FaultEntry], seed: int) -> Dict[s
         checkpoint_period=2_000.0,
         message_driven=True,
     )
-    injector = FaultInjector(scenario.kernel, scenario, trace=scenario.trace)
+    injector = FaultInjector(scenario.kernel, scenario)
     for entry in entries:
         injector.inject_at(entry.at, entry.build())
     scenario.start(settle=True)
@@ -1111,7 +1111,7 @@ def _policy_run(overrides: Dict[str, Any], profile: str, seed: int) -> Dict[str,
     """One drift profile under one policy's config overrides."""
     scenario = ChaosScenario(seed=seed, config=replace_config(OfttConfig(), **overrides))
     schedule = drift_schedule(profile, list(scenario.PAIR_NODES), scenario.APP_NAME)
-    injector = FaultInjector(scenario.kernel, scenario, trace=scenario.trace)
+    injector = FaultInjector(scenario.kernel, scenario)
     for entry in schedule.sorted_entries():
         injector.inject_at(entry.at, entry.build())
     scenario.start(settle=True)

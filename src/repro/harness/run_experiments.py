@@ -15,6 +15,7 @@ byte-identical for any worker count::
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import experiments as E
@@ -88,7 +89,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     requested = options.ids or list(EXPERIMENTS)
     unknown = [experiment_id for experiment_id in requested if experiment_id not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiment ids: {unknown}; available: {sorted(EXPERIMENTS)}")
+        print(f"unknown experiment ids: {unknown}; available: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
     run(requested, jobs=options.jobs)
     return 0

@@ -98,8 +98,8 @@ class Scenario:
 
     def add_pair(self, nodes: Sequence[str], app_factory: AppFactory, unit: str, **roles) -> OfttPair:
         """Assemble the scenario's OFTT pair on machines *nodes* (booted or
-        still booting); *roles* are :class:`OfttPair`'s ``monitor_nodes``,
-        ``subscriber_nodes`` and ``preferred_primary``."""
+        still booting); *roles* are :class:`OfttPair`'s ``monitor_nodes``
+        and ``subscriber_nodes``."""
         self.pair = OfttPair(
             network=self.network,
             systems={name: self.systems[name] for name in nodes},

@@ -6,8 +6,8 @@ application.  If a message is sent during a switchover, the message
 non-delivery is detected and retried" (§2.2.3).  This package provides
 those semantics:
 
-* :class:`MsmqQueue` — FIFO queue with persistent/express messages,
-  journaling and push subscriptions.
+* :class:`MsmqQueue` — FIFO queue with persistent/express messages and
+  push subscriptions.
 * :class:`QueueManager` — per-node queue service; survives process and OS
   crashes (persistent messages are on disk) but loses express messages.
 * store-and-forward transport with acknowledgement, retry and

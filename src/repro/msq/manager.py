@@ -105,7 +105,7 @@ class QueueManager:
 
         A replaced manager (node reinstall) self-retires on its next
         retry pass anyway; calling ``stop`` releases the timer without
-        waiting out the interval.  Queues and journals stay readable.
+        waiting out the interval.  Its queues stay readable.
         """
         if self._retry_timer is not None:
             self.kernel.cancel(self._retry_timer)
@@ -113,10 +113,10 @@ class QueueManager:
 
     # -- queue management -------------------------------------------------------
 
-    def create_queue(self, name: str, journal: bool = False) -> MsmqQueue:
+    def create_queue(self, name: str) -> MsmqQueue:
         """Create a queue (idempotent: returns the existing one)."""
         if name not in self.queues:
-            self.queues[name] = MsmqQueue(name, self.node.name, journal=journal)
+            self.queues[name] = MsmqQueue(name, self.node.name)
         return self.queues[name]
 
     def open_queue(self, name: str) -> MsmqQueue:

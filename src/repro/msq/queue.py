@@ -32,18 +32,14 @@ class MsmqQueue:
     """A FIFO queue on one node.
 
     Consumers either poll with :meth:`receive` / :meth:`peek` or subscribe
-    a push callback.  A journal keeps copies of consumed messages when
-    enabled (useful for the diverter's redelivery window).
+    a push callback.  A consumed message leaves the queue.
     """
 
-    def __init__(self, name: str, owner_node: str, journal: bool = False) -> None:
+    def __init__(self, name: str, owner_node: str) -> None:
         self.name = name
         self.owner_node = owner_node
-        self.journal_enabled = journal
         self.messages: List[QueueMessage] = []
-        self.journal: List[QueueMessage] = []
         self.seen_ids: set = set()
-        self.total_enqueued = 0
         self._subscriber: Optional[Callable[[QueueMessage], None]] = None
 
     def enqueue(self, message: QueueMessage, now: float) -> bool:
@@ -56,7 +52,6 @@ class MsmqQueue:
         self.seen_ids.add(message.message_id)
         message.enqueued_at = now
         self.messages.append(message)
-        self.total_enqueued += 1
         if self._subscriber is not None:
             self._drain()
         return True
@@ -72,19 +67,11 @@ class MsmqQueue:
 
     def _drain(self) -> None:
         while self.messages and self._subscriber is not None:
-            message = self.messages.pop(0)
-            if self.journal_enabled:
-                self.journal.append(message)
-            self._subscriber(message)
+            self._subscriber(self.messages.pop(0))
 
     def receive(self) -> Optional[QueueMessage]:
         """Pop the head message (None when empty)."""
-        if not self.messages:
-            return None
-        message = self.messages.pop(0)
-        if self.journal_enabled:
-            self.journal.append(message)
-        return message
+        return self.messages.pop(0) if self.messages else None
 
     def peek(self) -> Optional[QueueMessage]:
         """Head message without consuming it."""

@@ -73,7 +73,6 @@ class OpcGroup(ComObject):
         self._ping_strikes = 0
         self._ping_armed = False
         self.collected = False
-        self.notifications_sent = 0
 
     # -- item management ---------------------------------------------------------
 
@@ -297,7 +296,6 @@ class OpcGroup(ComObject):
             self._last_sent[handle] = value
             batch.append([handle, self.items.get(handle, ""), value.as_wire()])
         self._pending.clear()
-        self.notifications_sent += 1
         if self._sink_local is not None:
             self._sink_local(self.name, batch)
         elif self._sink_remote is not None:

@@ -117,7 +117,6 @@ class Link:
         self.bandwidth = bandwidth
         self.network: Optional["Network"] = None  # set by Network.add_link
         self._up = True
-        self.members: List[str] = []
 
     @property
     def up(self) -> bool:
@@ -145,7 +144,7 @@ class Link:
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"
-        return f"Link({self.name}, {state}, members={self.members})"
+        return f"Link({self.name}, {state})"
 
 
 class NetNode:
@@ -276,7 +275,6 @@ class Network:
         if link_name in node.nics:
             raise SimError(f"{node_name} already attached to {link_name}")
         node.nics[link_name] = True
-        link.members.append(node_name)
         self._routes.clear()
 
     # -- partitions (used by PartitionController) ----------------------------

@@ -84,7 +84,8 @@ def dual_primary_scenario(connected=True):
 
 
 def test_split_brain_fires_after_grace():
-    monitor = SplitBrainMonitor(grace=1_000.0)
+    monitor = SplitBrainMonitor()
+    monitor.grace = 1_000.0
     scenario = dual_primary_scenario()
     for now in (0.0, 500.0, 1_600.0):
         monitor.on_tick(scenario, now)
@@ -95,7 +96,8 @@ def test_split_brain_fires_after_grace():
 
 
 def test_split_brain_tolerates_transient_dual_primary():
-    monitor = SplitBrainMonitor(grace=1_000.0)
+    monitor = SplitBrainMonitor()
+    monitor.grace = 1_000.0
     scenario = dual_primary_scenario()
     monitor.on_tick(scenario, 0.0)
     monitor.on_tick(scenario, 900.0)
@@ -105,7 +107,8 @@ def test_split_brain_tolerates_transient_dual_primary():
 
 
 def test_split_brain_ignores_dual_primary_under_partition():
-    monitor = SplitBrainMonitor(grace=1_000.0)
+    monitor = SplitBrainMonitor()
+    monitor.grace = 1_000.0
     scenario = dual_primary_scenario(connected=False)
     for now in (0.0, 2_000.0, 10_000.0):
         monitor.on_tick(scenario, now)
@@ -117,7 +120,8 @@ def test_split_brain_ignores_dual_primary_under_partition():
 
 
 def test_recovery_latency_fires_on_prolonged_outage():
-    monitor = RecoveryLatencyMonitor(bound=1_000.0)
+    monitor = RecoveryLatencyMonitor()
+    monitor.bound = 1_000.0
     scenario = FakeScenario(
         {
             "alpha": FakeEngine(role=Role.BACKUP),
@@ -130,7 +134,8 @@ def test_recovery_latency_fires_on_prolonged_outage():
 
 
 def test_recovery_latency_clock_pauses_when_nothing_can_recover():
-    monitor = RecoveryLatencyMonitor(bound=1_000.0)
+    monitor = RecoveryLatencyMonitor()
+    monitor.bound = 1_000.0
     scenario = FakeScenario(
         {
             "alpha": FakeEngine(alive=False, role=Role.SHUTDOWN),
@@ -143,7 +148,8 @@ def test_recovery_latency_clock_pauses_when_nothing_can_recover():
 
 
 def test_recovery_latency_treats_serving_dual_primary_as_available():
-    monitor = RecoveryLatencyMonitor(bound=1_000.0)
+    monitor = RecoveryLatencyMonitor()
+    monitor.bound = 1_000.0
     scenario = dual_primary_scenario()
     for now in (0.0, 5_000.0, 10_000.0):
         monitor.on_tick(scenario, now)
@@ -151,7 +157,8 @@ def test_recovery_latency_treats_serving_dual_primary_as_available():
 
 
 def test_recovery_latency_requires_running_apps():
-    monitor = RecoveryLatencyMonitor(bound=1_000.0)
+    monitor = RecoveryLatencyMonitor()
+    monitor.bound = 1_000.0
     scenario = FakeScenario(
         {
             "alpha": FakeEngine(apps={"synthetic": FakeApp(running=False)}),
@@ -168,7 +175,8 @@ def test_recovery_latency_requires_running_apps():
 
 
 def test_heartbeat_liveness_fires_on_stuck_suspicion():
-    monitor = HeartbeatLivenessMonitor(grace=1_000.0)
+    monitor = HeartbeatLivenessMonitor()
+    monitor.grace = 1_000.0
     scenario = FakeScenario(
         {"alpha": FakeEngine(suspected=True), "beta": FakeEngine(role=Role.BACKUP)}
     )
@@ -179,7 +187,8 @@ def test_heartbeat_liveness_fires_on_stuck_suspicion():
 
 
 def test_heartbeat_liveness_resets_on_disconnect():
-    monitor = HeartbeatLivenessMonitor(grace=1_000.0)
+    monitor = HeartbeatLivenessMonitor()
+    monitor.grace = 1_000.0
     scenario = FakeScenario(
         {"alpha": FakeEngine(suspected=True), "beta": FakeEngine(role=Role.BACKUP)}
     )
@@ -384,7 +393,7 @@ class FakeSwitchEngine:
 def test_strategy_flapping_fires_past_bound_in_window():
     from repro.chaos.invariants import StrategyFlappingMonitor
 
-    monitor = StrategyFlappingMonitor(bound=3, window=10_000.0)
+    monitor = StrategyFlappingMonitor()
     engine = FakeSwitchEngine()
     monitor.on_engine(engine)
     for now in (1_000.0, 2_000.0, 3_000.0):
@@ -398,7 +407,7 @@ def test_strategy_flapping_fires_past_bound_in_window():
 def test_strategy_flapping_tolerates_spread_out_switches():
     from repro.chaos.invariants import StrategyFlappingMonitor
 
-    monitor = StrategyFlappingMonitor(bound=3, window=10_000.0)
+    monitor = StrategyFlappingMonitor()
     engine = FakeSwitchEngine()
     monitor.on_engine(engine)
     for now in (0.0, 11_000.0, 22_000.0, 33_000.0, 44_000.0):
@@ -417,7 +426,7 @@ def test_strategy_flapping_inert_without_switches():
 def test_restart_thrash_fires_on_rapid_burst():
     from repro.chaos.invariants import RestartThrashMonitor
 
-    monitor = RestartThrashMonitor(bound=5, window=4_000.0)
+    monitor = RestartThrashMonitor()
     engine = FakeSwitchEngine()
     monitor.on_engine(engine)
     for tick in range(6):
@@ -430,7 +439,7 @@ def test_restart_thrash_fires_on_rapid_burst():
 def test_restart_thrash_tolerates_governed_pace():
     from repro.chaos.invariants import RestartThrashMonitor
 
-    monitor = RestartThrashMonitor(bound=5, window=4_000.0)
+    monitor = RestartThrashMonitor()
     engine = FakeSwitchEngine()
     monitor.on_engine(engine)
     for tick in range(10):
@@ -442,7 +451,7 @@ def test_restart_thrash_tolerates_governed_pace():
 def test_restart_thrash_ignores_preexisting_count():
     from repro.chaos.invariants import RestartThrashMonitor
 
-    monitor = RestartThrashMonitor(bound=5, window=4_000.0)
+    monitor = RestartThrashMonitor()
     engine = FakeSwitchEngine()
     engine.local_restart_count = 50  # history from before attach
     monitor.on_engine(engine)
@@ -460,7 +469,7 @@ def _idle_ticks(monitor, start, end):
 def test_restart_thrash_reports_burst_after_idle_ticks():
     from repro.chaos.invariants import RestartThrashMonitor
 
-    monitor = RestartThrashMonitor(bound=5, window=4_000.0)
+    monitor = RestartThrashMonitor()
     engine = FakeSwitchEngine()
     monitor.on_engine(engine)
     _idle_ticks(monitor, 50.0, 10_000.0)  # 200 restart-free ticks
@@ -474,7 +483,7 @@ def test_restart_thrash_reports_burst_after_idle_ticks():
 def test_restart_thrash_drops_burst_once_it_leaves_the_window():
     from repro.chaos.invariants import RestartThrashMonitor
 
-    monitor = RestartThrashMonitor(bound=5, window=4_000.0)
+    monitor = RestartThrashMonitor()
     engine = FakeSwitchEngine()
     monitor.on_engine(engine)
     engine.local_restart_count += 4

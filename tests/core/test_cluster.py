@@ -80,8 +80,8 @@ def test_queries():
     backup = world.pair.backup_node()
     assert {primary, backup} == {"alpha", "beta"}
     assert world.pair.running_app_nodes() == [primary]
-    assert world.pair.engine(primary).role.value == "primary"
-    assert world.pair.app(primary).running
+    assert world.pair.engines[primary].role.value == "primary"
+    assert world.pair.apps[primary].running
 
 
 def test_dual_primary_query_names_both_nodes():

@@ -125,12 +125,3 @@ def test_status_maps_reject_unknown_values_like_the_enum(value):
     for field in ("kind", "status"):
         with pytest.raises(ValueError):
             StatusReport.from_wire({**wire, field: value})
-
-
-def test_status_health_classification():
-    assert ComponentStatus.RUNNING.is_healthy
-    assert ComponentStatus.STARTING.is_healthy
-    assert ComponentStatus.RECOVERING.is_healthy
-    assert not ComponentStatus.FAILED.is_healthy
-    assert not ComponentStatus.SUSPECTED.is_healthy
-    assert not ComponentStatus.STOPPED.is_healthy

@@ -37,10 +37,10 @@ def test_messages_buffered_until_primary_known_then_flushed():
     world, client, _monitor = with_test_pc()
     client.send({"n": 1})
     client.send({"n": 2})
-    assert client.buffered_count == 2
+    assert client.sent_count == 0  # no primary known yet: both buffered
     world.start()
     world.run_for(2_000.0)
-    assert client.buffered_count == 0
+    assert client.sent_count == 2
     queue = inbox_of(world, world.primary)
     received = []
     while True:
@@ -99,8 +99,9 @@ def test_monitor_collects_periodic_reports():
     world.start()
     world.run_for(3_000.0)
     assert monitor.reports_received > 4
-    assert monitor.status_of(world.primary, "oftt-engine") is ComponentStatus.RUNNING
-    assert monitor.role_of(world.primary) == "primary"
+    engine_report = monitor.latest[(world.primary, "oftt-engine")]
+    assert engine_report.status is ComponentStatus.RUNNING
+    assert engine_report.role == "primary"
     assert monitor.current_primary() == world.primary
 
 
@@ -113,20 +114,17 @@ def test_monitor_sees_failure_and_switchover():
     world.run_for(5_000.0)
     assert monitor.current_primary() == world.primary
     # The new primary reports its peer link down.
-    assert monitor.status_of(world.primary, "peer-link") is ComponentStatus.FAILED
-    assert monitor.unhealthy()
+    assert monitor.latest[(world.primary, "peer-link")].status is ComponentStatus.FAILED
 
 
 def test_monitor_transitions_and_staleness():
     world, _client, monitor = with_test_pc()
     world.start()
     world.run_for(3_000.0)
-    primary = world.primary
-    transitions = monitor.transitions(primary, "oftt-engine")
-    assert transitions and transitions[0][1] is ComponentStatus.RUNNING
-    staleness = monitor.staleness(primary, "oftt-engine")
-    assert staleness is not None and staleness <= STATUS_REPORT_PERIOD + 100.0
-    assert monitor.staleness("ghost", "x") is None
+    report = monitor.latest[(world.primary, "oftt-engine")]
+    assert report.status is ComponentStatus.RUNNING
+    # The periodic reports keep the newest one within a period.
+    assert world.kernel.now - report.time <= STATUS_REPORT_PERIOD + 100.0
 
 
 def test_monitor_render_contains_components():
@@ -137,12 +135,3 @@ def test_monitor_render_contains_components():
     assert "oftt-engine" in rendered
     assert "synthetic" in rendered
     assert "primary" in rendered
-
-
-def test_monitor_live_subscription():
-    world, _client, monitor = with_test_pc()
-    seen = []
-    monitor.subscribe(lambda report: seen.append(report.component))
-    world.start()
-    world.run_for(2_000.0)
-    assert "oftt-engine" in seen

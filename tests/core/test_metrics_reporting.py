@@ -118,7 +118,9 @@ def test_run_experiments_rejects_unknown_ids(capsys):
     from repro.harness.run_experiments import main
 
     assert main(["NOPE"]) == 2
-    assert "unknown experiment ids" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "unknown experiment ids" in captured.err
+    assert captured.out == ""
 
 
 def test_run_experiments_single_id(capsys):

@@ -16,7 +16,7 @@ from repro.simnet.kernel import SimKernel
 class Harness:
     """Two negotiators joined by an in-kernel message pipe."""
 
-    def __init__(self, config=None, latency=1.0, preferred=""):
+    def __init__(self, config=None, latency=1.0):
         self.kernel = SimKernel()
         self.config = config or OfttConfig()
         self.latency = latency
@@ -33,7 +33,6 @@ class Harness:
                 on_decided=lambda role, n=name: self.events.append((n, "decided", role)),
                 on_shutdown=lambda n=name: self.events.append((n, "shutdown", None)),
                 on_demoted=lambda n=name: self.events.append((n, "demoted", None)),
-                preferred_primary=preferred,
             )
 
     def _sender(self, source, dest):
@@ -56,14 +55,6 @@ def test_simultaneous_startup_tiebreak():
         negotiator.begin()
     harness.kernel.run(until=10_000.0)
     assert harness.roles() == {"alpha": Role.PRIMARY, "beta": Role.BACKUP}
-
-
-def test_preferred_primary_wins_tiebreak():
-    harness = Harness(preferred="beta")
-    for negotiator in harness.negotiators.values():
-        negotiator.begin()
-    harness.kernel.run(until=10_000.0)
-    assert harness.roles() == {"alpha": Role.BACKUP, "beta": Role.PRIMARY}
 
 
 def test_skewed_startup_converges_with_retries():

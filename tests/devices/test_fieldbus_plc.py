@@ -60,7 +60,6 @@ def test_plc_scan_reads_inputs_runs_logic_writes_outputs():
     world.run(1_500.0)
     assert plc.inputs["temp"] == 90.0
     assert bus.device("pump").commanded == 1.0
-    assert plc.scan_count > 20
 
 
 def test_plc_marks_bad_quality_on_sensor_failure():
@@ -76,13 +75,14 @@ def test_plc_marks_bad_quality_on_sensor_failure():
 
 
 def test_plc_stop_halts_scanning():
-    world, _bus, plc = make_plant()
+    world, bus, _plc = make_plant()
+    plc, times = recording_plc(world, bus)
     plc.start()
     world.run(300.0)
-    count = plc.scan_count
+    count = len(times)
     plc.stop()
     world.run(1_000.0)
-    assert plc.scan_count == count
+    assert len(times) == count
 
 
 def test_bridge_publishes_items_with_quality():
@@ -110,10 +110,10 @@ def test_bridge_stop():
     plc.start()
     bridge.start()
     world.run(300.0)
-    polls = bridge.poll_count
+    updates = server.update_count
     bridge.stop()
     world.run(1_000.0)
-    assert bridge.poll_count == polls
+    assert server.update_count == updates
 
 
 # -- the sorted device views and one-lookup reads ------------------------------------
@@ -175,7 +175,6 @@ def test_plc_scans_every_period_from_start():
     plc.start()
     world.run(260.0)
     assert times == [30.0, 80.0, 130.0, 180.0, 230.0]
-    assert plc.scan_count == 5
 
 
 def test_plc_stop_then_start_in_one_tick_runs_one_loop():
@@ -232,12 +231,12 @@ def test_bridge_polls_every_period_and_restarts_as_one_loop():
     world.run(20.0)
     bridge.start()
     world.run(330.0)
-    assert bridge.poll_count == 4  # 20, 120, 220, 320
-    assert server.update_count == 4 * 2  # temp and pump each poll
+    # Polls at 20, 120, 220 and 320; temp and pump each poll.
+    assert server.update_count == 4 * 2
     bridge.stop()
     bridge.start()
     world.run(1_000.0)
-    assert bridge.poll_count == 4 + 7  # 330, 430, ..., 930
+    assert server.update_count == (4 + 7) * 2  # 330, 430, ..., 930
     bridge.stop()
     plc.stop()
     assert world.kernel.pending == 0

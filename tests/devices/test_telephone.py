@@ -5,83 +5,87 @@ import json
 
 import pytest
 
+from repro.apps.history import CallingHistoryGenerator
 from repro.devices.telephone import CallEvent, TelephoneSystem
 
 from tests.conftest import make_world
 
 
 def make_phone(seed=0, **kwargs):
+    """A simulator plus the Calling History that records its events."""
     world = make_world(seed)
     phone = TelephoneSystem(world.kernel, world.rngs.stream("phone"), **kwargs)
-    return world, phone
+    return world, phone, CallingHistoryGenerator(phone).history
 
 
 def test_busy_lines_never_exceed_line_count():
-    world, phone = make_phone(lines=5, callers=10)
+    world, phone, events = make_phone(lines=5, callers=10)
     phone.start()
     world.run(300_000.0)
-    assert phone.events
-    assert all(0 <= event.busy_lines <= 5 for event in phone.events)
+    assert events
+    assert all(0 <= event.busy_lines <= 5 for event in events)
 
 
 def test_event_sequences_strictly_increasing():
-    world, phone = make_phone()
+    world, phone, events = make_phone()
     phone.start()
     world.run(120_000.0)
-    sequences = [event.sequence for event in phone.events]
+    sequences = [event.sequence for event in events]
     assert sequences == sorted(sequences)
     assert len(set(sequences)) == len(sequences)
 
 
 def test_start_end_pairing():
-    world, phone = make_phone()
+    world, phone, events = make_phone()
     phone.start()
     world.run(200_000.0)
-    starts = sum(1 for e in phone.events if e.kind == "start")
-    ends = sum(1 for e in phone.events if e.kind == "end")
+    starts = sum(1 for e in events if e.kind == "start")
+    ends = sum(1 for e in events if e.kind == "end")
     # Every completed call started; at most `lines` calls still in flight.
     assert 0 <= starts - ends <= phone.line_count
-    assert phone.completed_count == ends
 
 
 def test_blocking_happens_under_offered_load():
     """10 callers on 5 lines with call time ~ idle time must block some
     attempts (Erlang-B loss behaviour)."""
-    world, phone = make_phone(seed=3, mean_idle=2_000.0, mean_call=4_000.0)
+    world, phone, events = make_phone(seed=3, mean_idle=2_000.0, mean_call=4_000.0)
     phone.start()
     world.run(400_000.0)
-    assert phone.blocked_count > 0
-    blocked_events = [e for e in phone.events if e.kind == "blocked"]
+    blocked_events = [e for e in events if e.kind == "blocked"]
+    assert blocked_events
     assert all(e.busy_lines == phone.line_count for e in blocked_events)
     assert all(e.line == -1 for e in blocked_events)
 
 
 def test_histogram_accounts_every_event():
-    world, phone = make_phone()
+    world = make_world(0)
+    phone = TelephoneSystem(world.kernel, world.rngs.stream("phone"))
+    history = CallingHistoryGenerator(phone)
     phone.start()
     world.run(150_000.0)
-    histogram = phone.busy_histogram()
-    assert sum(histogram.values()) == len(phone.events)
+    histogram = history.histogram()
+    assert sorted(histogram) == list(range(phone.line_count + 1))
+    assert sum(histogram.values()) == len(history.history)
 
 
 def test_deterministic_for_seed():
-    world_a, phone_a = make_phone(seed=7)
+    world_a, phone_a, events_a = make_phone(seed=7)
     phone_a.start()
     world_a.run(60_000.0)
-    world_b, phone_b = make_phone(seed=7)
+    world_b, phone_b, events_b = make_phone(seed=7)
     phone_b.start()
     world_b.run(60_000.0)
-    assert [e.sequence for e in phone_a.events] == [e.sequence for e in phone_b.events]
-    assert phone_a.busy_histogram() == phone_b.busy_histogram()
+    assert events_a == events_b
 
 
 def test_listeners_receive_all_events():
-    world, phone = make_phone()
+    world, phone, events = make_phone()
     seen = []
     phone.add_listener(seen.append)
     phone.start()
     world.run(60_000.0)
-    assert seen == phone.events
+    assert seen == events
+    assert [event.sequence for event in seen] == list(range(1, len(seen) + 1))
 
 
 def test_event_wire_roundtrip():
@@ -90,17 +94,17 @@ def test_event_wire_roundtrip():
 
 
 def test_stop_frees_lines_and_halts():
-    world, phone = make_phone()
+    world, phone, events = make_phone()
     phone.start()
     world.run(30_000.0)
     assert phone.busy_lines > 0  # stopped mid-call
     phone.stop()
     assert phone.busy_lines == 0
     assert phone.line_busy == [False] * phone.line_count
-    count = len(phone.events)
+    count = len(events)
     assert world.kernel.pending > 0  # the retired ticks are still armed
     world.run(60_000.0)
-    assert len(phone.events) == count
+    assert len(events) == count
     assert phone.busy_lines == 0
     assert world.kernel.pending == 0  # they drained without an event
 
@@ -123,18 +127,18 @@ def stream_digest(events):
     ],
 )
 def test_event_stream_is_pinned(lines, callers, bounce, count, digest):
-    world, phone = make_phone(seed=7, lines=lines, callers=callers)
+    world, phone, events = make_phone(seed=7, lines=lines, callers=callers)
     phone.start()
     if bounce:
         # stop() and start() in one tick, mid-run.
         world.kernel.schedule(30_000.0, lambda: (phone.stop(), phone.start()))
     world.run(60_000.0)
-    assert len(phone.events) == count
-    assert stream_digest(phone.events) == digest
+    assert len(events) == count
+    assert stream_digest(events) == digest
 
 
 def test_busy_count_matches_the_lines_at_every_event():
-    world, phone = make_phone(seed=3, lines=5, callers=10, mean_idle=2_000.0)
+    world, phone, events = make_phone(seed=3, lines=5, callers=10, mean_idle=2_000.0)
     mismatches = []
 
     def check(event):
@@ -144,21 +148,21 @@ def test_busy_count_matches_the_lines_at_every_event():
     phone.add_listener(check)
     phone.start()
     world.run(200_000.0)
-    assert phone.blocked_count > 0
+    assert any(event.kind == "blocked" for event in events)
     assert mismatches == []
 
 
 def test_stop_before_the_first_ticks_run():
-    world, phone = make_phone()
+    world, phone, events = make_phone()
     phone.start()
     phone.stop()
     world.run(60_000.0)
-    assert phone.events == []
+    assert events == []
 
 
 @pytest.mark.parametrize("kind", ["start", "end", "blocked"])
 def test_listener_can_stop_the_simulator(kind):
-    world, phone = make_phone(seed=3, mean_idle=2_000.0)
+    world, phone, events = make_phone(seed=3, mean_idle=2_000.0)
     stopped_at = []
 
     def stop_on_first(event):
@@ -170,12 +174,12 @@ def test_listener_can_stop_the_simulator(kind):
     phone.start()
     world.run(400_000.0)
     assert stopped_at
-    assert [event.sequence for event in phone.events] == list(range(1, stopped_at[0] + 1))
+    assert [event.sequence for event in events] == list(range(1, stopped_at[0] + 1))
     assert phone.busy_lines == 0
 
 
 def test_listener_exception_ends_the_run():
-    world, phone = make_phone()
+    world, phone, events = make_phone()
 
     def explode(event):
         raise RuntimeError(f"listener failed on {event.sequence}")

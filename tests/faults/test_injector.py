@@ -48,37 +48,41 @@ def started_world(seed=0):
 # Injector mechanics
 
 
+def injection_times(world):
+    return [record.time for record in world.trace.select(category="fault", event="inject")]
+
+
 def test_inject_at_applies_at_scheduled_time():
     world = started_world()
     injector = FaultInjector(world.kernel, world)
-    record = injector.inject_at(world.kernel.now + 500.0, NodeFailure("alpha"))
-    assert not record.applied
+    at = world.kernel.now + 500.0
+    injector.inject_at(at, NodeFailure("alpha"))
     world.run_for(400.0)
-    assert not record.applied
+    assert injection_times(world) == []
     assert world.systems["alpha"].state.value == "up"
     world.run_for(200.0)
-    assert record.applied
+    assert injection_times(world) == [at]
     assert world.systems["alpha"].state.value == "off"
 
 
 def test_inject_at_in_the_past_fires_immediately():
     world = started_world()
     injector = FaultInjector(world.kernel, world)
-    record = injector.inject_at(0.0, BlueScreen("beta"))
+    now = world.kernel.now
+    injector.inject_at(0.0, BlueScreen("beta"))
     world.run_for(1.0)
-    assert record.applied
+    assert injection_times(world) == [now]
 
 
 def test_applied_faults_tracks_both_paths():
     world = started_world()
     injector = FaultInjector(world.kernel, world)
+    now = world.kernel.now
     injector.inject_now(ClockSkew("alpha", 1.1))
-    injector.inject_at(world.kernel.now + 1_000.0, ClockSkew("alpha", 1.0))
-    assert len(injector.applied_faults()) == 1
-    assert len(injector.injected) == 2
+    injector.inject_at(now + 1_000.0, ClockSkew("alpha", 1.0))
+    assert injection_times(world) == [now]
     world.run_for(1_500.0)
-    assert len(injector.applied_faults()) == 2
-    assert "2 scheduled, 2 applied" in repr(injector)
+    assert injection_times(world) == [now, now + 1_000.0]
 
 
 def test_injection_is_traced():

@@ -28,10 +28,10 @@ def test_replay_fills_demo_d_loss_window():
     assert replayed <= 3  # only the loss window needed filling
     assert app.histogram() == demo.history.histogram()
     state = app.state()
-    counts = demo.history.counts()
-    assert state["total_calls"] == counts["total_calls"]
-    assert state["blocked_calls"] == counts["blocked_calls"]
-    assert state["events_processed"] == counts["events"]
+    kinds = [event.kind for event in demo.history.history]
+    assert state["total_calls"] == kinds.count("start")
+    assert state["blocked_calls"] == kinds.count("blocked")
+    assert state["events_processed"] == demo.history.event_count
 
 
 def test_replay_into_healthy_app_is_a_noop():

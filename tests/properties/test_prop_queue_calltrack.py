@@ -10,7 +10,7 @@ def test_queue_dedupe_total_equals_distinct_ids(id_stream):
     queue = MsmqQueue("q", "node")
     for message_id in id_stream:
         queue.enqueue(QueueMessage(message_id=f"m{message_id}", sender="s", body=message_id), now=0.0)
-    assert queue.total_enqueued == len(set(id_stream))
+    assert len(queue) == len(set(id_stream))
     drained = []
     while True:
         message = queue.receive()

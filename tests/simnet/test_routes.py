@@ -91,6 +91,11 @@ def pick_to_flip(rng, items, is_up):
     return rng.choice(down if down and rng.random() < 0.7 else items)
 
 
+def members(network, link):
+    """The nodes with a NIC on *link*, by name."""
+    return [name for name in sorted(network.nodes) if link in network.nodes[name].nics]
+
+
 def random_step(rng, network, controller, counter):
     """Apply one randomly chosen topology write; return its label."""
     nodes = sorted(network.nodes)
@@ -113,16 +118,17 @@ def random_step(rng, network, controller, counter):
         return "nic-up"
     elif kind == "split":
         link = rng.choice(links)
-        members = list(network.links[link].members)
-        rng.shuffle(members)
-        cut = rng.randint(0, len(members))
-        controller.split(link, members[:cut], members[cut:])
+        on_link = members(network, link)
+        rng.shuffle(on_link)
+        cut = rng.randint(0, len(on_link))
+        controller.split(link, on_link[:cut], on_link[cut:])
     elif kind == "isolate":
         link = rng.choice(links)
-        if not network.links[link].members:
+        on_link = members(network, link)
+        if not on_link:
             return "isolate-skip"
-        lonely = rng.choice(network.links[link].members)
-        controller.split(link, [lonely], [member for member in network.links[link].members if member != lonely])
+        lonely = rng.choice(on_link)
+        controller.split(link, [lonely], [member for member in on_link if member != lonely])
     elif kind == "heal":
         controller.heal(rng.choice(sorted(network.partition_of) or links))
     elif kind == "heal-all":
